@@ -5,7 +5,7 @@ commands honor --format table|csv|json (json means one object per line);
 verify always emits a single JSON report.  Exit codes: 0 success, 1 a
 verification sweep found failures (or an internal identity broke), 2 bad
 usage, 3 a precondition was violated (non-coprime input, out-of-range
-query, exhausted enumeration budget, ...).
+query, exhausted enumeration or table budget, ...).
 """
 
 from __future__ import annotations
@@ -21,30 +21,15 @@ from typing import Sequence, TextIO
 from .bfnum import BFQuery, bf_explicit
 from .bounds import inequality_a, inequality_b_lower, relaxed_count_chain
 from .core import (
-    BudgetExceededError,
-    DomainError,
-    IndexRangeError,
+    DenumerantError,
     InvariantViolationError,
     NotApplicableError,
     NotCoprimeError,
-    NotInvertibleError,
-    TooShortTupleError,
     format_rational,
 )
 from .exact import denumerant, extended_count, oracle_count, popoviciu
 from .frobenius import bound_frobenius
 from .sweep import SUITE_NAMES, SweepConfig, run_verify
-
-_PRECONDITION_ERRORS = (
-    NotCoprimeError,
-    TooShortTupleError,
-    NotApplicableError,
-    IndexRangeError,
-    NotInvertibleError,
-    BudgetExceededError,
-    DomainError,
-)
-
 
 def _parse_coeffs(text: str) -> tuple[int, ...]:
     try:
@@ -369,12 +354,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         stream = sys.stdout
     try:
         return args.handler(args, stream)
-    except _PRECONDITION_ERRORS as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 3
     except InvariantViolationError as err:
         print(f"invariant violated: {err}", file=sys.stderr)
         return 1
+    except DenumerantError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 3
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

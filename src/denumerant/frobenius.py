@@ -1,10 +1,14 @@
 """The Frobenius number and bounds on it derived from the sandwich.
 
-For a coprime tuple, every n > s-_k has at least one representation, so the
-largest non-representable number g satisfies g <= s-_k and a sieve over
-0..s-_k finds it exactly.  In the other direction, any n whose polynomial
-upper bound is below 1 cannot be represented, which turns the two upper
-shift sequences into lower bounds on g.
+The exact Frobenius number g comes from the round-robin residue table
+(Boecker & Liptak, "A fast and simple algorithm for the money changing
+problem", Algorithmica 2007): O(k a_1) steps and a_1 cells for
+a_1 = min(a).  For a coprime tuple, every n > s-_k has at least one
+representation, so g <= s-_k, and a sieve over 0..s-_k finds g by a second,
+independent route; the verify sweep compares the two.  In the other
+direction, any n whose polynomial upper bound is below 1 cannot be
+represented, which turns the two upper shift sequences into lower bounds
+on g.
 """
 
 from __future__ import annotations
@@ -14,12 +18,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .bounds import bound_sequences, relaxed_shift_sequence
+from .bounds import BoundSequences, bound_sequences
 from .core import (
+    BudgetExceededError,
     CoefficientTuple,
     InvariantViolationError,
     NotCoprimeError,
 )
+
+# The most table cells either route may allocate: a_1 = min(a) for the
+# residue table, s-_k + 1 for the sieve.  Checked before allocating.
+FROBENIUS_MAX_CELLS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -37,8 +46,23 @@ class FrobeniusReport:
     root_lower_2: int | None
 
 
-def _sieve_top(coeffs: tuple[int, ...]) -> int:
-    shift = bound_sequences(coeffs).lower_shifts[-1]
+def _coprime_coeffs(a: CoefficientTuple | Sequence[int]) -> tuple[int, ...]:
+    coeffs = CoefficientTuple.of(a).coeffs
+    if math.gcd(*coeffs) != 1:
+        raise NotCoprimeError(f"{coeffs} has gcd > 1; no Frobenius number exists")
+    return coeffs
+
+
+def _require_cells(cells: int, route: str) -> None:
+    if cells > FROBENIUS_MAX_CELLS:
+        raise BudgetExceededError(
+            f"the {route} needs {cells} table cells, over the cap of "
+            f"{FROBENIUS_MAX_CELLS}"
+        )
+
+
+def _brauer_top(seqs: BoundSequences, coeffs: tuple[int, ...]) -> int:
+    shift = seqs.lower_shifts[-1]
     if shift.denominator != 1:
         raise InvariantViolationError(
             f"lower shift of {coeffs} is not an integer: {shift}"
@@ -49,17 +73,47 @@ def _sieve_top(coeffs: tuple[int, ...]) -> int:
 def frobenius_exact(a: CoefficientTuple | Sequence[int]) -> int:
     """The largest integer with no representation; -1 when 1 is a coefficient.
 
-    Requires a coprime tuple.  Works by sieving reachability up to the
-    lower shift s-_k, above which everything is representable.
+    Requires a coprime tuple.  Builds the residue table modulo a_1 = min(a):
+    N[r] is the smallest representable number congruent to r, so
+    g = max(N) - a_1.  Each further coefficient a_i is added by walking the
+    d = gcd(a_1, a_i) residue classes round robin (Boecker & Liptak 2007),
+    in O(k a_1) steps and a_1 cells.
     """
-    coeffs = CoefficientTuple.of(a).coeffs
+    coeffs = sorted(_coprime_coeffs(a))
+    base = coeffs[0]
+    _require_cells(base, "residue table")
+    table: list[int | float] = [math.inf] * base
+    table[0] = 0
+    for coeff in coeffs[1:]:
+        d = math.gcd(base, coeff)
+        for start in range(d):
+            # Adding a_i cannot lower the class minimum, so a lap started
+            # there settles every entry of the class.
+            n = min(table[start::d])
+            if n == math.inf:
+                continue
+            for _ in range(base // d):
+                n += coeff
+                r = n % base
+                if table[r] < n:
+                    n = table[r]
+                table[r] = n
+    return max(table) - base
+
+
+def _frobenius_sieve(a: CoefficientTuple | Sequence[int]) -> int:
+    """The Frobenius number by sieving reachability over 0..s-_k.
+
+    The slow, independent route that the verify sweep checks
+    frobenius_exact against; it allocates s-_k + 1 cells.
+    """
+    coeffs = _coprime_coeffs(a)
     if 1 in coeffs:
         return -1
-    if math.gcd(*coeffs) != 1:
-        raise NotCoprimeError(f"{coeffs} has gcd > 1; no Frobenius number exists")
-    top = _sieve_top(coeffs)
+    top = _brauer_top(bound_sequences(coeffs), coeffs)
     if top < 0:
         return -1
+    _require_cells(top + 1, "sieve")
     reachable = [False] * (top + 1)
     reachable[0] = True
     for value in range(1, top + 1):
@@ -106,18 +160,19 @@ def bound_frobenius(a: CoefficientTuple | Sequence[int]) -> FrobeniusReport:
     coeffs = CoefficientTuple.of(a).coeffs
     g = frobenius_exact(coeffs)
     seqs = bound_sequences(coeffs)
+    brauer_upper = _brauer_top(seqs, coeffs)
     k = len(coeffs)
     prod = math.prod(coeffs)
     root_1 = _largest_satisfying(
         seqs.upper_shifts[-1], k - 1, math.factorial(k - 1) * prod
     )
     root_2 = _largest_satisfying(
-        relaxed_shift_sequence(coeffs)[-1], k, math.factorial(k) * prod
+        seqs.relaxed_shifts[-1], k, math.factorial(k) * prod
     )
     return FrobeniusReport(
         coeffs=coeffs,
         g=g,
-        brauer_upper=_sieve_top(coeffs),
+        brauer_upper=brauer_upper,
         root_lower_1=root_1,
         root_lower_2=root_2,
     )

@@ -41,7 +41,7 @@ from .core import (
     format_rational,
 )
 from .exact import denumerant, extended_count, oracle_count, popoviciu
-from .frobenius import bound_frobenius, frobenius_exact
+from .frobenius import _frobenius_sieve, bound_frobenius
 from .powersum import PowerSumQuery, check_sum_bounds, power_sum, refined_upper_bound
 
 _MASK64 = (1 << 64) - 1
@@ -321,8 +321,11 @@ def _check_relaxed(instance: dict) -> Failure | None:
 
 def _check_frobenius(instance: dict) -> Failure | None:
     coeffs = instance["coeffs"]
-    g = frobenius_exact(coeffs)
     report = bound_frobenius(coeffs)
+    g = report.g
+    sieved = _frobenius_sieve(coeffs)
+    if g != sieved:
+        return _fail(instance, "bound_frobenius(a).g == _frobenius_sieve(a)", g, sieved)
     if not g <= report.brauer_upper:
         return _fail(instance, "g <= brauer_upper", g, report.brauer_upper)
     if report.root_lower_1 is not None and not report.root_lower_1 <= g:

@@ -1,7 +1,9 @@
 import json
+import time
 
 import pytest
 
+import denumerant
 from denumerant import cli
 
 
@@ -118,6 +120,34 @@ def test_frobenius_json(capsys):
 def test_frobenius_non_coprime_exits_3(capsys):
     code, _, err = run(capsys, "frobenius", "--coeffs", "4,6")
     assert code == 3
+
+
+def test_frobenius_over_table_budget_exits_3_at_once(capsys):
+    started = time.perf_counter()
+    code, _, err = run(capsys, "frobenius", "--coeffs", "10000019,10000079")
+    assert code == 3
+    assert "cap" in err
+    assert time.perf_counter() - started < 1.0
+
+
+def test_every_domain_error_maps_to_its_exit_code(monkeypatch, capsys):
+    expected = {
+        denumerant.NotCoprimeError: 3,
+        denumerant.TooShortTupleError: 3,
+        denumerant.NotApplicableError: 3,
+        denumerant.IndexRangeError: 3,
+        denumerant.NotInvertibleError: 3,
+        denumerant.BudgetExceededError: 3,
+        denumerant.DomainError: 3,
+        denumerant.InvariantViolationError: 1,
+    }
+    assert set(denumerant.DenumerantError.__subclasses__()) == set(expected)
+    for error, code in expected.items():
+        def fail(coeffs, error=error):
+            raise error("raised on purpose")
+
+        monkeypatch.setattr(cli, "bound_frobenius", fail)
+        assert run(capsys, "frobenius", "--coeffs", "3,5")[0] == code, error
 
 
 def test_bf_value(capsys):

@@ -1,16 +1,20 @@
 import math
+import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from denumerant import (
+    BudgetExceededError,
     NotCoprimeError,
     bound_frobenius,
     bound_sequences,
     denumerant,
     frobenius_exact,
 )
+from denumerant.frobenius import FROBENIUS_MAX_CELLS, _frobenius_sieve
 
 
 def test_exact_spots():
@@ -25,8 +29,63 @@ def test_exact_spots():
 
 def test_pair_closed_form():
     # For two coprime coefficients the answer is a1*a2 - a1 - a2.
-    for a1, a2 in ((2, 3), (3, 5), (3, 7), (5, 8), (7, 11)):
+    pairs = ((2, 3), (3, 5), (3, 7), (5, 8), (7, 11))
+    near_1e5 = ((99991, 100003), (100000, 100001), (100003, 99989), (99999, 100000))
+    for a1, a2 in pairs + near_1e5:
         assert frobenius_exact((a1, a2)) == a1 * a2 - a1 - a2
+
+
+def test_round_robin_matches_sieve():
+    rng = random.Random(20070412)
+    drawn = []
+    for _ in range(400):
+        coeffs = [rng.randint(1, 40) for _ in range(rng.randint(2, 5))]
+        d = math.gcd(*coeffs)
+        drawn.append(tuple(c // d for c in coeffs))
+    special = [
+        (9, 4, 6),  # unsorted
+        (7, 7, 5, 5, 11),  # duplicates, including of the smallest
+        (12, 18, 8, 27),  # gcd(a_1, a_i) > 1 for every a_i but the last
+        (10, 15, 6),  # each pair shares a factor
+        (5, 1, 9),  # a 1 in the tuple
+        (1,),  # one coefficient
+    ]
+    for coeffs in special + drawn:
+        assert frobenius_exact(coeffs) == _frobenius_sieve(coeffs), coeffs
+    for coeffs in ((4, 6), (9,), (6, 10, 14)):
+        with pytest.raises(NotCoprimeError):
+            frobenius_exact(coeffs)
+        with pytest.raises(NotCoprimeError):
+            _frobenius_sieve(coeffs)
+
+
+def test_three_primes_near_1e4_fast_and_enclosed():
+    started = time.perf_counter()
+    report = bound_frobenius((10007, 10009, 10037))
+    assert time.perf_counter() - started < 1.0
+    g = report.g
+    assert g == frobenius_exact((10037, 10009, 10007))
+    assert g <= report.brauer_upper
+    for lower in (report.root_lower_1, report.root_lower_2):
+        assert lower is None or lower <= g
+    assert not any(
+        (g - 10037 * x3 - 10009 * x2) % 10007 == 0
+        for x3 in range(g // 10037 + 1)
+        for x2 in range((g - 10037 * x3) // 10009 + 1)
+    )
+
+
+def test_table_budget():
+    # The sieve for this pair would need about 10^8 cells; it must refuse
+    # before allocating them.
+    with pytest.raises(BudgetExceededError):
+        _frobenius_sieve((10007, 10009))
+    with pytest.raises(BudgetExceededError):
+        frobenius_exact((FROBENIUS_MAX_CELLS + 1, FROBENIUS_MAX_CELLS + 2))
+    # The acceptance frobenius sweep draws coefficients <= 25, and
+    # s-_k < a_1 max(a), so its sieves stay three orders of magnitude below
+    # the cap.
+    assert 1000 * 25 * 25 < FROBENIUS_MAX_CELLS
 
 
 def test_requires_coprime():
