@@ -12,7 +12,9 @@ and satisfies the closed form
     [[m, l]]_r = (1 / 2^l) * e_l(a_{1+r}, ..., a_{m+r}),
 
 with e_l the elementary symmetric polynomial.  Both routes are implemented
-below so each can check the other.  Only queries with 1 <= l <= m touch the
+below so each can check the other: the recursion in exact rationals, the
+closed form as an integer column update over the coefficients followed by
+one division by 2^l.  Only queries with 1 <= l <= m touch the
 coefficients, which is why [[m, 0]]_r = 1 holds for every m >= 0 regardless
 of the tuple length.
 """
@@ -85,17 +87,17 @@ def bf_recursive(q: BFQuery) -> Fraction:
 def bf_explicit(q: BFQuery) -> Fraction:
     """Evaluate [[m, l]]_r as e_l(a_{1+r}, ..., a_{m+r}) / 2^l.
 
-    The elementary symmetric value is accumulated by the usual one-column
-    Newton update, one coefficient at a time.
+    The elementary symmetric value is accumulated in integers by the usual
+    one-column Newton update, one coefficient at a time; the only rational
+    step is the single division by 2^l at the end.
     """
     _guard_indices(q)
     if q.ell < 0 or q.ell > q.m:
         return Fraction(0)
     if q.ell == 0:
         return Fraction(1)
-    halves = [Fraction(c, 2) for c in q.a.coeffs[q.r : q.m + q.r]]
-    column = [Fraction(1)] + [Fraction(0)] * q.ell
-    for x in halves:
+    column = [1] + [0] * q.ell
+    for x in q.a.coeffs[q.r : q.m + q.r]:
         for j in range(q.ell, 0, -1):
             column[j] += x * column[j - 1]
-    return column[q.ell]
+    return Fraction(column[q.ell], 1 << q.ell)

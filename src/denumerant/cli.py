@@ -255,10 +255,24 @@ def _cmd_verify(args: argparse.Namespace, stream: TextIO) -> int:
     stream.write(report.to_json() + "\n")
     print(
         f"{report.suite}: {report.instances} instances, "
-        f"{len(report.failures)} failures, {report.wall_time_s:.2f}s",
+        f"{len(report.failures)} failures, {report.wall_time_s:.2f}s"
+        f"{_skip_note(report.skipped)}",
         file=sys.stderr,
     )
     return 0 if report.passed else 1
+
+
+def _skip_note(skipped: dict[str, int]) -> str:
+    """The summary's suffix for skipped instances, such as
+    " (5 skipped: BudgetExceededError)", with a count per exception name
+    when there are several; empty when nothing was skipped."""
+    if not skipped:
+        return ""
+    if len(skipped) == 1:
+        kinds = next(iter(skipped))
+    else:
+        kinds = ", ".join(f"{count} {name}" for name, count in skipped.items())
+    return f" ({sum(skipped.values())} skipped: {kinds})"
 
 
 def build_parser() -> argparse.ArgumentParser:

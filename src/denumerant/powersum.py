@@ -9,6 +9,11 @@ For k >= 2, 0 <= c <= 1/2 and x >= -c,
       <= (x + c + 1/2)^(k+1) / (k+1),
 
 and the middle estimate can be tightened from above by k (x + c)^(k-1) / 8.
+
+Everything is evaluated in integers.  With x + c = p/d in lowest terms the
+sum is sum_step (p - step*d)^k over d^k, divided once; the bounds are
+compared after scaling by L = 2^(k+1) (k+1) d^(k+1), which turns every one
+of them into an integer (see ``_scaled_refined``).
 """
 
 from __future__ import annotations
@@ -44,12 +49,15 @@ def query(x: Rational, c: Rational, k: int) -> PowerSumQuery:
 
 def power_sum(q: PowerSumQuery) -> Fraction:
     """Evaluate f_k(x) term by term; [x] truncates toward zero, so the sum
-    has a single term whenever -c <= x < 1."""
+    has a single term whenever -c <= x < 1.
+
+    With x + c = p/d in lowest terms the terms are (p - step*d)^k / d^k, so
+    the sum runs over integers and divides by d^k once.
+    """
     base = q.x + q.c
-    return sum(
-        ((base - step) ** q.k for step in range(integer_part(q.x) + 1)),
-        Fraction(0),
-    )
+    p, d = base.numerator, base.denominator
+    total = sum((p - step * d) ** q.k for step in range(integer_part(q.x) + 1))
+    return Fraction(total, d**q.k)
 
 
 def check_sum_bounds(q: PowerSumQuery) -> tuple[bool, bool, bool]:
@@ -61,12 +69,42 @@ def check_sum_bounds(q: PowerSumQuery) -> tuple[bool, bool, bool]:
     """
     if q.k < 2:
         raise DomainError(f"the enclosure is stated for k >= 2, got k={q.k}")
+    return _sum_bounds(q, power_sum(q))
+
+
+def _scaled_refined(q: PowerSumQuery) -> tuple[int, int, int, int, int]:
+    """Write x + c = p/d in lowest terms and scale by L = 2^(k+1) (k+1) d^(k+1).
+
+    Returns (p, d, L, crude * L, refined * L); both products are integers:
+
+        crude * L   = (2p)^(k+1)
+        refined * L = crude * L + 2^k (k+1) d p^k
+    """
+    k = q.k
     base = q.x + q.c
-    crude = base ** (q.k + 1) / (q.k + 1)
-    refined = crude + base**q.k / 2
-    value = power_sum(q)
-    upper = (base + Fraction(1, 2)) ** (q.k + 1) / (q.k + 1)
-    return (crude <= refined, refined <= value, value <= upper)
+    p, d = base.numerator, base.denominator
+    scale = ((k + 1) << (k + 1)) * d ** (k + 1)
+    crude = (2 * p) ** (k + 1)
+    refined = crude + ((k + 1) << k) * d * p**k
+    return p, d, scale, crude, refined
+
+
+def _sum_bounds(q: PowerSumQuery, value: Fraction) -> tuple[bool, bool, bool]:
+    """The chain of ``check_sum_bounds`` against a given value of f_k(x).
+
+    Compared after scaling by L (see ``_scaled_refined``): upper * L is
+    (2p + d)^(k+1), and value * L = value.numerator * L / value.denominator
+    is compared by multiplying the other side by value.denominator, which
+    keeps every comparison in integers for any rational value.
+    """
+    p, d, scale, crude, refined = _scaled_refined(q)
+    upper = (2 * p + d) ** (q.k + 1)
+    scaled_value, den = value.numerator * scale, value.denominator
+    return (
+        crude <= refined,
+        refined * den <= scaled_value,
+        scaled_value <= upper * den,
+    )
 
 
 def refined_upper_bound(q: PowerSumQuery) -> Fraction:
@@ -74,12 +112,12 @@ def refined_upper_bound(q: PowerSumQuery) -> Fraction:
 
         f_k(x) <= (x+c)^(k+1)/(k+1) + (x+c)^k/2 + k (x+c)^(k-1) / 8,
 
-    valid on the same domain as the enclosure (k >= 2)."""
+    valid on the same domain as the enclosure (k >= 2).  Scaled by L (see
+    ``_scaled_refined``) the last term is 2^(k-2) k (k+1) d^2 p^(k-1), so
+    the sum is formed in integers and divided by L once."""
     if q.k < 2:
         raise DomainError(f"the refinement is stated for k >= 2, got k={q.k}")
-    base = q.x + q.c
-    return (
-        base ** (q.k + 1) / (q.k + 1)
-        + base**q.k / 2
-        + Fraction(q.k, 8) * base ** (q.k - 1)
-    )
+    k = q.k
+    p, d, scale, _, refined = _scaled_refined(q)
+    last = ((k * (k + 1)) << (k - 2)) * d * d * p ** (k - 1)
+    return Fraction(refined + last, scale)

@@ -18,7 +18,8 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
@@ -42,7 +43,7 @@ from .core import (
 )
 from .exact import denumerant, extended_count, oracle_count, popoviciu
 from .frobenius import _frobenius_sieve, bound_frobenius
-from .powersum import PowerSumQuery, check_sum_bounds, power_sum, refined_upper_bound
+from .powersum import PowerSumQuery, _sum_bounds, power_sum, refined_upper_bound
 
 _MASK64 = (1 << 64) - 1
 
@@ -154,6 +155,10 @@ class VerificationReport:
     instances: int
     failures: list[Failure]
     wall_time_s: float
+    # Instances whose check raised a skippable domain error, by exception
+    # name.  Like wall_time_s it stays out of the JSON report, whose bytes
+    # are fixed for a given configuration.
+    skipped: dict[str, int] = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -227,10 +232,18 @@ _SKIPPABLE = (
 )
 
 
-def _attempt(check: Callable[[dict], Failure | None], instance: dict) -> Failure | None:
+def _attempt(
+    check: Callable[[dict], Failure | None],
+    instance: dict,
+    skipped: Counter[str] | None = None,
+) -> Failure | None:
+    """Run one check; an instance outside its domain counts as no failure,
+    and its exception name is tallied in ``skipped`` when one is given."""
     try:
         return check(instance)
-    except _SKIPPABLE:
+    except _SKIPPABLE as err:
+        if skipped is not None:
+            skipped[type(err).__name__] += 1
         return None
 
 
@@ -479,12 +492,13 @@ def _run_drawn(
     cfg: SweepConfig,
     draw: Callable[[SplitMix64, SweepConfig], dict],
     check: Callable[[dict], Failure | None],
+    skipped: Counter[str],
 ) -> tuple[int, list[Failure]]:
     rng = SplitMix64(cfg.seed)
     failures: list[Failure] = []
     for _ in range(cfg.trials):
         instance = draw(rng, cfg)
-        found = _attempt(check, instance)
+        found = _attempt(check, instance, skipped)
         if found is not None:
             minimal = shrink_failure(instance, check, found.relation)
             final = _attempt(check, minimal) or found
@@ -532,7 +546,8 @@ def _run_powersum(cfg: SweepConfig) -> tuple[int, list[Failure]]:
                 q = PowerSumQuery(x, c, k)
                 instances += 1
                 inst = {"k": k, "c": str(c), "x": str(x)}
-                left, middle, right = check_sum_bounds(q)
+                value = power_sum(q)
+                left, middle, right = _sum_bounds(q, value)
                 if not left:
                     failures.append(
                         _fail(inst, "crude lower <= refined lower", "", "")
@@ -546,7 +561,6 @@ def _run_powersum(cfg: SweepConfig) -> tuple[int, list[Failure]]:
                 if not right:
                     failures.append(_fail(inst, "power sum <= upper", "", ""))
                     continue
-                value = power_sum(q)
                 cap = refined_upper_bound(q)
                 if not value <= cap:
                     failures.append(
@@ -568,45 +582,27 @@ def _run_powersum(cfg: SweepConfig) -> tuple[int, list[Failure]]:
     return instances, failures
 
 
+_DRAWN_SUITES: dict[str, tuple[Callable, Callable[[dict], Failure | None]]] = {
+    "oracle-eq": (_draw_with_n(_draw_tuple), _check_oracle_eq),
+    "popoviciu": (_draw_with_n(_draw_pair), _check_popoviciu),
+    "inequality-a": (_draw_with_n(_draw_coprime_tuple), _check_inequality_a),
+    "inequality-b": (_draw_with_n(_draw_coprime_tuple), _check_inequality_b),
+    "dhat": (_draw_with_n(_draw_tuple), _check_relaxed),
+    "frobenius": (_draw_plain(_draw_coprime_tuple), _check_frobenius),
+    "bf-identities": (_draw_plain(_draw_tuple), _check_bf_identities),
+    "asymptotic": (_draw_plain(_draw_coprime_tuple), _check_asymptotic),
+}
+
+
 def run_verify(cfg: SweepConfig) -> VerificationReport:
     """Run one suite to completion and return its deterministic report."""
     started = time.perf_counter()
+    skipped: Counter[str] = Counter()
     if cfg.suite == "powersum":
         instances, failures = _run_powersum(cfg)
-    elif cfg.suite == "oracle-eq":
-        instances, failures = _run_drawn(
-            cfg, _draw_with_n(_draw_tuple), _check_oracle_eq
-        )
-    elif cfg.suite == "popoviciu":
-        instances, failures = _run_drawn(
-            cfg, _draw_with_n(_draw_pair), _check_popoviciu
-        )
-    elif cfg.suite == "inequality-a":
-        instances, failures = _run_drawn(
-            cfg, _draw_with_n(_draw_coprime_tuple), _check_inequality_a
-        )
-    elif cfg.suite == "inequality-b":
-        instances, failures = _run_drawn(
-            cfg, _draw_with_n(_draw_coprime_tuple), _check_inequality_b
-        )
-    elif cfg.suite == "dhat":
-        instances, failures = _run_drawn(
-            cfg, _draw_with_n(_draw_tuple), _check_relaxed
-        )
-    elif cfg.suite == "frobenius":
-        instances, failures = _run_drawn(
-            cfg, _draw_plain(_draw_coprime_tuple), _check_frobenius
-        )
-    elif cfg.suite == "bf-identities":
-        instances, failures = _run_drawn(
-            cfg, _draw_plain(_draw_tuple), _check_bf_identities
-        )
-    elif cfg.suite == "asymptotic":
-        instances, failures = _run_drawn(
-            cfg, _draw_plain(_draw_coprime_tuple), _check_asymptotic
-        )
-    else:  # pragma: no cover - SweepConfig already validated the name
-        raise ValueError(f"unknown suite {cfg.suite!r}")
+    else:
+        draw, check = _DRAWN_SUITES[cfg.suite]
+        instances, failures = _run_drawn(cfg, draw, check, skipped)
     elapsed = time.perf_counter() - started
     return VerificationReport(
         suite=cfg.suite,
@@ -614,4 +610,5 @@ def run_verify(cfg: SweepConfig) -> VerificationReport:
         instances=instances,
         failures=failures,
         wall_time_s=elapsed,
+        skipped=dict(sorted(skipped.items())),
     )

@@ -5,8 +5,12 @@ criterion.  Every comparison is exact rational arithmetic; the only
 tolerances anywhere are the wall-clock budgets.
 """
 
+import hashlib
 import json
 from fractions import Fraction
+from pathlib import Path
+
+import pytest
 
 from denumerant import (
     SweepConfig,
@@ -161,3 +165,23 @@ def test_criterion_10_verify_determinism(tmp_path):
     assert two.pop("wall_time_s") is not None
     assert one == two
     _passed(10, note="verify reports byte-identical outside wall_time_s")
+
+
+_BENCH_EXPECTED = Path(__file__).resolve().parent.parent / "bench" / "expected.json"
+_RECORDED_REPORTS = json.loads(_BENCH_EXPECTED.read_text())["verify-acceptance"]
+
+
+@pytest.mark.parametrize(
+    "key", sorted(_RECORDED_REPORTS), ids=lambda key: key.split()[2]
+)
+def test_verify_report_bytes_match_recorded_digest(tmp_path, key):
+    # The benchmark records the SHA-256 of each acceptance report without
+    # its wall_time_s line; any change to the report bytes shows here.
+    path = tmp_path / "report.json"
+    assert cli.main(key.split(" ") + ["--out", str(path)]) == 0
+    kept = "".join(
+        line
+        for line in path.read_text().splitlines(keepends=True)
+        if "wall_time_s" not in line
+    )
+    assert hashlib.sha256(kept.encode()).hexdigest() == _RECORDED_REPORTS[key]

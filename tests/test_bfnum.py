@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -95,3 +96,27 @@ def test_half_scaling():
             assert bf_explicit(bf_query(doubled, 0, m, ell)) == 2**ell * bf_explicit(
                 bf_query(base, 0, m, ell)
             )
+
+
+def rational_newton(coeffs, r, m, ell):
+    # The column update carried out in exact rationals on the halved
+    # coefficients: the reference for bf_explicit's integer update.
+    column = [Fraction(1)] + [Fraction(0)] * ell
+    for x in (Fraction(c, 2) for c in coeffs[r : m + r]):
+        for j in range(ell, 0, -1):
+            column[j] += x * column[j - 1]
+    return column[ell]
+
+
+def test_explicit_matches_rational_update_on_huge_coefficients():
+    rng = random.Random(2022)
+    for _ in range(300):
+        k = rng.randint(1, 9)
+        coeffs = tuple(rng.randint(1, 10**30) for _ in range(k))
+        r = rng.randint(0, k - 1)
+        m = rng.randint(1, k - r)
+        ell = rng.randint(1, m)
+        value = bf_explicit(bf_query(coeffs, r, m, ell))
+        assert type(value) is Fraction
+        assert math.gcd(value.numerator, value.denominator) == 1
+        assert value == rational_newton(coeffs, r, m, ell)

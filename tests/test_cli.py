@@ -252,3 +252,43 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
     code, out, err = run(capsys, "verify", "--suite", "oracle-eq")
     assert code == 1
     assert json.loads(out)["failures"][0]["relation"] == "broken"
+
+
+def test_verify_names_skipped_instances_on_stderr(tmp_path, capsys):
+    # Three of the five pairs would need a sieve over the cell budget; the
+    # report and the exit code stay as they were, stderr says what happened.
+    path = tmp_path / "report.json"
+    code, _, err = run(
+        capsys, "verify", "--suite", "frobenius", "--trials", "5",
+        "--k-range", "2:2", "--max-coeff", "20000", "--out", str(path),
+    )
+    assert code == 0
+    assert "5 instances, 0 failures" in err
+    assert err.rstrip().endswith("(3 skipped: BudgetExceededError)")
+    report = json.loads(path.read_text())
+    assert report["instances"] == 5
+    assert "skipped" not in report
+
+
+def test_verify_skip_note_counts_each_exception(monkeypatch, capsys):
+    from denumerant.sweep import VerificationReport
+
+    def fake_run(cfg):
+        return VerificationReport(
+            suite=cfg.suite, config=cfg, instances=9, failures=[],
+            wall_time_s=0.0,
+            skipped={"BudgetExceededError": 2, "NotCoprimeError": 1},
+        )
+
+    monkeypatch.setattr(cli, "run_verify", fake_run)
+    code, _, err = run(capsys, "verify", "--suite", "frobenius")
+    assert code == 0
+    assert err.rstrip().endswith(
+        "(3 skipped: 2 BudgetExceededError, 1 NotCoprimeError)"
+    )
+    monkeypatch.setattr(
+        cli, "run_verify", lambda cfg: VerificationReport(cfg.suite, cfg, 1, [], 0.0)
+    )
+    code, _, err = run(capsys, "verify", "--suite", "frobenius")
+    assert code == 0
+    assert err.rstrip().endswith("1 instances, 0 failures, 0.00s")

@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,6 +13,7 @@ from denumerant import (
     power_sum,
     refined_upper_bound,
 )
+from denumerant import powersum
 from denumerant.powersum import query
 
 
@@ -76,3 +79,86 @@ def test_enclosure_holds_on_random_points(k, c16, j):
     q = PowerSumQuery(x, c, k)
     assert check_sum_bounds(q) == (True, True, True)
     assert power_sum(q) <= refined_upper_bound(q)
+
+
+# ---------------------------------------------------------------------------
+# The integer kernels against the plain rational formulas, term by term.
+# ---------------------------------------------------------------------------
+
+
+def reference_power_sum(x, c, k):
+    base = x + c
+    return sum(
+        ((base - step) ** k for step in range(math.trunc(x) + 1)), Fraction(0)
+    )
+
+
+def reference_bounds(x, c, k):
+    base = x + c
+    crude = base ** (k + 1) / (k + 1)
+    refined = crude + base**k / 2
+    upper = (base + Fraction(1, 2)) ** (k + 1) / (k + 1)
+    cap = refined + Fraction(k, 8) * base ** (k - 1)
+    return crude, refined, upper, cap
+
+
+def seeded_points(seed, count):
+    # Denominators 1..97 for both x and c; about a third of the points lie
+    # in -c <= x < 1, where the sum has a single term.
+    rng = random.Random(seed)
+    for _ in range(count):
+        c_den = rng.randint(1, 97)
+        c = Fraction(rng.randint(0, c_den // 2), c_den)
+        x_den = rng.randint(1, 97)
+        lo = math.ceil(-c * x_den)
+        hi = x_den - 1 if rng.random() < 1 / 3 else 30 * x_den
+        yield Fraction(rng.randint(lo, hi), x_den), c, rng.randint(1, 9)
+
+
+def test_power_sum_matches_term_by_term_reference():
+    short = 0
+    for x, c, k in seeded_points(2204, 600):
+        if x < 1:
+            short += 1
+        assert power_sum(PowerSumQuery(x, c, k)) == reference_power_sum(x, c, k)
+    assert short > 100
+
+
+def test_bounds_match_rational_reference():
+    for x, c, k in seeded_points(13689, 600):
+        if k < 2:
+            continue
+        q = PowerSumQuery(x, c, k)
+        crude, refined, upper, cap = reference_bounds(x, c, k)
+        value = reference_power_sum(x, c, k)
+        assert check_sum_bounds(q) == (
+            crude <= refined, refined <= value, value <= upper
+        )
+        assert refined_upper_bound(q) == cap
+
+
+@pytest.mark.parametrize("k", [2, 3, 5, 9])
+@pytest.mark.parametrize(
+    "x, c",
+    [
+        (Fraction(0), Fraction(0)),
+        (Fraction(-1, 3), Fraction(1, 3)),
+        (Fraction(5, 7), Fraction(1, 2)),
+        (Fraction(31, 4), Fraction(3, 8)),
+        (Fraction(200, 97), Fraction(13, 89)),
+    ],
+)
+def test_enclosure_reports_a_value_outside_it(monkeypatch, x, c, k):
+    # The enclosure holds on the whole domain, so only a patched f_k can
+    # show that the integer comparisons are able to answer False.
+    _, refined, upper, _ = reference_bounds(x, c, k)
+    eps = Fraction(1, 10**60)
+    q = PowerSumQuery(x, c, k)
+    monkeypatch.setattr(powersum, "power_sum", lambda _q: upper + eps)
+    assert check_sum_bounds(q) == (True, True, False)
+    monkeypatch.setattr(powersum, "power_sum", lambda _q: upper)
+    assert check_sum_bounds(q) == (True, True, True)
+    monkeypatch.setattr(powersum, "power_sum", lambda _q: refined - eps)
+    assert check_sum_bounds(q) == (True, False, True)
+    monkeypatch.setattr(powersum, "power_sum", lambda _q: refined)
+    assert check_sum_bounds(q) == (True, True, True)

@@ -10,6 +10,7 @@ from denumerant import (
     run_verify,
     shrink_failure,
 )
+from denumerant import powersum, sweep
 from denumerant.sweep import _draw_coprime_tuple, _draw_pair, _draw_tuple
 
 
@@ -126,3 +127,31 @@ def test_report_json_shape():
     assert data["config"]["seed"] == 2
     stripped = json.loads(report.to_json(include_wall_time=False))
     assert "wall_time_s" not in stripped
+
+
+def test_powersum_suite_evaluates_each_point_once(monkeypatch):
+    # One power_sum per grid point (7 x 5 x 321) and two per step identity
+    # (7 x 5 x 21), whichever module the call goes through.
+    calls = 0
+    original = powersum.power_sum
+
+    def counted(q):
+        nonlocal calls
+        calls += 1
+        return original(q)
+
+    monkeypatch.setattr(powersum, "power_sum", counted)
+    monkeypatch.setattr(sweep, "power_sum", counted)
+    report = run_verify(SweepConfig(suite="powersum", seed=1, trials=1))
+    assert report.passed
+    assert calls == 12_705 == 7 * 5 * 321 + 2 * 7 * 5 * 21
+
+
+def test_skipped_instances_are_counted_outside_the_report():
+    # Three of these five pairs need a sieve over FROBENIUS_MAX_CELLS.
+    cfg = SweepConfig(suite="frobenius", trials=5, k_range=(2, 2), max_coeff=20000)
+    report = run_verify(cfg)
+    assert report.instances == 5 and report.passed
+    assert report.skipped == {"BudgetExceededError": 3}
+    assert "skipped" not in json.loads(report.to_json())
+    assert run_verify(SweepConfig(suite="popoviciu", trials=10)).skipped == {}
