@@ -6,7 +6,9 @@ tolerances anywhere are the wall-clock budgets.
 """
 
 import hashlib
+import io
 import json
+from contextlib import redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
@@ -168,7 +170,8 @@ def test_criterion_10_verify_determinism(tmp_path):
 
 
 _BENCH_EXPECTED = Path(__file__).resolve().parent.parent / "bench" / "expected.json"
-_RECORDED_REPORTS = json.loads(_BENCH_EXPECTED.read_text())["verify-acceptance"]
+_RECORDED = json.loads(_BENCH_EXPECTED.read_text())
+_RECORDED_REPORTS = _RECORDED["verify-acceptance"]
 
 
 @pytest.mark.parametrize(
@@ -185,3 +188,33 @@ def test_verify_report_bytes_match_recorded_digest(tmp_path, key):
         if "wall_time_s" not in line
     )
     assert hashlib.sha256(kept.encode()).hexdigest() == _RECORDED_REPORTS[key]
+
+
+def _small_target(key: str) -> bool:
+    argv = key.split(" ")
+    flag = "--n" if "--n" in argv else "--n-range"
+    return int(argv[argv.index(flag) + 1].split(":")[0]) < 4096
+
+
+_RECORDED_ROWS = {
+    **_RECORDED["frobenius-large"],
+    **{key: digest for key, digest in _RECORDED["count-stream"].items() if _small_target(key)},
+}
+
+
+def test_row_replay_covers_the_recorded_operations():
+    assert len(_RECORDED_ROWS) == 40 + 213
+    assert {key.split(" ")[0] for key in _RECORDED_ROWS} == {
+        "count", "bounds", "dhat", "frobenius"
+    }
+
+
+@pytest.mark.parametrize("key", sorted(_RECORDED_ROWS))
+def test_row_bytes_match_recorded_digest(key):
+    # The benchmark records the SHA-256 of every row command's stdout; the
+    # frobenius-large operations and the count-stream ones with a target
+    # below 4096 pin the row bytes of count, bounds, dhat and frobenius.
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert cli.main(key.split(" ")) == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == _RECORDED_ROWS[key]
