@@ -1,7 +1,7 @@
 """Blom-Froberg numbers: the triangular weights behind the refined bounds.
 
-For a coefficient tuple a and an offset r >= 0, the number [[m, l]]_r is
-defined by the recursion
+For a coefficient tuple a (a plain tuple of positive integers) and an
+offset r >= 0, the number [[m, l]]_r is defined by the recursion
 
     [[m, l]]_r = 0                                     if l < 0 or l > m,
     [[m, l]]_r = 1                                     if l = 0,
@@ -23,9 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
-from .core import CoefficientTuple, IndexRangeError
+from .core import IndexRangeError, as_coeffs
 
 
 @dataclass(frozen=True)
@@ -36,35 +35,28 @@ class BFQuery:
     need m + r <= k; anything else never touches the coefficients.
     """
 
-    a: CoefficientTuple
+    a: tuple[int, ...]
     r: int
     m: int
     ell: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "a", CoefficientTuple.of(self.a))
+        object.__setattr__(self, "a", as_coeffs(self.a))
         if self.r < 0:
             raise ValueError(f"offset must be >= 0, got {self.r}")
 
 
-def bf_query(
-    a: CoefficientTuple | Sequence[int], r: int, m: int, ell: int
-) -> BFQuery:
-    return BFQuery(CoefficientTuple.of(a), r, m, ell)
-
-
 def _guard_indices(q: BFQuery) -> None:
-    if 1 <= q.ell <= q.m and q.m + q.r > q.a.k:
+    if 1 <= q.ell <= q.m and q.m + q.r > len(q.a):
         raise IndexRangeError(
             f"evaluating [[{q.m}, {q.ell}]] at offset {q.r} needs coefficient "
-            f"index {q.m + q.r}, but the tuple has length {q.a.k}"
+            f"index {q.m + q.r}, but the tuple has length {len(q.a)}"
         )
 
 
 def bf_recursive(q: BFQuery) -> Fraction:
     """Evaluate [[m, l]]_r by the defining recursion, memoized per call."""
     _guard_indices(q)
-    coeffs = q.a.coeffs
     memo: dict[tuple[int, int], Fraction] = {}
 
     def rec(m: int, ell: int) -> Fraction:
@@ -75,7 +67,7 @@ def bf_recursive(q: BFQuery) -> Fraction:
         key = (m, ell)
         found = memo.get(key)
         if found is None:
-            found = rec(m - 1, ell) + Fraction(coeffs[m + q.r - 1], 2) * rec(
+            found = rec(m - 1, ell) + Fraction(q.a[m + q.r - 1], 2) * rec(
                 m - 1, ell - 1
             )
             memo[key] = found
@@ -97,7 +89,7 @@ def bf_explicit(q: BFQuery) -> Fraction:
     if q.ell == 0:
         return Fraction(1)
     column = [1] + [0] * q.ell
-    for x in q.a.coeffs[q.r : q.m + q.r]:
+    for x in q.a[q.r : q.m + q.r]:
         for j in range(q.ell, 0, -1):
             column[j] += x * column[j - 1]
     return Fraction(column[q.ell], 1 << q.ell)

@@ -25,14 +25,17 @@ from typing import Sequence
 
 from .bfnum import BFQuery, bf_explicit
 from .core import (
-    CoefficientTuple,
     InvariantViolationError,
     NotApplicableError,
-    NotCoprimeError,
     TooShortTupleError,
+    _require_coprime,
+    _require_natural,
+    as_coeffs,
     gcd_chain,
 )
-from .exact import denumerant, extended_count
+from .exact import denumerant
+
+_NOT_COPRIME = "is not coprime; reduce by the gcd first"
 
 
 @dataclass(frozen=True)
@@ -70,21 +73,27 @@ class BoundReport:
     sandwich_ok: bool | None
 
 
-def relaxed_shift_sequence(a: CoefficientTuple | Sequence[int]) -> tuple[Fraction, ...]:
+def _two_or_more(a: Sequence[int]) -> tuple[int, ...]:
+    """Validate a tuple for the bounds that need k >= 2."""
+    coeffs = as_coeffs(a)
+    if len(coeffs) < 2:
+        raise TooShortTupleError(f"the bounds need at least two coefficients, got {coeffs}")
+    return coeffs
+
+
+def relaxed_shift_sequence(a: Sequence[int]) -> tuple[Fraction, ...]:
     """The shifts r_i = a_1 + (a_2 + ... + a_i) / 2, defined for every k >= 1."""
-    coeffs = CoefficientTuple.of(a).coeffs
+    coeffs = as_coeffs(a)
     shifts = [Fraction(coeffs[0])]
     for value in coeffs[1:]:
         shifts.append(shifts[-1] + Fraction(value, 2))
     return tuple(shifts)
 
 
-def bound_sequences(a: CoefficientTuple | Sequence[int]) -> BoundSequences:
+def bound_sequences(a: Sequence[int]) -> BoundSequences:
     """Build all shift sequences of the tuple; needs k >= 2."""
-    coeffs = CoefficientTuple.of(a).coeffs
-    if len(coeffs) < 2:
-        raise TooShortTupleError("shift sequences need at least two coefficients")
-    d = gcd_chain(coeffs).d
+    coeffs = _two_or_more(a)
+    d = gcd_chain(coeffs)
     upper = [Fraction(coeffs[0] * coeffs[1], 2 * d[1])]
     lower = [Fraction(-coeffs[0])]
     weighted = Fraction(0)
@@ -101,39 +110,27 @@ def bound_sequences(a: CoefficientTuple | Sequence[int]) -> BoundSequences:
     )
 
 
-def _require_coprime(coeffs: tuple[int, ...]) -> None:
-    if math.gcd(*coeffs) != 1:
-        raise NotCoprimeError(f"{coeffs} is not coprime; reduce by the gcd first")
-
-
 def _sandwich_denominator(coeffs: tuple[int, ...]) -> int:
     return math.factorial(len(coeffs) - 1) * math.prod(coeffs)
 
 
-def main_term(a: CoefficientTuple | Sequence[int], n: int) -> Fraction:
+def main_term(a: Sequence[int], n: int) -> Fraction:
     """The leading-order approximation n^(k-1) / ((k-1)! prod a)."""
-    coeffs = CoefficientTuple.of(a).coeffs
-    if len(coeffs) < 2:
-        raise TooShortTupleError("the leading term is defined for k >= 2")
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    coeffs = _two_or_more(a)
+    _require_natural(n)
     return Fraction(n ** (len(coeffs) - 1), _sandwich_denominator(coeffs))
 
 
 def inequality_a(
-    a: CoefficientTuple | Sequence[int], n: int, exact: int | None = None
+    a: Sequence[int], n: int, exact: int | None = None
 ) -> BoundReport:
     """The polynomial sandwich for a coprime tuple with k >= 2.
 
     The upper bound holds for every n >= 0; the lower bound is only claimed
     for n >= s-_k, recorded in ``applicable_lower``.
     """
-    coeffs = CoefficientTuple.of(a).coeffs
-    if len(coeffs) < 2:
-        raise TooShortTupleError("the sandwich needs at least two coefficients")
-    _require_coprime(coeffs)
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    coeffs = _require_coprime(_two_or_more(a), _NOT_COPRIME)
+    _require_natural(n)
     seqs = bound_sequences(coeffs)
     shift_up = seqs.upper_shifts[-1]
     shift_down = seqs.lower_shifts[-1]
@@ -157,7 +154,7 @@ def inequality_a(
     )
 
 
-def inequality_b_lower(a: CoefficientTuple | Sequence[int], n: int) -> Fraction:
+def inequality_b_lower(a: Sequence[int], n: int) -> Fraction:
     """The series lower bound, valid for coprime tuples at n >= s-_k:
 
         D(n) >= (1 / prod a) * sum_{i=0}^{k-2} [[k-2, i]]_2 (n - s-_k)^(k-1-i) / (k-1-i)!
@@ -165,12 +162,8 @@ def inequality_b_lower(a: CoefficientTuple | Sequence[int], n: int) -> Fraction:
     At k = 2 the sum has the single term (n - s-_2) / (a_1 a_2), which is
     exactly the polynomial lower bound; for larger k it is never smaller.
     """
-    coeffs = CoefficientTuple.of(a).coeffs
-    if len(coeffs) < 2:
-        raise TooShortTupleError("the series bound needs at least two coefficients")
-    _require_coprime(coeffs)
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    coeffs = _require_coprime(_two_or_more(a), _NOT_COPRIME)
+    _require_natural(n)
     shift_down = bound_sequences(coeffs).lower_shifts[-1]
     if Fraction(n) < shift_down:
         raise NotApplicableError(
@@ -180,13 +173,13 @@ def inequality_b_lower(a: CoefficientTuple | Sequence[int], n: int) -> Fraction:
     base = n - shift_down
     total = Fraction(0)
     for i in range(k - 1):
-        weight = bf_explicit(BFQuery(CoefficientTuple(coeffs), 2, k - 2, i))
+        weight = bf_explicit(BFQuery(coeffs, 2, k - 2, i))
         total += weight * base ** (k - 1 - i) / math.factorial(k - 1 - i)
     return total / math.prod(coeffs)
 
 
 def relaxed_count_chain(
-    a: CoefficientTuple | Sequence[int], n: int
+    a: Sequence[int], n: int
 ) -> tuple[Fraction, Fraction, Fraction]:
     """Lower, refined lower, and upper bound for the relaxed count (sum <= n).
 
@@ -198,10 +191,8 @@ def relaxed_count_chain(
           <= count
           <= (q + r_k)^k / (k! prod a).
     """
-    tup = CoefficientTuple.of(a)
-    coeffs = tup.coeffs
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    coeffs = as_coeffs(a)
+    _require_natural(n)
     k = len(coeffs)
     d = math.gcd(*coeffs)
     q = d * (n // d)
@@ -210,7 +201,7 @@ def relaxed_count_chain(
     lower = Fraction(base**k, math.factorial(k) * prod)
     refined = Fraction(0)
     for i in range(k):
-        weight = bf_explicit(BFQuery(tup, 1, k - 1, i))
+        weight = bf_explicit(BFQuery(coeffs, 1, k - 1, i))
         refined += weight * base ** (k - i) / math.factorial(k - i)
     refined /= prod
     shift = relaxed_shift_sequence(coeffs)[-1]
@@ -219,26 +210,26 @@ def relaxed_count_chain(
 
 
 def relaxed_count_bounds(
-    a: CoefficientTuple | Sequence[int], n: int, exact: int | None = None
+    a: Sequence[int], n: int, exact: int | None = None
 ) -> BoundReport:
     """Bound the relaxed count and assert the chain against an exact value.
 
     Violations raise InvariantViolationError: the chain holds for every
     positive tuple and every n >= 0, so a failure is a bug.
     """
-    tup = CoefficientTuple.of(a)
-    lower, refined, upper = relaxed_count_chain(tup, n)
+    coeffs = as_coeffs(a)
+    lower, refined, upper = relaxed_count_chain(coeffs, n)
     if lower > refined:
         raise InvariantViolationError(
-            f"relaxed-count chain broken at {tup.coeffs}, n={n}: {lower} > {refined}"
+            f"relaxed-count chain broken at {coeffs}, n={n}: {lower} > {refined}"
         )
     if exact is not None and not (refined <= exact <= upper):
         raise InvariantViolationError(
-            f"relaxed-count chain broken at {tup.coeffs}, n={n}: "
+            f"relaxed-count chain broken at {coeffs}, n={n}: "
             f"{refined} <= {exact} <= {upper} fails"
         )
     return BoundReport(
-        coeffs=tup.coeffs,
+        coeffs=coeffs,
         n=n,
         exact=exact,
         lower_a=lower,
@@ -249,7 +240,7 @@ def relaxed_count_bounds(
     )
 
 
-def blom_froberg_bounds(a: CoefficientTuple | Sequence[int], n: int) -> BoundReport:
+def blom_froberg_bounds(a: Sequence[int], n: int) -> BoundReport:
     """The specialization a_1 = 1: every shift collapses and the chain
 
         (n+1)^(k-1) / ((k-1)! prod a)
@@ -257,15 +248,12 @@ def blom_froberg_bounds(a: CoefficientTuple | Sequence[int], n: int) -> BoundRep
 
     holds for every n >= 0, with s_k = a_2 + (a_3 + ... + a_k) / 2.
     """
-    coeffs = CoefficientTuple.of(a).coeffs
-    if len(coeffs) < 2:
-        raise TooShortTupleError("the specialization needs at least two coefficients")
+    coeffs = _two_or_more(a)
     if coeffs[0] != 1:
         raise NotApplicableError(
             f"this chain needs a_1 = 1, got a_1 = {coeffs[0]}"
         )
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    _require_natural(n)
     seqs = bound_sequences(coeffs)
     if seqs.lower_shifts[-1] != -1:
         raise InvariantViolationError(
@@ -295,25 +283,8 @@ def blom_froberg_bounds(a: CoefficientTuple | Sequence[int], n: int) -> BoundRep
     )
 
 
-def prefix_sum_count(a: CoefficientTuple | Sequence[int], n: int) -> int:
+def prefix_sum_count(a: Sequence[int], n: int) -> int:
     """The relaxed count computed the slow way, as sum of exact counts."""
-    coeffs = CoefficientTuple.of(a).coeffs
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    coeffs = as_coeffs(a)
+    _require_natural(n)
     return sum(denumerant(coeffs, m).value for m in range(n + 1))
-
-
-__all__ = [
-    "BoundReport",
-    "BoundSequences",
-    "blom_froberg_bounds",
-    "bound_sequences",
-    "extended_count",
-    "inequality_a",
-    "inequality_b_lower",
-    "main_term",
-    "prefix_sum_count",
-    "relaxed_count_bounds",
-    "relaxed_count_chain",
-    "relaxed_shift_sequence",
-]

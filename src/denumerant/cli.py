@@ -15,6 +15,7 @@ import csv
 import json
 import math
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
 from typing import Sequence, TextIO
 
@@ -36,8 +37,6 @@ def _parse_coeffs(text: str) -> tuple[int, ...]:
         values = tuple(int(part) for part in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"cannot parse coefficients from {text!r}")
-    if not values:
-        raise argparse.ArgumentTypeError("need at least one coefficient")
     if any(v < 1 for v in values):
         raise argparse.ArgumentTypeError("coefficients must be >= 1")
     return values
@@ -76,14 +75,11 @@ def _cell(value: object) -> str:
 
 
 def _json_value(value: object) -> object:
-    if isinstance(value, bool) or value is None:
-        return value
-    if isinstance(value, int):
+    # json.dumps writes bools, ints and tuples (as lists) itself.
+    if value is None or isinstance(value, (int, tuple)):
         return value
     if isinstance(value, Fraction):
         return format_rational(value)
-    if isinstance(value, tuple):
-        return list(value)
     return str(value)
 
 
@@ -136,24 +132,15 @@ def _cmd_bounds(args: argparse.Namespace, stream: TextIO) -> int:
     rows = []
     columns = ["coeffs", "n", "exact", "lower_a", "lower_b", "upper_a", "applicable", "ok"]
     d = math.gcd(*coeffs)
+    if d > 1 and not args.auto_reduce:
+        raise NotCoprimeError(
+            f"{coeffs} has gcd {d}; pass --auto-reduce or divide it out"
+        )
     for n in _targets(args):
-        if d > 1 and not args.auto_reduce:
-            raise NotCoprimeError(
-                f"{coeffs} has gcd {d}; pass --auto-reduce or divide it out"
-            )
-        if d > 1 and n % d:
+        if n % d:
             # No solutions and no meaningful bounds at this target.
             rows.append(
-                {
-                    "coeffs": coeffs,
-                    "n": n,
-                    "exact": 0,
-                    "lower_a": None,
-                    "lower_b": None,
-                    "upper_a": None,
-                    "applicable": False,
-                    "ok": True,
-                }
+                {"coeffs": coeffs, "n": n, "exact": 0, "applicable": False, "ok": True}
             )
             continue
         work = tuple(c // d for c in coeffs)
@@ -184,17 +171,8 @@ def _cmd_bounds(args: argparse.Namespace, stream: TextIO) -> int:
 
 def _cmd_frobenius(args: argparse.Namespace, stream: TextIO) -> int:
     report = bound_frobenius(args.coeffs)
-    rows = [
-        {
-            "coeffs": report.coeffs,
-            "g": report.g,
-            "brauer_upper": report.brauer_upper,
-            "root_lower_1": report.root_lower_1,
-            "root_lower_2": report.root_lower_2,
-        }
-    ]
     _emit_rows(
-        rows,
+        [vars(report)],
         ["coeffs", "g", "brauer_upper", "root_lower_1", "root_lower_2"],
         args.format,
         stream,
@@ -282,9 +260,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="row output format (json writes one object per line)",
     )
     common.add_argument("--out", metavar="PATH", help="write output to a file")
-    common.add_argument(
-        "--seed", type=int, default=1, help="seed for randomized sweeps"
-    )
+    # count, bounds and dhat: one tuple at one target or a range of them.
+    targets = argparse.ArgumentParser(add_help=False, parents=[common])
+    targets.add_argument("--coeffs", type=_parse_coeffs, required=True)
+    group = targets.add_mutually_exclusive_group(required=True)
+    group.add_argument("--n", type=int)
+    group.add_argument("--n-range", type=_parse_range, metavar="LO:HI")
 
     parser = argparse.ArgumentParser(
         prog="denumerant",
@@ -292,11 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("count", parents=[common], help="exact solution counts")
-    p.add_argument("--coeffs", type=_parse_coeffs, required=True)
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--n", type=int)
-    group.add_argument("--n-range", type=_parse_range, metavar="LO:HI")
+    p = sub.add_parser("count", parents=[targets], help="exact solution counts")
     p.add_argument(
         "--method",
         choices=("recursion", "oracle", "popoviciu"),
@@ -305,12 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_count)
 
     p = sub.add_parser(
-        "bounds", parents=[common], help="two-sided bounds next to the exact count"
+        "bounds", parents=[targets], help="two-sided bounds next to the exact count"
     )
-    p.add_argument("--coeffs", type=_parse_coeffs, required=True)
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--n", type=int)
-    group.add_argument("--n-range", type=_parse_range, metavar="LO:HI")
     p.add_argument("--inequality", choices=("a", "b", "both"), default="both")
     p.add_argument(
         "--auto-reduce",
@@ -335,18 +308,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_bf)
 
     p = sub.add_parser(
-        "dhat", parents=[common], help="relaxed count (sum <= n) with its bound chain"
+        "dhat", parents=[targets], help="relaxed count (sum <= n) with its bound chain"
     )
-    p.add_argument("--coeffs", type=_parse_coeffs, required=True)
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--n", type=int)
-    group.add_argument("--n-range", type=_parse_range, metavar="LO:HI")
     p.set_defaults(handler=_cmd_dhat)
 
     p = sub.add_parser(
         "verify", parents=[common], help="run one randomized verification suite"
     )
     p.add_argument("--suite", choices=SUITE_NAMES, required=True)
+    p.add_argument("--seed", type=int, default=1, help="seed for randomized sweeps")
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--k-range", type=_parse_range, default=(2, 4), metavar="LO:HI")
     p.add_argument("--max-coeff", type=int, default=12)
@@ -357,29 +327,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    stream: TextIO
-    opened = None
-    if args.out:
-        opened = open(args.out, "w", encoding="utf-8")
-        stream = opened
-    else:
-        stream = sys.stdout
-    try:
-        return args.handler(args, stream)
-    except InvariantViolationError as err:
-        print(f"invariant violated: {err}", file=sys.stderr)
-        return 1
-    except DenumerantError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 3
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    finally:
-        if opened is not None:
-            opened.close()
+    args = build_parser().parse_args(argv)
+    out = open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout)
+    with out as stream:
+        try:
+            return args.handler(args, stream)
+        except InvariantViolationError as err:
+            print(f"invariant violated: {err}", file=sys.stderr)
+            return 1
+        except DenumerantError as err:
+            print(f"error: {err}", file=sys.stderr)
+            return 3
+        except ValueError as err:
+            print(f"error: {err}", file=sys.stderr)
+            return 2
 
 
 def entry() -> None:

@@ -1,22 +1,19 @@
-"""Shared domain types, exact arithmetic helpers, and the error vocabulary.
+"""The coefficient validator, the input checks shared by every module,
+exact arithmetic helpers, and the error vocabulary.
 
 Everything in this package computes with arbitrary-precision integers and
-exact rationals; no floating point ever enters the math core.  All types
-here are immutable values and all functions are pure, so they can be shared
-freely across threads or worker processes.
+exact rationals; no floating point ever enters the math core.  A
+coefficient tuple is a plain ``tuple[int, ...]`` and every function here is
+pure, so values can be shared freely across threads or worker processes.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence, Union
-
-# The value type for every bound and every Blom-Froberg number: arbitrary
-# precision, kept in lowest terms with a positive denominator, never rounded.
-ExactRational = Fraction
+from typing import Sequence, Union
 
 Rational = Union[int, Fraction]
 
@@ -57,86 +54,47 @@ class InvariantViolationError(DenumerantError):
     """An identity that must always hold failed; this signals a bug."""
 
 
-@dataclass(frozen=True)
-class CoefficientTuple:
-    """A finite tuple (a_1, ..., a_k) of positive integer coefficients.
+def as_coeffs(values: Sequence[int]) -> tuple[int, ...]:
+    """Validate a coefficient tuple (a_1, ..., a_k): at least one entry,
+    each an integer >= 1 (anything ``operator.index`` accepts, so True
+    becomes 1).
 
     Order matters: the running gcds, hence every shift sequence built from
     them, depend on it.  The solution count itself does not.
     """
-
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not self.coeffs:
-            raise ValueError("coefficient tuple must not be empty")
-        for value in self.coeffs:
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"coefficients must be integers, got {value!r}")
-            if value < 1:
-                raise ValueError(f"coefficients must be >= 1, got {value}")
-
-    @classmethod
-    def of(cls, values: "CoefficientTuple | Sequence[int]") -> "CoefficientTuple":
-        """Normalize a sequence of integers (or pass through an existing tuple)."""
-        if isinstance(values, CoefficientTuple):
-            return values
-        try:
-            normalized = tuple(operator.index(v) for v in values)
-        except TypeError as err:
-            raise ValueError(f"coefficients must be integers: {err}") from err
-        return cls(normalized)
-
-    @property
-    def k(self) -> int:
-        return len(self.coeffs)
-
-    def product(self) -> int:
-        return math.prod(self.coeffs)
-
-    def __len__(self) -> int:
-        return len(self.coeffs)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.coeffs)
-
-    def __getitem__(self, index: int) -> int:
-        return self.coeffs[index]
+    try:
+        coeffs = tuple(map(operator.index, values))
+    except TypeError as err:
+        raise ValueError(f"coefficients must be integers: {err}") from err
+    if not coeffs:
+        raise ValueError("coefficient tuple must not be empty")
+    for value in coeffs:
+        if value < 1:
+            raise ValueError(f"coefficients must be >= 1, got {value}")
+    return coeffs
 
 
-@dataclass(frozen=True)
-class GcdChain:
-    """Running gcds d_i = gcd(a_1, ..., a_i) of a coefficient tuple.
+def _require_natural(n: int) -> int:
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ValueError(f"n must be an integer, got {n!r}")
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    return n
+
+
+def _require_coprime(coeffs: tuple[int, ...], problem: str) -> tuple[int, ...]:
+    if math.gcd(*coeffs) != 1:
+        raise NotCoprimeError(f"{coeffs} {problem}")
+    return coeffs
+
+
+def gcd_chain(a: Sequence[int]) -> tuple[int, ...]:
+    """The running gcds d_i = gcd(a_1, ..., a_i), left to right.
 
     Each entry divides the one before it, and the tuple is coprime exactly
     when the final entry is 1.
     """
-
-    d: tuple[int, ...]
-
-    @property
-    def is_coprime(self) -> bool:
-        return self.d[-1] == 1
-
-
-def gcd_chain(a: CoefficientTuple | Sequence[int]) -> GcdChain:
-    """Compute the running gcds of the coefficient tuple, left to right."""
-    coeffs = CoefficientTuple.of(a).coeffs
-    chain: list[int] = []
-    running = 0
-    for value in coeffs:
-        running = math.gcd(running, value)
-        chain.append(running)
-    return GcdChain(tuple(chain))
-
-
-def reduce_by_gcd(a: CoefficientTuple | Sequence[int]) -> tuple[CoefficientTuple, int]:
-    """Divide every coefficient by the overall gcd; return (reduced, gcd)."""
-    source = CoefficientTuple.of(a)
-    d = math.gcd(*source.coeffs)
-    if d == 1:
-        return source, 1
-    return CoefficientTuple(tuple(c // d for c in source.coeffs)), d
+    return tuple(itertools.accumulate(as_coeffs(a), math.gcd))
 
 
 def integer_part(x: Rational) -> int:
@@ -146,11 +104,6 @@ def integer_part(x: Rational) -> int:
     and [x] = 0 whenever -1 < x < 1.
     """
     return math.trunc(x)
-
-
-def parse_rational(text: str) -> Fraction:
-    """Parse a decimal integer or a "p/q" string into an exact rational."""
-    return Fraction(text.strip())
 
 
 def format_rational(value: Rational) -> str:

@@ -27,10 +27,11 @@ from typing import Sequence
 
 from .core import (
     BudgetExceededError,
-    CoefficientTuple,
     InvariantViolationError,
-    NotCoprimeError,
     NotInvertibleError,
+    _require_coprime,
+    _require_natural,
+    as_coeffs,
 )
 
 # Environment override for the enumeration budget, counted in loop nodes.
@@ -46,14 +47,6 @@ class CountResult:
     method: str
 
 
-def _require_natural(n: int) -> int:
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ValueError(f"n must be an integer, got {n!r}")
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    return n
-
-
 def _oracle_budget(budget: int | None) -> int:
     if budget is not None:
         return budget
@@ -62,7 +55,7 @@ def _oracle_budget(budget: int | None) -> int:
 
 
 def oracle_count(
-    a: CoefficientTuple | Sequence[int], n: int, budget: int | None = None
+    a: Sequence[int], n: int, budget: int | None = None
 ) -> CountResult:
     """Count solutions by nested enumeration, spending at most ``budget`` nodes.
 
@@ -71,7 +64,7 @@ def oracle_count(
     a loop.  Exceeds of the budget raise BudgetExceededError (use the
     recursion route for anything desk-scale enumeration cannot reach).
     """
-    coeffs = CoefficientTuple.of(a).coeffs
+    coeffs = as_coeffs(a)
     _require_natural(n)
     cap = _oracle_budget(budget)
 
@@ -110,13 +103,13 @@ def _prefix_counts(coeffs: tuple[int, ...], cap: int) -> tuple[int, ...]:
     return tuple(counts)
 
 
-def denumerant(a: CoefficientTuple | Sequence[int], n: int) -> CountResult:
+def denumerant(a: Sequence[int], n: int) -> CountResult:
     """Count solutions via gcd reduction and the prefix recurrence.
 
     If d = gcd(a_1, ..., a_k) does not divide n there are no solutions;
     otherwise the count equals the count for (a_1/d, ..., a_k/d) at n/d.
     """
-    coeffs = CoefficientTuple.of(a).coeffs
+    coeffs = as_coeffs(a)
     _require_natural(n)
     d = math.gcd(*coeffs)
     if n % d:
@@ -152,10 +145,9 @@ def popoviciu(a1: int, a2: int, n: int) -> CountResult:
     where {t} is the fractional part.  The result is checked to be a
     non-negative integer before it is returned.
     """
-    coeffs = CoefficientTuple.of((a1, a2)).coeffs
+    a1, a2 = as_coeffs((a1, a2))
     _require_natural(n)
-    if math.gcd(*coeffs) != 1:
-        raise NotCoprimeError(f"{coeffs} is not a coprime pair")
+    _require_coprime((a1, a2), "is not a coprime pair")
     inv_a2 = modular_inverse(a2, a1)
     inv_a1 = modular_inverse(a1, a2)
     value = (
@@ -171,14 +163,14 @@ def popoviciu(a1: int, a2: int, n: int) -> CountResult:
     return CountResult(int(value), "popoviciu")
 
 
-def extended_count(a: CoefficientTuple | Sequence[int], n: int) -> CountResult:
+def extended_count(a: Sequence[int], n: int) -> CountResult:
     """Count solutions of a_1*x_1 + ... + a_k*x_k <= n.
 
     Divide out d = gcd(a): only multiples of d up to d*floor(n/d) are
     reachable, so the relaxed count equals the exact count for the tuple
     (1, a_1/d, ..., a_k/d) at floor(n/d), the 1 being a slack variable.
     """
-    coeffs = CoefficientTuple.of(a).coeffs
+    coeffs = as_coeffs(a)
     _require_natural(n)
     d = math.gcd(*coeffs)
     slack_tuple = (1,) + tuple(c // d for c in coeffs)

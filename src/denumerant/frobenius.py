@@ -21,9 +21,9 @@ from typing import Sequence
 from .bounds import BoundSequences, bound_sequences
 from .core import (
     BudgetExceededError,
-    CoefficientTuple,
     InvariantViolationError,
-    NotCoprimeError,
+    _require_coprime,
+    as_coeffs,
 )
 
 # The most table cells either route may allocate: a_1 = min(a) for the
@@ -46,11 +46,7 @@ class FrobeniusReport:
     root_lower_2: int | None
 
 
-def _coprime_coeffs(a: CoefficientTuple | Sequence[int]) -> tuple[int, ...]:
-    coeffs = CoefficientTuple.of(a).coeffs
-    if math.gcd(*coeffs) != 1:
-        raise NotCoprimeError(f"{coeffs} has gcd > 1; no Frobenius number exists")
-    return coeffs
+_NO_FROBENIUS = "has gcd > 1; no Frobenius number exists"
 
 
 def _require_cells(cells: int, route: str) -> None:
@@ -70,7 +66,7 @@ def _brauer_top(seqs: BoundSequences, coeffs: tuple[int, ...]) -> int:
     return int(shift)
 
 
-def frobenius_exact(a: CoefficientTuple | Sequence[int]) -> int:
+def frobenius_exact(a: Sequence[int]) -> int:
     """The largest integer with no representation; -1 when 1 is a coefficient.
 
     Requires a coprime tuple.  Builds the residue table modulo a_1 = min(a):
@@ -79,7 +75,7 @@ def frobenius_exact(a: CoefficientTuple | Sequence[int]) -> int:
     d = gcd(a_1, a_i) residue classes round robin (Boecker & Liptak 2007),
     in O(k a_1) steps and a_1 cells.
     """
-    coeffs = sorted(_coprime_coeffs(a))
+    coeffs = sorted(_require_coprime(as_coeffs(a), _NO_FROBENIUS))
     base = coeffs[0]
     _require_cells(base, "residue table")
     table: list[int | float] = [math.inf] * base
@@ -101,13 +97,13 @@ def frobenius_exact(a: CoefficientTuple | Sequence[int]) -> int:
     return max(table) - base
 
 
-def _frobenius_sieve(a: CoefficientTuple | Sequence[int]) -> int:
+def _frobenius_sieve(a: Sequence[int]) -> int:
     """The Frobenius number by sieving reachability over 0..s-_k.
 
     The slow, independent route that the verify sweep checks
     frobenius_exact against; it allocates s-_k + 1 cells.
     """
-    coeffs = _coprime_coeffs(a)
+    coeffs = _require_coprime(as_coeffs(a), _NO_FROBENIUS)
     if 1 in coeffs:
         return -1
     top = _brauer_top(bound_sequences(coeffs), coeffs)
@@ -148,7 +144,7 @@ def _largest_satisfying(shift: Fraction, power: int, target: int) -> int | None:
     return lo
 
 
-def bound_frobenius(a: CoefficientTuple | Sequence[int]) -> FrobeniusReport:
+def bound_frobenius(a: Sequence[int]) -> FrobeniusReport:
     """Certified enclosures for the Frobenius number of a coprime tuple.
 
     * brauer_upper: g <= s-_k, read off the lower shift sequence.
@@ -157,7 +153,7 @@ def bound_frobenius(a: CoefficientTuple | Sequence[int]) -> FrobeniusReport:
     * root_lower_2: the same argument on the relaxed count, largest n with
       (n + r_k)^k < k! prod a.
     """
-    coeffs = CoefficientTuple.of(a).coeffs
+    coeffs = as_coeffs(a)
     g = frobenius_exact(coeffs)
     seqs = bound_sequences(coeffs)
     brauer_upper = _brauer_top(seqs, coeffs)

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import DomainError, Rational, integer_part
+from .core import DomainError, integer_part
 
 
 @dataclass(frozen=True)
@@ -41,10 +41,6 @@ class PowerSumQuery:
             raise DomainError(f"shift must lie in [0, 1/2], got {self.c}")
         if self.x < -self.c:
             raise DomainError(f"x must be >= {-self.c}, got {self.x}")
-
-
-def query(x: Rational, c: Rational, k: int) -> PowerSumQuery:
-    return PowerSumQuery(Fraction(x), Fraction(c), k)
 
 
 def power_sum(q: PowerSumQuery) -> Fraction:

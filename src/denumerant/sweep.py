@@ -33,7 +33,6 @@ from .bounds import (
 )
 from .core import (
     BudgetExceededError,
-    CoefficientTuple,
     IndexRangeError,
     InvariantViolationError,
     NotApplicableError,
@@ -262,17 +261,14 @@ def _check_oracle_eq(instance: dict) -> Failure | None:
     brute = oracle_count(coeffs, n).value
     if fast != brute:
         return _fail(instance, "denumerant == oracle_count", fast, brute)
-    if len(coeffs) == 2 and math.gcd(*coeffs) == 1:
-        try:
-            closed = popoviciu(coeffs[0], coeffs[1], n).value
-        except InvariantViolationError as err:
-            return _fail(instance, "popoviciu returns a count", err, "")
-        if closed != brute:
-            return _fail(instance, "popoviciu == oracle_count", closed, brute)
+    if len(coeffs) == 2:
+        return _check_popoviciu(instance, brute)
     return None
 
 
-def _check_popoviciu(instance: dict) -> Failure | None:
+def _check_popoviciu(instance: dict, brute: int | None = None) -> Failure | None:
+    """The closed form against the oracle on a pair; ``brute`` is the
+    oracle's count when the caller already has it."""
     coeffs, n = instance["coeffs"], instance["n"]
     if math.gcd(*coeffs) != 1:
         return None
@@ -280,7 +276,8 @@ def _check_popoviciu(instance: dict) -> Failure | None:
         closed = popoviciu(coeffs[0], coeffs[1], n).value
     except InvariantViolationError as err:
         return _fail(instance, "popoviciu returns a count", err, "")
-    brute = oracle_count(coeffs, n).value
+    if brute is None:
+        brute = oracle_count(coeffs, n).value
     if closed != brute:
         return _fail(instance, "popoviciu == oracle_count", closed, brute)
     return None
@@ -358,14 +355,13 @@ def _check_frobenius(instance: dict) -> Failure | None:
 
 def _check_bf_identities(instance: dict) -> Failure | None:
     coeffs = instance["coeffs"]
-    tup = CoefficientTuple.of(coeffs)
     k = len(coeffs)
     for r in (0, 1, 2):
         if r > k:
             continue
         for m in range(0, min(6, k - r) + 1):
             for ell in range(-1, m + 2):
-                q = BFQuery(tup, r, m, ell)
+                q = BFQuery(coeffs, r, m, ell)
                 by_recursion = bf_recursive(q)
                 by_formula = bf_explicit(q)
                 if by_recursion != by_formula:
@@ -387,10 +383,10 @@ def _check_bf_identities(instance: dict) -> Failure | None:
             for ell in range(-1, m + 2):
                 if m == 0 and ell != 0:
                     continue
-                lhs = bf_explicit(BFQuery(tup, r - 1, m, ell)) - (1 if m == 0 else 0)
-                rhs = bf_explicit(BFQuery(tup, r, m - 1, ell)) + Fraction(
+                lhs = bf_explicit(BFQuery(coeffs, r - 1, m, ell)) - (1 if m == 0 else 0)
+                rhs = bf_explicit(BFQuery(coeffs, r, m - 1, ell)) + Fraction(
                     coeffs[r - 1], 2
-                ) * bf_explicit(BFQuery(tup, r, m - 1, ell - 1))
+                ) * bf_explicit(BFQuery(coeffs, r, m - 1, ell - 1))
                 if lhs != rhs:
                     inst = dict(instance, r=r, m=m, ell=ell)
                     return _fail(inst, "offset shift identity", lhs, rhs)
@@ -403,8 +399,8 @@ def _check_bf_identities(instance: dict) -> Failure | None:
             d = math.gcd(*coeffs[: m + 1])
             scaled = tuple(c // d for c in coeffs[: m + 1]) + coeffs[m + 1 :]
             for ell in range(0, m + 1):
-                original = bf_explicit(BFQuery(tup, r, m, ell))
-                reduced = bf_explicit(BFQuery(CoefficientTuple.of(scaled), r, m, ell))
+                original = bf_explicit(BFQuery(coeffs, r, m, ell))
+                reduced = bf_explicit(BFQuery(scaled, r, m, ell))
                 if not original <= d**ell * reduced:
                     inst = dict(instance, r=r, m=m, ell=ell)
                     return _fail(
@@ -490,14 +486,17 @@ def shrink_failure(
 
 def _run_drawn(
     cfg: SweepConfig,
-    draw: Callable[[SplitMix64, SweepConfig], dict],
+    draw: Callable[[SplitMix64, SweepConfig], tuple[int, ...]],
+    uses_n: bool,
     check: Callable[[dict], Failure | None],
     skipped: Counter[str],
 ) -> tuple[int, list[Failure]]:
     rng = SplitMix64(cfg.seed)
     failures: list[Failure] = []
     for _ in range(cfg.trials):
-        instance = draw(rng, cfg)
+        instance = {"coeffs": draw(rng, cfg)}
+        if uses_n:
+            instance["n"] = _draw_n(rng, cfg)
         found = _attempt(check, instance, skipped)
         if found is not None:
             minimal = shrink_failure(instance, check, found.relation)
@@ -506,27 +505,18 @@ def _run_drawn(
     return cfg.trials, failures
 
 
-def _draw_with_n(base: Callable) -> Callable[[SplitMix64, SweepConfig], dict]:
-    def draw(rng: SplitMix64, cfg: SweepConfig) -> dict:
-        coeffs = base(rng, cfg)
-        return {"coeffs": coeffs, "n": _draw_n(rng, cfg)}
-
-    return draw
-
-
-def _draw_plain(base: Callable) -> Callable[[SplitMix64, SweepConfig], dict]:
-    def draw(rng: SplitMix64, cfg: SweepConfig) -> dict:
-        return {"coeffs": base(rng, cfg)}
-
-    return draw
-
-
 _POWERSUM_SHIFTS = (
     Fraction(0),
     Fraction(1, 8),
     Fraction(1, 4),
     Fraction(3, 8),
     Fraction(1, 2),
+)
+# The relations behind the three flags of ``powersum._sum_bounds``, in order.
+_ENCLOSURE = (
+    "crude lower <= refined lower",
+    "refined lower <= power sum",
+    "power sum <= upper",
 )
 
 
@@ -547,19 +537,10 @@ def _run_powersum(cfg: SweepConfig) -> tuple[int, list[Failure]]:
                 instances += 1
                 inst = {"k": k, "c": str(c), "x": str(x)}
                 value = power_sum(q)
-                left, middle, right = _sum_bounds(q, value)
-                if not left:
-                    failures.append(
-                        _fail(inst, "crude lower <= refined lower", "", "")
-                    )
-                    continue
-                if not middle:
-                    failures.append(
-                        _fail(inst, "refined lower <= power sum", "", "")
-                    )
-                    continue
-                if not right:
-                    failures.append(_fail(inst, "power sum <= upper", "", ""))
+                held = zip(_ENCLOSURE, _sum_bounds(q, value))
+                broken = next((rel for rel, ok in held if not ok), None)
+                if broken is not None:
+                    failures.append(_fail(inst, broken, "", ""))
                     continue
                 cap = refined_upper_bound(q)
                 if not value <= cap:
@@ -582,15 +563,16 @@ def _run_powersum(cfg: SweepConfig) -> tuple[int, list[Failure]]:
     return instances, failures
 
 
-_DRAWN_SUITES: dict[str, tuple[Callable, Callable[[dict], Failure | None]]] = {
-    "oracle-eq": (_draw_with_n(_draw_tuple), _check_oracle_eq),
-    "popoviciu": (_draw_with_n(_draw_pair), _check_popoviciu),
-    "inequality-a": (_draw_with_n(_draw_coprime_tuple), _check_inequality_a),
-    "inequality-b": (_draw_with_n(_draw_coprime_tuple), _check_inequality_b),
-    "dhat": (_draw_with_n(_draw_tuple), _check_relaxed),
-    "frobenius": (_draw_plain(_draw_coprime_tuple), _check_frobenius),
-    "bf-identities": (_draw_plain(_draw_tuple), _check_bf_identities),
-    "asymptotic": (_draw_plain(_draw_coprime_tuple), _check_asymptotic),
+# name: (coefficient draw, whether n is drawn after it, check)
+_DRAWN_SUITES: dict[str, tuple[Callable, bool, Callable[[dict], Failure | None]]] = {
+    "oracle-eq": (_draw_tuple, True, _check_oracle_eq),
+    "popoviciu": (_draw_pair, True, _check_popoviciu),
+    "inequality-a": (_draw_coprime_tuple, True, _check_inequality_a),
+    "inequality-b": (_draw_coprime_tuple, True, _check_inequality_b),
+    "dhat": (_draw_tuple, True, _check_relaxed),
+    "frobenius": (_draw_coprime_tuple, False, _check_frobenius),
+    "bf-identities": (_draw_tuple, False, _check_bf_identities),
+    "asymptotic": (_draw_coprime_tuple, False, _check_asymptotic),
 }
 
 
@@ -601,8 +583,7 @@ def run_verify(cfg: SweepConfig) -> VerificationReport:
     if cfg.suite == "powersum":
         instances, failures = _run_powersum(cfg)
     else:
-        draw, check = _DRAWN_SUITES[cfg.suite]
-        instances, failures = _run_drawn(cfg, draw, check, skipped)
+        instances, failures = _run_drawn(cfg, *_DRAWN_SUITES[cfg.suite], skipped)
     elapsed = time.perf_counter() - started
     return VerificationReport(
         suite=cfg.suite,

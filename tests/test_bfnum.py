@@ -9,10 +9,8 @@ from hypothesis import strategies as st
 
 from denumerant import (
     BFQuery,
-    CoefficientTuple,
     IndexRangeError,
     bf_explicit,
-    bf_query,
     bf_recursive,
 )
 
@@ -30,42 +28,50 @@ def by_subsets(coeffs, r, m, ell):
 
 
 def test_spot_values():
-    assert bf_explicit(bf_query((2, 3), 0, 2, 2)) == Fraction(3, 2)
-    assert bf_explicit(bf_query((2, 3), 0, 2, 1)) == Fraction(5, 2)
-    assert bf_explicit(bf_query((1, 2, 3), 2, 1, 1)) == Fraction(3, 2)
-    assert bf_recursive(bf_query((2, 3), 0, 2, 2)) == Fraction(3, 2)
+    assert bf_explicit(BFQuery((2, 3), 0, 2, 2)) == Fraction(3, 2)
+    assert bf_explicit(BFQuery((2, 3), 0, 2, 1)) == Fraction(5, 2)
+    assert bf_explicit(BFQuery((1, 2, 3), 2, 1, 1)) == Fraction(3, 2)
+    assert bf_recursive(BFQuery((2, 3), 0, 2, 2)) == Fraction(3, 2)
 
 
 def test_triangle_edges():
-    q = bf_query((5, 7, 11), 0, 2, -1)
+    q = BFQuery((5, 7, 11), 0, 2, -1)
     assert bf_explicit(q) == 0 and bf_recursive(q) == 0
-    q = bf_query((5, 7, 11), 0, 2, 3)
+    q = BFQuery((5, 7, 11), 0, 2, 3)
     assert bf_explicit(q) == 0 and bf_recursive(q) == 0
     # l = 0 never reads a coefficient, so any m >= 0 works for any tuple.
     for m in (0, 1, 5, 40):
-        q = bf_query((2,), 0, m, 0)
+        q = BFQuery((2,), 0, m, 0)
         assert bf_explicit(q) == 1
         assert bf_recursive(q) == 1
 
 
 def test_negative_m_is_zero():
-    q = bf_query((2, 3), 1, -1, 0)
+    q = BFQuery((2, 3), 1, -1, 0)
     assert bf_explicit(q) == 0
     assert bf_recursive(q) == 0
 
 
 def test_index_guard():
     with pytest.raises(IndexRangeError):
-        bf_explicit(bf_query((2, 3), 0, 3, 1))
+        bf_explicit(BFQuery((2, 3), 0, 3, 1))
     with pytest.raises(IndexRangeError):
-        bf_recursive(bf_query((2, 3), 2, 1, 1))
+        bf_recursive(BFQuery((2, 3), 2, 1, 1))
     # Same shape, but l = 0 stays in range because nothing is read.
-    assert bf_explicit(bf_query((2, 3), 2, 1, 0)) == 1
+    assert bf_explicit(BFQuery((2, 3), 2, 1, 0)) == 1
 
 
 def test_rejects_negative_offset():
     with pytest.raises(ValueError):
-        BFQuery(CoefficientTuple((2, 3)), -1, 1, 0)
+        BFQuery((2, 3), -1, 1, 0)
+
+
+def test_query_holds_a_validated_plain_tuple():
+    assert BFQuery([2, 3], 0, 1, 1).a == (2, 3)
+    assert type(BFQuery([2, 3], 0, 1, 1).a) is tuple
+    for bad in ((), (2, 0), (2.5, 3)):
+        with pytest.raises(ValueError):
+            BFQuery(bad, 0, 0, 0)
 
 
 @settings(max_examples=80, deadline=None)
@@ -79,7 +85,7 @@ def test_routes_agree_with_subset_oracle(coeffs, r, data):
     ell = data.draw(st.integers(-1, m + 1))
     if 1 <= ell <= m and m + r > len(coeffs):
         return
-    q = bf_query(coeffs, r, m, ell)
+    q = BFQuery(coeffs, r, m, ell)
     expected = by_subsets(coeffs, r, m, ell)
     assert bf_explicit(q) == expected
     assert bf_recursive(q) == expected
@@ -93,8 +99,8 @@ def test_half_scaling():
         for ell in range(0, m + 1):
             if m > len(base):
                 continue
-            assert bf_explicit(bf_query(doubled, 0, m, ell)) == 2**ell * bf_explicit(
-                bf_query(base, 0, m, ell)
+            assert bf_explicit(BFQuery(doubled, 0, m, ell)) == 2**ell * bf_explicit(
+                BFQuery(base, 0, m, ell)
             )
 
 
@@ -116,7 +122,7 @@ def test_explicit_matches_rational_update_on_huge_coefficients():
         r = rng.randint(0, k - 1)
         m = rng.randint(1, k - r)
         ell = rng.randint(1, m)
-        value = bf_explicit(bf_query(coeffs, r, m, ell))
+        value = bf_explicit(BFQuery(coeffs, r, m, ell))
         assert type(value) is Fraction
         assert math.gcd(value.numerator, value.denominator) == 1
         assert value == rational_newton(coeffs, r, m, ell)

@@ -71,7 +71,7 @@ def test_relaxed_shifts_any_length():
 def test_sequence_identities(coeffs):
     seqs = bound_sequences(coeffs)
     assert seqs.lower_shifts[-1] == seqs.gcd_weighted_sum - sum(coeffs)
-    d2 = gcd_chain(coeffs).d[1]
+    d2 = gcd_chain(coeffs)[1]
     assert (
         seqs.upper_shifts[-1]
         == seqs.gcd_weighted_sum / 2 + Fraction(coeffs[0] * coeffs[1], 2 * d2)
@@ -205,3 +205,22 @@ def test_blom_froberg_needs_unit_lead():
 def test_prefix_sum_count():
     assert prefix_sum_count((2, 3), 6) == 7
     assert prefix_sum_count((4, 6), 7) == 3
+
+
+@pytest.mark.parametrize("n", [2.5, 8.0, True, -1])
+@pytest.mark.parametrize(
+    "bound",
+    [
+        main_term,
+        inequality_a,
+        inequality_b_lower,
+        relaxed_count_chain,
+        relaxed_count_bounds,
+        blom_froberg_bounds,
+        prefix_sum_count,
+    ],
+)
+def test_bounds_reject_a_target_that_is_not_a_natural_int(bound, n):
+    # (1, 2, 3) is coprime and unit-led, so n is the only bad input.
+    with pytest.raises(ValueError, match="n must be"):
+        bound((1, 2, 3), n)

@@ -54,6 +54,15 @@ def test_denumerant_spots():
     assert denumerant((2, 3), 1).value == 0
 
 
+def test_denumerant_reduces_by_gcd():
+    # With d = gcd(a) the count at n is the count of a/d at n/d, and 0 when
+    # d does not divide n.
+    assert denumerant((6, 10), 16).value == denumerant((3, 5), 8).value == 1
+    assert denumerant((6, 10), 30).value == denumerant((3, 5), 15).value == 2
+    assert denumerant((6, 10), 15).value == 0
+    assert denumerant((3, 5), 15).value == 2
+
+
 def test_denumerant_rejects_negative_target():
     with pytest.raises(ValueError):
         denumerant((2, 3), -1)

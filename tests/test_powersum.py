@@ -14,20 +14,19 @@ from denumerant import (
     refined_upper_bound,
 )
 from denumerant import powersum
-from denumerant.powersum import query
 
 
 def test_power_sum_spots():
-    assert power_sum(query(3, 0, 2)) == 14
-    assert power_sum(query(Fraction(1, 2), Fraction(1, 2), 2)) == 1
-    assert power_sum(query(Fraction(7, 3), Fraction(1, 2), 3)) == Fraction(2123, 72)
+    assert power_sum(PowerSumQuery(3, 0, 2)) == 14
+    assert power_sum(PowerSumQuery(Fraction(1, 2), Fraction(1, 2), 2)) == 1
+    assert power_sum(PowerSumQuery(Fraction(7, 3), Fraction(1, 2), 3)) == Fraction(2123, 72)
     # -c <= x < 1 leaves a single term.
-    assert power_sum(query(Fraction(-1, 4), Fraction(1, 4), 5)) == 0
-    assert power_sum(query(Fraction(3, 4), Fraction(1, 4), 1)) == 1
+    assert power_sum(PowerSumQuery(Fraction(-1, 4), Fraction(1, 4), 5)) == 0
+    assert power_sum(PowerSumQuery(Fraction(3, 4), Fraction(1, 4), 1)) == 1
 
 
 def test_bounds_spot():
-    q = query(3, 0, 2)
+    q = PowerSumQuery(3, 0, 2)
     assert check_sum_bounds(q) == (True, True, True)
     base = Fraction(3)
     assert base**3 / 3 == 9
@@ -48,22 +47,22 @@ def test_boundary_point_is_tight():
 
 def test_domain_errors():
     with pytest.raises(DomainError):
-        query(1, Fraction(3, 4), 2)
+        PowerSumQuery(1, Fraction(3, 4), 2)
     with pytest.raises(DomainError):
-        query(-1, Fraction(1, 2), 2)
+        PowerSumQuery(-1, Fraction(1, 2), 2)
     with pytest.raises(DomainError):
-        query(1, 0, 0)
+        PowerSumQuery(1, 0, 0)
     with pytest.raises(DomainError):
-        check_sum_bounds(query(1, 0, 1))
+        check_sum_bounds(PowerSumQuery(1, 0, 1))
     with pytest.raises(DomainError):
-        refined_upper_bound(query(1, 0, 1))
+        refined_upper_bound(PowerSumQuery(1, 0, 1))
 
 
 def test_step_identity_spot():
     c = Fraction(1, 4)
     k = 4
     for n in range(0, 12):
-        step = power_sum(query(n + 1, c, k)) - power_sum(query(n, c, k))
+        step = power_sum(PowerSumQuery(n + 1, c, k)) - power_sum(PowerSumQuery(n, c, k))
         assert step == (n + 1 + c) ** k
 
 
