@@ -537,10 +537,9 @@ def _run_powersum(cfg: SweepConfig) -> tuple[int, list[Failure]]:
                 instances += 1
                 inst = {"k": k, "c": str(c), "x": str(x)}
                 value = power_sum(q)
-                held = zip(_ENCLOSURE, _sum_bounds(q, value))
-                broken = next((rel for rel, ok in held if not ok), None)
-                if broken is not None:
-                    failures.append(_fail(inst, broken, "", ""))
+                held = _sum_bounds(q, value)
+                if not all(held):
+                    failures.append(_fail(inst, _ENCLOSURE[held.index(False)], "", ""))
                     continue
                 cap = refined_upper_bound(q)
                 if not value <= cap:

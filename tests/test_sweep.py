@@ -147,6 +147,21 @@ def test_powersum_suite_evaluates_each_point_once(monkeypatch):
     assert calls == 12_705 == 7 * 5 * 321 + 2 * 7 * 5 * 21
 
 
+def test_powersum_suite_names_the_first_broken_enclosure_relation(monkeypatch):
+    # The enclosure holds on the whole grid, so only patched flags can show
+    # which relation a failure names; the step identity is left intact.
+    expected = {
+        (False, False, True): "crude lower <= refined lower",
+        (True, False, False): "refined lower <= power sum",
+        (True, True, False): "power sum <= upper",
+    }
+    for flags, relation in expected.items():
+        monkeypatch.setattr(sweep, "_sum_bounds", lambda q, value, f=flags: f)
+        report = run_verify(SweepConfig(suite="powersum", seed=1, trials=1))
+        assert len(report.failures) == 7 * 5 * 321
+        assert {f.relation for f in report.failures} == {relation}
+
+
 def test_skipped_instances_are_counted_outside_the_report():
     # Three of these five pairs need a sieve over FROBENIUS_MAX_CELLS.
     cfg = SweepConfig(suite="frobenius", trials=5, k_range=(2, 2), max_coeff=20000)
