@@ -3,7 +3,7 @@ a_1 x_1 + ... + a_k x_k = n, with proven two-sided polynomial bounds,
 Frobenius number machinery, and a reproducible verification harness.
 """
 
-from .bfnum import BFQuery, bf_explicit, bf_recursive
+from .bfnum import bf_explicit, bf_recursive
 from .bounds import (
     BoundReport,
     BoundSequences,
@@ -60,7 +60,6 @@ from .sweep import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BFQuery",
     "BoundReport",
     "BoundSequences",
     "BudgetExceededError",

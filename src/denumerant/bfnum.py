@@ -14,49 +14,42 @@ and satisfies the closed form
 with e_l the elementary symmetric polynomial.  Both routes are implemented
 below so each can check the other: the recursion in exact rationals, the
 closed form as an integer column update over the coefficients followed by
-one division by 2^l.  Only queries with 1 <= l <= m touch the
-coefficients, which is why [[m, 0]]_r = 1 holds for every m >= 0 regardless
-of the tuple length.
+one division by 2^l per entry.
+
+The unit of evaluation is a row: both routes return the m + 1 weights
+([[m, 0]]_r, ..., [[m, m]]_r), which is what the bounds use.  A row reads
+a_{1+r}, ..., a_{m+r}, so it needs m + r <= k when m >= 1; the row at
+m = -1 is empty.  The edge rules outside a row (0 for l < 0 or l > m, and
+[[m, 0]]_r = 1 for any m >= 0 and any tuple length) read no coefficient;
+the ``bf`` command applies them itself.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .core import IndexRangeError, as_coeffs
 
 
-@dataclass(frozen=True)
-class BFQuery:
-    """One evaluation request: tuple a, offset r, position (m, l).
-
-    Evaluation reads a_{1+r}, ..., a_{m+r}, so queries with 1 <= l <= m
-    need m + r <= k; anything else never touches the coefficients.
-    """
-
-    a: tuple[int, ...]
-    r: int
-    m: int
-    ell: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "a", as_coeffs(self.a))
-        if self.r < 0:
-            raise ValueError(f"offset must be >= 0, got {self.r}")
-
-
-def _guard_indices(q: BFQuery) -> None:
-    if 1 <= q.ell <= q.m and q.m + q.r > len(q.a):
+def _window(a: Sequence[int], r: int, m: int) -> tuple[int, ...]:
+    """Validate a row request once and return the coefficients it reads,
+    (a_{1+r}, ..., a_{m+r})."""
+    coeffs = as_coeffs(a)
+    if r < 0:
+        raise ValueError(f"offset must be >= 0, got {r}")
+    if m > 0 and m + r > len(coeffs):
         raise IndexRangeError(
-            f"evaluating [[{q.m}, {q.ell}]] at offset {q.r} needs coefficient "
-            f"index {q.m + q.r}, but the tuple has length {len(q.a)}"
+            f"evaluating row {m} of [[m, l]] at offset {r} needs coefficient "
+            f"index {m + r}, but the tuple has length {len(coeffs)}"
         )
+    return coeffs[r : m + r]
 
 
-def bf_recursive(q: BFQuery) -> Fraction:
-    """Evaluate [[m, l]]_r by the defining recursion, memoized per call."""
-    _guard_indices(q)
+def bf_recursive(a: Sequence[int], r: int, m: int) -> tuple[Fraction, ...]:
+    """The row ([[m, 0]]_r, ..., [[m, m]]_r) by the defining recursion,
+    memoized per call."""
+    window = _window(a, r, m)
     memo: dict[tuple[int, int], Fraction] = {}
 
     def rec(m: int, ell: int) -> Fraction:
@@ -67,29 +60,25 @@ def bf_recursive(q: BFQuery) -> Fraction:
         key = (m, ell)
         found = memo.get(key)
         if found is None:
-            found = rec(m - 1, ell) + Fraction(q.a[m + q.r - 1], 2) * rec(
-                m - 1, ell - 1
-            )
+            found = rec(m - 1, ell) + Fraction(window[m - 1], 2) * rec(m - 1, ell - 1)
             memo[key] = found
         return found
 
-    return rec(q.m, q.ell)
+    return tuple(rec(m, ell) for ell in range(m + 1))
 
 
-def bf_explicit(q: BFQuery) -> Fraction:
-    """Evaluate [[m, l]]_r as e_l(a_{1+r}, ..., a_{m+r}) / 2^l.
+def bf_explicit(a: Sequence[int], r: int, m: int) -> tuple[Fraction, ...]:
+    """The row ([[m, 0]]_r, ..., [[m, m]]_r) as e_l(a_{1+r}, ..., a_{m+r}) / 2^l.
 
-    The elementary symmetric value is accumulated in integers by the usual
-    one-column Newton update, one coefficient at a time; the only rational
-    step is the single division by 2^l at the end.
+    The elementary symmetric values e_0, ..., e_m are accumulated in
+    integers by the usual one-column Newton update, one coefficient at a
+    time; the only rational step is one division by 2^l per entry.
     """
-    _guard_indices(q)
-    if q.ell < 0 or q.ell > q.m:
-        return Fraction(0)
-    if q.ell == 0:
-        return Fraction(1)
-    column = [1] + [0] * q.ell
-    for x in q.a[q.r : q.m + q.r]:
-        for j in range(q.ell, 0, -1):
+    window = _window(a, r, m)
+    if m < 0:
+        return ()
+    column = [1] + [0] * m
+    for x in window:
+        for j in range(m, 0, -1):
             column[j] += x * column[j - 1]
-    return Fraction(column[q.ell], 1 << q.ell)
+    return tuple(Fraction(e, 1 << ell) for ell, e in enumerate(column))

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .bfnum import BFQuery, bf_explicit
+from .bfnum import bf_explicit
 from .core import (
     InvariantViolationError,
     NotApplicableError,
@@ -172,8 +172,7 @@ def inequality_b_lower(a: Sequence[int], n: int) -> Fraction:
     k = len(coeffs)
     base = n - shift_down
     total = Fraction(0)
-    for i in range(k - 1):
-        weight = bf_explicit(BFQuery(coeffs, 2, k - 2, i))
+    for i, weight in enumerate(bf_explicit(coeffs, 2, k - 2)):
         total += weight * base ** (k - 1 - i) / math.factorial(k - 1 - i)
     return total / math.prod(coeffs)
 
@@ -200,8 +199,7 @@ def relaxed_count_chain(
     prod = math.prod(coeffs)
     lower = Fraction(base**k, math.factorial(k) * prod)
     refined = Fraction(0)
-    for i in range(k):
-        weight = bf_explicit(BFQuery(coeffs, 1, k - 1, i))
+    for i, weight in enumerate(bf_explicit(coeffs, 1, k - 1)):
         refined += weight * base ** (k - i) / math.factorial(k - i)
     refined /= prod
     shift = relaxed_shift_sequence(coeffs)[-1]

@@ -19,7 +19,7 @@ from contextlib import nullcontext
 from fractions import Fraction
 from typing import Sequence, TextIO
 
-from .bfnum import BFQuery, bf_explicit
+from .bfnum import bf_explicit
 from .bounds import inequality_a, inequality_b_lower, relaxed_count_chain
 from .core import (
     DenumerantError,
@@ -181,8 +181,13 @@ def _cmd_frobenius(args: argparse.Namespace, stream: TextIO) -> int:
 
 
 def _cmd_bf(args: argparse.Namespace, stream: TextIO) -> int:
-    q = BFQuery(args.coeffs, args.offset, args.m, args.ell)
-    value = bf_explicit(q)
+    if args.offset < 0:
+        raise ValueError(f"offset must be >= 0, got {args.offset}")
+    if 1 <= args.ell <= args.m:
+        value = bf_explicit(args.coeffs, args.offset, args.m)[args.ell]
+    else:
+        # The triangle's edges read no coefficient: 0 off it, 1 at l = 0.
+        value = Fraction(1 if args.ell == 0 <= args.m else 0)
     rows = [
         {
             "coeffs": args.coeffs,
@@ -254,14 +259,15 @@ def _skip_note(skipped: dict[str, int]) -> str:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
+    # The row commands: count, bounds, dhat, frobenius and bf.
+    rows = argparse.ArgumentParser(add_help=False)
+    rows.add_argument(
         "--format", choices=("table", "csv", "json"), default="table",
         help="row output format (json writes one object per line)",
     )
-    common.add_argument("--out", metavar="PATH", help="write output to a file")
+    rows.add_argument("--out", metavar="PATH", help="write output to a file")
     # count, bounds and dhat: one tuple at one target or a range of them.
-    targets = argparse.ArgumentParser(add_help=False, parents=[common])
+    targets = argparse.ArgumentParser(add_help=False, parents=[rows])
     targets.add_argument("--coeffs", type=_parse_coeffs, required=True)
     group = targets.add_mutually_exclusive_group(required=True)
     group.add_argument("--n", type=int)
@@ -293,13 +299,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_bounds)
 
     p = sub.add_parser(
-        "frobenius", parents=[common], help="Frobenius number with certified enclosures"
+        "frobenius", parents=[rows], help="Frobenius number with certified enclosures"
     )
     p.add_argument("--coeffs", type=_parse_coeffs, required=True)
     p.set_defaults(handler=_cmd_frobenius)
 
     p = sub.add_parser(
-        "bf", parents=[common], help="triangular bound weights [[m, l]] at an offset"
+        "bf", parents=[rows], help="triangular bound weights [[m, l]] at an offset"
     )
     p.add_argument("--coeffs", type=_parse_coeffs, required=True)
     p.add_argument("-r", "--offset", type=int, default=0)
@@ -312,9 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(handler=_cmd_dhat)
 
-    p = sub.add_parser(
-        "verify", parents=[common], help="run one randomized verification suite"
-    )
+    p = sub.add_parser("verify", help="run one randomized verification suite")
+    p.add_argument("--out", metavar="PATH", help="write the report to a file")
     p.add_argument("--suite", choices=SUITE_NAMES, required=True)
     p.add_argument("--seed", type=int, default=1, help="seed for randomized sweeps")
     p.add_argument("--trials", type=int, default=200)

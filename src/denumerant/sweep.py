@@ -15,6 +15,7 @@ as it merges failures back in instance-index order.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import time
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
-from .bfnum import BFQuery, bf_explicit, bf_recursive
+from .bfnum import bf_explicit, bf_recursive
 from .bounds import (
     bound_sequences,
     inequality_a,
@@ -356,37 +357,36 @@ def _check_frobenius(instance: dict) -> Failure | None:
 def _check_bf_identities(instance: dict) -> Failure | None:
     coeffs = instance["coeffs"]
     k = len(coeffs)
+    # Each route evaluates each (tuple, r, m) row once.  The relations
+    # compare the entries 0 <= l <= m; off the triangle both routes are 0
+    # by definition and compute nothing.
+    explicit = functools.cache(bf_explicit)
     for r in (0, 1, 2):
         if r > k:
             continue
         for m in range(0, min(6, k - r) + 1):
-            for ell in range(-1, m + 2):
-                q = BFQuery(coeffs, r, m, ell)
-                by_recursion = bf_recursive(q)
-                by_formula = bf_explicit(q)
+            rows = zip(bf_recursive(coeffs, r, m), explicit(coeffs, r, m), strict=True)
+            for ell, (by_recursion, by_formula) in enumerate(rows):
                 if by_recursion != by_formula:
                     inst = dict(instance, r=r, m=m, ell=ell)
                     return _fail(
                         inst, "bf_recursive == bf_explicit", by_recursion, by_formula
                     )
-                if 0 <= ell <= m and not by_formula > 0:
+                if not by_formula > 0:
                     inst = dict(instance, r=r, m=m, ell=ell)
                     return _fail(inst, "[[m, l]] > 0 for 0 <= l <= m", by_formula, 0)
     # Offset shift: [[m, l]]_{r-1} - [m == 0] equals
-    # [[m-1, l]]_r + (a_r / 2) [[m-1, l-1]]_r.  The subtraction only makes
-    # sense where the left side can reach 1, so the corner m = 0, l != 0
-    # stays out of scope.
+    # [[m-1, l]]_r + (a_r / 2) [[m-1, l-1]]_r.
     for r in (1, 2):
         if r > k:
             continue
         for m in range(0, min(6, k - r + 1) + 1):
-            for ell in range(-1, m + 2):
-                if m == 0 and ell != 0:
-                    continue
-                lhs = bf_explicit(BFQuery(coeffs, r - 1, m, ell)) - (1 if m == 0 else 0)
-                rhs = bf_explicit(BFQuery(coeffs, r, m - 1, ell)) + Fraction(
-                    coeffs[r - 1], 2
-                ) * bf_explicit(BFQuery(coeffs, r, m - 1, ell - 1))
+            left = explicit(coeffs, r - 1, m)
+            # Row m - 1 padded with its zero neighbours l = -1 and l = m.
+            right = (0, *explicit(coeffs, r, m - 1), 0)
+            for ell in range(m + 1):
+                lhs = left[ell] - (1 if m == 0 else 0)
+                rhs = right[ell + 1] + Fraction(coeffs[r - 1], 2) * right[ell]
                 if lhs != rhs:
                     inst = dict(instance, r=r, m=m, ell=ell)
                     return _fail(inst, "offset shift identity", lhs, rhs)
@@ -398,14 +398,13 @@ def _check_bf_identities(instance: dict) -> Failure | None:
         for m in range(0, min(6, k - r, k - 1) + 1):
             d = math.gcd(*coeffs[: m + 1])
             scaled = tuple(c // d for c in coeffs[: m + 1]) + coeffs[m + 1 :]
-            for ell in range(0, m + 1):
-                original = bf_explicit(BFQuery(coeffs, r, m, ell))
-                reduced = bf_explicit(BFQuery(scaled, r, m, ell))
-                if not original <= d**ell * reduced:
+            reduced = explicit(scaled, r, m)
+            for ell, original in enumerate(explicit(coeffs, r, m)):
+                if not original <= d**ell * reduced[ell]:
                     inst = dict(instance, r=r, m=m, ell=ell)
                     return _fail(
                         inst, "[[m, l]] <= d^l [[m, l]] of reduced", original,
-                        d**ell * reduced,
+                        d**ell * reduced[ell],
                     )
     return None
 

@@ -161,6 +161,41 @@ def test_bf_value(capsys):
 def test_bf_index_error_exits_3(capsys):
     code, _, err = run(capsys, "bf", "--coeffs", "2,3", "-m", "3", "-l", "1")
     assert code == 3
+    assert "needs coefficient index 3, but the tuple has length 2" in err
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        # l = 0 reads no coefficient, so any m >= 0 works for any tuple.
+        (["--coeffs", "2", "-m", "40", "-l", "0"], "2       0  40  0    1"),
+        (["--coeffs", "2,3", "-r", "2", "-m", "1", "-l", "0"], "2,3     2  1  0    1"),
+        # Off the triangle: l > m, l < 0 and m = -1.
+        (["--coeffs", "5,7,11", "-m", "2", "-l", "3"], "5,7,11  0  2  3    0"),
+        (["--coeffs", "2,3", "-r", "1", "-m", "1", "-l", "-1"], "2,3     1  1  -1   0"),
+        (["--coeffs", "2,3", "-r", "1", "-m", "-1", "-l", "0"], "2,3     1  -1  0    0"),
+    ],
+)
+def test_bf_edge_rules(capsys, argv, line):
+    code, out, _ = run(capsys, "bf", *argv)
+    assert code == 0
+    assert out.splitlines()[1] == line
+
+
+def test_bf_edge_values_are_rationals_in_json(capsys):
+    for ell, value in (("0", "1"), ("3", "0")):
+        code, out, _ = run(
+            capsys, "bf", "--coeffs", "2,3", "-m", "2", "-l", ell, "--format", "json"
+        )
+        assert code == 0
+        assert json.loads(out)["value"] == value
+
+
+def test_bf_negative_offset_exits_2(capsys):
+    for m, ell in (("1", "0"), ("3", "1")):
+        code, out, err = run(capsys, "bf", "--coeffs", "2,3", "-r", "-1", "-m", m, "-l", ell)
+        assert (code, out) == (2, "")
+        assert err == "error: offset must be >= 0, got -1\n"
 
 
 def test_dhat_row(capsys):
@@ -185,6 +220,11 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()
     with pytest.raises(SystemExit) as exc:
         cli.main([])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    # --format belongs to the row commands; verify always writes JSON.
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--suite", "popoviciu", "--trials", "3", "--format", "csv"])
     assert exc.value.code == 2
     capsys.readouterr()
 

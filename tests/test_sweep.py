@@ -1,5 +1,6 @@
 import json
 import math
+from collections import Counter
 
 import pytest
 
@@ -170,3 +171,66 @@ def test_skipped_instances_are_counted_outside_the_report():
     assert report.skipped == {"BudgetExceededError": 3}
     assert "skipped" not in json.loads(report.to_json())
     assert run_verify(SweepConfig(suite="popoviciu", trials=10)).skipped == {}
+
+
+_BF_COEFFS = (6, 4, 10, 3)
+
+
+def _bump_one_entry(a, r, m, row):
+    return row[:1] + (row[1] + 1,) + row[2:] if (r, m) == (1, 2) else row
+
+
+def _negate_last_entry(a, r, m, row):
+    return row[:-1] + (-row[-1],) if m >= 1 else row
+
+
+def _add_one(a, r, m, row):
+    return tuple(value + 1 for value in row)
+
+
+def _zero_other_tuples(a, r, m, row):
+    return row if a == _BF_COEFFS else (0,) * len(row)
+
+
+@pytest.mark.parametrize(
+    "routes, change, relation, where",
+    [
+        (("bf_recursive",), _bump_one_entry, "bf_recursive == bf_explicit", (1, 2, 1)),
+        (("bf_recursive", "bf_explicit"), _negate_last_entry, "[[m, l]] > 0 for 0 <= l <= m", None),
+        (("bf_recursive", "bf_explicit"), _add_one, "offset shift identity", None),
+        (("bf_explicit",), _zero_other_tuples, "[[m, l]] <= d^l [[m, l]] of reduced", None),
+    ],
+)
+def test_bf_identities_name_each_broken_relation(monkeypatch, routes, change, relation, where):
+    # The identities hold for the true weights, so only patched routes can
+    # show that each relation is compared at all.
+    instance = {"coeffs": _BF_COEFFS}
+    assert sweep._check_bf_identities(instance) is None
+    for name in routes:
+        route = getattr(sweep, name)
+        monkeypatch.setattr(
+            sweep, name, lambda a, r, m, route=route: change(a, r, m, route(a, r, m))
+        )
+    failure = sweep._check_bf_identities(instance)
+    assert failure is not None and failure.relation == relation
+    if where is not None:
+        assert (failure.instance["r"], failure.instance["m"], failure.instance["ell"]) == where
+
+
+def test_bf_identities_evaluate_each_row_once_per_route(monkeypatch):
+    # Within one instance, each route sees each (tuple, r, m) at most once.
+    calls = Counter()
+    for name in ("bf_explicit", "bf_recursive"):
+        route = getattr(sweep, name)
+
+        def counted(*args, name=name, route=route):
+            calls[(name, *args)] += 1
+            return route(*args)
+
+        monkeypatch.setattr(sweep, name, counted)
+    cfg = SweepConfig(suite="bf-identities", k_range=(1, 8), max_coeff=15)
+    rng = SplitMix64(3)
+    for _ in range(60):
+        calls.clear()
+        assert sweep._check_bf_identities({"coeffs": _draw_tuple(rng, cfg)}) is None
+        assert calls and max(calls.values()) == 1
