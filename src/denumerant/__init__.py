@@ -7,13 +7,10 @@ from .bfnum import bf_explicit, bf_recursive
 from .bounds import (
     BoundReport,
     BoundSequences,
-    blom_froberg_bounds,
     bound_sequences,
     inequality_a,
     inequality_b_lower,
-    main_term,
     prefix_sum_count,
-    relaxed_count_bounds,
     relaxed_count_chain,
     relaxed_shift_sequence,
 )
@@ -25,18 +22,15 @@ from .core import (
     InvariantViolationError,
     NotApplicableError,
     NotCoprimeError,
-    NotInvertibleError,
     TooShortTupleError,
     as_coeffs,
     format_rational,
     gcd_chain,
-    integer_part,
 )
 from .exact import (
     CountResult,
     denumerant,
     extended_count,
-    modular_inverse,
     oracle_count,
     popoviciu,
 )
@@ -72,7 +66,6 @@ __all__ = [
     "InvariantViolationError",
     "NotApplicableError",
     "NotCoprimeError",
-    "NotInvertibleError",
     "PowerSumQuery",
     "SUITE_NAMES",
     "SplitMix64",
@@ -82,7 +75,6 @@ __all__ = [
     "as_coeffs",
     "bf_explicit",
     "bf_recursive",
-    "blom_froberg_bounds",
     "bound_frobenius",
     "bound_sequences",
     "check_sum_bounds",
@@ -93,15 +85,11 @@ __all__ = [
     "gcd_chain",
     "inequality_a",
     "inequality_b_lower",
-    "integer_part",
-    "main_term",
-    "modular_inverse",
     "oracle_count",
     "popoviciu",
     "power_sum",
     "prefix_sum_count",
     "refined_upper_bound",
-    "relaxed_count_bounds",
     "relaxed_count_chain",
     "relaxed_shift_sequence",
     "run_verify",

@@ -12,9 +12,9 @@ and satisfies the closed form
     [[m, l]]_r = (1 / 2^l) * e_l(a_{1+r}, ..., a_{m+r}),
 
 with e_l the elementary symmetric polynomial.  Both routes are implemented
-below so each can check the other: the recursion in exact rationals, the
-closed form as an integer column update over the coefficients followed by
-one division by 2^l per entry.
+below so each can check the other: the recursion in exact rationals, a row
+at a time, and the closed form as an integer column update over the
+coefficients followed by one division by 2^l per entry.
 
 The unit of evaluation is a row: both routes return the m + 1 weights
 ([[m, 0]]_r, ..., [[m, m]]_r), which is what the bounds use.  A row reads
@@ -48,23 +48,17 @@ def _window(a: Sequence[int], r: int, m: int) -> tuple[int, ...]:
 
 def bf_recursive(a: Sequence[int], r: int, m: int) -> tuple[Fraction, ...]:
     """The row ([[m, 0]]_r, ..., [[m, m]]_r) by the defining recursion,
-    memoized per call."""
+    built from row 0 one row at a time, so no call stack grows with m."""
     window = _window(a, r, m)
-    memo: dict[tuple[int, int], Fraction] = {}
-
-    def rec(m: int, ell: int) -> Fraction:
-        if ell < 0 or ell > m:
-            return Fraction(0)
-        if ell == 0:
-            return Fraction(1)
-        key = (m, ell)
-        found = memo.get(key)
-        if found is None:
-            found = rec(m - 1, ell) + Fraction(window[m - 1], 2) * rec(m - 1, ell - 1)
-            memo[key] = found
-        return found
-
-    return tuple(rec(m, ell) for ell in range(m + 1))
+    if m < 0:
+        return ()
+    row: tuple[Fraction, ...] = (Fraction(1),)
+    for x in window:
+        half = Fraction(x, 2)
+        # Row j from row j - 1, padded with its zero neighbours l = -1 and l = j.
+        prev = (0, *row, 0)
+        row = tuple(prev[ell + 1] + half * prev[ell] for ell in range(len(row) + 1))
+    return row
 
 
 def bf_explicit(a: Sequence[int], r: int, m: int) -> tuple[Fraction, ...]:

@@ -25,7 +25,6 @@ from typing import Sequence
 
 from .bfnum import bf_explicit
 from .core import (
-    InvariantViolationError,
     NotApplicableError,
     TooShortTupleError,
     _require_coprime,
@@ -40,35 +39,27 @@ _NOT_COPRIME = "is not coprime; reduce by the gcd first"
 
 @dataclass(frozen=True)
 class BoundSequences:
-    """Shift sequences of a tuple, one entry per prefix length.
-
-    ``gcd_weighted_sum`` is sum(a_{i+1} * d_i / d_{i+1}); it ties the
-    sequences together: lower_shifts[-1] = gcd_weighted_sum - sum(a) and
-    upper_shifts[-1] = gcd_weighted_sum / 2 + a_1 a_2 / (2 d_2).
-    """
+    """Shift sequences of a tuple, one entry per prefix length."""
 
     upper_shifts: tuple[Fraction, ...]
     lower_shifts: tuple[Fraction, ...]
     relaxed_shifts: tuple[Fraction, ...]
-    gcd_weighted_sum: Fraction
 
 
 @dataclass(frozen=True)
 class BoundReport:
-    """One bounded instance: lower_a/upper_a from the polynomial sandwich,
-    lower_b from the series refinement (None when not computed).
+    """One bounded instance: lower_a/upper_a from the polynomial sandwich.
 
     ``applicable_lower`` records whether n is large enough for the lower
-    bounds to be claimed; ``sandwich_ok`` is None when no exact value was
+    bound to be claimed; ``sandwich_ok`` is None when no exact value was
     available to compare against.
     """
 
     coeffs: tuple[int, ...]
     n: int
     exact: int | None
-    lower_a: Fraction | None
-    lower_b: Fraction | None
-    upper_a: Fraction | None
+    lower_a: Fraction
+    upper_a: Fraction
     applicable_lower: bool
     sandwich_ok: bool | None
 
@@ -96,29 +87,15 @@ def bound_sequences(a: Sequence[int]) -> BoundSequences:
     d = gcd_chain(coeffs)
     upper = [Fraction(coeffs[0] * coeffs[1], 2 * d[1])]
     lower = [Fraction(-coeffs[0])]
-    weighted = Fraction(0)
     for i in range(1, len(coeffs)):
         step = Fraction(d[i - 1], d[i])
         upper.append(upper[-1] + step / 2 * coeffs[i])
         lower.append(lower[-1] + (step - 1) * coeffs[i])
-        weighted += step * coeffs[i]
     return BoundSequences(
         upper_shifts=tuple(upper),
         lower_shifts=tuple(lower),
         relaxed_shifts=relaxed_shift_sequence(coeffs),
-        gcd_weighted_sum=weighted,
     )
-
-
-def _sandwich_denominator(coeffs: tuple[int, ...]) -> int:
-    return math.factorial(len(coeffs) - 1) * math.prod(coeffs)
-
-
-def main_term(a: Sequence[int], n: int) -> Fraction:
-    """The leading-order approximation n^(k-1) / ((k-1)! prod a)."""
-    coeffs = _two_or_more(a)
-    _require_natural(n)
-    return Fraction(n ** (len(coeffs) - 1), _sandwich_denominator(coeffs))
 
 
 def inequality_a(
@@ -134,8 +111,8 @@ def inequality_a(
     seqs = bound_sequences(coeffs)
     shift_up = seqs.upper_shifts[-1]
     shift_down = seqs.lower_shifts[-1]
-    denom = _sandwich_denominator(coeffs)
     power = len(coeffs) - 1
+    denom = math.factorial(power) * math.prod(coeffs)
     upper = (n + shift_up) ** power / denom
     lower = (n - shift_down) ** power / denom
     applicable = Fraction(n) >= shift_down
@@ -147,7 +124,6 @@ def inequality_a(
         n=n,
         exact=exact,
         lower_a=lower,
-        lower_b=None,
         upper_a=upper,
         applicable_lower=applicable,
         sandwich_ok=ok,
@@ -205,80 +181,6 @@ def relaxed_count_chain(
     shift = relaxed_shift_sequence(coeffs)[-1]
     upper = (q + shift) ** k / (math.factorial(k) * prod)
     return lower, refined, upper
-
-
-def relaxed_count_bounds(
-    a: Sequence[int], n: int, exact: int | None = None
-) -> BoundReport:
-    """Bound the relaxed count and assert the chain against an exact value.
-
-    Violations raise InvariantViolationError: the chain holds for every
-    positive tuple and every n >= 0, so a failure is a bug.
-    """
-    coeffs = as_coeffs(a)
-    lower, refined, upper = relaxed_count_chain(coeffs, n)
-    if lower > refined:
-        raise InvariantViolationError(
-            f"relaxed-count chain broken at {coeffs}, n={n}: {lower} > {refined}"
-        )
-    if exact is not None and not (refined <= exact <= upper):
-        raise InvariantViolationError(
-            f"relaxed-count chain broken at {coeffs}, n={n}: "
-            f"{refined} <= {exact} <= {upper} fails"
-        )
-    return BoundReport(
-        coeffs=coeffs,
-        n=n,
-        exact=exact,
-        lower_a=lower,
-        lower_b=refined,
-        upper_a=upper,
-        applicable_lower=True,
-        sandwich_ok=None if exact is None else True,
-    )
-
-
-def blom_froberg_bounds(a: Sequence[int], n: int) -> BoundReport:
-    """The specialization a_1 = 1: every shift collapses and the chain
-
-        (n+1)^(k-1) / ((k-1)! prod a)
-          <= series lower bound  <=  D(n)  <=  (n + s_k)^(k-1) / ((k-1)! prod a)
-
-    holds for every n >= 0, with s_k = a_2 + (a_3 + ... + a_k) / 2.
-    """
-    coeffs = _two_or_more(a)
-    if coeffs[0] != 1:
-        raise NotApplicableError(
-            f"this chain needs a_1 = 1, got a_1 = {coeffs[0]}"
-        )
-    _require_natural(n)
-    seqs = bound_sequences(coeffs)
-    if seqs.lower_shifts[-1] != -1:
-        raise InvariantViolationError(
-            f"lower shift of a unit-led tuple must be -1, got {seqs.lower_shifts[-1]}"
-        )
-    shift = Fraction(coeffs[1]) + Fraction(sum(coeffs[2:]), 2)
-    if shift != seqs.upper_shifts[-1]:
-        raise InvariantViolationError(
-            f"upper shift mismatch for unit-led tuple: {shift} vs {seqs.upper_shifts[-1]}"
-        )
-    denom = _sandwich_denominator(coeffs)
-    power = len(coeffs) - 1
-    lower = Fraction((n + 1) ** power, denom)
-    refined = inequality_b_lower(coeffs, n)
-    upper = (n + shift) ** power / denom
-    exact = denumerant(coeffs, n).value
-    ok = lower <= refined <= exact <= upper
-    return BoundReport(
-        coeffs=coeffs,
-        n=n,
-        exact=exact,
-        lower_a=lower,
-        lower_b=refined,
-        upper_a=upper,
-        applicable_lower=True,
-        sandwich_ok=ok,
-    )
 
 
 def prefix_sum_count(a: Sequence[int], n: int) -> int:

@@ -38,10 +38,6 @@ class IndexRangeError(DenumerantError):
     """An evaluation would read a coefficient past the end of the tuple."""
 
 
-class NotInvertibleError(DenumerantError):
-    """A modular inverse was requested for a non-invertible residue."""
-
-
 class BudgetExceededError(DenumerantError):
     """Brute-force enumeration would visit more nodes than the configured cap."""
 
@@ -95,15 +91,6 @@ def gcd_chain(a: Sequence[int]) -> tuple[int, ...]:
     when the final entry is 1.
     """
     return tuple(itertools.accumulate(as_coeffs(a), math.gcd))
-
-
-def integer_part(x: Rational) -> int:
-    """Truncate toward zero: floor(x) for x >= 0 and ceil(x) for x < 0.
-
-    This is the bracket that caps every enumeration loop, so [x] = -[-x]
-    and [x] = 0 whenever -1 < x < 1.
-    """
-    return math.trunc(x)
 
 
 def format_rational(value: Rational) -> str:

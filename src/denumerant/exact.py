@@ -28,7 +28,6 @@ from typing import Sequence
 from .core import (
     BudgetExceededError,
     InvariantViolationError,
-    NotInvertibleError,
     _require_coprime,
     _require_natural,
     as_coeffs,
@@ -122,23 +121,11 @@ def denumerant(a: Sequence[int], n: int) -> CountResult:
     return CountResult(_prefix_counts(reduced, cap)[m], "recursion")
 
 
-def modular_inverse(x: int, m: int) -> int:
-    """The inverse of x modulo m, in [0, m); by convention 0 when m = 1."""
-    if m < 1:
-        raise ValueError(f"modulus must be >= 1, got {m}")
-    if x < 1:
-        raise ValueError(f"x must be >= 1, got {x}")
-    if m == 1:
-        return 0
-    if math.gcd(x, m) != 1:
-        raise NotInvertibleError(f"{x} has no inverse modulo {m}")
-    return pow(x, -1, m)
-
-
 def popoviciu(a1: int, a2: int, n: int) -> CountResult:
     """Closed-form count for two coprime coefficients.
 
-    With b' the inverse of a2 mod a1 and a' the inverse of a1 mod a2,
+    With b' the inverse of a2 mod a1 and a' the inverse of a1 mod a2 (0
+    when the modulus is 1),
 
         D(n) = n/(a1*a2) - {b'*n/a1} - {a'*n/a2} + 1,
 
@@ -148,8 +135,8 @@ def popoviciu(a1: int, a2: int, n: int) -> CountResult:
     a1, a2 = as_coeffs((a1, a2))
     _require_natural(n)
     _require_coprime((a1, a2), "is not a coprime pair")
-    inv_a2 = modular_inverse(a2, a1)
-    inv_a1 = modular_inverse(a1, a2)
+    inv_a2 = pow(a2, -1, a1)
+    inv_a1 = pow(a1, -1, a2)
     value = (
         Fraction(n, a1 * a2)
         - Fraction((inv_a2 * n) % a1, a1)

@@ -18,10 +18,11 @@ of them into an integer (see ``_scaled_refined``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import DomainError, integer_part
+from .core import DomainError
 
 
 @dataclass(frozen=True)
@@ -52,7 +53,7 @@ def power_sum(q: PowerSumQuery) -> Fraction:
     """
     base = q.x + q.c
     p, d = base.numerator, base.denominator
-    total = sum((p - step * d) ** q.k for step in range(integer_part(q.x) + 1))
+    total = sum((p - step * d) ** q.k for step in range(math.trunc(q.x) + 1))
     return Fraction(total, d**q.k)
 
 

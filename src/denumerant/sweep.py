@@ -20,7 +20,7 @@ import json
 import math
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Callable
 
@@ -116,16 +116,6 @@ class SweepConfig:
         if self.n_max < 0:
             raise ValueError("n_max must be >= 0")
 
-    def as_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "seed": self.seed,
-            "trials": self.trials,
-            "k_range": list(self.k_range),
-            "max_coeff": self.max_coeff,
-            "n_max": self.n_max,
-        }
-
 
 @dataclass(frozen=True)
 class Failure:
@@ -135,17 +125,6 @@ class Failure:
     relation: str
     lhs: str
     rhs: str
-
-    def as_dict(self) -> dict:
-        safe = {}
-        for key, value in self.instance.items():
-            safe[key] = list(value) if isinstance(value, tuple) else value
-        return {
-            "instance": safe,
-            "relation": self.relation,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-        }
 
 
 @dataclass
@@ -165,14 +144,11 @@ class VerificationReport:
         return not self.failures
 
     def as_dict(self, include_wall_time: bool = True) -> dict:
-        report = {
-            "suite": self.suite,
-            "config": self.config.as_dict(),
-            "instances": self.instances,
-            "failures": [f.as_dict() for f in self.failures],
-        }
-        if include_wall_time:
-            report["wall_time_s"] = self.wall_time_s
+        # Tuples stay tuples here; json.dumps writes them as lists.
+        report = asdict(self)
+        del report["skipped"]
+        if not include_wall_time:
+            del report["wall_time_s"]
         return report
 
     def to_json(self, include_wall_time: bool = True) -> str:

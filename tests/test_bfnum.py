@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -137,3 +138,15 @@ def test_routes_match_rational_update_on_huge_coefficients():
             row = route(coeffs, r, m)
             assert_reduced_fractions(row)
             assert row == expected
+
+
+def test_recursion_depth_does_not_grow_with_the_row():
+    # A row of 300 weights under a 120-frame limit: the recursion is
+    # carried one row at a time, not down the call stack.
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(120)
+    try:
+        row = bf_recursive((3,) * 300, 0, 300)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert row == bf_explicit((3,) * 300, 0, 300)

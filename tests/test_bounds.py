@@ -6,20 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from denumerant import (
-    InvariantViolationError,
     NotApplicableError,
     NotCoprimeError,
     TooShortTupleError,
-    blom_froberg_bounds,
     bound_sequences,
     denumerant,
     extended_count,
     gcd_chain,
     inequality_a,
     inequality_b_lower,
-    main_term,
     prefix_sum_count,
-    relaxed_count_bounds,
     relaxed_count_chain,
     relaxed_shift_sequence,
 )
@@ -40,14 +36,12 @@ def test_sequences_small_pair():
     assert seqs.upper_shifts == (Fraction(3), Fraction(6))
     assert seqs.lower_shifts == (Fraction(-2), Fraction(1))
     assert seqs.relaxed_shifts == (Fraction(2), Fraction(7, 2))
-    assert seqs.gcd_weighted_sum == 6
 
 
 def test_sequences_longer_tuple():
     seqs = bound_sequences((4, 6, 9))
     assert seqs.upper_shifts == (Fraction(6), Fraction(12), Fraction(21))
     assert seqs.lower_shifts == (Fraction(-4), Fraction(2), Fraction(11))
-    assert seqs.gcd_weighted_sum == 30
 
 
 def test_sequences_unit_lead():
@@ -69,12 +63,15 @@ def test_relaxed_shifts_any_length():
 @settings(max_examples=60, deadline=None)
 @given(coprime_tuples)
 def test_sequence_identities(coeffs):
+    # The gcd-weighted sum w = sum(a_{i+1} d_i / d_{i+1}) ties the two shift
+    # sequences together.
     seqs = bound_sequences(coeffs)
-    assert seqs.lower_shifts[-1] == seqs.gcd_weighted_sum - sum(coeffs)
-    d2 = gcd_chain(coeffs)[1]
+    d = gcd_chain(coeffs)
+    weighted = sum(Fraction(d[i - 1], d[i]) * coeffs[i] for i in range(1, len(coeffs)))
+    assert seqs.lower_shifts[-1] == weighted - sum(coeffs)
     assert (
         seqs.upper_shifts[-1]
-        == seqs.gcd_weighted_sum / 2 + Fraction(coeffs[0] * coeffs[1], 2 * d2)
+        == weighted / 2 + Fraction(coeffs[0] * coeffs[1], 2 * d[1])
     )
     # The lower shift sequence never decreases and stays integral.
     for left, right in zip(seqs.lower_shifts, seqs.lower_shifts[1:]):
@@ -133,14 +130,6 @@ def test_inequality_b_dominates_a(coeffs, n):
     assert refined <= denumerant(coeffs, n).value
 
 
-def test_main_term_spots():
-    assert main_term((3, 5), 30) == 2
-    assert main_term((1, 1), 7) == 7
-    assert main_term((2, 3, 5), 100) == Fraction(500, 3)
-    with pytest.raises(TooShortTupleError):
-        main_term((4,), 10)
-
-
 def test_relaxed_chain_spots():
     lower, middle, upper = relaxed_count_chain((2, 3), 6)
     assert (lower, middle, upper) == (
@@ -165,14 +154,6 @@ def test_relaxed_chain_single_coefficient():
     assert extended_count((1,), 5).value == 6
 
 
-def test_relaxed_bounds_report():
-    report = relaxed_count_bounds((2, 3), 6, exact=7)
-    assert report.lower_b == Fraction(35, 6)
-    assert report.sandwich_ok
-    with pytest.raises(InvariantViolationError):
-        relaxed_count_bounds((2, 3), 6, exact=100)
-
-
 @settings(max_examples=50, deadline=None)
 @given(
     st.lists(st.integers(1, 10), min_size=1, max_size=4).map(tuple),
@@ -184,22 +165,20 @@ def test_relaxed_chain_encloses_count(coeffs, n):
     assert lower <= middle <= exact <= upper
 
 
-def test_blom_froberg_spots():
-    report = blom_froberg_bounds((1, 2), 4)
+def test_unit_lead_spots():
+    # With a_1 = 1 the lower shift is -1, so both lower bounds hold at
+    # every n >= 0; the sandwich's is (n + 1)^(k-1) / ((k-1)! prod a).
+    report = inequality_a((1, 2), 4, exact=denumerant((1, 2), 4).value)
     assert report.lower_a == Fraction(5, 2)
-    assert report.lower_b == Fraction(5, 2)
+    assert inequality_b_lower((1, 2), 4) == Fraction(5, 2)
     assert report.upper_a == 3
-    assert report.exact == 3 and report.sandwich_ok
+    assert report.applicable_lower and report.sandwich_ok
 
-    report = blom_froberg_bounds((1, 1, 1), 0)
+    report = inequality_a((1, 1, 1), 0, exact=denumerant((1, 1, 1), 0).value)
     assert report.lower_a == Fraction(1, 2)
+    assert inequality_b_lower((1, 1, 1), 0) == 1
     assert report.upper_a == Fraction(9, 8)
-    assert report.exact == 1 and report.sandwich_ok
-
-
-def test_blom_froberg_needs_unit_lead():
-    with pytest.raises(NotApplicableError):
-        blom_froberg_bounds((2, 3), 5)
+    assert report.applicable_lower and report.sandwich_ok
 
 
 def test_prefix_sum_count():
@@ -211,16 +190,13 @@ def test_prefix_sum_count():
 @pytest.mark.parametrize(
     "bound",
     [
-        main_term,
         inequality_a,
         inequality_b_lower,
         relaxed_count_chain,
-        relaxed_count_bounds,
-        blom_froberg_bounds,
         prefix_sum_count,
     ],
 )
 def test_bounds_reject_a_target_that_is_not_a_natural_int(bound, n):
-    # (1, 2, 3) is coprime and unit-led, so n is the only bad input.
+    # (1, 2, 3) is coprime, so n is the only bad input.
     with pytest.raises(ValueError, match="n must be"):
         bound((1, 2, 3), n)

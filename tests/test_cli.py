@@ -136,7 +136,6 @@ def test_every_domain_error_maps_to_its_exit_code(monkeypatch, capsys):
         denumerant.TooShortTupleError: 3,
         denumerant.NotApplicableError: 3,
         denumerant.IndexRangeError: 3,
-        denumerant.NotInvertibleError: 3,
         denumerant.BudgetExceededError: 3,
         denumerant.DomainError: 3,
         denumerant.InvariantViolationError: 1,

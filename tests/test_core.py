@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from denumerant import as_coeffs, format_rational, gcd_chain, integer_part
+from denumerant import as_coeffs, format_rational, gcd_chain
 
 small_tuples = st.lists(st.integers(1, 60), min_size=1, max_size=6).map(tuple)
 
@@ -52,21 +52,6 @@ def test_gcd_chain_divisibility(coeffs):
         assert chain[i - 1] % chain[i] == 0
         assert chain[i] == math.gcd(chain[i - 1], coeffs[i])
     assert chain[-1] == math.gcd(*coeffs)
-
-
-def test_integer_part_truncates_toward_zero():
-    assert integer_part(Fraction(7, 2)) == 3
-    assert integer_part(Fraction(-1, 3)) == 0
-    assert integer_part(Fraction(-7, 2)) == -3
-    assert integer_part(0) == 0
-    assert integer_part(5) == 5
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.fractions(max_denominator=1000))
-def test_integer_part_is_odd(x):
-    assert integer_part(-x) == -integer_part(x)
-    assert abs(x - integer_part(x)) < 1
 
 
 def test_rational_round_trip_spots():

@@ -8,10 +8,8 @@ from denumerant import (
     BudgetExceededError,
     InvariantViolationError,
     NotCoprimeError,
-    NotInvertibleError,
     denumerant,
     extended_count,
-    modular_inverse,
     oracle_count,
     popoviciu,
 )
@@ -99,22 +97,6 @@ def test_denumerant_satisfies_recurrence(coeffs, n):
         for take in range(n // last + 1)
     )
     assert denumerant(coeffs, n).value == total
-
-
-def test_modular_inverse_spots():
-    assert modular_inverse(5, 3) == 2
-    assert modular_inverse(3, 5) == 2
-    assert modular_inverse(1, 7) == 1
-    assert modular_inverse(10, 1) == 0
-
-
-def test_modular_inverse_errors():
-    with pytest.raises(NotInvertibleError):
-        modular_inverse(6, 9)
-    with pytest.raises(ValueError):
-        modular_inverse(0, 5)
-    with pytest.raises(ValueError):
-        modular_inverse(5, 0)
 
 
 def test_popoviciu_spots():

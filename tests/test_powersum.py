@@ -23,6 +23,9 @@ def test_power_sum_spots():
     # -c <= x < 1 leaves a single term.
     assert power_sum(PowerSumQuery(Fraction(-1, 4), Fraction(1, 4), 5)) == 0
     assert power_sum(PowerSumQuery(Fraction(3, 4), Fraction(1, 4), 1)) == 1
+    # [x] truncates toward zero: at x = -1/8 it is 0, so the one term
+    # (1/8)^2 is summed, where a floor would give -1 and an empty sum.
+    assert power_sum(PowerSumQuery(Fraction(-1, 8), Fraction(1, 4), 2)) == Fraction(1, 64)
 
 
 def test_bounds_spot():

@@ -3,7 +3,8 @@
 Every ``$ denumerant ...`` line of the "Command line" block runs through
 ``cli.main`` and its stdout must match the lines shown under it; a shown
 line ending in ``...}`` is compared as a prefix, and a command shown
-without output must exit 0.  The "Library use" block is executed as is.
+without output must exit 0.  The "Library use" block is executed as is,
+and every name the package exports must appear somewhere in the README.
 """
 
 import re
@@ -12,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+import denumerant
 from denumerant import cli
 
 _README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
@@ -68,3 +70,10 @@ def test_library_use_example():
     exec(_block("Library use", "python"), namespace)
     assert namespace["exact"] == 1
     assert namespace["report"].sandwich_ok
+
+
+def test_every_exported_name_is_documented():
+    missing = [
+        name for name in denumerant.__all__ if not re.search(rf"\b{name}\b", _README)
+    ]
+    assert missing == []

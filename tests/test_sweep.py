@@ -1,6 +1,7 @@
 import json
 import math
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -234,3 +235,53 @@ def test_bf_identities_evaluate_each_row_once_per_route(monkeypatch):
         calls.clear()
         assert sweep._check_bf_identities({"coeffs": _draw_tuple(rng, cfg)}) is None
         assert calls and max(calls.values()) == 1
+
+
+_FAILING_REPORT = """\
+{
+  "config": {
+    "k_range": [
+      2,
+      4
+    ],
+    "max_coeff": 12,
+    "n_max": 120,
+    "seed": 1,
+    "suite": "dhat",
+    "trials": 14
+  },
+  "failures": [
+    {
+      "instance": {
+        "coeffs": [
+          1,
+          1
+        ],
+        "n": 100
+      },
+      "lhs": "100",
+      "relation": "n < 100",
+      "rhs": "201/2"
+    }
+  ],
+  "instances": 14,
+  "suite": "dhat"
+}"""
+
+
+def test_report_json_with_a_failure_is_pinned(monkeypatch):
+    # No acceptance sweep fails, so a patched check supplies the failure:
+    # one of these 14 draws has n >= 100, and it shrinks to n = 100 with
+    # every coefficient at 1.  The instance holds a tuple, written as a list.
+    def check(instance):
+        if instance["n"] >= 100:
+            return sweep._fail(instance, "n < 100", instance["n"], Fraction(201, 2))
+        return None
+
+    draw, uses_n, _ = sweep._DRAWN_SUITES["dhat"]
+    monkeypatch.setitem(sweep._DRAWN_SUITES, "dhat", (draw, uses_n, check))
+    report = run_verify(SweepConfig(suite="dhat", seed=1, trials=14))
+    assert report.failures == [
+        Failure({"coeffs": (1, 1), "n": 100}, "n < 100", "100", "201/2")
+    ]
+    assert report.to_json(include_wall_time=False) == _FAILING_REPORT
