@@ -181,6 +181,21 @@ def test_unit_lead_spots():
     assert report.applicable_lower and report.sandwich_ok
 
 
+@settings(max_examples=50, deadline=None)
+@given(
+    st.lists(st.integers(1, 9), min_size=1, max_size=3).map(tuple),
+    st.integers(0, 60),
+)
+def test_unit_lead_chain_holds_at_every_target(rest, n):
+    # A unit-led tuple has lower shift -1, so the chain
+    # lower_a <= lower_b <= exact <= upper_a holds from n = 0 on.
+    coeffs = (1,) + rest
+    exact = denumerant(coeffs, n).value
+    report = inequality_a(coeffs, n, exact=exact)
+    assert report.applicable_lower and report.sandwich_ok
+    assert report.lower_a <= inequality_b_lower(coeffs, n) <= exact <= report.upper_a
+
+
 def test_prefix_sum_count():
     assert prefix_sum_count((2, 3), 6) == 7
     assert prefix_sum_count((4, 6), 7) == 3

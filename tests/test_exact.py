@@ -107,6 +107,14 @@ def test_popoviciu_spots():
     assert popoviciu(3, 5, 8).method == "popoviciu"
 
 
+def test_popoviciu_with_a_unit_coefficient():
+    # The inverse modulo 1 is 0, so a unit coefficient leaves
+    # D(n) = floor(n / a) + 1 for the other one, in either position.
+    assert popoviciu(1, 7, 20).value == 3
+    assert popoviciu(10, 1, 25).value == 3
+    assert popoviciu(1, 1, 0).value == 1
+
+
 def test_popoviciu_requires_coprime():
     with pytest.raises(NotCoprimeError):
         popoviciu(4, 6, 10)
@@ -135,3 +143,20 @@ def test_extended_count_spots():
 def test_extended_count_is_prefix_sum(coeffs, n):
     prefix = sum(denumerant(coeffs, m).value for m in range(n + 1))
     assert extended_count(coeffs, n).value == prefix
+
+
+@pytest.mark.parametrize("n", [2.5, 8.0, True, -1])
+@pytest.mark.parametrize(
+    "count",
+    [
+        denumerant,
+        extended_count,
+        oracle_count,
+        lambda coeffs, n: popoviciu(*coeffs, n),
+    ],
+    ids=["denumerant", "extended_count", "oracle_count", "popoviciu"],
+)
+def test_counts_reject_a_target_that_is_not_a_natural_int(count, n):
+    # (2, 3) is a coprime pair, so n is the only bad input.
+    with pytest.raises(ValueError, match="n must be"):
+        count((2, 3), n)

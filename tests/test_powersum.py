@@ -28,6 +28,20 @@ def test_power_sum_spots():
     assert power_sum(PowerSumQuery(Fraction(-1, 8), Fraction(1, 4), 2)) == Fraction(1, 64)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.fractions(0, Fraction(1, 2), max_denominator=64),
+    st.fractions(0, 1, max_denominator=64),
+    st.integers(1, 6),
+)
+def test_power_sum_below_one_is_a_single_term(c, t, k):
+    # Any -c <= x < 1 truncates to [x] = 0, negative x included.
+    x = -c + t * (1 + c)
+    if x >= 1:
+        return
+    assert power_sum(PowerSumQuery(x, c, k)) == (x + c) ** k
+
+
 def test_bounds_spot():
     q = PowerSumQuery(3, 0, 2)
     assert check_sum_bounds(q) == (True, True, True)
