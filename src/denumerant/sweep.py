@@ -273,11 +273,11 @@ def _check_inequality_a(instance: dict) -> Failure | None:
 
 def _check_inequality_b(instance: dict) -> Failure | None:
     coeffs, n = instance["coeffs"], instance["n"]
-    shift_down = bound_sequences(coeffs).lower_shifts[-1]
-    if Fraction(n) < shift_down:
+    report = inequality_a(coeffs, n)
+    if not report.applicable_lower:
         return None
     exact = denumerant(coeffs, n).value
-    lower_a = inequality_a(coeffs, n).lower_a
+    lower_a = report.lower_a
     lower_b = inequality_b_lower(coeffs, n)
     if not lower_a <= lower_b:
         return _fail(instance, "lower_a <= lower_b", lower_a, lower_b)

@@ -130,6 +130,16 @@ def test_frobenius_over_table_budget_exits_3_at_once(capsys):
     assert time.perf_counter() - started < 1.0
 
 
+@pytest.mark.parametrize("command", ["count", "dhat", "bounds"])
+def test_count_over_table_budget_exits_3_at_once(capsys, command):
+    # n = 10^9 would need a DP row of 2^30 cells.
+    started = time.perf_counter()
+    code, _, err = run(capsys, command, "--coeffs", "3,5,7,11", "--n", "1000000000")
+    assert code == 3
+    assert "cap" in err
+    assert time.perf_counter() - started < 1.0
+
+
 def test_every_domain_error_maps_to_its_exit_code(monkeypatch, capsys):
     expected = {
         denumerant.NotCoprimeError: 3,

@@ -1,7 +1,10 @@
 import math
+import random
+import time
+from array import array
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from denumerant import (
@@ -13,6 +16,8 @@ from denumerant import (
     oracle_count,
     popoviciu,
 )
+from denumerant import exact
+from denumerant.exact import _prefix_counts
 
 
 def brute(coeffs, n):
@@ -70,6 +75,8 @@ def test_denumerant_rejects_negative_target():
     st.lists(st.integers(1, 9), min_size=1, max_size=3).map(tuple),
     st.integers(0, 60),
 )
+@example((15, 6, 10), 59)
+@example((6, 10, 15), 60)
 def test_denumerant_matches_oracle(coeffs, n):
     assert denumerant(coeffs, n).value == brute(coeffs, n)
 
@@ -79,6 +86,8 @@ def test_denumerant_matches_oracle(coeffs, n):
     st.lists(st.integers(1, 9), min_size=2, max_size=4).map(tuple),
     st.integers(0, 50),
 )
+@example((15, 6, 10), 30)
+@example((6, 10, 15), 29)
 def test_denumerant_order_invariant(coeffs, n):
     assert denumerant(coeffs, n).value == denumerant(tuple(reversed(coeffs)), n).value
 
@@ -160,3 +169,77 @@ def test_counts_reject_a_target_that_is_not_a_natural_int(count, n):
     # (2, 3) is a coprime pair, so n is the only bad input.
     with pytest.raises(ValueError, match="n must be"):
         count((2, 3), n)
+
+
+def test_coefficient_orders_share_one_row():
+    _prefix_counts.cache_clear()
+    values = {denumerant(a, 5000).value for a in [(3, 5, 7, 11), (11, 3, 7, 5), (7, 11, 5, 3)]}
+    assert len(values) == 1
+    info = _prefix_counts.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+
+
+def test_a_coefficient_over_the_cap_adds_nothing_to_the_row():
+    # The row for n = 5 spans 256 cells; 10^12 + 1 must not cost a pass per unit.
+    started = time.perf_counter()
+    assert denumerant((2, 10**12 + 1), 5).value == 0
+    assert denumerant((2, 10**12 + 1), 6).value == 1
+    assert extended_count((2, 10**12 + 1), 5).value == 3
+    assert time.perf_counter() - started < 1.0
+
+
+def test_extended_count_derives_its_row_from_the_cached_one():
+    _prefix_counts.cache_clear()
+    denumerant((7, 3, 5), 200)
+    before = _prefix_counts.cache_info()
+    assert (before.misses, before.currsize) == (1, 1)
+    extended_count((5, 7, 3), 190)
+    after = _prefix_counts.cache_info()
+    # One new row, the slack row, built from a hit on the cached (3, 5, 7) row.
+    assert after.misses - before.misses == 1
+    assert after.hits - before.hits == 1
+    assert after.currsize == 2
+
+
+@pytest.mark.parametrize(
+    ("n", "storage"), [(1000, array), (1023, array), (1500, tuple), (2047, tuple)]
+)
+def test_rows_are_exact_on_both_sides_of_64_bits(n, storage):
+    # A row at cap 1024 fits in 64 bits; one at cap 2048 does not.
+    _prefix_counts.cache_clear()
+    assert denumerant((1,) * 8, n).value == math.comb(n + 7, 7)
+    assert extended_count((1,) * 7, n).value == math.comb(n + 7, 7)
+    cap = 1 << n.bit_length()
+    assert isinstance(_prefix_counts((1,) * 8, cap), storage)
+    assert (math.comb(cap + 7, 7) < 2**64) == (storage is array)
+
+
+@pytest.mark.parametrize(("n", "storage"), [(500, array), (3000, tuple)])
+def test_derived_slack_row_is_exact_on_both_sides_of_64_bits(n, storage):
+    # The relaxed count of (1^6, 2) sums the count of sum(x) <= n - 2y over y.
+    a = (1,) * 6 + (2,)
+    _prefix_counts.cache_clear()
+    expected = sum(math.comb(n - 2 * y + 6, 6) for y in range(n // 2 + 1))
+    assert extended_count(a, n).value == expected
+    assert isinstance(_prefix_counts((2,), 1 << n.bit_length()), array)
+    assert isinstance(_prefix_counts((1,) * 7 + (2,), 1 << n.bit_length()), storage)
+
+
+def test_extended_count_matches_the_oracle_on_drawn_tuples():
+    # The oracle enumerates the slack tuple directly, sharing no DP row.
+    rng = random.Random(20221)
+    for _ in range(200):
+        a = tuple(rng.randint(1, 12) for _ in range(rng.randint(1, 4)))
+        n = rng.randint(0, 120)
+        assert extended_count(a, n).value == oracle_count((1, *a), n).value, (a, n)
+
+
+def test_table_budget_is_checked_before_allocating(monkeypatch):
+    monkeypatch.setattr(exact, "DENUMERANT_MAX_CELLS", 512)
+    _prefix_counts.cache_clear()
+    assert denumerant((3, 5), 511).value == brute((3, 5), 511)
+    with pytest.raises(BudgetExceededError, match="1024 cells"):
+        denumerant((3, 5), 512)
+    with pytest.raises(BudgetExceededError):
+        extended_count((3, 5), 512)
+    assert _prefix_counts.cache_info().misses == 1
