@@ -43,7 +43,6 @@ class BoundSequences:
 
     upper_shifts: tuple[Fraction, ...]
     lower_shifts: tuple[Fraction, ...]
-    relaxed_shifts: tuple[Fraction, ...]
 
 
 @dataclass(frozen=True)
@@ -55,9 +54,6 @@ class BoundReport:
     available to compare against.
     """
 
-    coeffs: tuple[int, ...]
-    n: int
-    exact: int | None
     lower_a: Fraction
     upper_a: Fraction
     applicable_lower: bool
@@ -82,7 +78,7 @@ def relaxed_shift_sequence(a: Sequence[int]) -> tuple[Fraction, ...]:
 
 
 def bound_sequences(a: Sequence[int]) -> BoundSequences:
-    """Build all shift sequences of the tuple; needs k >= 2."""
+    """Build the upper and lower shift sequences of the tuple; needs k >= 2."""
     coeffs = _two_or_more(a)
     d = gcd_chain(coeffs)
     upper = [Fraction(coeffs[0] * coeffs[1], 2 * d[1])]
@@ -91,11 +87,7 @@ def bound_sequences(a: Sequence[int]) -> BoundSequences:
         step = Fraction(d[i - 1], d[i])
         upper.append(upper[-1] + step / 2 * coeffs[i])
         lower.append(lower[-1] + (step - 1) * coeffs[i])
-    return BoundSequences(
-        upper_shifts=tuple(upper),
-        lower_shifts=tuple(lower),
-        relaxed_shifts=relaxed_shift_sequence(coeffs),
-    )
+    return BoundSequences(upper_shifts=tuple(upper), lower_shifts=tuple(lower))
 
 
 def inequality_a(
@@ -120,9 +112,6 @@ def inequality_a(
     if exact is not None:
         ok = exact <= upper and (not applicable or lower <= exact)
     return BoundReport(
-        coeffs=coeffs,
-        n=n,
-        exact=exact,
         lower_a=lower,
         upper_a=upper,
         applicable_lower=applicable,

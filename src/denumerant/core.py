@@ -39,7 +39,8 @@ class IndexRangeError(DenumerantError):
 
 
 class BudgetExceededError(DenumerantError):
-    """Brute-force enumeration would visit more nodes than the configured cap."""
+    """An input would take more work or memory than a fixed budget allows:
+    oracle nodes, DP row or Frobenius table cells, or --n-range width."""
 
 
 class DomainError(DenumerantError):

@@ -28,7 +28,6 @@ is allocated.
 from __future__ import annotations
 
 import math
-import os
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
@@ -44,9 +43,8 @@ from .core import (
     as_coeffs,
 )
 
-# Environment override for the enumeration budget, counted in loop nodes.
-ORACLE_BUDGET_ENV = "DENUM_MAX_ORACLE"
-DEFAULT_ORACLE_BUDGET = 10_000_000
+# The most loop nodes one oracle enumeration may visit.
+ORACLE_MAX_NODES = 10_000_000
 
 # The most cells one DP row may span, checked against its power-of-two cap
 # before anything is allocated.  On a 2-core x86-64 host a row at this cap
@@ -63,26 +61,17 @@ class CountResult:
     method: str
 
 
-def _oracle_budget(budget: int | None) -> int:
-    if budget is not None:
-        return budget
-    raw = os.environ.get(ORACLE_BUDGET_ENV)
-    return int(raw) if raw else DEFAULT_ORACLE_BUDGET
-
-
-def oracle_count(
-    a: Sequence[int], n: int, budget: int | None = None
-) -> CountResult:
-    """Count solutions by nested enumeration, spending at most ``budget`` nodes.
+def oracle_count(a: Sequence[int], n: int) -> CountResult:
+    """Count solutions by nested enumeration in at most ORACLE_MAX_NODES nodes.
 
     Coefficients are enumerated largest first so the outer loops branch the
     least; the final variable is resolved by a divisibility test instead of
-    a loop.  Exceeds of the budget raise BudgetExceededError (use the
+    a loop.  Past the budget it raises BudgetExceededError (use the
     recursion route for anything desk-scale enumeration cannot reach).
     """
     coeffs = as_coeffs(a)
     _require_natural(n)
-    cap = _oracle_budget(budget)
+    cap = ORACLE_MAX_NODES
 
     order = sorted(coeffs, reverse=True)
     heads, last = order[:-1], order[-1]

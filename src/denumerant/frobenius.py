@@ -1,21 +1,23 @@
-"""The Frobenius number and bounds on it derived from the sandwich.
+"""The Frobenius number and the upper bound on it from the shift sequences.
 
 The exact Frobenius number g comes from the round-robin residue table
 (Boecker & Liptak, "A fast and simple algorithm for the money changing
 problem", Algorithmica 2007): O(k a_1) steps and a_1 cells for
 a_1 = min(a).  For a coprime tuple, every n > s-_k has at least one
 representation, so g <= s-_k, and a sieve over 0..s-_k finds g by a second,
-independent route; the verify sweep compares the two.  In the other
-direction, any n whose polynomial upper bound is below 1 cannot be
-represented, which turns the two upper shift sequences into lower bounds
-on g.
+independent route; the verify sweep compares the two.
+
+No lower bound on g comes from the sandwich.  Its upper bound
+(n + s+_k)^(k-1) / ((k-1)! prod a) is at least D(0) = 1 at n = 0, the
+relaxed bound (n + r_k)^k / (k! prod a) is at least the relaxed count 1
+there, and both grow with n.  So "upper bound < 1, hence not representable"
+holds for no n >= 0.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .bounds import BoundSequences, bound_sequences
@@ -33,17 +35,11 @@ FROBENIUS_MAX_CELLS = 10_000_000
 
 @dataclass(frozen=True)
 class FrobeniusReport:
-    """The exact Frobenius number next to its certified enclosures.
-
-    Either root bound may be None: that means no n at all satisfies the
-    defining inequality, so that route certifies nothing for this tuple.
-    """
+    """The exact Frobenius number next to its certified upper bound s-_k."""
 
     coeffs: tuple[int, ...]
     g: int
     brauer_upper: int
-    root_lower_1: int | None
-    root_lower_2: int | None
 
 
 _NO_FROBENIUS = "has gcd > 1; no Frobenius number exists"
@@ -123,52 +119,10 @@ def _frobenius_sieve(a: Sequence[int]) -> int:
     return -1
 
 
-def _largest_satisfying(shift: Fraction, power: int, target: int) -> int | None:
-    """The largest n >= 0 with (n + shift)^power < target, or None."""
-
-    def holds(n: int) -> bool:
-        return (n + shift) ** power < target
-
-    if not holds(0):
-        return None
-    hi = 1
-    while holds(hi):
-        hi <<= 1
-    lo = hi >> 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if holds(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
 def bound_frobenius(a: Sequence[int]) -> FrobeniusReport:
-    """Certified enclosures for the Frobenius number of a coprime tuple.
-
-    * brauer_upper: g <= s-_k, read off the lower shift sequence.
-    * root_lower_1: the largest n with (n + s+_k)^(k-1) < (k-1)! prod a;
-      the sandwich forces the count to be zero there, so g is at least it.
-    * root_lower_2: the same argument on the relaxed count, largest n with
-      (n + r_k)^k < k! prod a.
-    """
+    """The Frobenius number of a coprime tuple with k >= 2 and its upper
+    bound brauer_upper = s-_k, read off the lower shift sequence."""
     coeffs = as_coeffs(a)
     g = frobenius_exact(coeffs)
-    seqs = bound_sequences(coeffs)
-    brauer_upper = _brauer_top(seqs, coeffs)
-    k = len(coeffs)
-    prod = math.prod(coeffs)
-    root_1 = _largest_satisfying(
-        seqs.upper_shifts[-1], k - 1, math.factorial(k - 1) * prod
-    )
-    root_2 = _largest_satisfying(
-        seqs.relaxed_shifts[-1], k, math.factorial(k) * prod
-    )
-    return FrobeniusReport(
-        coeffs=coeffs,
-        g=g,
-        brauer_upper=brauer_upper,
-        root_lower_1=root_1,
-        root_lower_2=root_2,
-    )
+    brauer_upper = _brauer_top(bound_sequences(coeffs), coeffs)
+    return FrobeniusReport(coeffs=coeffs, g=g, brauer_upper=brauer_upper)

@@ -263,7 +263,7 @@ def _check_popoviciu(instance: dict, brute: int | None = None) -> Failure | None
 def _check_inequality_a(instance: dict) -> Failure | None:
     coeffs, n = instance["coeffs"], instance["n"]
     exact = denumerant(coeffs, n).value
-    report = inequality_a(coeffs, n, exact)
+    report = inequality_a(coeffs, n)
     if not exact <= report.upper_a:
         return _fail(instance, "exact <= upper_a", exact, report.upper_a)
     if report.applicable_lower and not report.lower_a <= exact:
@@ -315,10 +315,6 @@ def _check_frobenius(instance: dict) -> Failure | None:
         return _fail(instance, "bound_frobenius(a).g == _frobenius_sieve(a)", g, sieved)
     if not g <= report.brauer_upper:
         return _fail(instance, "g <= brauer_upper", g, report.brauer_upper)
-    if report.root_lower_1 is not None and not report.root_lower_1 <= g:
-        return _fail(instance, "root_lower_1 <= g", report.root_lower_1, g)
-    if report.root_lower_2 is not None and not report.root_lower_2 <= g:
-        return _fail(instance, "root_lower_2 <= g", report.root_lower_2, g)
     if g >= 0 and denumerant(coeffs, g).value != 0:
         return _fail(instance, "denumerant(a, g) == 0", denumerant(coeffs, g).value, 0)
     # Every value in a window above g must be representable; the window is

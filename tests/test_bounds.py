@@ -35,7 +35,7 @@ def test_sequences_small_pair():
     seqs = bound_sequences((2, 3))
     assert seqs.upper_shifts == (Fraction(3), Fraction(6))
     assert seqs.lower_shifts == (Fraction(-2), Fraction(1))
-    assert seqs.relaxed_shifts == (Fraction(2), Fraction(7, 2))
+    assert relaxed_shift_sequence((2, 3)) == (Fraction(2), Fraction(7, 2))
 
 
 def test_sequences_longer_tuple():

@@ -78,8 +78,7 @@ def test_bounds_row(capsys):
 
 def test_bounds_inequality_b(capsys):
     code, out, _ = run(
-        capsys, "bounds", "--coeffs", "1,2,3", "--n", "10", "--inequality", "b",
-        "--format", "json",
+        capsys, "bounds", "--coeffs", "1,2,3", "--n", "10", "--format", "json",
     )
     assert code == 0
     row = json.loads(out)
@@ -117,6 +116,22 @@ def test_frobenius_json(capsys):
     assert row["root_lower_2"] is None
 
 
+def test_frobenius_root_columns_are_empty_in_table_and_csv(capsys):
+    # test_frobenius_json and the README transcript cover the json row.
+    code, out, _ = run(capsys, "frobenius", "--coeffs", "4,6,9")
+    assert code == 0
+    assert out.splitlines() == [
+        "coeffs  g   brauer_upper  root_lower_1  root_lower_2",
+        "4,6,9   11  11",
+    ]
+    code, out, _ = run(capsys, "frobenius", "--coeffs", "4,6,9", "--format", "csv")
+    assert code == 0
+    assert out.splitlines() == [
+        "coeffs,g,brauer_upper,root_lower_1,root_lower_2",
+        '"4,6,9",11,11,,',
+    ]
+
+
 def test_frobenius_non_coprime_exits_3(capsys):
     code, _, err = run(capsys, "frobenius", "--coeffs", "4,6")
     assert code == 3
@@ -138,6 +153,25 @@ def test_count_over_table_budget_exits_3_at_once(capsys, command):
     assert code == 3
     assert "cap" in err
     assert time.perf_counter() - started < 1.0
+
+
+@pytest.mark.parametrize("command", ["count", "bounds", "dhat"])
+def test_n_range_width_budget(monkeypatch, capsys, command):
+    monkeypatch.setattr(cli, "N_RANGE_MAX_WIDTH", 5)
+    code, out, _ = run(
+        capsys, command, "--coeffs", "2,3", "--n-range", "10:14", "--format", "csv"
+    )
+    assert code == 0
+    assert len(out.splitlines()) == 1 + 5
+
+    def untouched(*args):
+        raise AssertionError("a target was computed")
+
+    for name in ("denumerant", "extended_count"):
+        monkeypatch.setattr(cli, name, untouched)
+    code, out, err = run(capsys, command, "--coeffs", "2,3", "--n-range", "10:15")
+    assert (code, out) == (3, "")
+    assert err == "error: --n-range 10:15 spans 6 targets, over the cap of 5\n"
 
 
 def test_every_domain_error_maps_to_its_exit_code(monkeypatch, capsys):
@@ -234,6 +268,11 @@ def test_usage_errors_exit_2(capsys):
     # --format belongs to the row commands; verify always writes JSON.
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "--suite", "popoviciu", "--trials", "3", "--format", "csv"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    # bounds always reports lower_b where it applies; there is no switch.
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["bounds", "--coeffs", "3,5", "--n", "8", "--inequality", "b"])
     assert exc.value.code == 2
     capsys.readouterr()
 

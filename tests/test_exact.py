@@ -34,16 +34,17 @@ def test_oracle_spots():
     assert oracle_count((3, 5), 8).method == "oracle"
 
 
-def test_oracle_budget():
+def test_oracle_budget(monkeypatch):
+    monkeypatch.setattr(exact, "ORACLE_MAX_NODES", 100)
     with pytest.raises(BudgetExceededError):
-        oracle_count((1, 1, 1, 1), 500, budget=100)
+        oracle_count((1, 1, 1, 1), 500)
 
 
-def test_oracle_budget_env(monkeypatch):
-    monkeypatch.setenv("DENUM_MAX_ORACLE", "50")
+def test_oracle_budget_is_read_at_each_call(monkeypatch):
+    monkeypatch.setattr(exact, "ORACLE_MAX_NODES", 50)
     with pytest.raises(BudgetExceededError):
         oracle_count((1, 1, 1), 300)
-    monkeypatch.setenv("DENUM_MAX_ORACLE", "100000")
+    monkeypatch.setattr(exact, "ORACLE_MAX_NODES", 100000)
     assert oracle_count((1, 1, 1), 300).value > 0
 
 

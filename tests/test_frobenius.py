@@ -13,6 +13,9 @@ from denumerant import (
     bound_sequences,
     denumerant,
     frobenius_exact,
+    inequality_a,
+    relaxed_count_chain,
+    relaxed_shift_sequence,
 )
 from denumerant.frobenius import FROBENIUS_MAX_CELLS, _frobenius_sieve
 
@@ -66,8 +69,6 @@ def test_three_primes_near_1e4_fast_and_enclosed():
     g = report.g
     assert g == frobenius_exact((10037, 10009, 10007))
     assert g <= report.brauer_upper
-    for lower in (report.root_lower_1, report.root_lower_2):
-        assert lower is None or lower <= g
     assert not any(
         (g - 10037 * x3 - 10009 * x2) % 10007 == 0
         for x3 in range(g // 10037 + 1)
@@ -99,33 +100,36 @@ def test_report_spots():
     report = bound_frobenius((3, 5))
     assert report.g == 7
     assert report.brauer_upper == 7
-    assert report.root_lower_1 is None
-    assert report.root_lower_2 is None
 
     report = bound_frobenius((4, 6, 9))
     assert report.g == 11 and report.brauer_upper == 11
 
 
 def test_root_bounds_match_predicates():
-    # Each root bound is the largest n satisfying its strict inequality;
-    # rebuild both by scanning.
+    # A root bound would be the largest n whose upper bound is below 1.
+    # Both upper bounds are at least 1 from n = 0 on, so no n qualifies.
     for coeffs in ((3, 5, 7), (5, 7, 9, 11), (11, 13), (2, 3, 5)):
-        report = bound_frobenius(coeffs)
         k = len(coeffs)
         prod = math.prod(coeffs)
-        seqs = bound_sequences(coeffs)
+        shift_1 = bound_sequences(coeffs).upper_shifts[-1]
+        shift_2 = relaxed_shift_sequence(coeffs)[-1]
         target_1 = math.factorial(k - 1) * prod
-        best = None
-        for n in range(0, 5000):
-            if (n + seqs.upper_shifts[-1]) ** (k - 1) < target_1:
-                best = n
-        assert report.root_lower_1 == best
         target_2 = math.factorial(k) * prod
-        best = None
         for n in range(0, 5000):
-            if (n + seqs.relaxed_shifts[-1]) ** k < target_2:
-                best = n
-        assert report.root_lower_2 == best
+            assert not (n + shift_1) ** (k - 1) < target_1, (coeffs, n)
+            assert not (n + shift_2) ** k < target_2, (coeffs, n)
+
+
+def test_upper_bounds_at_zero_are_at_least_one():
+    # D(0) = 1 and the relaxed count at 0 is 1, so both upper bounds are at
+    # least 1 at n = 0; this is why no root lower bound on g exists.
+    rng = random.Random(20221)
+    for _ in range(300):
+        coeffs = [rng.randint(1, 30) for _ in range(rng.randint(2, 6))]
+        d = math.gcd(*coeffs)
+        coeffs = tuple(c // d for c in coeffs)
+        assert inequality_a(coeffs, 0).upper_a >= 1, coeffs
+        assert relaxed_count_chain(coeffs, 0)[2] >= 1, coeffs
 
 
 @settings(max_examples=40, deadline=None)
@@ -136,10 +140,6 @@ def test_enclosure_and_gap(coeffs):
     g = frobenius_exact(coeffs)
     report = bound_frobenius(coeffs)
     assert g <= report.brauer_upper
-    if report.root_lower_1 is not None:
-        assert report.root_lower_1 <= g
-    if report.root_lower_2 is not None:
-        assert report.root_lower_2 <= g
     if g >= 0:
         assert denumerant(coeffs, g).value == 0
     # Everything above g in a window is representable.

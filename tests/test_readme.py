@@ -4,9 +4,12 @@ Every ``$ denumerant ...`` line of the "Command line" block runs through
 ``cli.main`` and its stdout must match the lines shown under it; a shown
 line ending in ``...}`` is compared as a prefix, and a command shown
 without output must exit 0.  The "Library use" block is executed as is,
-and every name the package exports must appear somewhere in the README.
+every name the package exports must appear somewhere in the README, and
+every budget constant must be stated with its current value.
 """
 
+import importlib
+import pkgutil
 import re
 import shlex
 from pathlib import Path
@@ -77,3 +80,15 @@ def test_every_exported_name_is_documented():
         name for name in denumerant.__all__ if not re.search(rf"\b{name}\b", _README)
     ]
     assert missing == []
+
+
+def test_every_budget_is_documented_with_its_value():
+    stated = []
+    for module in sorted(info.name for info in pkgutil.iter_modules(denumerant.__path__)):
+        namespace = vars(importlib.import_module(f"denumerant.{module}"))
+        for name, value in namespace.items():
+            if re.fullmatch(r"[A-Z0-9_]+_MAX_[A-Z0-9_]+", name):
+                stated.append(f"`denumerant.{module}.{name}` ({value}")
+    assert len(stated) == 4
+    flowed = " ".join(_README.split())
+    assert [line for line in stated if line not in flowed] == []
