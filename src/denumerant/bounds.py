@@ -50,14 +50,14 @@ class BoundReport:
     """One bounded instance: lower_a/upper_a from the polynomial sandwich.
 
     ``applicable_lower`` records whether n is large enough for the lower
-    bound to be claimed; ``sandwich_ok`` is None when no exact value was
-    available to compare against.
+    bound to be claimed.  Comparing the bounds with a count is the
+    caller's part: ``exact <= upper_a`` always, and ``lower_a <= exact``
+    when ``applicable_lower``.
     """
 
     lower_a: Fraction
     upper_a: Fraction
     applicable_lower: bool
-    sandwich_ok: bool | None
 
 
 def _two_or_more(a: Sequence[int]) -> tuple[int, ...]:
@@ -90,9 +90,7 @@ def bound_sequences(a: Sequence[int]) -> BoundSequences:
     return BoundSequences(upper_shifts=tuple(upper), lower_shifts=tuple(lower))
 
 
-def inequality_a(
-    a: Sequence[int], n: int, exact: int | None = None
-) -> BoundReport:
+def inequality_a(a: Sequence[int], n: int) -> BoundReport:
     """The polynomial sandwich for a coprime tuple with k >= 2.
 
     The upper bound holds for every n >= 0; the lower bound is only claimed
@@ -105,17 +103,10 @@ def inequality_a(
     shift_down = seqs.lower_shifts[-1]
     power = len(coeffs) - 1
     denom = math.factorial(power) * math.prod(coeffs)
-    upper = (n + shift_up) ** power / denom
-    lower = (n - shift_down) ** power / denom
-    applicable = Fraction(n) >= shift_down
-    ok: bool | None = None
-    if exact is not None:
-        ok = exact <= upper and (not applicable or lower <= exact)
     return BoundReport(
-        lower_a=lower,
-        upper_a=upper,
-        applicable_lower=applicable,
-        sandwich_ok=ok,
+        lower_a=(n - shift_down) ** power / denom,
+        upper_a=(n + shift_up) ** power / denom,
+        applicable_lower=Fraction(n) >= shift_down,
     )
 
 

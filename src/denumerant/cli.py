@@ -5,7 +5,7 @@ commands honor --format table|csv|json (json means one object per line);
 verify always emits a single JSON report.  Exit codes: 0 success, 1 a
 verification sweep found failures (or an internal identity broke), 2 bad
 usage, 3 a precondition was violated (non-coprime input, out-of-range
-query, an input over a budget, ...).
+query, an input over a budget, a sweep that skipped every instance, ...).
 """
 
 from __future__ import annotations
@@ -159,11 +159,12 @@ def _cmd_bounds(args: argparse.Namespace, stream: TextIO) -> int:
         work = tuple(c // d for c in coeffs)
         target = n // d
         exact = denumerant(coeffs, n).value
-        report = inequality_a(work, target, exact)
+        report = inequality_a(work, target)
         lower_b = None
         if report.applicable_lower:
             lower_b = inequality_b_lower(work, target)
-        ok = bool(report.sandwich_ok) and (
+        # lower_a <= lower_b <= exact also gives the sandwich's lower side.
+        ok = exact <= report.upper_a and (
             lower_b is None or report.lower_a <= lower_b <= exact
         )
         rows.append(
@@ -257,6 +258,11 @@ def _cmd_verify(args: argparse.Namespace, stream: TextIO) -> int:
         f"{_skip_note(report.skipped)}",
         file=sys.stderr,
     )
+    if sum(report.skipped.values()) == report.instances:
+        # A sweep that skipped every instance checked nothing; passing it
+        # would be vacuous.
+        print("error: nothing checked, every instance was skipped", file=sys.stderr)
+        return 3
     return 0 if report.passed else 1
 
 

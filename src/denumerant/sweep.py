@@ -22,11 +22,10 @@ import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterator
 
 from .bfnum import bf_explicit, bf_recursive
 from .bounds import (
-    bound_sequences,
     inequality_a,
     inequality_b_lower,
     prefix_sum_count,
@@ -46,24 +45,6 @@ from .frobenius import _frobenius_sieve, bound_frobenius
 from .powersum import PowerSumQuery, _sum_bounds, power_sum, refined_upper_bound
 
 _MASK64 = (1 << 64) - 1
-
-SUITE_NAMES = (
-    "oracle-eq",
-    "popoviciu",
-    "inequality-a",
-    "inequality-b",
-    "powersum",
-    "dhat",
-    "frobenius",
-    "bf-identities",
-    "asymptotic",
-)
-
-# Suites that only make sense for coprime tuples with at least two entries.
-_COPRIME_SUITES = frozenset(
-    {"inequality-a", "inequality-b", "frobenius", "asymptotic"}
-)
-
 
 class SplitMix64:
     """The standard splitmix64 stream, reimplemented so ports can match it.
@@ -109,7 +90,9 @@ class SweepConfig:
         lo, hi = self.k_range
         if not 1 <= lo <= hi:
             raise ValueError(f"bad k range {self.k_range}")
-        if self.suite in _COPRIME_SUITES and hi < 2:
+        # _draw_coprime_tuple redraws until k >= 2 comes up: forever if k_hi < 2.
+        spec = _SUITES[self.suite]
+        if spec is not None and spec[0] is _draw_coprime_tuple and hi < 2:
             raise ValueError(f"suite {self.suite} needs tuples with k >= 2")
         if self.max_coeff < 1:
             raise ValueError("max_coeff must be >= 1")
@@ -143,18 +126,14 @@ class VerificationReport:
     def passed(self) -> bool:
         return not self.failures
 
-    def as_dict(self, include_wall_time: bool = True) -> dict:
+    def as_dict(self) -> dict:
         # Tuples stay tuples here; json.dumps writes them as lists.
         report = asdict(self)
         del report["skipped"]
-        if not include_wall_time:
-            del report["wall_time_s"]
         return report
 
-    def to_json(self, include_wall_time: bool = True) -> str:
-        return json.dumps(
-            self.as_dict(include_wall_time), sort_keys=True, indent=2
-        )
+    def to_json(self) -> str:
+        return json.dumps(self.as_dict(), sort_keys=True, indent=2)
 
 
 # ---------------------------------------------------------------------------
@@ -333,9 +312,7 @@ def _check_bf_identities(instance: dict) -> Failure | None:
     # compare the entries 0 <= l <= m; off the triangle both routes are 0
     # by definition and compute nothing.
     explicit = functools.cache(bf_explicit)
-    for r in (0, 1, 2):
-        if r > k:
-            continue
+    for r in range(min(2, k) + 1):
         for m in range(0, min(6, k - r) + 1):
             rows = zip(bf_recursive(coeffs, r, m), explicit(coeffs, r, m), strict=True)
             for ell, (by_recursion, by_formula) in enumerate(rows):
@@ -349,9 +326,7 @@ def _check_bf_identities(instance: dict) -> Failure | None:
                     return _fail(inst, "[[m, l]] > 0 for 0 <= l <= m", by_formula, 0)
     # Offset shift: [[m, l]]_{r-1} - [m == 0] equals
     # [[m-1, l]]_r + (a_r / 2) [[m-1, l-1]]_r.
-    for r in (1, 2):
-        if r > k:
-            continue
+    for r in range(1, min(2, k) + 1):
         for m in range(0, min(6, k - r + 1) + 1):
             left = explicit(coeffs, r - 1, m)
             # Row m - 1 padded with its zero neighbours l = -1 and l = m.
@@ -364,9 +339,7 @@ def _check_bf_identities(instance: dict) -> Failure | None:
                     return _fail(inst, "offset shift identity", lhs, rhs)
     # Dividing the first m+1 coefficients by their gcd can only shrink the
     # numbers, by at most a factor d^l.
-    for r in (0, 1, 2):
-        if r > k:
-            continue
+    for r in range(min(2, k) + 1):
         for m in range(0, min(6, k - r, k - 1) + 1):
             d = math.gcd(*coeffs[: m + 1])
             scaled = tuple(c // d for c in coeffs[: m + 1]) + coeffs[m + 1 :]
@@ -385,24 +358,11 @@ _ASYMPTOTIC_POINTS = (1_000, 10_000)
 
 
 def _check_asymptotic(instance: dict) -> Failure | None:
-    coeffs = instance["coeffs"]
-    k = len(coeffs)
-    seqs = bound_sequences(coeffs)
-    shift_down = seqs.lower_shifts[-1]
-    shift_up = seqs.upper_shifts[-1]
-    scale = math.factorial(k - 1) * math.prod(coeffs)
+    # The ratio bounds (1 -+ s/n)^(k-1) are this sandwich over n^(k-1)/((k-1)! prod a).
     for n in _ASYMPTOTIC_POINTS:
-        if not Fraction(n) > shift_down:
-            continue
-        exact = denumerant(coeffs, n).value
-        ratio = Fraction(exact * scale, n ** (k - 1))
-        low = (1 - shift_down / n) ** (k - 1)
-        high = (1 + shift_up / n) ** (k - 1)
-        inst = dict(instance, n=n)
-        if not low <= ratio:
-            return _fail(inst, "(1 - s/n)^(k-1) <= normalized count", low, ratio)
-        if not ratio <= high:
-            return _fail(inst, "normalized count <= (1 + s/n)^(k-1)", ratio, high)
+        found = _check_inequality_a(dict(instance, n=n))
+        if found is not None:
+            return found
     return None
 
 
@@ -421,37 +381,29 @@ def shrink_failure(
         found = _attempt(check, candidate)
         return found is not None and found.relation == relation
 
-    current = dict(instance)
-    if "n" in current:
-        improved = True
-        while improved:
-            improved = False
-            n = current["n"]
-            for smaller in (0, n // 2, n - 1):
-                if 0 <= smaller < n and still_fails(dict(current, n=smaller)):
-                    current = dict(current, n=smaller)
-                    improved = True
-                    break
-    if "coeffs" in current:
-        improved = True
-        while improved:
-            improved = False
-            coeffs = current["coeffs"]
-            for pos in range(len(coeffs)):
-                value = coeffs[pos]
-                for smaller in (1, value // 2, value - 1):
-                    if not 1 <= smaller < value:
-                        continue
-                    candidate = dict(
-                        current,
-                        coeffs=coeffs[:pos] + (smaller,) + coeffs[pos + 1 :],
+    def smaller_n(current: dict) -> Iterator[dict]:
+        n = current["n"]
+        for smaller in (0, n // 2, n - 1):
+            if 0 <= smaller < n:
+                yield dict(current, n=smaller)
+
+    def smaller_coeffs(current: dict) -> Iterator[dict]:
+        coeffs = current["coeffs"]
+        for pos, value in enumerate(coeffs):
+            for smaller in (1, value // 2, value - 1):
+                if 1 <= smaller < value:
+                    yield dict(
+                        current, coeffs=coeffs[:pos] + (smaller,) + coeffs[pos + 1 :]
                     )
-                    if still_fails(candidate):
-                        current = candidate
-                        improved = True
-                        break
-                if improved:
-                    break
+
+    current = dict(instance)
+    for key, candidates in (("n", smaller_n), ("coeffs", smaller_coeffs)):
+        # Take the first candidate that still fails, until none does.
+        while key in current:
+            smaller = next(filter(still_fails, candidates(current)), None)
+            if smaller is None:
+                break
+            current = smaller
     return current
 
 
@@ -533,27 +485,31 @@ def _run_powersum(cfg: SweepConfig) -> tuple[int, list[Failure]]:
     return instances, failures
 
 
-# name: (coefficient draw, whether n is drawn after it, check)
-_DRAWN_SUITES: dict[str, tuple[Callable, bool, Callable[[dict], Failure | None]]] = {
+# name: (coefficient draw, whether n is drawn after it, check), or None for
+# powersum, which walks its fixed grid.  SUITE_NAMES keeps this order.
+_SUITES: dict[str, tuple[Callable, bool, Callable[[dict], Failure | None]] | None] = {
     "oracle-eq": (_draw_tuple, True, _check_oracle_eq),
     "popoviciu": (_draw_pair, True, _check_popoviciu),
     "inequality-a": (_draw_coprime_tuple, True, _check_inequality_a),
     "inequality-b": (_draw_coprime_tuple, True, _check_inequality_b),
+    "powersum": None,
     "dhat": (_draw_tuple, True, _check_relaxed),
     "frobenius": (_draw_coprime_tuple, False, _check_frobenius),
     "bf-identities": (_draw_tuple, False, _check_bf_identities),
     "asymptotic": (_draw_coprime_tuple, False, _check_asymptotic),
 }
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_verify(cfg: SweepConfig) -> VerificationReport:
     """Run one suite to completion and return its deterministic report."""
     started = time.perf_counter()
     skipped: Counter[str] = Counter()
-    if cfg.suite == "powersum":
+    spec = _SUITES[cfg.suite]
+    if spec is None:
         instances, failures = _run_powersum(cfg)
     else:
-        instances, failures = _run_drawn(cfg, *_DRAWN_SUITES[cfg.suite], skipped)
+        instances, failures = _run_drawn(cfg, *spec, skipped)
     elapsed = time.perf_counter() - started
     return VerificationReport(
         suite=cfg.suite,

@@ -83,19 +83,20 @@ def test_sequence_identities(coeffs):
 
 
 def test_inequality_a_spot():
-    report = inequality_a((3, 5), 8, exact=1)
+    report = inequality_a((3, 5), 8)
     assert report.lower_a == Fraction(1, 15)
     assert report.upper_a == Fraction(23, 15)
-    assert report.applicable_lower and report.sandwich_ok
+    assert report.applicable_lower
+    assert report.lower_a <= 1 <= report.upper_a
 
 
 def test_inequality_a_below_threshold():
     # n = 0 sits below the lower shift of (2, 3), so only the upper
     # bound is claimed.
-    report = inequality_a((2, 3), 0, exact=1)
+    report = inequality_a((2, 3), 0)
     assert not report.applicable_lower
     assert report.upper_a == 1
-    assert report.sandwich_ok
+    assert 1 <= report.upper_a
 
 
 def test_inequality_a_rejections():
@@ -168,17 +169,21 @@ def test_relaxed_chain_encloses_count(coeffs, n):
 def test_unit_lead_spots():
     # With a_1 = 1 the lower shift is -1, so both lower bounds hold at
     # every n >= 0; the sandwich's is (n + 1)^(k-1) / ((k-1)! prod a).
-    report = inequality_a((1, 2), 4, exact=denumerant((1, 2), 4).value)
+    exact = denumerant((1, 2), 4).value
+    report = inequality_a((1, 2), 4)
     assert report.lower_a == Fraction(5, 2)
     assert inequality_b_lower((1, 2), 4) == Fraction(5, 2)
     assert report.upper_a == 3
-    assert report.applicable_lower and report.sandwich_ok
+    assert report.applicable_lower
+    assert report.lower_a <= exact <= report.upper_a
 
-    report = inequality_a((1, 1, 1), 0, exact=denumerant((1, 1, 1), 0).value)
+    exact = denumerant((1, 1, 1), 0).value
+    report = inequality_a((1, 1, 1), 0)
     assert report.lower_a == Fraction(1, 2)
     assert inequality_b_lower((1, 1, 1), 0) == 1
     assert report.upper_a == Fraction(9, 8)
-    assert report.applicable_lower and report.sandwich_ok
+    assert report.applicable_lower
+    assert report.lower_a <= exact <= report.upper_a
 
 
 @settings(max_examples=50, deadline=None)
@@ -191,8 +196,9 @@ def test_unit_lead_chain_holds_at_every_target(rest, n):
     # lower_a <= lower_b <= exact <= upper_a holds from n = 0 on.
     coeffs = (1,) + rest
     exact = denumerant(coeffs, n).value
-    report = inequality_a(coeffs, n, exact=exact)
-    assert report.applicable_lower and report.sandwich_ok
+    report = inequality_a(coeffs, n)
+    assert report.applicable_lower
+    assert report.lower_a <= exact <= report.upper_a
     assert report.lower_a <= inequality_b_lower(coeffs, n) <= exact <= report.upper_a
 
 

@@ -358,6 +358,28 @@ def test_verify_names_skipped_instances_on_stderr(tmp_path, capsys):
     assert "skipped" not in report
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--suite", "frobenius", "--k-range", "2:2", "--max-coeff", "100000000"),
+        ("--suite", "oracle-eq", "--k-range", "2:2", "--max-coeff", "1",
+         "--n-max", "100000000"),
+    ],
+    ids=["frobenius", "oracle-eq"],
+)
+def test_verify_that_skipped_every_instance_exits_3(tmp_path, capsys, argv):
+    # Every drawn instance is over a budget, so the sweep checked nothing;
+    # the report and the summary are still written.
+    path = tmp_path / "report.json"
+    code, _, err = run(capsys, "verify", *argv, "--trials", "5", "--out", str(path))
+    assert code == 3
+    assert "5 instances, 0 failures" in err
+    assert "(5 skipped: BudgetExceededError)" in err
+    assert "nothing checked" in err
+    report = json.loads(path.read_text())
+    assert report["instances"] == 5 and report["failures"] == []
+
+
 def test_verify_skip_note_counts_each_exception(monkeypatch, capsys):
     from denumerant.sweep import VerificationReport
 

@@ -4,8 +4,9 @@ Every ``$ denumerant ...`` line of the "Command line" block runs through
 ``cli.main`` and its stdout must match the lines shown under it; a shown
 line ending in ``...}`` is compared as a prefix, and a command shown
 without output must exit 0.  The "Library use" block is executed as is,
-every name the package exports must appear somewhere in the README, and
-every budget constant must be stated with its current value.
+every name the package exports must appear somewhere in the README, every
+budget constant must be stated with its current value, and the list of
+available suites must match ``SUITE_NAMES``.
 """
 
 import importlib
@@ -17,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import denumerant
-from denumerant import cli
+from denumerant import SUITE_NAMES, cli
 
 _README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 
@@ -71,8 +72,15 @@ def test_command_line_example(capsys, command, expected):
 def test_library_use_example():
     namespace: dict = {}
     exec(_block("Library use", "python"), namespace)
-    assert namespace["exact"] == 1
-    assert namespace["report"].sandwich_ok
+    exact, report = namespace["exact"], namespace["report"]
+    assert exact == 1
+    assert report.applicable_lower
+    assert report.lower_a <= exact <= report.upper_a
+
+
+def test_available_suites_are_listed_in_order():
+    line = " ".join(_README.split("Available suites:", 1)[1].split(".\n", 1)[0].split())
+    assert re.findall(r"`([a-z-]+)`", line) == list(SUITE_NAMES)
 
 
 def test_every_exported_name_is_documented():

@@ -13,6 +13,7 @@ from denumerant import (
     shrink_failure,
 )
 from denumerant import powersum, sweep
+from denumerant.exact import CountResult
 from denumerant.sweep import _draw_coprime_tuple, _draw_pair, _draw_tuple
 
 
@@ -64,13 +65,17 @@ def test_draw_protocols():
         assert len(pair) == 2 and math.gcd(*pair) == 1
 
 
+def _without_wall_time(report) -> dict:
+    data = json.loads(report.to_json())
+    del data["wall_time_s"]
+    return data
+
+
 def test_reports_are_deterministic():
     cfg = SweepConfig(suite="inequality-a", seed=11, trials=40, k_range=(2, 4))
     first = run_verify(cfg)
     second = run_verify(cfg)
-    assert first.to_json(include_wall_time=False) == second.to_json(
-        include_wall_time=False
-    )
+    assert _without_wall_time(first) == _without_wall_time(second)
     assert first.instances == 40
     assert first.passed
 
@@ -119,6 +124,18 @@ def test_shrinking_respects_relation_match():
     assert minimal["n"] == 50
 
 
+def test_shrinking_does_not_revisit_n_after_the_coefficients():
+    # The order is n first, then the coefficients: once a_1 shrinks to 1
+    # the check would fail at n = 10 too, but n is not shrunk again.
+    def check(instance):
+        if instance["n"] >= 10 * instance["coeffs"][0]:
+            return Failure(instance, "n < 10 a_1", str(instance["n"]), "")
+        return None
+
+    minimal = shrink_failure({"coeffs": (9,), "n": 97}, check, "n < 10 a_1")
+    assert minimal == {"coeffs": (1,), "n": 90}
+
+
 def test_report_json_shape():
     report = run_verify(SweepConfig(suite="popoviciu", seed=2, trials=10))
     data = json.loads(report.to_json())
@@ -127,8 +144,7 @@ def test_report_json_shape():
     assert data["failures"] == []
     assert "wall_time_s" in data
     assert data["config"]["seed"] == 2
-    stripped = json.loads(report.to_json(include_wall_time=False))
-    assert "wall_time_s" not in stripped
+    assert set(data) == {"config", "failures", "instances", "suite", "wall_time_s"}
 
 
 def test_powersum_suite_evaluates_each_point_once(monkeypatch):
@@ -172,6 +188,39 @@ def test_skipped_instances_are_counted_outside_the_report():
     assert report.skipped == {"BudgetExceededError": 3}
     assert "skipped" not in json.loads(report.to_json())
     assert run_verify(SweepConfig(suite="popoviciu", trials=10)).skipped == {}
+
+
+def test_suite_names_follow_the_dispatch_table():
+    assert sweep.SUITE_NAMES == tuple(sweep._SUITES) == (
+        "oracle-eq", "popoviciu", "inequality-a", "inequality-b", "powersum",
+        "dhat", "frobenius", "bf-identities", "asymptotic",
+    )
+    # Coprime draws need k >= 2 to be possible; the other suites take k = 1.
+    for suite in ("inequality-a", "inequality-b", "frobenius", "asymptotic"):
+        with pytest.raises(ValueError):
+            SweepConfig(suite=suite, k_range=(1, 1))
+    for suite in ("oracle-eq", "popoviciu", "powersum", "dhat", "bf-identities"):
+        assert SweepConfig(suite=suite, k_range=(1, 1)).k_range == (1, 1)
+
+
+def test_asymptotic_checks_the_upper_side_below_the_lower_shift(monkeypatch):
+    # (97, 89) has s-_2 = 8447, above both points, so only the upper side
+    # applies at n = 1000; a count that is too large must still be caught.
+    assert sweep.inequality_a((97, 89), 1000).applicable_lower is False
+    monkeypatch.setattr(sweep, "denumerant", lambda a, n: CountResult(10**9, "patched"))
+    failure = sweep._check_asymptotic({"coeffs": (97, 89)})
+    assert failure is not None
+    assert failure.relation == "exact <= upper_a"
+    assert failure.instance == {"coeffs": (97, 89), "n": 1000}
+
+
+def test_asymptotic_checks_the_lower_side(monkeypatch):
+    assert sweep._check_asymptotic({"coeffs": (3, 5)}) is None
+    monkeypatch.setattr(sweep, "denumerant", lambda a, n: CountResult(0, "patched"))
+    failure = sweep._check_asymptotic({"coeffs": (3, 5)})
+    assert failure is not None
+    assert failure.relation == "lower_a <= exact"
+    assert failure.instance == {"coeffs": (3, 5), "n": 1000}
 
 
 _BF_COEFFS = (6, 4, 10, 3)
@@ -278,10 +327,11 @@ def test_report_json_with_a_failure_is_pinned(monkeypatch):
             return sweep._fail(instance, "n < 100", instance["n"], Fraction(201, 2))
         return None
 
-    draw, uses_n, _ = sweep._DRAWN_SUITES["dhat"]
-    monkeypatch.setitem(sweep._DRAWN_SUITES, "dhat", (draw, uses_n, check))
+    draw, uses_n, _ = sweep._SUITES["dhat"]
+    monkeypatch.setitem(sweep._SUITES, "dhat", (draw, uses_n, check))
     report = run_verify(SweepConfig(suite="dhat", seed=1, trials=14))
     assert report.failures == [
         Failure({"coeffs": (1, 1), "n": 100}, "n < 100", "100", "201/2")
     ]
-    assert report.to_json(include_wall_time=False) == _FAILING_REPORT
+    stripped = json.dumps(_without_wall_time(report), sort_keys=True, indent=2)
+    assert stripped == _FAILING_REPORT
