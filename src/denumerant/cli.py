@@ -1,23 +1,25 @@
 """Command-line front end.
 
-Subcommands: count, bounds, frobenius, bf, dhat, verify.  Row-oriented
-commands honor --format table|csv|json (json means one object per line);
-verify always emits a single JSON report.  Exit codes: 0 success, 1 a
-verification sweep found failures (or an internal identity broke), 2 bad
-usage, 3 a precondition was violated (non-coprime input, out-of-range
-query, an input over a budget, a sweep that skipped every instance, ...).
+Subcommands: count, bounds, frobenius, bf, dhat, verify.  Each row command
+yields row dicts to one emitter for --format table|csv|json (json means one
+object per line; json and csv write each row as it comes).  verify always
+emits a single JSON report.  Exit codes: 0 success, 1 a verification sweep
+found failures (or an internal identity broke), 2 bad usage, 3 a
+precondition was violated (non-coprime input, out-of-range query, an input
+over a budget, a sweep that skipped every instance, ...).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import sys
 from contextlib import nullcontext
 from fractions import Fraction
-from typing import Sequence, TextIO
+from typing import Iterator, Sequence, TextIO
 
 from .bfnum import bf_explicit
 from .bounds import inequality_a, inequality_b_lower, relaxed_count_chain
@@ -26,7 +28,7 @@ from .core import (
     DenumerantError,
     InvariantViolationError,
     NotApplicableError,
-    NotCoprimeError,
+    as_coeffs,
     format_rational,
 )
 from .exact import denumerant, extended_count, oracle_count, popoviciu
@@ -34,20 +36,17 @@ from .frobenius import bound_frobenius
 from .sweep import SUITE_NAMES, SweepConfig, run_verify
 
 # The most targets one --n-range may span, checked before any is computed.
-# Every row is held until output, so memory grows with the width: on a
-# 2-core x86-64 host, bounds at this width peaked at 125 MB in 13 s for
-# (3, 5), and bounds and dhat at 167 and 190 MB for the primes up to 17.
+# It caps the time and the cells a table holds for its widths: on a 2-core
+# x86-64 host, bounds at this width on the primes up to 17 took 14 s and
+# peaked at 97 MB as a table, 33 MB as json (which streams, as csv does).
 N_RANGE_MAX_WIDTH = 100_000
 
 
 def _parse_coeffs(text: str) -> tuple[int, ...]:
     try:
-        values = tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"cannot parse coefficients from {text!r}")
-    if any(v < 1 for v in values):
-        raise argparse.ArgumentTypeError("coefficients must be >= 1")
-    return values
+        return as_coeffs([int(part) for part in text.split(",")])
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(f"invalid coefficients {text!r}: {err}")
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -63,16 +62,14 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _targets(args: argparse.Namespace) -> list[int]:
-    if args.n is not None:
-        return [args.n]
-    lo, hi = args.n_range
+def _targets(args: argparse.Namespace) -> range:
+    lo, hi = args.n_range if args.n is None else (args.n, args.n)
     if hi - lo + 1 > N_RANGE_MAX_WIDTH:
         raise BudgetExceededError(
             f"--n-range {lo}:{hi} spans {hi - lo + 1} targets, over the cap of "
             f"{N_RANGE_MAX_WIDTH}"
         )
-    return list(range(lo, hi + 1))
+    return range(lo, hi + 1)
 
 
 def _cell(value: object) -> str:
@@ -97,8 +94,12 @@ def _json_value(value: object) -> object:
 
 
 def _emit_rows(
-    rows: list[dict], columns: list[str], fmt: str, stream: TextIO
+    rows: Iterator[dict], columns: Sequence[str], fmt: str, stream: TextIO
 ) -> None:
+    # Every row command yields at least one row.  Computing the first before
+    # anything is written keeps the output empty when it fails; a failure
+    # further on keeps the json and csv rows written so far.
+    rows = itertools.chain([next(rows)], rows)
     if fmt == "json":
         for row in rows:
             stream.write(
@@ -108,22 +109,16 @@ def _emit_rows(
     if fmt == "csv":
         writer = csv.writer(stream)
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_cell(row.get(c)) for c in columns])
+        writer.writerows([_cell(row.get(c)) for c in columns] for row in rows)
         return
-    cells = [[_cell(row.get(c)) for c in columns] for row in rows]
-    widths = [
-        max(len(name), *(len(line[i]) for line in cells)) if cells else len(name)
-        for i, name in enumerate(columns)
-    ]
-    stream.write("  ".join(name.ljust(widths[i]) for i, name in enumerate(columns)).rstrip() + "\n")
-    for line in cells:
-        stream.write("  ".join(line[i].ljust(widths[i]) for i in range(len(columns))).rstrip() + "\n")
+    lines = [columns, *([_cell(row.get(c)) for c in columns] for row in rows)]
+    widths = [max(map(len, column)) for column in zip(*lines)]
+    for line in lines:
+        stream.write("  ".join(map(str.ljust, line, widths)).rstrip() + "\n")
 
 
-def _cmd_count(args: argparse.Namespace, stream: TextIO) -> int:
+def _count_rows(args: argparse.Namespace) -> Iterator[dict]:
     coeffs = args.coeffs
-    rows = []
     for n in _targets(args):
         if args.method == "oracle":
             result = oracle_count(coeffs, n)
@@ -133,70 +128,47 @@ def _cmd_count(args: argparse.Namespace, stream: TextIO) -> int:
             result = popoviciu(coeffs[0], coeffs[1], n)
         else:
             result = denumerant(coeffs, n)
-        rows.append(
-            {"coeffs": coeffs, "n": n, "value": result.value, "method": result.method}
-        )
-    _emit_rows(rows, ["coeffs", "n", "value", "method"], args.format, stream)
-    return 0
+        yield {"coeffs": coeffs, "n": n, "value": result.value, "method": result.method}
 
 
-def _cmd_bounds(args: argparse.Namespace, stream: TextIO) -> int:
+def _bounds_rows(args: argparse.Namespace) -> Iterator[dict]:
+    # D(a, n) = D(a/d, n/d) when d = gcd(a) divides n, and 0 otherwise, so
+    # the sandwich for the coprime a/d bounds every target d divides.
     coeffs = args.coeffs
-    rows = []
-    columns = ["coeffs", "n", "exact", "lower_a", "lower_b", "upper_a", "applicable", "ok"]
     d = math.gcd(*coeffs)
-    if d > 1 and not args.auto_reduce:
-        raise NotCoprimeError(
-            f"{coeffs} has gcd {d}; pass --auto-reduce or divide it out"
-        )
+    work = tuple(c // d for c in coeffs)
     for n in _targets(args):
+        # This also rejects a negative n before the shortcut below.
+        exact = denumerant(coeffs, n).value
         if n % d:
             # No solutions and no meaningful bounds at this target.
-            rows.append(
-                {"coeffs": coeffs, "n": n, "exact": 0, "applicable": False, "ok": True}
-            )
+            yield {
+                "coeffs": coeffs, "n": n, "exact": exact, "applicable": False, "ok": True
+            }
             continue
-        work = tuple(c // d for c in coeffs)
-        target = n // d
-        exact = denumerant(coeffs, n).value
-        report = inequality_a(work, target)
-        lower_b = None
-        if report.applicable_lower:
-            lower_b = inequality_b_lower(work, target)
+        report = inequality_a(work, n // d)
+        lower_b = inequality_b_lower(work, n // d) if report.applicable_lower else None
         # lower_a <= lower_b <= exact also gives the sandwich's lower side.
         ok = exact <= report.upper_a and (
             lower_b is None or report.lower_a <= lower_b <= exact
         )
-        rows.append(
-            {
-                "coeffs": coeffs,
-                "n": n,
-                "exact": exact,
-                "lower_a": report.lower_a,
-                "lower_b": lower_b,
-                "upper_a": report.upper_a,
-                "applicable": report.applicable_lower,
-                "ok": ok,
-            }
-        )
-    _emit_rows(rows, columns, args.format, stream)
-    return 0
+        yield {
+            "coeffs": coeffs,
+            "n": n,
+            "exact": exact,
+            "lower_a": report.lower_a,
+            "lower_b": lower_b,
+            "upper_a": report.upper_a,
+            "applicable": report.applicable_lower,
+            "ok": ok,
+        }
 
 
-def _cmd_frobenius(args: argparse.Namespace, stream: TextIO) -> int:
-    report = bound_frobenius(args.coeffs)
-    # The sandwich never certifies a root bound, so the last two columns are
-    # always empty; they stay so that the output keeps its shape.
-    _emit_rows(
-        [vars(report)],
-        ["coeffs", "g", "brauer_upper", "root_lower_1", "root_lower_2"],
-        args.format,
-        stream,
-    )
-    return 0
+def _frobenius_rows(args: argparse.Namespace) -> Iterator[dict]:
+    yield vars(bound_frobenius(args.coeffs))
 
 
-def _cmd_bf(args: argparse.Namespace, stream: TextIO) -> int:
+def _bf_rows(args: argparse.Namespace) -> Iterator[dict]:
     if args.offset < 0:
         raise ValueError(f"offset must be >= 0, got {args.offset}")
     if 1 <= args.ell <= args.m:
@@ -204,41 +176,28 @@ def _cmd_bf(args: argparse.Namespace, stream: TextIO) -> int:
     else:
         # The triangle's edges read no coefficient: 0 off it, 1 at l = 0.
         value = Fraction(1 if args.ell == 0 <= args.m else 0)
-    rows = [
-        {
-            "coeffs": args.coeffs,
-            "r": args.offset,
-            "m": args.m,
-            "ell": args.ell,
-            "value": value,
-        }
-    ]
-    _emit_rows(rows, ["coeffs", "r", "m", "ell", "value"], args.format, stream)
-    return 0
+    yield {
+        "coeffs": args.coeffs,
+        "r": args.offset,
+        "m": args.m,
+        "ell": args.ell,
+        "value": value,
+    }
 
 
-def _cmd_dhat(args: argparse.Namespace, stream: TextIO) -> int:
-    coeffs = args.coeffs
-    rows = []
+def _dhat_rows(args: argparse.Namespace) -> Iterator[dict]:
     for n in _targets(args):
-        exact = extended_count(coeffs, n).value
-        lower, middle, upper = relaxed_count_chain(coeffs, n)
-        ok = lower <= middle <= exact <= upper
-        rows.append(
-            {
-                "coeffs": coeffs,
-                "n": n,
-                "exact": exact,
-                "lower": lower,
-                "middle": middle,
-                "upper": upper,
-                "ok": ok,
-            }
-        )
-    _emit_rows(
-        rows, ["coeffs", "n", "exact", "lower", "middle", "upper", "ok"], args.format, stream
-    )
-    return 0
+        exact = extended_count(args.coeffs, n).value
+        lower, middle, upper = relaxed_count_chain(args.coeffs, n)
+        yield {
+            "coeffs": args.coeffs,
+            "n": n,
+            "exact": exact,
+            "lower": lower,
+            "middle": middle,
+            "upper": upper,
+            "ok": lower <= middle <= exact <= upper,
+        }
 
 
 def _cmd_verify(args: argparse.Namespace, stream: TextIO) -> int:
@@ -280,7 +239,8 @@ def _skip_note(skipped: dict[str, int]) -> str:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # The row commands: count, bounds, dhat, frobenius and bf.
+    # The row commands: count, bounds, dhat, frobenius and bf.  Each sets
+    # `rows`, its row generator, and `columns`, the names it writes.
     rows = argparse.ArgumentParser(add_help=False)
     rows.add_argument(
         "--format", choices=("table", "csv", "json"), default="table",
@@ -306,23 +266,28 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("recursion", "oracle", "popoviciu"),
         default="recursion",
     )
-    p.set_defaults(handler=_cmd_count)
+    p.set_defaults(rows=_count_rows, columns=("coeffs", "n", "value", "method"))
 
     p = sub.add_parser(
         "bounds", parents=[targets], help="two-sided bounds next to the exact count"
     )
-    p.add_argument(
-        "--auto-reduce",
-        action="store_true",
-        help="divide a non-coprime tuple by its gcd instead of rejecting it",
+    p.set_defaults(
+        rows=_bounds_rows,
+        columns=(
+            "coeffs", "n", "exact", "lower_a", "lower_b", "upper_a", "applicable", "ok"
+        ),
     )
-    p.set_defaults(handler=_cmd_bounds)
 
     p = sub.add_parser(
         "frobenius", parents=[rows], help="Frobenius number with certified enclosures"
     )
     p.add_argument("--coeffs", type=_parse_coeffs, required=True)
-    p.set_defaults(handler=_cmd_frobenius)
+    # The sandwich never certifies a root bound, so the last two columns are
+    # always empty; they stay so that the output keeps its shape.
+    p.set_defaults(
+        rows=_frobenius_rows,
+        columns=("coeffs", "g", "brauer_upper", "root_lower_1", "root_lower_2"),
+    )
 
     p = sub.add_parser(
         "bf", parents=[rows], help="triangular bound weights [[m, l]] at an offset"
@@ -331,12 +296,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-r", "--offset", type=int, default=0)
     p.add_argument("-m", type=int, required=True, dest="m")
     p.add_argument("-l", "--ell", type=int, required=True, dest="ell")
-    p.set_defaults(handler=_cmd_bf)
+    p.set_defaults(rows=_bf_rows, columns=("coeffs", "r", "m", "ell", "value"))
 
     p = sub.add_parser(
         "dhat", parents=[targets], help="relaxed count (sum <= n) with its bound chain"
     )
-    p.set_defaults(handler=_cmd_dhat)
+    p.set_defaults(
+        rows=_dhat_rows,
+        columns=("coeffs", "n", "exact", "lower", "middle", "upper", "ok"),
+    )
 
     p = sub.add_parser("verify", help="run one randomized verification suite")
     p.add_argument("--out", metavar="PATH", help="write the report to a file")
@@ -350,7 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--max-coeff", type=int, default=SweepConfig.max_coeff)
     p.add_argument("--n-max", type=int, default=SweepConfig.n_max)
-    p.set_defaults(handler=_cmd_verify)
 
     return parser
 
@@ -360,7 +327,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     out = open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout)
     with out as stream:
         try:
-            return args.handler(args, stream)
+            if args.command == "verify":
+                return _cmd_verify(args, stream)
+            _emit_rows(args.rows(args), args.columns, args.format, stream)
+            return 0
         except InvariantViolationError as err:
             print(f"invariant violated: {err}", file=sys.stderr)
             return 1

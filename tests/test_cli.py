@@ -87,16 +87,10 @@ def test_bounds_inequality_b(capsys):
     assert row["ok"] is True
 
 
-def test_bounds_rejects_non_coprime(capsys):
-    code, _, err = run(capsys, "bounds", "--coeffs", "4,6", "--n", "7")
-    assert code == 3
-    assert "gcd" in err
-
-
-def test_bounds_auto_reduce(capsys):
+def test_bounds_divides_out_the_gcd(capsys):
+    # (4, 6) is bounded as (2, 3) at n/2; at odd n there is nothing to bound.
     code, out, _ = run(
-        capsys, "bounds", "--coeffs", "4,6", "--n-range", "6:7", "--auto-reduce",
-        "--format", "json",
+        capsys, "bounds", "--coeffs", "4,6", "--n-range", "6:7", "--format", "json",
     )
     assert code == 0
     first, second = [json.loads(line) for line in out.strip().splitlines()]
@@ -104,6 +98,14 @@ def test_bounds_auto_reduce(capsys):
     assert second["exact"] == 0
     assert second["lower_a"] is None and second["upper_a"] is None
     assert second["applicable"] is False and second["ok"] is True
+
+
+@pytest.mark.parametrize("target", [["--n", "-1"], ["--n-range=-3:-1"]])
+def test_bounds_negative_target_exits_2(capsys, target):
+    # The count rejects n < 0 before the gcd test could call it odd.
+    code, out, err = run(capsys, "bounds", "--coeffs", "4,6", *target)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: n must be >= 0, got -")
 
 
 def test_frobenius_json(capsys):
@@ -172,6 +174,44 @@ def test_n_range_width_budget(monkeypatch, capsys, command):
     code, out, err = run(capsys, command, "--coeffs", "2,3", "--n-range", "10:15")
     assert (code, out) == (3, "")
     assert err == "error: --n-range 10:15 spans 6 targets, over the cap of 5\n"
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--coeffs", "3,5,7,11", "--n", "1000000000"],
+        ["--coeffs", "3,5,7", "--n", "5", "--method", "popoviciu"],
+    ],
+    ids=["table-budget", "popoviciu-triple"],
+)
+def test_failure_at_the_first_row_writes_nothing(capsys, fmt, argv):
+    code, out, err = run(capsys, "count", *argv, "--format", fmt)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ")
+
+
+def test_failure_partway_keeps_the_streamed_rows(monkeypatch, capsys):
+    # json and csv write each row as it is computed; the table needs every
+    # row for its widths, so it writes nothing.
+    counted = cli.denumerant
+
+    def third_fails(coeffs, n):
+        if n == 12:
+            raise denumerant.BudgetExceededError("raised on purpose")
+        return counted(coeffs, n)
+
+    monkeypatch.setattr(cli, "denumerant", third_fails)
+    argv = ["count", "--coeffs", "2,3", "--n-range", "10:14", "--format"]
+    code, out, err = run(capsys, *argv, "json")
+    assert code == 3 and err == "error: raised on purpose\n"
+    assert [json.loads(line)["n"] for line in out.splitlines()] == [10, 11]
+    code, out, _ = run(capsys, *argv, "csv")
+    assert code == 3
+    assert out.splitlines() == [
+        "coeffs,n,value,method", '"2,3",10,2,recursion', '"2,3",11,2,recursion'
+    ]
+    assert run(capsys, *argv, "table")[:2] == (3, "")
 
 
 def test_every_domain_error_maps_to_its_exit_code(monkeypatch, capsys):
@@ -275,6 +315,16 @@ def test_usage_errors_exit_2(capsys):
         cli.main(["bounds", "--coeffs", "3,5", "--n", "8", "--inequality", "b"])
     assert exc.value.code == 2
     capsys.readouterr()
+    # bounds always divides out the gcd; there is no switch for that either.
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["bounds", "--coeffs", "4,6", "--n", "8", "--auto-reduce"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    # A coefficient below 1 is refused by the package's one validator.
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["count", "--coeffs", "3,0", "--n", "4"])
+    assert exc.value.code == 2
+    assert "coefficients must be >= 1, got 0" in capsys.readouterr().err
 
 
 def test_negative_target_exits_2(capsys):
