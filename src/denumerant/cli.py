@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Iterator, Sequence, TextIO
 
 from .bfnum import bf_explicit
-from .bounds import inequality_a, inequality_b_lower, relaxed_count_chain
+from .bounds import _two_or_more, inequality_a, inequality_b_lower, relaxed_count_chain
 from .core import (
     BudgetExceededError,
     DenumerantError,
@@ -146,6 +146,8 @@ def _bounds_rows(args: argparse.Namespace) -> Iterator[dict]:
                 "coeffs": coeffs, "n": n, "exact": exact, "applicable": False, "ok": True
             }
             continue
+        # Check the length on the tuple as given, so that the error names it.
+        _two_or_more(coeffs)
         report = inequality_a(work, n // d)
         lower_b = inequality_b_lower(work, n // d) if report.applicable_lower else None
         # lower_a <= lower_b <= exact also gives the sandwich's lower side.

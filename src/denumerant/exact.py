@@ -13,25 +13,30 @@ Three independent routes to the same number:
   each residue class mod a_j, done as ``accumulate`` over a strided slice.
 * ``popoviciu``: the closed form for two coprime coefficients.
 
-Rows are cached per (sorted reduced tuple, power-of-two cap), since the
-count does not depend on coefficient order and nearby targets share a row.
+The row cache is keyed on the sorted reduced tuple alone, since the count
+does not depend on coefficient order, and holds one row per tuple: the
+largest built so far, whose power-of-two cap answers every smaller target.
+A larger target rebuilds the row at its own cap and replaces the old one.
 A coefficient 1 folds in as a plain running sum, so a tuple with ones is
-built from the cached row of the tuple without them.  That is how
-``extended_count``, which counts the relaxed problem sum <= n by adding a
-slack variable with coefficient 1, reuses the row that ``denumerant`` built
-for the same tuple.  A finished row is stored as an unsigned 64-bit
-``array`` when every entry fits, and as a tuple of ints otherwise.  A cap
-over ``DENUMERANT_MAX_CELLS`` raises BudgetExceededError before anything
-is allocated.
+built from the cached row of the tuple without them, sliced to the cap it
+needs.  That is how ``extended_count``, which counts the relaxed problem
+sum <= n by adding a slack variable with coefficient 1, reuses the row that
+``denumerant`` built for the same tuple.  A finished row is stored in one
+unsigned 64-bit ``array``: one word per cell when every entry fits, and
+otherwise L words per cell, each cell's count as 8*L little-endian bytes.
+Running sums and packing go a chunk of cells at a time, so a build never
+holds two whole rows of ints.  A cap over ``DENUMERANT_MAX_CELLS`` raises
+BudgetExceededError before anything is allocated.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from array import array
+from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import accumulate
 from typing import Sequence
 
@@ -49,8 +54,12 @@ ORACLE_MAX_NODES = 10_000_000
 # The most cells one DP row may span, checked against its power-of-two cap
 # before anything is allocated.  On a 2-core x86-64 host a row at this cap
 # for (3, 5, 7, 11) peaked at 361 MB RSS in 1.2 s, and one for (1,) * 8,
-# whose entries pass 2^64, at 465 MB; a row at twice the cap took 728 MB.
+# whose entries take three 64-bit limbs, at 340 MB.
 DENUMERANT_MAX_CELLS = 1 << 22
+
+# Cells per step of a running sum over a whole row and per step of packing
+# or unpacking one, so that a build holds one row of ints and one chunk.
+_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -96,15 +105,57 @@ def oracle_count(a: Sequence[int], n: int) -> CountResult:
     return CountResult(count_from(0, n), "oracle")
 
 
-@lru_cache(maxsize=32)
-def _prefix_counts(key: tuple[int, ...], cap: int) -> Sequence[int]:
+class _Row:
+    """D(0), ..., D(cap) for one tuple, packed in unsigned 64-bit words.
+
+    ``limbs`` words per cell: one when every count fits in 64 bits, and
+    otherwise enough to hold each count as 8 * limbs little-endian bytes.
+    """
+
+    __slots__ = ("cap", "limbs", "cells")
+
+    def __init__(self, counts: list[int], top: int) -> None:
+        # top is the largest count in the row.
+        self.cap = len(counts) - 1
+        self.limbs = max(1, -(-top.bit_length() // 64))
+        if self.limbs == 1:
+            self.cells = array("Q", counts)
+            return
+        width = 8 * self.limbs
+        self.cells = array("Q")
+        for start in range(0, len(counts), _CHUNK):
+            chunk = counts[start : start + _CHUNK]
+            self.cells.frombytes(b"".join([v.to_bytes(width, "little") for v in chunk]))
+
+    def __getitem__(self, m: int) -> int:
+        if self.limbs == 1:
+            return self.cells[m]
+        raw = self.cells[m * self.limbs : (m + 1) * self.limbs].tobytes()
+        return int.from_bytes(raw, "little")
+
+    def counts(self, cap: int) -> list[int]:
+        """D(0), ..., D(cap) as ints, for a cap no larger than the row's."""
+        if self.limbs == 1:
+            return memoryview(self.cells)[: cap + 1].tolist()
+        width = 8 * self.limbs
+        counts: list[int] = []
+        for start in range(0, cap + 1, _CHUNK):
+            stop = min(start + _CHUNK, cap + 1)
+            raw = self.cells[start * self.limbs : stop * self.limbs].tobytes()
+            counts += [
+                int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)
+            ]
+        return counts
+
+
+def _build_row(key: tuple[int, ...], cap: int) -> _Row:
     # counts[m] = number of solutions at target m for the sorted tuple key.
     # Folding in a coefficient c is a running sum along each residue class
     # mod c; for c = 1 that is a running sum over the whole row, so the
     # leading ones fold into the cached row of the rest of the tuple.
     ones = key.count(1)
     if 0 < ones < len(key):
-        counts = _prefix_counts(key[ones:], cap)
+        counts = _prefix_counts(key[ones:], cap).counts(cap)
         passes = key[:ones]
     else:
         first, *passes = key
@@ -112,16 +163,71 @@ def _prefix_counts(key: tuple[int, ...], cap: int) -> Sequence[int]:
         counts[::first] = [1] * (cap // first + 1)
     for coeff in passes:
         if coeff == 1:
-            counts = list(accumulate(counts))
+            # In place, each chunk carrying on from the last sum before it.
+            for start in range(0, cap + 1, _CHUNK):
+                if start:
+                    counts[start] += counts[start - 1]
+                counts[start : start + _CHUNK] = accumulate(counts[start : start + _CHUNK])
         else:
             # Only residue classes with two or more cells change, so a
             # coefficient over the cap leaves the row as it is.
             for r in range(min(coeff, cap + 1 - coeff)):
                 counts[r::coeff] = accumulate(counts[r::coeff])
-    try:
-        return array("Q", counts)
-    except OverflowError:
-        return tuple(counts)
+    # One more key[0] turns a solution at m into one at m + key[0], so the
+    # largest count sits in the last key[0] cells.
+    return _Row(counts, max(counts[-key[0] :]))
+
+
+_CacheInfo = namedtuple("_CacheInfo", ["hits", "misses", "maxsize", "currsize"])
+
+
+class _RowCache:
+    """One DP row per sorted reduced tuple, the least recently used out first.
+
+    A lookup hits when the tuple's row reaches the cap asked for; otherwise
+    the row is built at that cap and replaces the old one.  The lock guards
+    the bookkeeping only, never a build, so concurrent callers may build the
+    same row; the larger one is kept.
+    """
+
+    def __init__(self, maxsize: int) -> None:
+        self.maxsize = maxsize
+        self._rows: OrderedDict[tuple[int, ...], _Row] = OrderedDict()
+        self._lock = threading.Lock()
+        self._hits = self._misses = 0
+
+    def __call__(self, key: tuple[int, ...], cap: int) -> _Row:
+        with self._lock:
+            row = self._rows.get(key)
+            if row is not None and row.cap >= cap:
+                self._rows.move_to_end(key)
+                self._hits += 1
+                return row
+            # A short row is rebuilt, not extended: drop it before the build.
+            self._rows.pop(key, None)
+            self._misses += 1
+        row = _build_row(key, cap)
+        with self._lock:
+            kept = self._rows.get(key)
+            if kept is not None and kept.cap >= row.cap:
+                row = kept
+            self._rows[key] = row
+            self._rows.move_to_end(key)
+            if len(self._rows) > self.maxsize:
+                self._rows.popitem(last=False)
+        return row
+
+    def cache_info(self) -> _CacheInfo:
+        with self._lock:
+            return _CacheInfo(self._hits, self._misses, self.maxsize, len(self._rows))
+
+    def cache_clear(self) -> None:
+        with self._lock:
+            self._rows.clear()
+            self._hits = self._misses = 0
+
+
+_prefix_counts = _RowCache(maxsize=32)
 
 
 def denumerant(a: Sequence[int], n: int) -> CountResult:
@@ -139,8 +245,8 @@ def denumerant(a: Sequence[int], n: int) -> CountResult:
         return CountResult(0, "recursion")
     key = tuple(sorted(c // d for c in coeffs))
     m = n // d
-    # Round the table size up to a power of two so nearby targets share one
-    # cached row; the cache is bounded, old rows simply fall out.
+    # Round the table size up to a power of two, so that a rebuild at least
+    # doubles the row and nearby targets share it.
     cap = max(256, 1 << m.bit_length())
     if cap > DENUMERANT_MAX_CELLS:
         raise BudgetExceededError(

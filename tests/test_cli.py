@@ -100,6 +100,19 @@ def test_bounds_divides_out_the_gcd(capsys):
     assert second["applicable"] is False and second["ok"] is True
 
 
+def test_bounds_on_one_coefficient_names_the_given_tuple(capsys):
+    # (4,) is bounded as (1,) at n/4, which the sandwich refuses; the error
+    # names the tuple the user gave.  A target 4 does not divide has no
+    # bounds to refuse.
+    code, out, err = run(capsys, "bounds", "--coeffs", "4", "--n-range", "0:12")
+    assert (code, out) == (3, "")
+    assert err == "error: the bounds need at least two coefficients, got (4,)\n"
+    code, out, _ = run(capsys, "bounds", "--coeffs", "4", "--n", "1", "--format", "json")
+    assert code == 0
+    row = json.loads(out)
+    assert (row["exact"], row["applicable"], row["ok"]) == (0, False, True)
+
+
 @pytest.mark.parametrize("target", [["--n", "-1"], ["--n-range=-3:-1"]])
 def test_bounds_negative_target_exits_2(capsys, target):
     # The count rejects n < 0 before the gcd test could call it odd.

@@ -1,7 +1,8 @@
 import math
 import random
+import sys
+import threading
 import time
-from array import array
 
 import pytest
 from hypothesis import example, given, settings
@@ -202,28 +203,119 @@ def test_extended_count_derives_its_row_from_the_cached_one():
     assert after.currsize == 2
 
 
-@pytest.mark.parametrize(
-    ("n", "storage"), [(1000, array), (1023, array), (1500, tuple), (2047, tuple)]
-)
-def test_rows_are_exact_on_both_sides_of_64_bits(n, storage):
-    # A row at cap 1024 fits in 64 bits; one at cap 2048 does not.
+@pytest.mark.parametrize(("n", "limbs"), [(1000, 1), (1023, 1), (1500, 2), (2047, 2)])
+def test_rows_are_exact_on_both_sides_of_64_bits(n, limbs):
+    # A row at cap 1024 fits in 64 bits; one at cap 2048 takes two limbs a cell.
     _prefix_counts.cache_clear()
     assert denumerant((1,) * 8, n).value == math.comb(n + 7, 7)
     assert extended_count((1,) * 7, n).value == math.comb(n + 7, 7)
     cap = 1 << n.bit_length()
-    assert isinstance(_prefix_counts((1,) * 8, cap), storage)
-    assert (math.comb(cap + 7, 7) < 2**64) == (storage is array)
+    assert _prefix_counts((1,) * 8, cap).limbs == limbs
+    assert (math.comb(cap + 7, 7) < 2**64) == (limbs == 1)
 
 
-@pytest.mark.parametrize(("n", "storage"), [(500, array), (3000, tuple)])
-def test_derived_slack_row_is_exact_on_both_sides_of_64_bits(n, storage):
+@pytest.mark.parametrize(("n", "limbs"), [(500, 1), (3000, 2)])
+def test_derived_slack_row_is_exact_on_both_sides_of_64_bits(n, limbs):
     # The relaxed count of (1^6, 2) sums the count of sum(x) <= n - 2y over y.
     a = (1,) * 6 + (2,)
     _prefix_counts.cache_clear()
     expected = sum(math.comb(n - 2 * y + 6, 6) for y in range(n // 2 + 1))
     assert extended_count(a, n).value == expected
-    assert isinstance(_prefix_counts((2,), 1 << n.bit_length()), array)
-    assert isinstance(_prefix_counts((1,) * 7 + (2,), 1 << n.bit_length()), storage)
+    assert _prefix_counts((2,), 1 << n.bit_length()).limbs == 1
+    assert _prefix_counts((1,) * 7 + (2,), 1 << n.bit_length()).limbs == limbs
+
+
+def test_a_row_past_2_to_the_128_takes_three_limbs():
+    _prefix_counts.cache_clear()
+    for n in (65535, 0, 1, 4097, 65534):
+        assert denumerant((1,) * 12, n).value == math.comb(n + 11, 11)
+    assert math.comb(65535 + 11, 11) > 2**128
+    row = _prefix_counts((1,) * 12, 1 << 16)
+    assert (row.cap, row.limbs) == (1 << 16, 3)
+    assert _prefix_counts.cache_info().misses == 1
+
+
+def test_one_row_answers_every_smaller_target():
+    _prefix_counts.cache_clear()
+    denumerant((3, 5, 7), 5000)
+    before = _prefix_counts.cache_info()
+    assert denumerant((7, 5, 3), 300).value == brute((3, 5, 7), 300)
+    after = _prefix_counts.cache_info()
+    assert (after.misses, after.hits) == (before.misses, before.hits + 1)
+    # A larger target rebuilds the row at its own cap, in the same slot.
+    expected = sum(popoviciu(3, 5, 9000 - 7 * z).value for z in range(9000 // 7 + 1))
+    assert denumerant((3, 5, 7), 9000).value == expected
+    assert _prefix_counts.cache_info().misses == after.misses + 1
+    assert _prefix_counts.cache_info().currsize == 1
+    assert _prefix_counts((3, 5, 7), 256).cap == 16384
+
+
+def test_a_slack_row_comes_from_a_base_row_at_a_larger_cap():
+    _prefix_counts.cache_clear()
+    denumerant((3, 5, 7), 5000)
+    before = _prefix_counts.cache_info()
+    assert extended_count((5, 7, 3), 300).value == oracle_count((1, 3, 5, 7), 300).value
+    after = _prefix_counts.cache_info()
+    # One new row, the slack row, cut to its own cap from the cap-8192 row.
+    assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
+    assert _prefix_counts((1, 3, 5, 7), 512).cap == 512
+
+
+def test_a_33rd_tuple_evicts_the_least_recently_used():
+    _prefix_counts.cache_clear()
+    pairs = [(2, 2 * i + 3) for i in range(33)]
+    for a in pairs[:32]:
+        denumerant(a, 100)
+    denumerant(pairs[0], 100)
+    denumerant(pairs[32], 100)
+    assert _prefix_counts.cache_info() == (1, 33, 32, 32)
+    denumerant(pairs[0], 100)
+    assert _prefix_counts.cache_info().misses == 33
+    denumerant(pairs[1], 100)
+    assert _prefix_counts.cache_info().misses == 34
+
+
+def test_threads_share_the_row_cache():
+    # Four threads count drawn targets on 40 drawn tuples through one cache
+    # of 32, so lookups, builds and evictions of the same tuples interleave.
+    # Every target is a multiple of the gcd, and no tuple keeps a 1 after
+    # dividing it out unless it is all ones, so every count is one lookup
+    # and a lost hit or miss shows in the totals.
+    rng = random.Random(20221)
+    tuples = set()
+    while len(tuples) < 40:
+        a = tuple(rng.randint(2, 9) for _ in range(rng.randint(1, 3)))
+        reduced = {c // math.gcd(*a) for c in a}
+        if 1 not in reduced or reduced == {1}:
+            tuples.add(a)
+    tuples = sorted(tuples)
+    draws = []
+    for _ in range(4 * 500):
+        a = rng.choice(tuples)
+        draws.append((a, math.gcd(*a) * rng.randint(0, 120)))
+    results = [None] * 4
+
+    def work(index):
+        results[index] = [denumerant(a, n).value for a, n in draws[index::4]]
+
+    _prefix_counts.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    expected = {pair: brute(*pair) for pair in set(draws)}
+    for index in range(4):
+        assert results[index] == [expected[pair] for pair in draws[index::4]]
+    info = _prefix_counts.cache_info()
+    assert info.hits + info.misses == len(draws)
+    assert info.currsize <= info.maxsize == 32
 
 
 def test_extended_count_matches_the_oracle_on_drawn_tuples():
