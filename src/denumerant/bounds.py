@@ -14,6 +14,15 @@ For a coprime tuple with k >= 2 the polynomial sandwich is
 and the series lower bound sharpens the left side using the triangular
 weights with offset 2.  The relaxed count (sum <= n, any gcd) is squeezed
 for every k >= 1 between polynomials in d*floor(n/d).
+
+Each bound is prepared once per tuple and then evaluated at any target.
+Preparing builds everything that does not depend on n: the final shifts,
+the denominators and the integer coefficients of the series polynomials.
+A target then costs a few integer powers or one Horner pass, and one
+``Fraction`` of an integer numerator over that fixed denominator per value.
+``inequality_a``, ``inequality_b_lower`` and ``relaxed_count_chain``
+prepare for their one target; the CLI and the sweeps prepare once per
+command or instance.
 """
 
 from __future__ import annotations
@@ -90,24 +99,126 @@ def bound_sequences(a: Sequence[int]) -> BoundSequences:
     return BoundSequences(upper_shifts=tuple(upper), lower_shifts=tuple(lower))
 
 
+class _Sandwich:
+    """The polynomial sandwich and the series lower bound of one tuple with
+    k >= 2, prepared once and then evaluated at any target.
+
+    The tuple is divided by its gcd d, so a target m stands for n = d*m
+    (D(a, d*m) = D(a/d, m)); the length is checked on the tuple as given.
+    With B = m - s-_k and h = 2 s+_k, both integers, each value is one
+    integer over a denominator fixed here:
+
+        lower_a = B^(k-1) / ((k-1)! prod a)
+        upper_a = (2m + h)^(k-1) / (2^(k-1) (k-1)! prod a)
+        lower_b = B * (c_0 B^(k-2) + ... + c_(k-2)) / (2^(k-2) (k-1)! prod a)
+
+    with c_i = 2^(k-2) [[k-2, i]]_2 (k-1)! / (k-1-i)!, an integer.
+    """
+
+    def __init__(self, a: Sequence[int]) -> None:
+        coeffs = _two_or_more(a)
+        d = math.gcd(*coeffs)
+        coeffs = tuple(c // d for c in coeffs)
+        seqs = bound_sequences(coeffs)
+        self.lower_shift = int(seqs.lower_shifts[-1])
+        self._twice_upper_shift = int(2 * seqs.upper_shifts[-1])
+        self._power = len(coeffs) - 1
+        self._denom = math.factorial(self._power) * math.prod(coeffs)
+        self._series = _series_numerators(coeffs, 2, self._power - 1)
+
+    def at(self, m: int) -> BoundReport:
+        return BoundReport(
+            lower_a=Fraction((m - self.lower_shift) ** self._power, self._denom),
+            upper_a=Fraction(
+                (2 * m + self._twice_upper_shift) ** self._power,
+                self._denom << self._power,
+            ),
+            applicable_lower=m >= self.lower_shift,
+        )
+
+    def series_lower(self, m: int) -> Fraction:
+        if m < self.lower_shift:
+            raise NotApplicableError(
+                f"the series bound needs n >= {self.lower_shift}, got n={m}"
+            )
+        base = m - self.lower_shift
+        return Fraction(
+            base * _horner(self._series, base), self._denom << (self._power - 1)
+        )
+
+
+class _RelaxedChain:
+    """The relaxed-count chain of one tuple (any k >= 1, any gcd), prepared
+    once and then evaluated at any target.
+
+    With d = gcd(a), q = d floor(n/d), b = q + d and h = 2 r_k, an integer,
+
+        lower   = b^k / (k! prod a)
+        refined = b * (c_0 b^(k-1) + ... + c_(k-1)) / (2^(k-1) k! prod a)
+        upper   = (2q + h)^k / (2^k k! prod a)
+
+    with c_i = 2^(k-1) [[k-1, i]]_1 k! / (k-i)!, an integer.
+    """
+
+    def __init__(self, a: Sequence[int]) -> None:
+        coeffs = as_coeffs(a)
+        self._gcd = math.gcd(*coeffs)
+        self._power = len(coeffs)
+        self._twice_shift = int(2 * relaxed_shift_sequence(coeffs)[-1])
+        self._denom = math.factorial(self._power) * math.prod(coeffs)
+        self._series = _series_numerators(coeffs, 1, self._power - 1)
+
+    def at(self, n: int) -> tuple[Fraction, Fraction, Fraction]:
+        q = self._gcd * (n // self._gcd)
+        base = q + self._gcd
+        return (
+            Fraction(base**self._power, self._denom),
+            Fraction(
+                base * _horner(self._series, base), self._denom << (self._power - 1)
+            ),
+            Fraction(
+                (2 * q + self._twice_shift) ** self._power, self._denom << self._power
+            ),
+        )
+
+
+def _series_numerators(a: tuple[int, ...], r: int, m: int) -> tuple[int, ...]:
+    """The integers c_0, ..., c_m with
+
+        sum_{i=0}^{m} [[m, i]]_r x^(m+1-i) / (m+1-i)!
+            = x (c_0 x^m + c_1 x^(m-1) + ... + c_m) / (2^m (m+1)!),
+
+    that is c_i = 2^m [[m, i]]_r (m+1)! / (m+1-i)!; [[m, i]]_r 2^i is an
+    integer, so each c_i is one."""
+    top = math.factorial(m + 1)
+    return tuple(
+        int(weight * (top // math.factorial(m + 1 - i) << m))
+        for i, weight in enumerate(bf_explicit(a, r, m))
+    )
+
+
+def _horner(coeffs: tuple[int, ...], x: int) -> int:
+    """c_0 x^m + c_1 x^(m-1) + ... + c_m."""
+    total = 0
+    for c in coeffs:
+        total = total * x + c
+    return total
+
+
+def _coprime_sandwich(a: Sequence[int]) -> _Sandwich:
+    """The prepared bounds of a coprime tuple with k >= 2, the tuples they
+    are proved for."""
+    return _Sandwich(_require_coprime(_two_or_more(a), _NOT_COPRIME))
+
+
 def inequality_a(a: Sequence[int], n: int) -> BoundReport:
     """The polynomial sandwich for a coprime tuple with k >= 2.
 
     The upper bound holds for every n >= 0; the lower bound is only claimed
     for n >= s-_k, recorded in ``applicable_lower``.
     """
-    coeffs = _require_coprime(_two_or_more(a), _NOT_COPRIME)
-    _require_natural(n)
-    seqs = bound_sequences(coeffs)
-    shift_up = seqs.upper_shifts[-1]
-    shift_down = seqs.lower_shifts[-1]
-    power = len(coeffs) - 1
-    denom = math.factorial(power) * math.prod(coeffs)
-    return BoundReport(
-        lower_a=(n - shift_down) ** power / denom,
-        upper_a=(n + shift_up) ** power / denom,
-        applicable_lower=Fraction(n) >= shift_down,
-    )
+    sandwich = _coprime_sandwich(a)
+    return sandwich.at(_require_natural(n))
 
 
 def inequality_b_lower(a: Sequence[int], n: int) -> Fraction:
@@ -118,19 +229,8 @@ def inequality_b_lower(a: Sequence[int], n: int) -> Fraction:
     At k = 2 the sum has the single term (n - s-_2) / (a_1 a_2), which is
     exactly the polynomial lower bound; for larger k it is never smaller.
     """
-    coeffs = _require_coprime(_two_or_more(a), _NOT_COPRIME)
-    _require_natural(n)
-    shift_down = bound_sequences(coeffs).lower_shifts[-1]
-    if Fraction(n) < shift_down:
-        raise NotApplicableError(
-            f"the series bound needs n >= {shift_down}, got n={n}"
-        )
-    k = len(coeffs)
-    base = n - shift_down
-    total = Fraction(0)
-    for i, weight in enumerate(bf_explicit(coeffs, 2, k - 2)):
-        total += weight * base ** (k - 1 - i) / math.factorial(k - 1 - i)
-    return total / math.prod(coeffs)
+    sandwich = _coprime_sandwich(a)
+    return sandwich.series_lower(_require_natural(n))
 
 
 def relaxed_count_chain(
@@ -146,21 +246,8 @@ def relaxed_count_chain(
           <= count
           <= (q + r_k)^k / (k! prod a).
     """
-    coeffs = as_coeffs(a)
-    _require_natural(n)
-    k = len(coeffs)
-    d = math.gcd(*coeffs)
-    q = d * (n // d)
-    base = q + d
-    prod = math.prod(coeffs)
-    lower = Fraction(base**k, math.factorial(k) * prod)
-    refined = Fraction(0)
-    for i, weight in enumerate(bf_explicit(coeffs, 1, k - 1)):
-        refined += weight * base ** (k - i) / math.factorial(k - i)
-    refined /= prod
-    shift = relaxed_shift_sequence(coeffs)[-1]
-    upper = (q + shift) ** k / (math.factorial(k) * prod)
-    return lower, refined, upper
+    chain = _RelaxedChain(a)
+    return chain.at(_require_natural(n))
 
 
 def prefix_sum_count(a: Sequence[int], n: int) -> int:

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Iterator, Sequence, TextIO
 
 from .bfnum import bf_explicit
-from .bounds import _two_or_more, inequality_a, inequality_b_lower, relaxed_count_chain
+from .bounds import _RelaxedChain, _Sandwich
 from .core import (
     BudgetExceededError,
     DenumerantError,
@@ -37,8 +37,8 @@ from .sweep import SUITE_NAMES, SweepConfig, run_verify
 
 # The most targets one --n-range may span, checked before any is computed.
 # It caps the time and the cells a table holds for its widths: on a 2-core
-# x86-64 host, bounds at this width on the primes up to 17 took 14 s and
-# peaked at 97 MB as a table, 33 MB as json (which streams, as csv does).
+# x86-64 host, bounds at this width on the primes up to 17 took 3-5 s and
+# peaked at 88 MB as a table, 32 MB as json (which streams, as csv does).
 N_RANGE_MAX_WIDTH = 100_000
 
 
@@ -136,7 +136,7 @@ def _bounds_rows(args: argparse.Namespace) -> Iterator[dict]:
     # the sandwich for the coprime a/d bounds every target d divides.
     coeffs = args.coeffs
     d = math.gcd(*coeffs)
-    work = tuple(c // d for c in coeffs)
+    sandwich = None
     for n in _targets(args):
         # This also rejects a negative n before the shortcut below.
         exact = denumerant(coeffs, n).value
@@ -146,10 +146,12 @@ def _bounds_rows(args: argparse.Namespace) -> Iterator[dict]:
                 "coeffs": coeffs, "n": n, "exact": exact, "applicable": False, "ok": True
             }
             continue
-        # Check the length on the tuple as given, so that the error names it.
-        _two_or_more(coeffs)
-        report = inequality_a(work, n // d)
-        lower_b = inequality_b_lower(work, n // d) if report.applicable_lower else None
+        if sandwich is None:
+            # Prepared at the first target d divides, where a single
+            # coefficient is refused under the tuple as given.
+            sandwich = _Sandwich(coeffs)
+        report = sandwich.at(n // d)
+        lower_b = sandwich.series_lower(n // d) if report.applicable_lower else None
         # lower_a <= lower_b <= exact also gives the sandwich's lower side.
         ok = exact <= report.upper_a and (
             lower_b is None or report.lower_a <= lower_b <= exact
@@ -188,9 +190,11 @@ def _bf_rows(args: argparse.Namespace) -> Iterator[dict]:
 
 
 def _dhat_rows(args: argparse.Namespace) -> Iterator[dict]:
-    for n in _targets(args):
+    targets = _targets(args)
+    chain = _RelaxedChain(args.coeffs)
+    for n in targets:
         exact = extended_count(args.coeffs, n).value
-        lower, middle, upper = relaxed_count_chain(args.coeffs, n)
+        lower, middle, upper = chain.at(n)
         yield {
             "coeffs": args.coeffs,
             "n": n,

@@ -40,7 +40,8 @@ class IndexRangeError(DenumerantError):
 
 class BudgetExceededError(DenumerantError):
     """An input would take more work or memory than a fixed budget allows:
-    oracle nodes, DP row or Frobenius table cells, or --n-range width."""
+    oracle nodes, DP row or Frobenius table cells, --n-range width or
+    sweep trials."""
 
 
 class DomainError(DenumerantError):

@@ -26,8 +26,9 @@ from typing import Callable, Iterator
 
 from .bfnum import bf_explicit, bf_recursive
 from .bounds import (
+    BoundReport,
+    _coprime_sandwich,
     inequality_a,
-    inequality_b_lower,
     prefix_sum_count,
     relaxed_count_chain,
 )
@@ -45,6 +46,13 @@ from .frobenius import _frobenius_sieve, bound_frobenius
 from .powersum import PowerSumQuery, _sum_bounds, power_sum, refined_upper_bound
 
 _MASK64 = (1 << 64) - 1
+
+# The most trials one sweep may run, checked before the first draw.  It caps
+# the time of one run: on a 2-core x86-64 host, at this cap and the other
+# defaults, the slowest suite (asymptotic, two DP rows per tuple) took 21 s
+# and the next (bf-identities) 6 s.
+VERIFY_MAX_TRIALS = 10_000
+
 
 class SplitMix64:
     """The standard splitmix64 stream, reimplemented so ports can match it.
@@ -240,9 +248,12 @@ def _check_popoviciu(instance: dict, brute: int | None = None) -> Failure | None
 
 
 def _check_inequality_a(instance: dict) -> Failure | None:
-    coeffs, n = instance["coeffs"], instance["n"]
-    exact = denumerant(coeffs, n).value
-    report = inequality_a(coeffs, n)
+    return _sandwich_failure(instance, inequality_a(instance["coeffs"], instance["n"]))
+
+
+def _sandwich_failure(instance: dict, report: BoundReport) -> Failure | None:
+    """Check the sandwich ``report`` at the instance's n against the count."""
+    exact = denumerant(instance["coeffs"], instance["n"]).value
     if not exact <= report.upper_a:
         return _fail(instance, "exact <= upper_a", exact, report.upper_a)
     if report.applicable_lower and not report.lower_a <= exact:
@@ -252,12 +263,13 @@ def _check_inequality_a(instance: dict) -> Failure | None:
 
 def _check_inequality_b(instance: dict) -> Failure | None:
     coeffs, n = instance["coeffs"], instance["n"]
-    report = inequality_a(coeffs, n)
+    sandwich = _coprime_sandwich(coeffs)
+    report = sandwich.at(n)
     if not report.applicable_lower:
         return None
     exact = denumerant(coeffs, n).value
     lower_a = report.lower_a
-    lower_b = inequality_b_lower(coeffs, n)
+    lower_b = sandwich.series_lower(n)
     if not lower_a <= lower_b:
         return _fail(instance, "lower_a <= lower_b", lower_a, lower_b)
     if not lower_b <= exact:
@@ -359,8 +371,9 @@ _ASYMPTOTIC_POINTS = (1_000, 10_000)
 
 def _check_asymptotic(instance: dict) -> Failure | None:
     # The ratio bounds (1 -+ s/n)^(k-1) are this sandwich over n^(k-1)/((k-1)! prod a).
+    sandwich = _coprime_sandwich(instance["coeffs"])
     for n in _ASYMPTOTIC_POINTS:
-        found = _check_inequality_a(dict(instance, n=n))
+        found = _sandwich_failure(dict(instance, n=n), sandwich.at(n))
         if found is not None:
             return found
     return None
@@ -503,6 +516,10 @@ SUITE_NAMES = tuple(_SUITES)
 
 def run_verify(cfg: SweepConfig) -> VerificationReport:
     """Run one suite to completion and return its deterministic report."""
+    if cfg.trials > VERIFY_MAX_TRIALS:
+        raise BudgetExceededError(
+            f"{cfg.trials} trials are over the cap of {VERIFY_MAX_TRIALS}"
+        )
     started = time.perf_counter()
     skipped: Counter[str] = Counter()
     spec = _SUITES[cfg.suite]

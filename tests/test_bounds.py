@@ -1,4 +1,7 @@
+import itertools
+import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,10 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from denumerant import (
+    BoundReport,
     NotApplicableError,
     NotCoprimeError,
     TooShortTupleError,
+    bf_recursive,
     bound_sequences,
+    bounds,
+    cli,
     denumerant,
     extended_count,
     gcd_chain,
@@ -18,6 +25,7 @@ from denumerant import (
     prefix_sum_count,
     relaxed_count_chain,
     relaxed_shift_sequence,
+    sweep,
 )
 
 
@@ -221,3 +229,145 @@ def test_bounds_reject_a_target_that_is_not_a_natural_int(bound, n):
     # (1, 2, 3) is coprime, so n is the only bad input.
     with pytest.raises(ValueError, match="n must be"):
         bound((1, 2, 3), n)
+
+
+# ---------------------------------------------------------------------------
+# The prepared evaluators against the definitions, written out here in
+# Fraction: the shift recurrences of the bounds module docstring, and the
+# weights from the defining recursion (bf_recursive).
+# ---------------------------------------------------------------------------
+
+
+def _shifts_by_definition(a):
+    """(s+_k, s-_k) by their recurrences along d_i = gcd(a_1, ..., a_i)."""
+    d = list(itertools.accumulate(a, math.gcd))
+    upper = Fraction(a[0] * a[1], 2 * d[1])
+    lower = Fraction(-a[0])
+    for i in range(1, len(a)):
+        upper += Fraction(d[i - 1], 2 * d[i]) * a[i]
+        lower += (Fraction(d[i - 1], d[i]) - 1) * a[i]
+    return upper, lower
+
+
+def _sandwich_by_definition(a, n):
+    """(lower_a, upper_a, lower_b) of a coprime tuple at n."""
+    k, prod = len(a), math.prod(a)
+    upper_shift, lower_shift = _shifts_by_definition(a)
+    denom = math.factorial(k - 1) * prod
+    base = n - lower_shift
+    series = sum(
+        weight * base ** (k - 1 - i) / math.factorial(k - 1 - i)
+        for i, weight in enumerate(bf_recursive(a, 2, k - 2))
+    )
+    return base ** (k - 1) / denom, (n + upper_shift) ** (k - 1) / denom, series / prod
+
+
+def _relaxed_by_definition(a, n):
+    """(lower, refined, upper) of the relaxed-count chain at n."""
+    k, prod, d = len(a), math.prod(a), math.gcd(*a)
+    q = d * (n // d)
+    base = Fraction(q + d)
+    shift = a[0] + Fraction(sum(a[1:]), 2)
+    refined = sum(
+        weight * base ** (k - i) / math.factorial(k - i)
+        for i, weight in enumerate(bf_recursive(a, 1, k - 1))
+    )
+    denom = math.factorial(k) * prod
+    return base**k / denom, refined / prod, (q + shift) ** k / denom
+
+
+def _seeded_tuples():
+    rng = random.Random(2204_13689)
+    for k in range(2, 9):
+        for _ in range(3):
+            yield _coprime(tuple(rng.randint(1, 40) for _ in range(k)))
+
+
+_SANDWICH_TUPLES = [
+    *_seeded_tuples(),
+    *itertools.permutations((6, 10, 15)),
+    (1, 5, 3, 2), (1, 1, 1), (1, 2), (1, 9, 4, 6, 8),
+    (2, 3), (3, 5), (97, 89), (4, 9),
+    _coprime((10**30 + 7, 10**30 - 1, 3 * 10**29, 10**30)),
+    (10**30 - 3, 10**30 + 1),
+]
+
+
+@pytest.mark.parametrize("coeffs", _SANDWICH_TUPLES, ids=str)
+def test_the_prepared_sandwich_matches_the_definitions(coeffs):
+    sandwich = bounds._Sandwich(coeffs)
+    lower_shift = _shifts_by_definition(coeffs)[1]
+    assert sandwich.lower_shift == lower_shift
+    targets = {0, 1, 57, 1000, 10**12, int(lower_shift), int(lower_shift) - 1}
+    for n in sorted(t for t in targets if t >= 0):
+        lower_a, upper_a, lower_b = _sandwich_by_definition(coeffs, n)
+        assert sandwich.at(n) == BoundReport(lower_a, upper_a, n >= lower_shift), n
+        if n < lower_shift:
+            with pytest.raises(NotApplicableError):
+                sandwich.series_lower(n)
+            continue
+        assert sandwich.series_lower(n) == lower_b, n
+        if len(coeffs) == 2:
+            assert lower_b == lower_a
+
+
+def test_the_prepared_sandwich_divides_out_the_gcd():
+    # (12, 18, 30) at 6m is bounded as (2, 3, 5) at m.
+    sandwich = bounds._Sandwich((12, 18, 30))
+    assert sandwich.lower_shift == _shifts_by_definition((2, 3, 5))[1] == 1
+    for m in (0, 1, 2, 50):
+        lower_a, upper_a, lower_b = _sandwich_by_definition((2, 3, 5), m)
+        assert sandwich.at(m) == BoundReport(lower_a, upper_a, m >= 1)
+        if m >= 1:
+            assert sandwich.series_lower(m) == lower_b
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [(1,), (7,), (2, 3), (4, 6), (6, 10, 15), (12, 20, 30), (3, 9, 6, 12),
+     (1, 1, 1, 1), (10**30, 2 * 10**30 + 2), *list(_seeded_tuples())[::4]],
+    ids=str,
+)
+def test_the_prepared_relaxed_chain_matches_the_definitions(coeffs):
+    chain = bounds._RelaxedChain(coeffs)
+    d = math.gcd(*coeffs)
+    # Targets d does not divide come first among the small ones.
+    for n in (0, 1, d - 1, d, d + 1, 2 * d + 1, 77, 10**6 + 1, 10**40 + 3):
+        assert chain.at(n) == _relaxed_by_definition(coeffs, n), n
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_a_bounds_range_prepares_once(monkeypatch, capsys):
+    sequences = _count_calls(monkeypatch, bounds, "bound_sequences")
+    weights = _count_calls(monkeypatch, bounds, "bf_explicit")
+    argv = ["bounds", "--coeffs", "3,5,7", "--n-range", "100:149", "--format", "json"]
+    assert cli.main(argv) == 0
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert len(rows) == 50 and all(row["applicable"] for row in rows)
+    assert len(sequences) <= 1
+    assert len(weights) <= 1
+
+
+def test_a_dhat_range_prepares_once(monkeypatch, capsys):
+    weights = _count_calls(monkeypatch, bounds, "bf_explicit")
+    argv = ["dhat", "--coeffs", "3,5,7", "--n-range", "100:149", "--format", "json"]
+    assert cli.main(argv) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 50
+    assert len(weights) <= 1
+
+
+def test_the_asymptotic_check_prepares_once_per_instance(monkeypatch):
+    sequences = _count_calls(monkeypatch, bounds, "bound_sequences")
+    assert sweep._check_asymptotic({"coeffs": (3, 5, 7)}) is None
+    assert len(sequences) == 1

@@ -4,7 +4,7 @@ import time
 import pytest
 
 import denumerant
-from denumerant import cli
+from denumerant import cli, sweep
 
 
 def run(capsys, *argv):
@@ -187,6 +187,30 @@ def test_n_range_width_budget(monkeypatch, capsys, command):
     code, out, err = run(capsys, command, "--coeffs", "2,3", "--n-range", "10:15")
     assert (code, out) == (3, "")
     assert err == "error: --n-range 10:15 spans 6 targets, over the cap of 5\n"
+
+
+def test_verify_trials_at_the_budget_run(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(sweep, "VERIFY_MAX_TRIALS", 5)
+    path = tmp_path / "report.json"
+    code, _, _ = run(
+        capsys, "verify", "--suite", "popoviciu", "--trials", "5", "--out", str(path)
+    )
+    assert code == 0
+    assert json.loads(path.read_text())["instances"] == 5
+
+
+@pytest.mark.parametrize("suite", denumerant.SUITE_NAMES)
+def test_verify_trials_over_the_budget_exit_3_before_any_draw(monkeypatch, capsys, suite):
+    monkeypatch.setattr(sweep, "VERIFY_MAX_TRIALS", 5)
+
+    def untouched(*args):
+        raise AssertionError("an instance was drawn")
+
+    for name in ("SplitMix64", "_run_powersum"):
+        monkeypatch.setattr(sweep, name, untouched)
+    code, out, err = run(capsys, "verify", "--suite", suite, "--trials", "6")
+    assert (code, out) == (3, "")
+    assert err == "error: 6 trials are over the cap of 5\n"
 
 
 @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
