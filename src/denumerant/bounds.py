@@ -12,14 +12,16 @@ For a coprime tuple with k >= 2 the polynomial sandwich is
     D(n)  <=  (n + s+_k)^(k-1) / ((k-1)! prod a)   for n >= 0,
 
 and the series lower bound sharpens the left side using the triangular
-weights with offset 2.  The relaxed count (sum <= n, any gcd) is squeezed
-for every k >= 1 between polynomials in d*floor(n/d).
+weights with offset 2.  The relaxed count (sum <= n, any k >= 1, any gcd d)
+is the count of the slack tuple (1,) + a/d at floor(n/d), and its chain is
+that tuple's sandwich there: along its gcd chain of ones, s-_{k+1} = -1 and
+s+_{k+1} = r_k of a/d.
 
-Each bound is prepared once per tuple and then evaluated at any target.
-Preparing builds everything that does not depend on n: the final shifts,
-the denominators and the integer coefficients of the series polynomials.
-A target then costs a few integer powers or one Horner pass, and one
-``Fraction`` of an integer numerator over that fixed denominator per value.
+Each sandwich is prepared once per tuple and then evaluated at any target.
+Preparing builds everything that does not depend on n: the denominators
+and the integer coefficients of the series polynomial.  A target then
+costs a few integer powers and one Horner pass, and one ``Fraction`` of an
+integer numerator over that fixed denominator per value.
 ``inequality_a``, ``inequality_b_lower`` and ``relaxed_count_chain``
 prepare for their one target; the CLI and the sweeps prepare once per
 command or instance.
@@ -100,13 +102,10 @@ def bound_sequences(a: Sequence[int]) -> BoundSequences:
 
 
 class _Sandwich:
-    """The polynomial sandwich and the series lower bound of one tuple with
-    k >= 2, prepared once and then evaluated at any target.
-
-    The tuple is divided by its gcd d, so a target m stands for n = d*m
-    (D(a, d*m) = D(a/d, m)); the length is checked on the tuple as given.
-    With B = m - s-_k and h = 2 s+_k, both integers, each value is one
-    integer over a denominator fixed here:
+    """The polynomial sandwich and the series lower bound of a reduced tuple
+    with k >= 2 and integer shifts s- and h = 2 s+, prepared once.  With
+    B = m - s-, each value at a target m is one integer over a fixed
+    denominator:
 
         lower_a = B^(k-1) / ((k-1)! prod a)
         upper_a = (2m + h)^(k-1) / (2^(k-1) (k-1)! prod a)
@@ -115,16 +114,22 @@ class _Sandwich:
     with c_i = 2^(k-2) [[k-2, i]]_2 (k-1)! / (k-1-i)!, an integer.
     """
 
-    def __init__(self, a: Sequence[int]) -> None:
+    def __init__(self, a: tuple[int, ...], lower_shift: int, twice_upper: int) -> None:
+        self.lower_shift = lower_shift
+        self._twice_upper_shift = twice_upper
+        self._power = len(a) - 1
+        self._denom = math.factorial(self._power) * math.prod(a)
+        self._series = _series_numerators(a, self._power - 1)
+
+    @classmethod
+    def of(cls, a: Sequence[int]) -> _Sandwich:
+        """The sandwich of a/d with its shifts s-_k and s+_k, d = gcd(a), so
+        a target m stands for n = d*m; the length is checked on a as given."""
         coeffs = _two_or_more(a)
         d = math.gcd(*coeffs)
         coeffs = tuple(c // d for c in coeffs)
         seqs = bound_sequences(coeffs)
-        self.lower_shift = int(seqs.lower_shifts[-1])
-        self._twice_upper_shift = int(2 * seqs.upper_shifts[-1])
-        self._power = len(coeffs) - 1
-        self._denom = math.factorial(self._power) * math.prod(coeffs)
-        self._series = _series_numerators(coeffs, 2, self._power - 1)
+        return cls(coeffs, int(seqs.lower_shifts[-1]), int(2 * seqs.upper_shifts[-1]))
 
     def at(self, m: int) -> BoundReport:
         return BoundReport(
@@ -151,49 +156,36 @@ class _RelaxedChain:
     """The relaxed-count chain of one tuple (any k >= 1, any gcd), prepared
     once and then evaluated at any target.
 
-    With d = gcd(a), q = d floor(n/d), b = q + d and h = 2 r_k, an integer,
-
-        lower   = b^k / (k! prod a)
-        refined = b * (c_0 b^(k-1) + ... + c_(k-1)) / (2^(k-1) k! prod a)
-        upper   = (2q + h)^k / (2^k k! prod a)
-
-    with c_i = 2^(k-1) [[k-1, i]]_1 k! / (k-i)!, an integer.
+    With d = gcd(a), the relaxed count at n is the count of the slack tuple
+    (1,) + a/d at floor(n/d), and the chain is that tuple's sandwich there,
+    its shifts taken without building its sequences: s- = -1, s+ = r_k of a/d.
     """
 
     def __init__(self, a: Sequence[int]) -> None:
         coeffs = as_coeffs(a)
         self._gcd = math.gcd(*coeffs)
-        self._power = len(coeffs)
-        self._twice_shift = int(2 * relaxed_shift_sequence(coeffs)[-1])
-        self._denom = math.factorial(self._power) * math.prod(coeffs)
-        self._series = _series_numerators(coeffs, 1, self._power - 1)
+        reduced = tuple(c // self._gcd for c in coeffs)
+        twice_shift = int(2 * relaxed_shift_sequence(reduced)[-1])
+        self._slack = _Sandwich((1,) + reduced, -1, twice_shift)
 
     def at(self, n: int) -> tuple[Fraction, Fraction, Fraction]:
-        q = self._gcd * (n // self._gcd)
-        base = q + self._gcd
-        return (
-            Fraction(base**self._power, self._denom),
-            Fraction(
-                base * _horner(self._series, base), self._denom << (self._power - 1)
-            ),
-            Fraction(
-                (2 * q + self._twice_shift) ** self._power, self._denom << self._power
-            ),
-        )
+        m = n // self._gcd
+        report = self._slack.at(m)
+        return report.lower_a, self._slack.series_lower(m), report.upper_a
 
 
-def _series_numerators(a: tuple[int, ...], r: int, m: int) -> tuple[int, ...]:
+def _series_numerators(a: tuple[int, ...], m: int) -> tuple[int, ...]:
     """The integers c_0, ..., c_m with
 
-        sum_{i=0}^{m} [[m, i]]_r x^(m+1-i) / (m+1-i)!
+        sum_{i=0}^{m} [[m, i]]_2 x^(m+1-i) / (m+1-i)!
             = x (c_0 x^m + c_1 x^(m-1) + ... + c_m) / (2^m (m+1)!),
 
-    that is c_i = 2^m [[m, i]]_r (m+1)! / (m+1-i)!; [[m, i]]_r 2^i is an
+    that is c_i = 2^m [[m, i]]_2 (m+1)! / (m+1-i)!; [[m, i]]_2 2^i is an
     integer, so each c_i is one."""
     top = math.factorial(m + 1)
     return tuple(
         int(weight * (top // math.factorial(m + 1 - i) << m))
-        for i, weight in enumerate(bf_explicit(a, r, m))
+        for i, weight in enumerate(bf_explicit(a, 2, m))
     )
 
 
@@ -208,7 +200,7 @@ def _horner(coeffs: tuple[int, ...], x: int) -> int:
 def _coprime_sandwich(a: Sequence[int]) -> _Sandwich:
     """The prepared bounds of a coprime tuple with k >= 2, the tuples they
     are proved for."""
-    return _Sandwich(_require_coprime(_two_or_more(a), _NOT_COPRIME))
+    return _Sandwich.of(_require_coprime(_two_or_more(a), _NOT_COPRIME))
 
 
 def inequality_a(a: Sequence[int], n: int) -> BoundReport:

@@ -149,7 +149,7 @@ def _bounds_rows(args: argparse.Namespace) -> Iterator[dict]:
         if sandwich is None:
             # Prepared at the first target d divides, where a single
             # coefficient is refused under the tuple as given.
-            sandwich = _Sandwich(coeffs)
+            sandwich = _Sandwich.of(coeffs)
         report = sandwich.at(n // d)
         lower_b = sandwich.series_lower(n // d) if report.applicable_lower else None
         # lower_a <= lower_b <= exact also gives the sandwich's lower side.

@@ -97,4 +97,4 @@ def gcd_chain(a: Sequence[int]) -> tuple[int, ...]:
 
 def format_rational(value: Rational) -> str:
     """Render an exact rational as "p/q", or as a bare integer when q = 1."""
-    return str(Fraction(value))
+    return str(value if isinstance(value, Fraction) else Fraction(value))

@@ -10,7 +10,7 @@ Three independent routes to the same number:
 
   evaluated bottom-up as one row D(0..cap) per tuple.  The inner sum
   telescopes to D_j(m) = D_{j-1}(m) + D_j(m - a_j): a running sum along
-  each residue class mod a_j, done as ``accumulate`` over a strided slice.
+  each residue class mod a_j, a strided chunk of the class at a time.
 * ``popoviciu``: the closed form for two coprime coefficients.
 
 The row cache is keyed on the sorted reduced tuple alone, since the count
@@ -24,9 +24,10 @@ sum <= n by adding a slack variable with coefficient 1, reuses the row that
 ``denumerant`` built for the same tuple.  A finished row is stored in one
 unsigned 64-bit ``array``: one word per cell when every entry fits, and
 otherwise L words per cell, each cell's count as 8*L little-endian bytes.
-Running sums and packing go a chunk of cells at a time, so a build never
-holds two whole rows of ints.  A cap over ``DENUMERANT_MAX_CELLS`` raises
-BudgetExceededError before anything is allocated.
+Running sums and packing go a chunk at a time, so a build holds one row
+of ints and, whatever the coefficient, one chunk.  A cap over
+``DENUMERANT_MAX_CELLS`` raises BudgetExceededError before anything is
+allocated.
 """
 
 from __future__ import annotations
@@ -52,13 +53,13 @@ from .core import (
 ORACLE_MAX_NODES = 10_000_000
 
 # The most cells one DP row may span, checked against its power-of-two cap
-# before anything is allocated.  On a 2-core x86-64 host a row at this cap
-# for (3, 5, 7, 11) peaked at 361 MB RSS in 1.2 s, and one for (1,) * 8,
-# whose entries take three 64-bit limbs, at 340 MB.
+# before anything is allocated.  On a 2-core x86-64 host `count` at this cap
+# peaked at 280 MB RSS in 1.2-1.4 s for (3, 5, 7, 11), and at 340 MB in
+# 2.6-2.8 s for (1,) * 8, whose entries take three 64-bit limbs.
 DENUMERANT_MAX_CELLS = 1 << 22
 
-# Cells per step of a running sum over a whole row and per step of packing
-# or unpacking one, so that a build holds one row of ints and one chunk.
+# Cells of one residue class per step of a running sum, and per step of
+# packing or unpacking a row, so that a build holds one row and one chunk.
 _CHUNK = 1 << 14
 
 
@@ -151,8 +152,8 @@ class _Row:
 def _build_row(key: tuple[int, ...], cap: int) -> _Row:
     # counts[m] = number of solutions at target m for the sorted tuple key.
     # Folding in a coefficient c is a running sum along each residue class
-    # mod c; for c = 1 that is a running sum over the whole row, so the
-    # leading ones fold into the cached row of the rest of the tuple.
+    # mod c; c = 1 has one class, the whole row, so the leading ones fold
+    # into the cached row of the rest of the tuple.
     ones = key.count(1)
     if 0 < ones < len(key):
         counts = _prefix_counts(key[ones:], cap).counts(cap)
@@ -162,17 +163,15 @@ def _build_row(key: tuple[int, ...], cap: int) -> _Row:
         counts = [0] * (cap + 1)
         counts[::first] = [1] * (cap // first + 1)
     for coeff in passes:
-        if coeff == 1:
-            # In place, each chunk carrying on from the last sum before it.
-            for start in range(0, cap + 1, _CHUNK):
-                if start:
-                    counts[start] += counts[start - 1]
-                counts[start : start + _CHUNK] = accumulate(counts[start : start + _CHUNK])
-        else:
-            # Only residue classes with two or more cells change, so a
-            # coefficient over the cap leaves the row as it is.
-            for r in range(min(coeff, cap + 1 - coeff)):
-                counts[r::coeff] = accumulate(counts[r::coeff])
+        # Each class is summed _CHUNK of its cells at a time, band by band.
+        # A chunk starts on the last cell of the one before it in its class,
+        # which is final, so the sum carries on from there.  Only classes
+        # with two or more cells change, so a coefficient over the cap adds
+        # nothing.
+        for band in range(0, cap + 1 - coeff, coeff * (_CHUNK - 1)):
+            for start in range(band, min(band + coeff, cap + 1 - coeff)):
+                chunk = slice(start, start + coeff * _CHUNK, coeff)
+                counts[chunk] = accumulate(counts[chunk])
     # One more key[0] turns a solution at m into one at m + key[0], so the
     # largest count sits in the last key[0] cells.
     return _Row(counts, max(counts[-key[0] :]))

@@ -295,7 +295,7 @@ _SANDWICH_TUPLES = [
 
 @pytest.mark.parametrize("coeffs", _SANDWICH_TUPLES, ids=str)
 def test_the_prepared_sandwich_matches_the_definitions(coeffs):
-    sandwich = bounds._Sandwich(coeffs)
+    sandwich = bounds._Sandwich.of(coeffs)
     lower_shift = _shifts_by_definition(coeffs)[1]
     assert sandwich.lower_shift == lower_shift
     targets = {0, 1, 57, 1000, 10**12, int(lower_shift), int(lower_shift) - 1}
@@ -313,7 +313,7 @@ def test_the_prepared_sandwich_matches_the_definitions(coeffs):
 
 def test_the_prepared_sandwich_divides_out_the_gcd():
     # (12, 18, 30) at 6m is bounded as (2, 3, 5) at m.
-    sandwich = bounds._Sandwich((12, 18, 30))
+    sandwich = bounds._Sandwich.of((12, 18, 30))
     assert sandwich.lower_shift == _shifts_by_definition((2, 3, 5))[1] == 1
     for m in (0, 1, 2, 50):
         lower_a, upper_a, lower_b = _sandwich_by_definition((2, 3, 5), m)
@@ -334,6 +334,30 @@ def test_the_prepared_relaxed_chain_matches_the_definitions(coeffs):
     # Targets d does not divide come first among the small ones.
     for n in (0, 1, d - 1, d, d + 1, 2 * d + 1, 77, 10**6 + 1, 10**40 + 3):
         assert chain.at(n) == _relaxed_by_definition(coeffs, n), n
+
+
+def test_the_relaxed_chain_is_the_slack_tuples_sandwich():
+    # With d = gcd(a), the relaxed count at n is the count of (1,) + a/d at
+    # floor(n/d), and the chain is that tuple's sandwich there, whose s+ is
+    # r_k of a/d.
+    rng = random.Random(20221)
+    uneven = 0
+    for _ in range(300):
+        k, d = rng.randint(1, 6), rng.choice((1, 2, 3, 5))
+        a = tuple(d * rng.randint(1, 30 // d) for _ in range(k))
+        d = math.gcd(*a)
+        slack = (1,) + tuple(c // d for c in a)
+        shift = relaxed_shift_sequence(slack[1:])[-1]
+        n = rng.randint(0, 5000)
+        for target in (n, n - n % d + d - 1):
+            uneven += target % d != 0
+            m = target // d
+            lower, refined, upper = relaxed_count_chain(a, target)
+            assert lower == inequality_a(slack, m).lower_a, (a, target)
+            assert refined == inequality_b_lower(slack, m), (a, target)
+            assert upper == (m + shift) ** k / (math.factorial(k) * math.prod(slack))
+            assert upper == inequality_a(slack, m).upper_a, (a, target)
+    assert uneven > 100
 
 
 def _count_calls(monkeypatch, module, name):
@@ -360,10 +384,13 @@ def test_a_bounds_range_prepares_once(monkeypatch, capsys):
 
 
 def test_a_dhat_range_prepares_once(monkeypatch, capsys):
+    sequences = _count_calls(monkeypatch, bounds, "bound_sequences")
     weights = _count_calls(monkeypatch, bounds, "bf_explicit")
     argv = ["dhat", "--coeffs", "3,5,7", "--n-range", "100:149", "--format", "json"]
     assert cli.main(argv) == 0
     assert len(capsys.readouterr().out.splitlines()) == 50
+    # The slack tuple's upper shift is r_k, so its s+ is never built.
+    assert sequences == []
     assert len(weights) <= 1
 
 

@@ -58,6 +58,10 @@ def test_rational_round_trip_spots():
     assert format_rational(Fraction(6, 4)) == "3/2"
     assert format_rational(Fraction(8, 4)) == "2"
     assert format_rational(3) == "3"
+    assert format_rational(-7) == "-7"
+    assert format_rational(0) == "0"
+    assert format_rational(True) == "1"
+    assert format_rational(Fraction(-3, 6)) == "-1/2"
 
 
 @settings(max_examples=80, deadline=None)

@@ -250,6 +250,22 @@ def test_one_row_answers_every_smaller_target():
     assert _prefix_counts((3, 5, 7), 256).cap == 16384
 
 
+def test_the_fold_carries_each_residue_class_across_chunks():
+    # A class mod c is summed exact._CHUNK of its cells at a time, so in a
+    # row at cap 2^16 each class r mod 3 carries its sum into a second chunk
+    # at 49152 + r, and at cap 2^17 each class mod 5 does at 81920 + r and
+    # each class mod 7 at 114688 + r.
+    _prefix_counts.cache_clear()
+    for n in (49151, 49152, 49153, 65535):
+        assert denumerant((2, 3), n).value == popoviciu(2, 3, n).value, n
+    assert _prefix_counts((2, 3), 1).cap == 1 << 16
+    for n in (81921, 114689, 131071):
+        expected = sum(popoviciu(3, 5, n - 7 * z).value for z in range(n // 7 + 1))
+        assert denumerant((3, 5, 7), n).value == expected, n
+    assert _prefix_counts((3, 5, 7), 1).cap == 1 << 17
+    assert [c * exact._CHUNK for c in (3, 5, 7)] == [49152, 81920, 114688]
+
+
 def test_a_slack_row_comes_from_a_base_row_at_a_larger_cap():
     _prefix_counts.cache_clear()
     denumerant((3, 5, 7), 5000)
