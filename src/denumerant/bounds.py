@@ -19,9 +19,14 @@ s+_{k+1} = r_k of a/d.
 
 Each sandwich is prepared once per tuple and then evaluated at any target.
 Preparing builds everything that does not depend on n: the denominators
-and the integer coefficients of the series polynomial.  A target then
-costs a few integer powers and one Horner pass, and one ``Fraction`` of an
-integer numerator over that fixed denominator per value.
+and the integer coefficients of the series polynomial.  It runs in
+integers: every step d_i / d_{i+1} is one, so s-_i, 2 s+_i and 2 r_i are
+integers, and the series coefficients are scaled from the weights' own
+numerators and denominators.  ``Fraction``s appear only in the entries of
+``BoundSequences`` (and of ``relaxed_shift_sequence``) and in the values at
+a target.  A target costs a few integer powers and one Horner pass, and
+one ``Fraction`` of an integer numerator over that fixed denominator per
+value.
 ``inequality_a``, ``inequality_b_lower`` and ``relaxed_count_chain``
 prepare for their one target; the CLI and the sweeps prepare once per
 command or instance.
@@ -29,6 +34,7 @@ command or instance.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -82,23 +88,26 @@ def _two_or_more(a: Sequence[int]) -> tuple[int, ...]:
 def relaxed_shift_sequence(a: Sequence[int]) -> tuple[Fraction, ...]:
     """The shifts r_i = a_1 + (a_2 + ... + a_i) / 2, defined for every k >= 1."""
     coeffs = as_coeffs(a)
-    shifts = [Fraction(coeffs[0])]
-    for value in coeffs[1:]:
-        shifts.append(shifts[-1] + Fraction(value, 2))
-    return tuple(shifts)
+    # 2 r_i = 2 a_1 + a_2 + ... + a_i, an integer.
+    twice = itertools.accumulate(coeffs[1:], initial=2 * coeffs[0])
+    return tuple(Fraction(t, 2) for t in twice)
 
 
 def bound_sequences(a: Sequence[int]) -> BoundSequences:
     """Build the upper and lower shift sequences of the tuple; needs k >= 2."""
     coeffs = _two_or_more(a)
     d = gcd_chain(coeffs)
-    upper = [Fraction(coeffs[0] * coeffs[1], 2 * d[1])]
-    lower = [Fraction(-coeffs[0])]
+    # Each step d_{i-1} / d_i is an integer, so s-_i and 2 s+_i are too.
+    twice_upper = [coeffs[0] * coeffs[1] // d[1]]
+    lower = [-coeffs[0]]
     for i in range(1, len(coeffs)):
-        step = Fraction(d[i - 1], d[i])
-        upper.append(upper[-1] + step / 2 * coeffs[i])
+        step = d[i - 1] // d[i]
+        twice_upper.append(twice_upper[-1] + step * coeffs[i])
         lower.append(lower[-1] + (step - 1) * coeffs[i])
-    return BoundSequences(upper_shifts=tuple(upper), lower_shifts=tuple(lower))
+    return BoundSequences(
+        upper_shifts=tuple(Fraction(h, 2) for h in twice_upper),
+        lower_shifts=tuple(map(Fraction, lower)),
+    )
 
 
 class _Sandwich:
@@ -129,7 +138,9 @@ class _Sandwich:
         d = math.gcd(*coeffs)
         coeffs = tuple(c // d for c in coeffs)
         seqs = bound_sequences(coeffs)
-        return cls(coeffs, int(seqs.lower_shifts[-1]), int(2 * seqs.upper_shifts[-1]))
+        # s-_k is an integer and s+_k a whole or half integer.
+        lower, upper = seqs.lower_shifts[-1], seqs.upper_shifts[-1]
+        return cls(coeffs, lower.numerator, upper.numerator * 2 // upper.denominator)
 
     def at(self, m: int) -> BoundReport:
         return BoundReport(
@@ -158,15 +169,15 @@ class _RelaxedChain:
 
     With d = gcd(a), the relaxed count at n is the count of the slack tuple
     (1,) + a/d at floor(n/d), and the chain is that tuple's sandwich there,
-    its shifts taken without building its sequences: s- = -1, s+ = r_k of a/d.
+    its shifts taken without building its sequences: s- = -1, s+ = r_k of a/d,
+    so 2 s+ = 2 a_1 + a_2 + ... + a_k over d.
     """
 
     def __init__(self, a: Sequence[int]) -> None:
         coeffs = as_coeffs(a)
         self._gcd = math.gcd(*coeffs)
         reduced = tuple(c // self._gcd for c in coeffs)
-        twice_shift = int(2 * relaxed_shift_sequence(reduced)[-1])
-        self._slack = _Sandwich((1,) + reduced, -1, twice_shift)
+        self._slack = _Sandwich((1,) + reduced, -1, reduced[0] + sum(reduced))
 
     def at(self, n: int) -> tuple[Fraction, Fraction, Fraction]:
         m = n // self._gcd
@@ -184,7 +195,7 @@ def _series_numerators(a: tuple[int, ...], m: int) -> tuple[int, ...]:
     integer, so each c_i is one."""
     top = math.factorial(m + 1)
     return tuple(
-        int(weight * (top // math.factorial(m + 1 - i) << m))
+        weight.numerator * (top // math.factorial(m + 1 - i) << m) // weight.denominator
         for i, weight in enumerate(bf_explicit(a, 2, m))
     )
 

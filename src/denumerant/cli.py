@@ -7,6 +7,9 @@ emits a single JSON report.  Exit codes: 0 success, 1 a verification sweep
 found failures (or an internal identity broke), 2 bad usage, 3 a
 precondition was violated (non-coprime input, out-of-range query, an input
 over a budget, a sweep that skipped every instance, ...).
+
+The argument parser is built once per process, at import, and every call
+of ``main`` parses with it; ``build_parser`` returns a new one each time.
 """
 
 from __future__ import annotations
@@ -36,9 +39,12 @@ from .frobenius import bound_frobenius
 from .sweep import SUITE_NAMES, SweepConfig, run_verify
 
 # The most targets one --n-range may span, checked before any is computed.
-# It caps the time and the cells a table holds for its widths: on a 2-core
-# x86-64 host, bounds at this width on the primes up to 17 took 3-5 s and
-# peaked at 88 MB as a table, 32 MB as json (which streams, as csv does).
+# It caps the cells a table holds for its widths: on a 2-core x86-64 host,
+# bounds at this width on the primes up to 17 took 3-5 s and peaked at
+# 88 MB as a table, 32 MB as json (which streams, as csv does).  It caps the
+# time of a command on the default route only: the oracle's node budget
+# applies to each target, not to the range, and on that host
+# count --coeffs 2,3,5 --method oracle --n-range 0:1999 took 27 s.
 N_RANGE_MAX_WIDTH = 100_000
 
 
@@ -328,8 +334,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# One parser per process: argparse keeps each parse's state in its own
+# Namespace and locals, so every call of main shares this one.
+_PARSER = build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     out = open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout)
     with out as stream:
         try:

@@ -387,18 +387,20 @@ def _check_asymptotic(instance: dict) -> Failure | None:
 def shrink_failure(
     instance: dict, check: Callable[[dict], Failure | None], relation: str
 ) -> dict:
-    """Greedily minimize a failing instance: n toward 0, then each
-    coefficient toward 1, keeping candidates that fail the same relation."""
+    """Minimize a failing instance, keeping candidates that fail the same
+    relation: first n toward 0 in O(log n) checks, then each coefficient
+    greedily toward 1 (candidates 1, c/2, c-1).
+
+    n drops to 0 if that fails; otherwise it is halved while the half still
+    fails, and once n // 2 passes, bisection between the two finds a
+    failing n whose n - 1 passes."""
 
     def still_fails(candidate: dict) -> bool:
         found = _attempt(check, candidate)
         return found is not None and found.relation == relation
 
-    def smaller_n(current: dict) -> Iterator[dict]:
-        n = current["n"]
-        for smaller in (0, n // 2, n - 1):
-            if 0 <= smaller < n:
-                yield dict(current, n=smaller)
+    def fails_at(n: int) -> bool:
+        return still_fails(dict(current, n=n))
 
     def smaller_coeffs(current: dict) -> Iterator[dict]:
         coeffs = current["coeffs"]
@@ -410,13 +412,19 @@ def shrink_failure(
                     )
 
     current = dict(instance)
-    for key, candidates in (("n", smaller_n), ("coeffs", smaller_coeffs)):
-        # Take the first candidate that still fails, until none does.
-        while key in current:
-            smaller = next(filter(still_fails, candidates(current)), None)
-            if smaller is None:
-                break
-            current = smaller
+    if current.get("n", 0) > 0:
+        fails = 0 if fails_at(0) else current["n"]
+        while fails > 1 and fails_at(fails // 2):
+            fails //= 2
+        # Does not fail: it is 0, checked first, or the half that passed.
+        passes = fails // 2
+        while fails - passes > 1:
+            middle = (passes + fails) // 2
+            passes, fails = (passes, middle) if fails_at(middle) else (middle, fails)
+        current["n"] = fails
+    # Take the first smaller tuple that still fails, until none does.
+    while smaller := next(filter(still_fails, smaller_coeffs(current)), None):
+        current = smaller
     return current
 
 

@@ -398,3 +398,73 @@ def test_the_asymptotic_check_prepares_once_per_instance(monkeypatch):
     sequences = _count_calls(monkeypatch, bounds, "bound_sequences")
     assert sweep._check_asymptotic({"coeffs": (3, 5, 7)}) is None
     assert len(sequences) == 1
+
+
+# The integer preparation against the Fraction bodies it replaced, copied
+# here as references.
+# ---------------------------------------------------------------------------
+
+
+def _fraction_bound_sequences(coeffs):
+    d = gcd_chain(coeffs)
+    upper = [Fraction(coeffs[0] * coeffs[1], 2 * d[1])]
+    lower = [Fraction(-coeffs[0])]
+    for i in range(1, len(coeffs)):
+        step = Fraction(d[i - 1], d[i])
+        upper.append(upper[-1] + step / 2 * coeffs[i])
+        lower.append(lower[-1] + (step - 1) * coeffs[i])
+    return tuple(upper), tuple(lower)
+
+
+def _fraction_relaxed_shift_sequence(coeffs):
+    shifts = [Fraction(coeffs[0])]
+    for value in coeffs[1:]:
+        shifts.append(shifts[-1] + Fraction(value, 2))
+    return tuple(shifts)
+
+
+def _fraction_series_numerators(a, m):
+    top = math.factorial(m + 1)
+    return tuple(
+        int(weight * (top // math.factorial(m + 1 - i) << m))
+        for i, weight in enumerate(bounds.bf_explicit(a, 2, m))
+    )
+
+
+def _chained_tuple(rng):
+    """A tuple of length 1-8 with entries <= 60 whose gcd chain tends to
+    drop several times: each entry is a multiple of a divisor of the gcd
+    so far."""
+    g, a = rng.choice((1, 12, 24, 30, 36, 60)), []
+    for _ in range(rng.randint(1, 8)):
+        g = rng.choice([f for f in range(1, g + 1) if g % f == 0])
+        a.append(g * rng.randint(1, 60 // g))
+    return tuple(a)
+
+
+def test_the_integer_preparation_matches_the_fraction_one():
+    rng = random.Random(2204_13689)
+    drops = 0
+    for _ in range(2500):
+        a = _chained_tuple(rng)
+        assert relaxed_shift_sequence(a) == _fraction_relaxed_shift_sequence(a), a
+        d = math.gcd(*a)
+        reduced = tuple(c // d for c in a)
+        twice_relaxed = 2 * _fraction_relaxed_shift_sequence(reduced)[-1]
+        slack = bounds._RelaxedChain(a)._slack
+        assert slack._twice_upper_shift == twice_relaxed, a
+        if len(a) < 2:
+            continue
+        drops += len(set(gcd_chain(a))) > 2
+        upper, lower = _fraction_bound_sequences(a)
+        seqs = bound_sequences(a)
+        assert (seqs.upper_shifts, seqs.lower_shifts) == (upper, lower), a
+        assert all(type(s) is Fraction for s in seqs.upper_shifts + seqs.lower_shifts)
+        m = len(a) - 2
+        assert bounds._series_numerators(a, m) == _fraction_series_numerators(a, m), a
+        sandwich = bounds._Sandwich.of(a)
+        upper, lower = _fraction_bound_sequences(reduced)
+        assert sandwich.lower_shift == lower[-1], a
+        assert sandwich._twice_upper_shift == 2 * upper[-1], a
+    # Most draws have a gcd chain that drops more than once.
+    assert drops > 1000

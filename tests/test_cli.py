@@ -1,3 +1,4 @@
+import argparse
 import json
 import time
 
@@ -489,3 +490,65 @@ def test_verify_skip_note_counts_each_exception(monkeypatch, capsys):
     code, _, err = run(capsys, "verify", "--suite", "frobenius")
     assert code == 0
     assert err.rstrip().endswith("1 instances, 0 failures, 0.00s")
+
+
+# The parser is built once, at import, and every call of main shares it.
+# ---------------------------------------------------------------------------
+
+_ROW_ARGV = ["bounds", "--coeffs", "3,5,7", "--n-range", "20:24", "--format", "csv"]
+_BAD_USAGE_ARGV = ["count", "--coeffs", "3,x", "--n", "4"]
+_DOMAIN_ERROR_ARGV = ["frobenius", "--coeffs", "4,6"]
+
+
+def _outcome(capsys, argv):
+    """(exit code, stdout, stderr) of one main call, a usage exit included."""
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:
+        code = ("SystemExit", exc.code)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_main_builds_no_parser(monkeypatch, capsys):
+    built = 0
+    original = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        nonlocal built
+        built += 1
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert _outcome(capsys, _ROW_ARGV)[0] == 0
+    assert _outcome(capsys, _BAD_USAGE_ARGV)[0] == ("SystemExit", 2)
+    assert _outcome(capsys, _DOMAIN_ERROR_ARGV)[0] == 3
+    assert built == 0
+    # The counter does count: a fresh parser is a tree of several.
+    cli.build_parser()
+    assert built > 0
+
+
+def test_the_shared_parser_keeps_no_state_between_calls(capsys):
+    passing = (_ROW_ARGV, ["count", "--coeffs", "3,5", "--n", "8", "--format", "json"])
+    before = [_outcome(capsys, argv) for argv in passing]
+    assert before[0][0] == 0 and before[0][1].count("\n") == 6
+    failing = (_BAD_USAGE_ARGV, _DOMAIN_ERROR_ARGV, ["count", "--coeffs", "3,5"], [])
+    assert all(_outcome(capsys, argv)[0] != 0 for argv in failing)
+    assert [_outcome(capsys, argv) for argv in passing] == before
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--help"], ["count", "--help"], ["verify", "--help"], _BAD_USAGE_ARGV, [],
+     ["bounds", "--coeffs", "3,5", "--n", "8", "--n-range", "0:9"],
+     ["verify", "--suite", "nope"]],
+    ids=str,
+)
+def test_the_shared_parser_writes_what_a_fresh_one_does(capsys, argv):
+    shared = _outcome(capsys, argv)
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(argv)
+    captured = capsys.readouterr()
+    assert shared == (("SystemExit", exc.value.code), captured.out, captured.err)
+    assert shared[1] or shared[2]

@@ -335,3 +335,20 @@ def test_report_json_with_a_failure_is_pinned(monkeypatch):
     ]
     stripped = json.dumps(_without_wall_time(report), sort_keys=True, indent=2)
     assert stripped == _FAILING_REPORT
+
+
+def test_shrinking_n_takes_logarithmically_many_checks():
+    # A failure far above its threshold shrinks by halving, then bisection,
+    # not by stepping down one at a time.
+    checks = 0
+
+    def check(instance):
+        nonlocal checks
+        checks += 1
+        if instance["n"] >= 1_000_003:
+            return Failure(instance, "n is small", str(instance["n"]), "")
+        return None
+
+    minimal = shrink_failure({"coeffs": (1,), "n": 10**12}, check, "n is small")
+    assert minimal == {"coeffs": (1,), "n": 1_000_003}
+    assert checks <= 3 * math.log2(10**12)
