@@ -49,7 +49,7 @@ from .core import (
     as_coeffs,
     gcd_chain,
 )
-from .exact import denumerant
+from .exact import _reduced_counts
 
 _NOT_COPRIME = "is not coprime; reduce by the gcd first"
 
@@ -254,7 +254,11 @@ def relaxed_count_chain(
 
 
 def prefix_sum_count(a: Sequence[int], n: int) -> int:
-    """The relaxed count computed the slow way, as sum of exact counts."""
-    coeffs = as_coeffs(a)
-    _require_natural(n)
-    return sum(denumerant(coeffs, m).value for m in range(n + 1))
+    """The relaxed count computed the slow way, as the sum of the exact
+    counts D(a, 0), ..., D(a, n).
+
+    D(a, m) is 0 unless d = gcd(a) divides m, so the sum is that of
+    D(a/d, 0..floor(n/d)): one cached row of a/d, under the budget of the
+    count at n.
+    """
+    return sum(_reduced_counts(a, n))

@@ -34,17 +34,20 @@ from .core import (
     as_coeffs,
     format_rational,
 )
-from .exact import denumerant, extended_count, oracle_count, popoviciu
+from .exact import (
+    _OracleBudget,
+    denumerant,
+    extended_count,
+    oracle_count,
+    popoviciu,
+)
 from .frobenius import bound_frobenius
 from .sweep import SUITE_NAMES, SweepConfig, run_verify
 
 # The most targets one --n-range may span, checked before any is computed.
 # It caps the cells a table holds for its widths: on a 2-core x86-64 host,
 # bounds at this width on the primes up to 17 took 3-5 s and peaked at
-# 88 MB as a table, 32 MB as json (which streams, as csv does).  It caps the
-# time of a command on the default route only: the oracle's node budget
-# applies to each target, not to the range, and on that host
-# count --coeffs 2,3,5 --method oracle --n-range 0:1999 took 27 s.
+# 88 MB as a table, 32 MB as json (which streams, as csv does).
 N_RANGE_MAX_WIDTH = 100_000
 
 
@@ -125,9 +128,11 @@ def _emit_rows(
 
 def _count_rows(args: argparse.Namespace) -> Iterator[dict]:
     coeffs = args.coeffs
+    # Every target of the command draws on one oracle node budget.
+    budget = _OracleBudget()
     for n in _targets(args):
         if args.method == "oracle":
-            result = oracle_count(coeffs, n)
+            result = oracle_count(coeffs, n, budget)
         elif args.method == "popoviciu":
             if len(coeffs) != 2:
                 raise NotApplicableError("the closed form applies to pairs only")

@@ -21,9 +21,12 @@ A coefficient 1 folds in as a plain running sum, so a tuple with ones is
 built from the cached row of the tuple without them, sliced to the cap it
 needs.  That is how ``extended_count``, which counts the relaxed problem
 sum <= n by adding a slack variable with coefficient 1, reuses the row that
-``denumerant`` built for the same tuple.  A finished row is stored in one
-unsigned 64-bit ``array``: one word per cell when every entry fits, and
-otherwise L words per cell, each cell's count as 8*L little-endian bytes.
+``denumerant`` built for the same tuple.  ``prefix_sum_count`` and the
+``frobenius`` verify suite read every count up to n from one row
+(``_reduced_counts``) instead of counting each target.  A finished row is
+stored in one unsigned 64-bit ``array``: one word per cell when every
+entry fits, and otherwise L words per cell, each cell's count as 8*L
+little-endian bytes.
 Running sums and packing go a chunk at a time, so a build holds one row
 of ints and, whatever the coefficient, one chunk.  A cap over
 ``DENUMERANT_MAX_CELLS`` raises BudgetExceededError before anything is
@@ -71,21 +74,42 @@ class CountResult:
     method: str
 
 
-def oracle_count(a: Sequence[int], n: int) -> CountResult:
-    """Count solutions by nested enumeration in at most ORACLE_MAX_NODES nodes.
+class _OracleBudget:
+    """The oracle loop nodes spent so far by the enumerations that share it,
+    against a cap of ORACLE_MAX_NODES read when it is made.
+
+    ``oracle_count`` makes a fresh one per call unless it is given one; the
+    CLI gives every target of one ``count --method oracle --n-range`` the
+    same one, so the constant bounds the whole command.
+    """
+
+    __slots__ = ("cap", "nodes")
+
+    def __init__(self) -> None:
+        self.cap = ORACLE_MAX_NODES
+        self.nodes = 0
+
+
+def oracle_count(
+    a: Sequence[int], n: int, budget: _OracleBudget | None = None
+) -> CountResult:
+    """Count solutions by nested enumeration within a node budget.
 
     Coefficients are enumerated largest first so the outer loops branch the
     least; the final variable is resolved by a divisibility test instead of
-    a loop.  Past the budget it raises BudgetExceededError (use the
-    recursion route for anything desk-scale enumeration cannot reach).
+    a loop.  The nodes come out of ``budget``, by default a fresh one of
+    ORACLE_MAX_NODES nodes.  Past it the call raises BudgetExceededError
+    (use the recursion route for anything desk-scale enumeration cannot
+    reach).
     """
     coeffs = as_coeffs(a)
     _require_natural(n)
-    cap = ORACLE_MAX_NODES
+    if budget is None:
+        budget = _OracleBudget()
+    cap, nodes = budget.cap, budget.nodes
 
     order = sorted(coeffs, reverse=True)
     heads, last = order[:-1], order[-1]
-    nodes = 0
 
     def count_from(depth: int, residual: int) -> int:
         nonlocal nodes
@@ -103,7 +127,10 @@ def oracle_count(a: Sequence[int], n: int) -> CountResult:
             total += count_from(depth + 1, residual - coeff * take)
         return total
 
-    return CountResult(count_from(0, n), "oracle")
+    try:
+        return CountResult(count_from(0, n), "oracle")
+    finally:
+        budget.nodes = nodes
 
 
 class _Row:
@@ -229,6 +256,24 @@ class _RowCache:
 _prefix_counts = _RowCache(maxsize=32)
 
 
+def _reduced_row(coeffs: tuple[int, ...], n: int, d: int) -> _Row:
+    """The cached row of a/d, d = gcd(a), that reaches n // d.
+
+    Raises BudgetExceededError when it would span more than
+    DENUMERANT_MAX_CELLS cells.
+    """
+    m = n // d
+    # Round the table size up to a power of two, so that a rebuild at least
+    # doubles the row and nearby targets share it.
+    cap = max(256, 1 << m.bit_length())
+    if cap > DENUMERANT_MAX_CELLS:
+        raise BudgetExceededError(
+            f"the table for {coeffs} at n={n} needs {cap} cells, over the "
+            f"cap of {DENUMERANT_MAX_CELLS}"
+        )
+    return _prefix_counts(tuple(sorted(c // d for c in coeffs)), cap)
+
+
 def denumerant(a: Sequence[int], n: int) -> CountResult:
     """Count solutions via gcd reduction and the prefix recurrence.
 
@@ -242,17 +287,20 @@ def denumerant(a: Sequence[int], n: int) -> CountResult:
     d = math.gcd(*coeffs)
     if n % d:
         return CountResult(0, "recursion")
-    key = tuple(sorted(c // d for c in coeffs))
-    m = n // d
-    # Round the table size up to a power of two, so that a rebuild at least
-    # doubles the row and nearby targets share it.
-    cap = max(256, 1 << m.bit_length())
-    if cap > DENUMERANT_MAX_CELLS:
-        raise BudgetExceededError(
-            f"the table for {coeffs} at n={n} needs {cap} cells, over the "
-            f"cap of {DENUMERANT_MAX_CELLS}"
-        )
-    return CountResult(_prefix_counts(key, cap)[m], "recursion")
+    return CountResult(_reduced_row(coeffs, n, d)[n // d], "recursion")
+
+
+def _reduced_counts(a: Sequence[int], n: int) -> list[int]:
+    """D(a/d, 0), ..., D(a/d, n // d) for d = gcd(a), read from one cached row.
+
+    D(a, m) is entry m / d when d divides m and 0 otherwise, so for a
+    coprime tuple the list is D(a, 0), ..., D(a, n).  The row is the one
+    ``denumerant`` reads at d * (n // d), under the same budget.
+    """
+    coeffs = as_coeffs(a)
+    _require_natural(n)
+    d = math.gcd(*coeffs)
+    return _reduced_row(coeffs, n, d).counts(n // d)
 
 
 def popoviciu(a1: int, a2: int, n: int) -> CountResult:

@@ -10,10 +10,14 @@ For k >= 2, 0 <= c <= 1/2 and x >= -c,
 
 and the middle estimate can be tightened from above by k (x + c)^(k-1) / 8.
 
-Everything is evaluated in integers.  With x + c = p/d in lowest terms the
-sum is sum_step (p - step*d)^k over d^k, divided once; the bounds are
-compared after scaling by L = 2^(k+1) (k+1) d^(k+1), which turns every one
-of them into an integer (see ``_scaled_refined``).
+Everything is evaluated in integers, by one kernel (``_enclosure``).  With
+x + c = p/d the sum is sum_step (p - step*d)^k over d^k, and f_k and all
+four estimates are returned scaled by L = 2^(k+1) (k+1) d^(k+1), which
+makes each of them an integer.  Every scaled value is homogeneous of degree
+k+1 in (p, d), so comparisons between them hold for any p/d, reduced or
+not: the ``powersum`` verify suite walks its grid as integers, with
+x + c = j/16, and builds no ``Fraction`` unless a check fails.  The public
+functions take a ``PowerSumQuery`` and divide by L once.
 """
 
 from __future__ import annotations
@@ -44,17 +48,40 @@ class PowerSumQuery:
             raise DomainError(f"x must be >= {-self.c}, got {self.x}")
 
 
+def _enclosure(p: int, d: int, k: int, steps: int) -> tuple[int, int, int, int, int, int]:
+    """f_k and its estimates at x + c = p/d (d > 0, p >= 0) with
+    steps = [x] + 1 terms, each times L = 2^(k+1) (k+1) d^(k+1).
+
+    Returns (L, f_k * L, crude * L, refined * L, upper * L, refined_upper * L):
+
+        f_k * L           = 2^(k+1) (k+1) d sum_{step < steps} (p - step*d)^k
+        crude * L         = (2p)^(k+1)
+        refined * L       = crude * L + 2^k (k+1) d p^k
+        upper * L         = (2p + d)^(k+1)
+        refined_upper * L = refined * L + 2^(k-2) k (k+1) d^2 p^(k-1)
+
+    With steps = 0 the sum is empty and only the estimates mean anything.
+    """
+    lead = (k + 1) << (k + 1)
+    total = lead * d * sum((p - step * d) ** k for step in range(steps))
+    crude = (2 * p) ** (k + 1)
+    refined = crude + (lead >> 1) * d * p**k
+    # k (k + 1) is even, so 2^(k-2) k (k+1) is an integer for every k >= 1.
+    cap = refined + ((k * (k + 1) >> 1) << (k - 1)) * d * d * p ** (k - 1)
+    return lead * d ** (k + 1), total, crude, refined, (2 * p + d) ** (k + 1), cap
+
+
+def _point(q: PowerSumQuery) -> tuple[int, int]:
+    """x + c as (numerator, denominator) in lowest terms."""
+    base = q.x + q.c
+    return base.numerator, base.denominator
+
+
 def power_sum(q: PowerSumQuery) -> Fraction:
     """Evaluate f_k(x) term by term; [x] truncates toward zero, so the sum
-    has a single term whenever -c <= x < 1.
-
-    With x + c = p/d in lowest terms the terms are (p - step*d)^k / d^k, so
-    the sum runs over integers and divides by d^k once.
-    """
-    base = q.x + q.c
-    p, d = base.numerator, base.denominator
-    total = sum((p - step * d) ** q.k for step in range(math.trunc(q.x) + 1))
-    return Fraction(total, d**q.k)
+    has a single term whenever -c <= x < 1."""
+    scale, total, *_ = _enclosure(*_point(q), q.k, math.trunc(q.x) + 1)
+    return Fraction(total, scale)
 
 
 def check_sum_bounds(q: PowerSumQuery) -> tuple[bool, bool, bool]:
@@ -62,40 +89,14 @@ def check_sum_bounds(q: PowerSumQuery) -> tuple[bool, bool, bool]:
 
     Returns (left, middle, right): whether the crude lower bound is below
     the refined one, whether the refined one is below f_k, and whether f_k
-    is below the upper bound.
+    is below the upper bound.  The value of f_k comes from ``power_sum``
+    and is compared with the scaled estimates by cross-multiplying, so
+    every comparison stays in integers.
     """
     if q.k < 2:
         raise DomainError(f"the enclosure is stated for k >= 2, got k={q.k}")
-    return _sum_bounds(q, power_sum(q))
-
-
-def _scaled_refined(q: PowerSumQuery) -> tuple[int, int, int, int, int]:
-    """Write x + c = p/d in lowest terms and scale by L = 2^(k+1) (k+1) d^(k+1).
-
-    Returns (p, d, L, crude * L, refined * L); both products are integers:
-
-        crude * L   = (2p)^(k+1)
-        refined * L = crude * L + 2^k (k+1) d p^k
-    """
-    k = q.k
-    base = q.x + q.c
-    p, d = base.numerator, base.denominator
-    scale = ((k + 1) << (k + 1)) * d ** (k + 1)
-    crude = (2 * p) ** (k + 1)
-    refined = crude + ((k + 1) << k) * d * p**k
-    return p, d, scale, crude, refined
-
-
-def _sum_bounds(q: PowerSumQuery, value: Fraction) -> tuple[bool, bool, bool]:
-    """The chain of ``check_sum_bounds`` against a given value of f_k(x).
-
-    Compared after scaling by L (see ``_scaled_refined``): upper * L is
-    (2p + d)^(k+1), and value * L = value.numerator * L / value.denominator
-    is compared by multiplying the other side by value.denominator, which
-    keeps every comparison in integers for any rational value.
-    """
-    p, d, scale, crude, refined = _scaled_refined(q)
-    upper = (2 * p + d) ** (q.k + 1)
+    value = power_sum(q)
+    scale, _, crude, refined, upper, _ = _enclosure(*_point(q), q.k, 0)
     scaled_value, den = value.numerator * scale, value.denominator
     return (
         crude <= refined,
@@ -109,12 +110,8 @@ def refined_upper_bound(q: PowerSumQuery) -> Fraction:
 
         f_k(x) <= (x+c)^(k+1)/(k+1) + (x+c)^k/2 + k (x+c)^(k-1) / 8,
 
-    valid on the same domain as the enclosure (k >= 2).  Scaled by L (see
-    ``_scaled_refined``) the last term is 2^(k-2) k (k+1) d^2 p^(k-1), so
-    the sum is formed in integers and divided by L once."""
+    valid on the same domain as the enclosure (k >= 2)."""
     if q.k < 2:
         raise DomainError(f"the refinement is stated for k >= 2, got k={q.k}")
-    k = q.k
-    p, d, scale, _, refined = _scaled_refined(q)
-    last = ((k * (k + 1)) << (k - 2)) * d * d * p ** (k - 1)
-    return Fraction(refined + last, scale)
+    scale, *_, cap = _enclosure(*_point(q), q.k, 0)
+    return Fraction(cap, scale)

@@ -41,9 +41,15 @@ from .core import (
     TooShortTupleError,
     format_rational,
 )
-from .exact import denumerant, extended_count, oracle_count, popoviciu
+from .exact import (
+    _reduced_counts,
+    denumerant,
+    extended_count,
+    oracle_count,
+    popoviciu,
+)
 from .frobenius import _frobenius_sieve, bound_frobenius
-from .powersum import PowerSumQuery, _sum_bounds, power_sum, refined_upper_bound
+from .powersum import _enclosure
 
 _MASK64 = (1 << 64) - 1
 
@@ -306,13 +312,18 @@ def _check_frobenius(instance: dict) -> Failure | None:
         return _fail(instance, "bound_frobenius(a).g == _frobenius_sieve(a)", g, sieved)
     if not g <= report.brauer_upper:
         return _fail(instance, "g <= brauer_upper", g, report.brauer_upper)
-    if g >= 0 and denumerant(coeffs, g).value != 0:
-        return _fail(instance, "denumerant(a, g) == 0", denumerant(coeffs, g).value, 0)
     # Every value in a window above g must be representable; the window is
-    # capped so one degenerate tuple cannot dominate the sweep.
-    top = g + min(coeffs) + report.brauer_upper
-    for value in range(max(g + 1, 0), min(top, g + 400) + 1):
-        if denumerant(coeffs, value).value == 0:
+    # capped so one degenerate tuple cannot dominate the sweep.  D(g) and
+    # the whole window come from one row: the tuple is coprime, so the
+    # reduced counts are D(a, 0..top), and g <= brauer_upper puts g in it.
+    top = min(g + min(coeffs) + report.brauer_upper, g + 400)
+    if top < 0:
+        return None
+    counts = _reduced_counts(coeffs, top)
+    if g >= 0 and counts[g] != 0:
+        return _fail(instance, "denumerant(a, g) == 0", counts[g], 0)
+    for value in range(max(g + 1, 0), top + 1):
+        if counts[value] == 0:
             return _fail(instance, "denumerant(a, n) > 0 for n > g", 0, value)
     return None
 
@@ -449,14 +460,8 @@ def _run_drawn(
     return cfg.trials, failures
 
 
-_POWERSUM_SHIFTS = (
-    Fraction(0),
-    Fraction(1, 8),
-    Fraction(1, 4),
-    Fraction(3, 8),
-    Fraction(1, 2),
-)
-# The relations behind the three flags of ``powersum._sum_bounds``, in order.
+# The relations behind the first three estimates of ``powersum._enclosure``
+# against the sum, in order.
 _ENCLOSURE = (
     "crude lower <= refined lower",
     "refined lower <= power sum",
@@ -467,41 +472,58 @@ _ENCLOSURE = (
 def _run_powersum(cfg: SweepConfig) -> tuple[int, list[Failure]]:
     """A fixed grid, not a random draw: the seed does not change this suite.
 
-    Exponents 2..8, shifts c in {0, 1/8, 1/4, 3/8, 1/2}, x = -c + j/16 for
-    j = 0..320, plus the step identity f_k(n+1) - f_k(n) = (n+1+c)^k on
-    integer points.
+    Exponents 2..8, shifts c = s/8 for s = 0..4 (so 0 <= c <= 1/2),
+    x = -c + j/16 for j = 0..320, plus the step identity
+    f_k(n+1) - f_k(n) = (n+1+c)^k on integer points.
+
+    The grid is walked in integers: x + c = j/16 and [x] = trunc((j - 2s)/16),
+    where -1/2 <= x < 0 truncates to 0.  The step identity takes
+    x + c = (8n + s)/8.  ``Fraction`` values are formed for a failure only.
     """
     failures: list[Failure] = []
     instances = 0
     for k in range(2, 9):
-        for c in _POWERSUM_SHIFTS:
+        for s in range(5):
             for j in range(0, 321):
-                x = -c + Fraction(j, 16)
-                q = PowerSumQuery(x, c, k)
                 instances += 1
-                inst = {"k": k, "c": str(c), "x": str(x)}
-                value = power_sum(q)
-                held = _sum_bounds(q, value)
+                steps = max(j - 2 * s, 0) // 16 + 1
+                scale, total, crude, refined, upper, cap = _enclosure(j, 16, k, steps)
+                held = (crude <= refined, refined <= total, total <= upper)
+                if all(held) and total <= cap:
+                    continue
+                c = Fraction(s, 8)
+                inst = {"k": k, "c": str(c), "x": str(Fraction(j, 16) - c)}
                 if not all(held):
                     failures.append(_fail(inst, _ENCLOSURE[held.index(False)], "", ""))
-                    continue
-                cap = refined_upper_bound(q)
-                if not value <= cap:
+                else:
                     failures.append(
-                        _fail(inst, "power sum <= refined upper", value, cap)
+                        _fail(
+                            inst,
+                            "power sum <= refined upper",
+                            Fraction(total, scale),
+                            Fraction(cap, scale),
+                        )
                     )
     for k in range(2, 9):
-        for c in _POWERSUM_SHIFTS:
+        for s in range(5):
             for n in range(0, 21):
                 instances += 1
-                step = power_sum(PowerSumQuery(Fraction(n + 1), c, k)) - power_sum(
-                    PowerSumQuery(Fraction(n), c, k)
-                )
-                expected = (n + 1 + c) ** k
-                if step != expected:
+                # f_k at n and at n + 1 share d = 8, so they share the scale L.
+                after = 8 * (n + 1) + s
+                scale, total, *_ = _enclosure(after - 8, 8, k, n + 1)
+                _, total_after, *_ = _enclosure(after, 8, k, n + 2)
+                step = total_after - total
+                # (f_k(n+1) - f_k(n)) * L against (after / 8)^k * L.
+                if step * 8**k != scale * after**k:
+                    c = Fraction(s, 8)
                     inst = {"k": k, "c": str(c), "n": n}
                     failures.append(
-                        _fail(inst, "f(n+1) - f(n) == (n+1+c)^k", step, expected)
+                        _fail(
+                            inst,
+                            "f(n+1) - f(n) == (n+1+c)^k",
+                            Fraction(step, scale),
+                            (n + 1 + c) ** k,
+                        )
                     )
     return instances, failures
 

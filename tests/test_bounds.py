@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from denumerant import (
     BoundReport,
+    BudgetExceededError,
     NotApplicableError,
     NotCoprimeError,
     TooShortTupleError,
@@ -18,6 +19,7 @@ from denumerant import (
     bounds,
     cli,
     denumerant,
+    exact,
     extended_count,
     gcd_chain,
     inequality_a,
@@ -213,6 +215,26 @@ def test_unit_lead_chain_holds_at_every_target(rest, n):
 def test_prefix_sum_count():
     assert prefix_sum_count((2, 3), 6) == 7
     assert prefix_sum_count((4, 6), 7) == 3
+
+
+def test_prefix_sum_count_is_the_sum_of_exact_counts_on_drawn_tuples():
+    # The row of a/d summed to floor(n/d) against one denumerant per target;
+    # about half the draws have a gcd > 1, and many a target it does not divide.
+    rng = random.Random(1806)
+    kinds = set()
+    for _ in range(300):
+        d = rng.choice((1, 1, 2, 3, 6))
+        a = tuple(d * rng.randint(1, 9) for _ in range(rng.randint(1, 4)))
+        n = rng.randint(0, 300)
+        g = math.gcd(*a)
+        kinds.add((g > 1, n % g != 0))
+        assert prefix_sum_count(a, n) == sum(
+            denumerant(a, m).value for m in range(n + 1)
+        ), (a, n)
+    assert kinds == {(False, False), (True, False), (True, True)}
+    # The budget is that of the count at n, checked before any row is read.
+    with pytest.raises(BudgetExceededError):
+        prefix_sum_count((2, 4), 2 * exact.DENUMERANT_MAX_CELLS)
 
 
 @pytest.mark.parametrize("n", [2.5, 8.0, True, -1])

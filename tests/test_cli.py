@@ -252,6 +252,43 @@ def test_failure_partway_keeps_the_streamed_rows(monkeypatch, capsys):
     assert run(capsys, *argv, "table")[:2] == (3, "")
 
 
+def test_oracle_range_shares_one_node_budget(monkeypatch, capsys):
+    # (2, 3, 5) at n = 60 takes 152 nodes and 0..60 takes 3,448 in all, so
+    # with 300 nodes the single target runs as before and the range runs out
+    # partway, keeping the rows it wrote.
+    monkeypatch.setattr(denumerant.exact, "ORACLE_MAX_NODES", 300)
+    argv = ["count", "--coeffs", "2,3,5", "--method", "oracle", "--format", "json"]
+    code, out, _ = run(capsys, *argv, "--n", "60")
+    assert code == 0
+    assert json.loads(out) == {
+        "coeffs": [2, 3, 5], "n": 60, "value": 71, "method": "oracle"
+    }
+    code, out, err = run(capsys, *argv, "--n-range", "0:60")
+    assert code == 3
+    assert err == (
+        "error: enumeration budget of 300 nodes exhausted for coefficients "
+        "(2, 3, 5) at n=23\n"
+    )
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert [row["n"] for row in rows] == list(range(23))
+    assert [row["value"] for row in rows] == [
+        denumerant.denumerant((2, 3, 5), n).value for n in range(23)
+    ]
+
+
+def test_oracle_range_budget_bounds_the_command_time(capsys):
+    # At the real budget this range ran past 25 s when each target had its
+    # own; one shared budget ends it within seconds.
+    started = time.perf_counter()
+    code, out, err = run(
+        capsys, "count", "--coeffs", "2,3,5", "--method", "oracle",
+        "--n-range", "0:1999", "--format", "csv",
+    )
+    assert code == 3 and "nodes exhausted" in err
+    assert 1 < len(out.splitlines()) < 2001
+    assert time.perf_counter() - started < 20
+
+
 def test_every_domain_error_maps_to_its_exit_code(monkeypatch, capsys):
     expected = {
         denumerant.NotCoprimeError: 3,

@@ -178,3 +178,51 @@ def test_enclosure_reports_a_value_outside_it(monkeypatch, x, c, k):
     assert check_sum_bounds(q) == (True, False, True)
     monkeypatch.setattr(powersum, "power_sum", lambda _q: refined)
     assert check_sum_bounds(q) == (True, True, True)
+
+
+# ---------------------------------------------------------------------------
+# The integer kernel on the verify grid, against the Fraction definitions.
+# ---------------------------------------------------------------------------
+
+
+def reference_scaled_refined(x, c, k):
+    # The former _scaled_refined: x + c = p/d in lowest terms, scaled by
+    # L = 2^(k+1) (k+1) d^(k+1).
+    base = x + c
+    p, d = base.numerator, base.denominator
+    scale = ((k + 1) << (k + 1)) * d ** (k + 1)
+    crude = (2 * p) ** (k + 1)
+    refined = crude + ((k + 1) << k) * d * p**k
+    return scale, crude, refined
+
+
+def verify_grid_points():
+    # (x, c, k) and the kernel's integer arguments (p, d, steps), exactly as
+    # the powersum suite walks them: the grid with x + c = j/16, then both
+    # ends of each step identity with x + c = (8n + s)/8.
+    for k in range(2, 9):
+        for s in range(5):
+            c = Fraction(s, 8)
+            for j in range(321):
+                yield Fraction(j, 16) - c, c, k, (j, 16, max(j - 2 * s, 0) // 16 + 1)
+            for n in range(22):
+                yield Fraction(n), c, k, (8 * n + s, 8, n + 1)
+
+
+def test_kernel_matches_the_fraction_definitions_on_the_verify_grid():
+    points = 0
+    for x, c, k, (p, d, steps) in verify_grid_points():
+        points += 1
+        assert steps == math.trunc(x) + 1 and Fraction(p, d) == x + c
+        scale, total, crude, refined, upper, cap = powersum._enclosure(p, d, k, steps)
+        base = x + c
+        ref_scale, ref_crude, ref_refined = reference_scaled_refined(x, c, k)
+        assert Fraction(total, scale) == reference_power_sum(x, c, k)
+        assert Fraction(crude, scale) == Fraction(ref_crude, ref_scale)
+        assert Fraction(refined, scale) == Fraction(ref_refined, ref_scale)
+        assert Fraction(upper, scale) == (base + Fraction(1, 2)) ** (k + 1) / (k + 1)
+        assert Fraction(cap, scale) == (
+            base ** (k + 1) / (k + 1) + base**k / 2 + Fraction(k, 8) * base ** (k - 1)
+        )
+    assert points == 7 * 5 * (321 + 22)
+

@@ -7,8 +7,11 @@ import pytest
 
 from denumerant import (
     Failure,
+    FrobeniusReport,
     SplitMix64,
     SweepConfig,
+    bound_frobenius,
+    denumerant,
     run_verify,
     shrink_failure,
 )
@@ -148,36 +151,106 @@ def test_report_json_shape():
 
 
 def test_powersum_suite_evaluates_each_point_once(monkeypatch):
-    # One power_sum per grid point (7 x 5 x 321) and two per step identity
+    # One kernel sum per grid point (7 x 5 x 321) and two per step identity
     # (7 x 5 x 21), whichever module the call goes through.
     calls = 0
-    original = powersum.power_sum
+    original = powersum._enclosure
 
-    def counted(q):
+    def counted(p, d, k, steps):
         nonlocal calls
         calls += 1
-        return original(q)
+        return original(p, d, k, steps)
 
-    monkeypatch.setattr(powersum, "power_sum", counted)
-    monkeypatch.setattr(sweep, "power_sum", counted)
+    monkeypatch.setattr(powersum, "_enclosure", counted)
+    monkeypatch.setattr(sweep, "_enclosure", counted)
     report = run_verify(SweepConfig(suite="powersum", seed=1, trials=1))
     assert report.passed
     assert calls == 12_705 == 7 * 5 * 321 + 2 * 7 * 5 * 21
 
 
 def test_powersum_suite_names_the_first_broken_enclosure_relation(monkeypatch):
-    # The enclosure holds on the whole grid, so only patched flags can show
-    # which relation a failure names; the step identity is left intact.
+    # The enclosure holds on the whole grid, so only patched estimates can
+    # show which relation a failure names.  The scale and the sum are left
+    # as they are, so the step identity stays intact.
+    def breaking(*flags):
+        def patched(p, d, k, steps):
+            scale, total, crude, refined, upper, cap = powersum._enclosure(
+                p, d, k, steps
+            )
+            # Each False flag moves its estimate just past the sum.
+            if not flags[1]:
+                refined = total + 1
+            if not flags[0]:
+                crude = refined + 1
+            if not flags[2]:
+                upper = total - 1
+            return scale, total, crude, refined, upper, cap
+
+        return patched
+
     expected = {
         (False, False, True): "crude lower <= refined lower",
         (True, False, False): "refined lower <= power sum",
         (True, True, False): "power sum <= upper",
     }
     for flags, relation in expected.items():
-        monkeypatch.setattr(sweep, "_sum_bounds", lambda q, value, f=flags: f)
+        monkeypatch.setattr(sweep, "_enclosure", breaking(*flags))
         report = run_verify(SweepConfig(suite="powersum", seed=1, trials=1))
         assert len(report.failures) == 7 * 5 * 321
         assert {f.relation for f in report.failures} == {relation}
+
+
+def per_value_frobenius_check(instance):
+    # The frobenius relations with one denumerant call per value, as the
+    # suite made them before it read the window from one row.
+    coeffs = instance["coeffs"]
+    report = sweep.bound_frobenius(coeffs)
+    g = report.g
+    sieved = sweep._frobenius_sieve(coeffs)
+    if g != sieved:
+        return sweep._fail(
+            instance, "bound_frobenius(a).g == _frobenius_sieve(a)", g, sieved
+        )
+    if not g <= report.brauer_upper:
+        return sweep._fail(instance, "g <= brauer_upper", g, report.brauer_upper)
+    if g >= 0 and denumerant(coeffs, g).value != 0:
+        return sweep._fail(
+            instance, "denumerant(a, g) == 0", denumerant(coeffs, g).value, 0
+        )
+    top = g + min(coeffs) + report.brauer_upper
+    for value in range(max(g + 1, 0), min(top, g + 400) + 1):
+        if denumerant(coeffs, value).value == 0:
+            return sweep._fail(instance, "denumerant(a, n) > 0 for n > g", 0, value)
+    return None
+
+
+def test_the_frobenius_window_read_from_one_row_matches_per_value_counts(
+    monkeypatch,
+):
+    # A correct g passes both; a g reported too low or too high fails both
+    # at the same relation and values.  The sieve is patched to agree with
+    # the reported g, so the check reaches the window.
+    rng = SplitMix64(18)
+    cfg = SweepConfig(suite="frobenius", k_range=(2, 4), max_coeff=40)
+    relations = Counter()
+    for _ in range(40):
+        coeffs = _draw_coprime_tuple(rng, cfg)
+        report = bound_frobenius(coeffs)
+        gaps = [m for m in range(report.g + 1) if denumerant(coeffs, m).value == 0]
+        for g in {report.g, report.g + 1, -1, *gaps[-3:], *gaps[:2]}:
+            fake = FrobeniusReport(report.coeffs, g, report.brauer_upper)
+            monkeypatch.setattr(sweep, "bound_frobenius", lambda a, r=fake: r)
+            monkeypatch.setattr(sweep, "_frobenius_sieve", lambda a, g=g: g)
+            instance = {"coeffs": coeffs}
+            found = sweep._check_frobenius(instance)
+            assert found == per_value_frobenius_check(instance), (coeffs, g)
+            relations[None if found is None else found.relation] += 1
+    assert set(relations) == {
+        None,
+        "denumerant(a, g) == 0",
+        "denumerant(a, n) > 0 for n > g",
+        "g <= brauer_upper",
+    }
 
 
 def test_skipped_instances_are_counted_outside_the_report():
