@@ -32,7 +32,6 @@ from .core import (
     InvariantViolationError,
     NotApplicableError,
     as_coeffs,
-    format_rational,
 )
 from .exact import (
     _OracleBudget,
@@ -88,8 +87,6 @@ def _cell(value: object) -> str:
         return "true" if value else "false"
     if isinstance(value, tuple):
         return ",".join(str(v) for v in value)
-    if isinstance(value, (int, Fraction)):
-        return format_rational(value)
     return str(value)
 
 
@@ -97,8 +94,6 @@ def _json_value(value: object) -> object:
     # json.dumps writes bools, ints and tuples (as lists) itself.
     if value is None or isinstance(value, (int, tuple)):
         return value
-    if isinstance(value, Fraction):
-        return format_rational(value)
     return str(value)
 
 
@@ -264,9 +259,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="row output format (json writes one object per line)",
     )
     rows.add_argument("--out", metavar="PATH", help="write output to a file")
-    # count, bounds and dhat: one tuple at one target or a range of them.
+    rows.add_argument("--coeffs", type=_parse_coeffs, required=True)
+    # count, bounds and dhat: at one target or a range of them.
     targets = argparse.ArgumentParser(add_help=False, parents=[rows])
-    targets.add_argument("--coeffs", type=_parse_coeffs, required=True)
     group = targets.add_mutually_exclusive_group(required=True)
     group.add_argument("--n", type=int)
     group.add_argument("--n-range", type=_parse_range, metavar="LO:HI")
@@ -298,7 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "frobenius", parents=[rows], help="Frobenius number with certified enclosures"
     )
-    p.add_argument("--coeffs", type=_parse_coeffs, required=True)
     # The sandwich never certifies a root bound, so the last two columns are
     # always empty; they stay so that the output keeps its shape.
     p.set_defaults(
@@ -309,7 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "bf", parents=[rows], help="triangular bound weights [[m, l]] at an offset"
     )
-    p.add_argument("--coeffs", type=_parse_coeffs, required=True)
     p.add_argument("-r", "--offset", type=int, default=0)
     p.add_argument("-m", type=int, required=True, dest="m")
     p.add_argument("-l", "--ell", type=int, required=True, dest="ell")

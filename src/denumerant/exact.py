@@ -343,4 +343,4 @@ def extended_count(a: Sequence[int], n: int) -> CountResult:
     _require_natural(n)
     d = math.gcd(*coeffs)
     slack_tuple = (1,) + tuple(c // d for c in coeffs)
-    return CountResult(denumerant(slack_tuple, n // d).value, "recursion")
+    return denumerant(slack_tuple, n // d)

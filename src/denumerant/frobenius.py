@@ -20,10 +20,9 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .bounds import BoundSequences, bound_sequences
+from .bounds import bound_sequences
 from .core import (
     BudgetExceededError,
-    InvariantViolationError,
     _require_coprime,
     as_coeffs,
 )
@@ -51,15 +50,6 @@ def _require_cells(cells: int, route: str) -> None:
             f"the {route} needs {cells} table cells, over the cap of "
             f"{FROBENIUS_MAX_CELLS}"
         )
-
-
-def _brauer_top(seqs: BoundSequences, coeffs: tuple[int, ...]) -> int:
-    shift = seqs.lower_shifts[-1]
-    if shift.denominator != 1:
-        raise InvariantViolationError(
-            f"lower shift of {coeffs} is not an integer: {shift}"
-        )
-    return int(shift)
 
 
 def frobenius_exact(a: Sequence[int]) -> int:
@@ -102,7 +92,8 @@ def _frobenius_sieve(a: Sequence[int]) -> int:
     coeffs = _require_coprime(as_coeffs(a), _NO_FROBENIUS)
     if 1 in coeffs:
         return -1
-    top = _brauer_top(bound_sequences(coeffs), coeffs)
+    # s-_k is built from integers, so it is a Fraction over 1.
+    top = bound_sequences(coeffs).lower_shifts[-1].numerator
     if top < 0:
         return -1
     _require_cells(top + 1, "sieve")
@@ -124,5 +115,5 @@ def bound_frobenius(a: Sequence[int]) -> FrobeniusReport:
     bound brauer_upper = s-_k, read off the lower shift sequence."""
     coeffs = as_coeffs(a)
     g = frobenius_exact(coeffs)
-    brauer_upper = _brauer_top(bound_sequences(coeffs), coeffs)
+    brauer_upper = bound_sequences(coeffs).lower_shifts[-1].numerator
     return FrobeniusReport(coeffs=coeffs, g=g, brauer_upper=brauer_upper)

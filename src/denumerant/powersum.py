@@ -17,7 +17,9 @@ makes each of them an integer.  Every scaled value is homogeneous of degree
 k+1 in (p, d), so comparisons between them hold for any p/d, reduced or
 not: the ``powersum`` verify suite walks its grid as integers, with
 x + c = j/16, and builds no ``Fraction`` unless a check fails.  The public
-functions take a ``PowerSumQuery`` and divide by L once.
+functions take a ``PowerSumQuery`` and make one kernel call each:
+``power_sum`` and ``refined_upper_bound`` divide by L once, and
+``check_sum_bounds`` compares the scaled values themselves.
 """
 
 from __future__ import annotations
@@ -89,20 +91,13 @@ def check_sum_bounds(q: PowerSumQuery) -> tuple[bool, bool, bool]:
 
     Returns (left, middle, right): whether the crude lower bound is below
     the refined one, whether the refined one is below f_k, and whether f_k
-    is below the upper bound.  The value of f_k comes from ``power_sum``
-    and is compared with the scaled estimates by cross-multiplying, so
-    every comparison stays in integers.
+    is below the upper bound.  One kernel call gives f_k and the estimates
+    on the same scale L, so each comparison is one between integers.
     """
     if q.k < 2:
         raise DomainError(f"the enclosure is stated for k >= 2, got k={q.k}")
-    value = power_sum(q)
-    scale, _, crude, refined, upper, _ = _enclosure(*_point(q), q.k, 0)
-    scaled_value, den = value.numerator * scale, value.denominator
-    return (
-        crude <= refined,
-        refined * den <= scaled_value,
-        scaled_value <= upper * den,
-    )
+    _, total, crude, refined, upper, _ = _enclosure(*_point(q), q.k, math.trunc(q.x) + 1)
+    return crude <= refined, refined <= total, total <= upper
 
 
 def refined_upper_bound(q: PowerSumQuery) -> Fraction:

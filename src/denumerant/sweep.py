@@ -7,10 +7,10 @@ fixed configuration the report is deterministic in every field except
 ``wall_time_s``.
 
 Failing instances are minimized before they are reported: first the target
-n is shrunk greedily (toward 0), then each coefficient in turn (toward 1),
-keeping only candidates that still fail with the same relation.  Suites run
-sequentially here; a parallel runner is free to fan instances out as long
-as it merges failures back in instance-index order.
+n is halved and then bisected toward 0, then each coefficient greedily
+toward 1, keeping only candidates that still fail with the same relation.
+Suites run sequentially here; a parallel runner is free to fan instances
+out as long as it merges failures back in instance-index order.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from .core import (
     NotApplicableError,
     NotCoprimeError,
     TooShortTupleError,
-    format_rational,
 )
 from .exact import (
     _reduced_counts,
@@ -217,12 +216,8 @@ def _attempt(
 
 
 def _fail(instance: dict, relation: str, lhs: object, rhs: object) -> Failure:
-    def render(value: object) -> str:
-        if isinstance(value, (int, Fraction)):
-            return format_rational(value)
-        return str(value)
-
-    return Failure(instance, relation, render(lhs), render(rhs))
+    # str renders each side exactly, a Fraction over 1 as a bare integer.
+    return Failure(instance, relation, str(lhs), str(rhs))
 
 
 def _check_oracle_eq(instance: dict) -> Failure | None:

@@ -402,6 +402,18 @@ def test_usage_errors_exit_2(capsys):
     assert "coefficients must be >= 1, got 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [("5", "expected LO:HI, got '5'"), ("a:b", "expected LO:HI, got 'a:b'"),
+     ("9:3", "empty range '9:3'")],
+)
+def test_malformed_n_range_exits_2(capsys, text, message):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["count", "--coeffs", "3,5", "--n-range", text])
+    assert exc.value.code == 2
+    assert f"argument --n-range: {message}" in capsys.readouterr().err
+
+
 def test_negative_target_exits_2(capsys):
     code, _, err = run(capsys, "count", "--coeffs", "2,3", "--n", "-4")
     assert code == 2

@@ -16,6 +16,7 @@ from denumerant import (
     extended_count,
     oracle_count,
     popoviciu,
+    prefix_sum_count,
 )
 from denumerant import exact
 from denumerant.exact import _prefix_counts
@@ -264,6 +265,28 @@ def test_the_fold_carries_each_residue_class_across_chunks():
         assert denumerant((3, 5, 7), n).value == expected, n
     assert _prefix_counts((3, 5, 7), 1).cap == 1 << 17
     assert [c * exact._CHUNK for c in (3, 5, 7)] == [49152, 81920, 114688]
+
+
+def test_a_multi_limb_row_unpacks_a_chunk_at_a_time():
+    # (2, 3^7) at cap 2^16 takes two limbs a cell, so reading it back as
+    # ints goes exact._CHUNK cells at a time: four full chunks and one cell.
+    a = (2,) + (3,) * 7
+    cap = 1 << 16
+    _prefix_counts.cache_clear()
+    row = _prefix_counts(a, cap)
+    assert (row.cap, row.limbs) == (cap, 2)
+    reference = [1] + [0] * cap
+    for coeff in a:
+        for m in range(coeff, cap + 1):
+            reference[m] += reference[m - coeff]
+    assert row.counts(cap) == [row[m] for m in range(cap + 1)] == reference
+    # The slack row of the relaxed count is derived from this row, and the
+    # prefix sum reads it directly; both cut it at or next to a chunk edge.
+    chunk = exact._CHUNK
+    for n in (0, chunk - 1, chunk, chunk + 1, 2 * chunk, 3 * chunk + 1, cap - 1):
+        expected = sum(reference[: n + 1])
+        assert extended_count(a, n).value == prefix_sum_count(a, n) == expected, n
+    assert _prefix_counts.cache_info().currsize == 2
 
 
 def test_a_slack_row_comes_from_a_base_row_at_a_larger_cap():

@@ -89,6 +89,17 @@ def test_table_budget():
     assert 1000 * 25 * 25 < FROBENIUS_MAX_CELLS
 
 
+def test_a_unit_coefficient_answers_before_the_sieve_budget():
+    # With a 1 among the coefficients every n >= 0 is representable.  This
+    # tuple's s-_k is far over the sieve's budget, so only the shortcut for
+    # a 1 lets the sieve answer -1.
+    coeffs = (10**6, 10**6 + 2, 1)
+    report = bound_frobenius(coeffs)
+    assert (report.g, report.brauer_upper) == (-1, 499_998_999_999)
+    assert report.brauer_upper + 1 > FROBENIUS_MAX_CELLS
+    assert _frobenius_sieve(coeffs) == -1
+
+
 def test_requires_coprime():
     with pytest.raises(NotCoprimeError):
         frobenius_exact((4, 6))

@@ -166,18 +166,24 @@ def test_bounds_match_rational_reference():
 )
 def test_enclosure_reports_a_value_outside_it(monkeypatch, x, c, k):
     # The enclosure holds on the whole domain, so only a patched f_k can
-    # show that the integer comparisons are able to answer False.
+    # show that the integer comparisons are able to answer False.  The
+    # kernel's scaled f_k is replaced by one step of 1/L past each estimate.
     _, refined, upper, _ = reference_bounds(x, c, k)
-    eps = Fraction(1, 10**60)
     q = PowerSumQuery(x, c, k)
-    monkeypatch.setattr(powersum, "power_sum", lambda _q: upper + eps)
-    assert check_sum_bounds(q) == (True, True, False)
-    monkeypatch.setattr(powersum, "power_sum", lambda _q: upper)
-    assert check_sum_bounds(q) == (True, True, True)
-    monkeypatch.setattr(powersum, "power_sum", lambda _q: refined - eps)
-    assert check_sum_bounds(q) == (True, False, True)
-    monkeypatch.setattr(powersum, "power_sum", lambda _q: refined)
-    assert check_sum_bounds(q) == (True, True, True)
+    scale, _, crude_l, refined_l, upper_l, cap_l = powersum._enclosure(
+        *powersum._point(q), k, math.trunc(x) + 1
+    )
+    assert (Fraction(refined_l, scale), Fraction(upper_l, scale)) == (refined, upper)
+
+    def with_total(total):
+        values = scale, total, crude_l, refined_l, upper_l, cap_l
+        monkeypatch.setattr(powersum, "_enclosure", lambda *_: values)
+        return check_sum_bounds(q)
+
+    assert with_total(upper_l + 1) == (True, True, False)
+    assert with_total(upper_l) == (True, True, True)
+    assert with_total(refined_l - 1) == (True, False, True)
+    assert with_total(refined_l) == (True, True, True)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from denumerant import (
     run_verify,
     shrink_failure,
 )
-from denumerant import powersum, sweep
+from denumerant import bounds, powersum, sweep
 from denumerant.exact import CountResult
 from denumerant.sweep import _draw_coprime_tuple, _draw_pair, _draw_tuple
 
@@ -49,6 +49,8 @@ def test_config_validation():
         SweepConfig(suite="inequality-a", k_range=(1, 1))
     with pytest.raises(ValueError):
         SweepConfig(suite="oracle-eq", n_max=-1)
+    with pytest.raises(ValueError, match="max_coeff must be >= 1"):
+        SweepConfig(suite="dhat", max_coeff=0)
 
 
 def test_draw_protocols():
@@ -294,6 +296,115 @@ def test_asymptotic_checks_the_lower_side(monkeypatch):
     assert failure is not None
     assert failure.relation == "lower_a <= exact"
     assert failure.instance == {"coeffs": (3, 5), "n": 1000}
+
+
+def _shift_route(name, change):
+    # Patch the sweep's binding of a route so that each value it returns
+    # goes through change(value, *args).
+    def patch(monkeypatch):
+        route = getattr(sweep, name)
+        monkeypatch.setattr(
+            sweep, name, lambda *args, route=route: change(route(*args), *args)
+        )
+
+    return patch
+
+
+def _count_plus_one(result, *_):
+    return CountResult(result.value + 1, "patched")
+
+
+def _raise_invariant(*_):
+    raise sweep.InvariantViolationError("patched closed form")
+
+
+def _series_lower(change):
+    # The bounds' class is patched; the sweep reaches it through its sandwich.
+    def patch(monkeypatch):
+        original = bounds._Sandwich.series_lower
+        monkeypatch.setattr(
+            bounds._Sandwich, "series_lower", lambda self, m: change(self, m, original)
+        )
+
+    return patch
+
+
+def _lower_b_above_a_pair(monkeypatch):
+    # Above lower_a, and below a count that is patched to be huge.
+    _series_lower(lambda self, m, f: f(self, m) + 1)(monkeypatch)
+    monkeypatch.setattr(sweep, "denumerant", lambda a, n: CountResult(10**9, "patched"))
+
+
+def _enclosure_patch(change):
+    def patch(monkeypatch):
+        original = powersum._enclosure
+
+        def patched(p, d, k, steps):
+            return change(original(p, d, k, steps), d, steps)
+
+        monkeypatch.setattr(sweep, "_enclosure", patched)
+
+    return patch
+
+
+def _cap_below_the_sum(values, d, steps):
+    scale, total, crude, refined, upper, _ = values
+    return scale, total, crude, refined, upper, total - 1
+
+
+def _step_off_by_one(values, d, steps):
+    # Only the step identity takes d = 8; the grid takes d = 16.
+    scale, total, *rest = values
+    return (scale, total + steps if d == 8 else total, *rest)
+
+
+# (relation, suite, k_range, patch): one route patched so that the named
+# relation, and no earlier one in its check, fails.
+_BROKEN_RELATIONS = [
+    ("denumerant == oracle_count", "oracle-eq", (2, 4),
+     _shift_route("denumerant", _count_plus_one)),
+    ("popoviciu returns a count", "popoviciu", (2, 4),
+     _shift_route("popoviciu", _raise_invariant)),
+    ("popoviciu == oracle_count", "popoviciu", (2, 4),
+     _shift_route("popoviciu", _count_plus_one)),
+    ("lower_a <= lower_b", "inequality-b", (2, 4),
+     _series_lower(lambda self, m, f: self.at(m).lower_a - 1)),
+    ("lower_b <= exact", "inequality-b", (2, 4),
+     _shift_route("denumerant", lambda *_: CountResult(-1, "patched"))),
+    ("lower_a == lower_b for pairs", "inequality-b", (2, 2), _lower_b_above_a_pair),
+    ("extended_count == prefix sum of denumerant", "dhat", (2, 4),
+     _shift_route("extended_count", _count_plus_one)),
+    ("lower <= refined lower", "dhat", (2, 4),
+     _shift_route("relaxed_count_chain", lambda c, *_: (c[1] + 1, c[1], c[2]))),
+    ("refined lower <= exact", "dhat", (2, 4),
+     _shift_route("relaxed_count_chain", lambda c, *_: (c[0], c[1] + 10**9, c[2]))),
+    ("exact <= upper", "dhat", (2, 4),
+     _shift_route("relaxed_count_chain", lambda c, *_: (c[0], c[1], -1))),
+    ("bound_frobenius(a).g == _frobenius_sieve(a)", "frobenius", (2, 4),
+     _shift_route("_frobenius_sieve", lambda *_: -2)),
+    ("power sum <= refined upper", "powersum", (2, 4),
+     _enclosure_patch(_cap_below_the_sum)),
+    ("f(n+1) - f(n) == (n+1+c)^k", "powersum", (2, 4),
+     _enclosure_patch(_step_off_by_one)),
+]
+
+
+@pytest.mark.parametrize(
+    "relation, suite, k_range, patch",
+    _BROKEN_RELATIONS,
+    ids=[case[0] for case in _BROKEN_RELATIONS],
+)
+def test_each_relation_the_suites_hold_can_fail(
+    monkeypatch, relation, suite, k_range, patch
+):
+    # These relations hold on every acceptance draw, so only a patched route
+    # shows that each one is compared at all, and under its own name.
+    cfg = SweepConfig(suite=suite, trials=20, k_range=k_range)
+    assert run_verify(cfg).passed
+    patch(monkeypatch)
+    report = run_verify(cfg)
+    assert report.failures
+    assert {failure.relation for failure in report.failures} == {relation}
 
 
 _BF_COEFFS = (6, 4, 10, 3)
