@@ -14,7 +14,10 @@ and satisfies the closed form
 with e_l the elementary symmetric polynomial.  Both routes are implemented
 below so each can check the other: the recursion in exact rationals, a row
 at a time, and the closed form as an integer column update over the
-coefficients followed by one division by 2^l per entry.
+coefficients followed by one division by 2^l per entry.  The recursion
+runs once per row sequence: its run to row m passes rows 0, ..., m - 1
+on the way, and ``_recursive_rows`` returns them all, so a check of
+every row at one offset needs one run, not one per row.
 
 The unit of evaluation is a row: both routes return the m + 1 weights
 ([[m, 0]]_r, ..., [[m, m]]_r), which is what the bounds use.  A row reads
@@ -46,19 +49,30 @@ def _window(a: Sequence[int], r: int, m: int) -> tuple[int, ...]:
     return coeffs[r : m + r]
 
 
-def bf_recursive(a: Sequence[int], r: int, m: int) -> tuple[Fraction, ...]:
-    """The row ([[m, 0]]_r, ..., [[m, m]]_r) by the defining recursion,
-    built from row 0 one row at a time, so no call stack grows with m."""
+def _recursive_rows(
+    a: Sequence[int], r: int, m: int
+) -> tuple[tuple[Fraction, ...], ...]:
+    """Rows 0, ..., m of [[., l]]_r by the defining recursion, built from
+    row 0 one row at a time, so no call stack grows with m; empty at m = -1."""
     window = _window(a, r, m)
     if m < 0:
         return ()
     row: tuple[Fraction, ...] = (Fraction(1),)
+    rows = [row]
     for x in window:
         half = Fraction(x, 2)
         # Row j from row j - 1, padded with its zero neighbours l = -1 and l = j.
         prev = (0, *row, 0)
         row = tuple(prev[ell + 1] + half * prev[ell] for ell in range(len(row) + 1))
-    return row
+        rows.append(row)
+    return tuple(rows)
+
+
+def bf_recursive(a: Sequence[int], r: int, m: int) -> tuple[Fraction, ...]:
+    """The row ([[m, 0]]_r, ..., [[m, m]]_r) by the defining recursion: the
+    last of the rows 0, ..., m it builds."""
+    rows = _recursive_rows(a, r, m)
+    return rows[-1] if rows else ()
 
 
 def bf_explicit(a: Sequence[int], r: int, m: int) -> tuple[Fraction, ...]:

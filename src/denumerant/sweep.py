@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator
 
-from .bfnum import bf_explicit, bf_recursive
+from .bfnum import _recursive_rows, bf_explicit
 from .bounds import (
     BoundReport,
     _coprime_sandwich,
@@ -54,8 +54,8 @@ _MASK64 = (1 << 64) - 1
 
 # The most trials one sweep may run, checked before the first draw.  It caps
 # the time of one run: on a 2-core x86-64 host, at this cap and the other
-# defaults, the slowest suite (asymptotic, two DP rows per tuple) took 21 s
-# and the next (bf-identities) 6 s.
+# defaults, the slowest suite (asymptotic, two DP rows per tuple) took 20 s
+# and the next (bf-identities) 3 s.
 VERIFY_MAX_TRIALS = 10_000
 
 
@@ -323,51 +323,81 @@ def _check_frobenius(instance: dict) -> Failure | None:
     return None
 
 
+def _scaled_weights(row: tuple[Fraction, ...]) -> list[int | Fraction]:
+    """e_l = 2^l [[m, l]] for each entry of a row: an int wherever the
+    entry's denominator divides 2^l, as every true weight's does, and the
+    exact quotient otherwise, so no remainder is ever floored away."""
+    scaled: list[int | Fraction] = []
+    for ell, weight in enumerate(row):
+        top = weight.numerator << ell
+        e, rest = divmod(top, weight.denominator)
+        scaled.append(Fraction(top, weight.denominator) if rest else e)
+    return scaled
+
+
 def _check_bf_identities(instance: dict) -> Failure | None:
     coeffs = instance["coeffs"]
     k = len(coeffs)
-    # Each route evaluates each (tuple, r, m) row once.  The relations
-    # compare the entries 0 <= l <= m; off the triangle both routes are 0
-    # by definition and compute nothing.
-    explicit = functools.cache(bf_explicit)
+
+    # Each (tuple, r, m) row of the closed form is evaluated once, and read
+    # both as weights and scaled to e_l = 2^l [[m, l]], in which the two
+    # identities below are linear relations between integers.
+    @functools.cache
+    def explicit(a: tuple[int, ...], r: int, m: int):
+        row = bf_explicit(a, r, m)
+        return row, _scaled_weights(row)
+
+    # One run of the recursion per offset r yields its rows m = 0..min(6,
+    # k - r), and each is compared with the public closed form's row, entries
+    # 0 <= l <= m; off the triangle both routes are 0 by definition and
+    # compute nothing.
     for r in range(min(2, k) + 1):
-        for m in range(0, min(6, k - r) + 1):
-            rows = zip(bf_recursive(coeffs, r, m), explicit(coeffs, r, m), strict=True)
-            for ell, (by_recursion, by_formula) in enumerate(rows):
+        by_recursion_rows = _recursive_rows(coeffs, r, min(6, k - r))
+        for m, by_recursion_row in enumerate(by_recursion_rows):
+            row, e_row = explicit(coeffs, r, m)
+            rows = zip(by_recursion_row, row, e_row, strict=True)
+            for ell, (by_recursion, by_formula, e) in enumerate(rows):
                 if by_recursion != by_formula:
                     inst = dict(instance, r=r, m=m, ell=ell)
                     return _fail(
                         inst, "bf_recursive == bf_explicit", by_recursion, by_formula
                     )
-                if not by_formula > 0:
+                if not e > 0:
                     inst = dict(instance, r=r, m=m, ell=ell)
                     return _fail(inst, "[[m, l]] > 0 for 0 <= l <= m", by_formula, 0)
     # Offset shift: [[m, l]]_{r-1} - [m == 0] equals
-    # [[m-1, l]]_r + (a_r / 2) [[m-1, l-1]]_r.
+    # [[m-1, l]]_r + (a_r / 2) [[m-1, l-1]]_r.  Times 2^l (the [m == 0]
+    # term lives at l = 0 only): e_l(r-1, m) - [m == 0] equals
+    # e_l(r, m-1) + a_r e_{l-1}(r, m-1).  A failure reports both sides
+    # divided back by 2^l.
     for r in range(1, min(2, k) + 1):
         for m in range(0, min(6, k - r + 1) + 1):
-            left = explicit(coeffs, r - 1, m)
+            left = explicit(coeffs, r - 1, m)[1]
             # Row m - 1 padded with its zero neighbours l = -1 and l = m.
-            right = (0, *explicit(coeffs, r, m - 1), 0)
+            right = (0, *explicit(coeffs, r, m - 1)[1], 0)
             for ell in range(m + 1):
                 lhs = left[ell] - (1 if m == 0 else 0)
-                rhs = right[ell + 1] + Fraction(coeffs[r - 1], 2) * right[ell]
+                rhs = right[ell + 1] + coeffs[r - 1] * right[ell]
                 if lhs != rhs:
                     inst = dict(instance, r=r, m=m, ell=ell)
-                    return _fail(inst, "offset shift identity", lhs, rhs)
+                    return _fail(
+                        inst, "offset shift identity",
+                        Fraction(lhs, 1 << ell), Fraction(rhs, 1 << ell),
+                    )
     # Dividing the first m+1 coefficients by their gcd can only shrink the
-    # numbers, by at most a factor d^l.
+    # numbers, by at most a factor d^l; compared as e_l <= d^l e_l(reduced).
     for r in range(min(2, k) + 1):
         for m in range(0, min(6, k - r, k - 1) + 1):
             d = math.gcd(*coeffs[: m + 1])
             scaled = tuple(c // d for c in coeffs[: m + 1]) + coeffs[m + 1 :]
-            reduced = explicit(scaled, r, m)
-            for ell, original in enumerate(explicit(coeffs, r, m)):
-                if not original <= d**ell * reduced[ell]:
+            reduced = explicit(scaled, r, m)[1]
+            for ell, original in enumerate(explicit(coeffs, r, m)[1]):
+                bound = d**ell * reduced[ell]
+                if not original <= bound:
                     inst = dict(instance, r=r, m=m, ell=ell)
                     return _fail(
-                        inst, "[[m, l]] <= d^l [[m, l]] of reduced", original,
-                        d**ell * reduced[ell],
+                        inst, "[[m, l]] <= d^l [[m, l]] of reduced",
+                        Fraction(original, 1 << ell), Fraction(bound, 1 << ell),
                     )
     return None
 

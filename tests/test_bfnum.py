@@ -13,6 +13,7 @@ from denumerant import (
     bf_explicit,
     bf_recursive,
 )
+from denumerant.bfnum import _recursive_rows
 
 ROUTES = (bf_explicit, bf_recursive)
 
@@ -150,3 +151,38 @@ def test_recursion_depth_does_not_grow_with_the_row():
     finally:
         sys.setrecursionlimit(limit)
     assert row == bf_explicit((3,) * 300, 0, 300)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(st.integers(1, 15), min_size=1, max_size=8).map(tuple),
+    st.integers(0, 2),
+    st.data(),
+)
+def test_one_recursion_run_gives_every_row_up_to_m(coeffs, r, data):
+    m = data.draw(st.integers(-1, len(coeffs) - r))
+    rows = _recursive_rows(coeffs, r, m)
+    assert len(rows) == m + 1
+    for j, row in enumerate(rows):
+        assert row == bf_recursive(coeffs, r, j)
+        assert_reduced_fractions(row)
+
+
+@pytest.mark.parametrize(
+    "a, r, m, error",
+    [
+        ((2, 3), 0, 3, IndexRangeError),
+        ((2, 3), 2, 1, IndexRangeError),
+        ((2,), 0, 40, IndexRangeError),
+        ((2, 3), -1, 1, ValueError),
+        ((2, 3), -1, -1, ValueError),
+        ((2, 0), 0, 0, ValueError),
+    ],
+)
+def test_recursive_rows_raise_as_the_row_does(a, r, m, error):
+    with pytest.raises(error) as by_rows:
+        _recursive_rows(a, r, m)
+    with pytest.raises(error) as by_row:
+        bf_recursive(a, r, m)
+    assert type(by_rows.value) is type(by_row.value)
+    assert str(by_rows.value) == str(by_row.value)

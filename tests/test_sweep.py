@@ -426,35 +426,54 @@ def _zero_other_tuples(a, r, m, row):
     return row if a == _BF_COEFFS else (0,) * len(row)
 
 
+def _third_on_other_tuples(a, r, m, row):
+    return row if a == _BF_COEFFS else tuple(value / 3 for value in row)
+
+
+def _patch_bf_route(monkeypatch, name, change):
+    # The suite reads the recursion as one run of rows 0..m per offset and
+    # the closed form a row at a time; change(a, r, m, row) edits row m.
+    route = getattr(sweep, name)
+    if name == "_recursive_rows":
+        def patched(a, r, m):
+            return tuple(change(a, r, j, row) for j, row in enumerate(route(a, r, m)))
+    else:
+        def patched(a, r, m):
+            return change(a, r, m, route(a, r, m))
+    monkeypatch.setattr(sweep, name, patched)
+
+
 @pytest.mark.parametrize(
     "routes, change, relation, where",
     [
-        (("bf_recursive",), _bump_one_entry, "bf_recursive == bf_explicit", (1, 2, 1)),
-        (("bf_recursive", "bf_explicit"), _negate_last_entry, "[[m, l]] > 0 for 0 <= l <= m", None),
-        (("bf_recursive", "bf_explicit"), _add_one, "offset shift identity", None),
-        (("bf_explicit",), _zero_other_tuples, "[[m, l]] <= d^l [[m, l]] of reduced", None),
+        (("_recursive_rows",), _bump_one_entry, "bf_recursive == bf_explicit", (1, 2, 1, "8", "7")),
+        (("_recursive_rows", "bf_explicit"), _negate_last_entry, "[[m, l]] > 0 for 0 <= l <= m", (0, 1, 1, "-3", "0")),
+        (("_recursive_rows", "bf_explicit"), _add_one, "offset shift identity", (1, 0, 0, "1", "0")),
+        (("bf_explicit",), _zero_other_tuples, "[[m, l]] <= d^l [[m, l]] of reduced", (0, 0, 0, "1", "0")),
+        # A weight whose denominator does not divide 2^l is compared exactly,
+        # not floored to 0 on its way to e_l.
+        (("bf_explicit",), _third_on_other_tuples, "[[m, l]] <= d^l [[m, l]] of reduced", (0, 0, 0, "1", "1/3")),
     ],
 )
 def test_bf_identities_name_each_broken_relation(monkeypatch, routes, change, relation, where):
     # The identities hold for the true weights, so only patched routes can
-    # show that each relation is compared at all.
+    # show that each relation is compared at all; where is (r, m, ell, lhs,
+    # rhs) of the first failure.
     instance = {"coeffs": _BF_COEFFS}
     assert sweep._check_bf_identities(instance) is None
     for name in routes:
-        route = getattr(sweep, name)
-        monkeypatch.setattr(
-            sweep, name, lambda a, r, m, route=route: change(a, r, m, route(a, r, m))
-        )
+        _patch_bf_route(monkeypatch, name, change)
     failure = sweep._check_bf_identities(instance)
     assert failure is not None and failure.relation == relation
-    if where is not None:
-        assert (failure.instance["r"], failure.instance["m"], failure.instance["ell"]) == where
+    found = failure.instance
+    assert (found["r"], found["m"], found["ell"], failure.lhs, failure.rhs) == where
 
 
 def test_bf_identities_evaluate_each_row_once_per_route(monkeypatch):
-    # Within one instance, each route sees each (tuple, r, m) at most once.
+    # Within one instance the recursion runs once per offset r, to row
+    # min(6, k - r), and the closed form sees each (tuple, r, m) at most once.
     calls = Counter()
-    for name in ("bf_explicit", "bf_recursive"):
+    for name in ("bf_explicit", "_recursive_rows"):
         route = getattr(sweep, name)
 
         def counted(*args, name=name, route=route):
@@ -466,8 +485,17 @@ def test_bf_identities_evaluate_each_row_once_per_route(monkeypatch):
     rng = SplitMix64(3)
     for _ in range(60):
         calls.clear()
-        assert sweep._check_bf_identities({"coeffs": _draw_tuple(rng, cfg)}) is None
-        assert calls and max(calls.values()) == 1
+        coeffs = _draw_tuple(rng, cfg)
+        assert sweep._check_bf_identities({"coeffs": coeffs}) is None
+        k = len(coeffs)
+        recursion = Counter(
+            {key: n for key, n in calls.items() if key[0] == "_recursive_rows"}
+        )
+        assert recursion == Counter(
+            {("_recursive_rows", coeffs, r, min(6, k - r)): 1 for r in range(min(2, k) + 1)}
+        )
+        explicit = [n for key, n in calls.items() if key[0] == "bf_explicit"]
+        assert explicit and max(explicit) == 1
 
 
 _FAILING_REPORT = """\
