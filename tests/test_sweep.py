@@ -488,12 +488,10 @@ def test_bf_identities_evaluate_each_row_once_per_route(monkeypatch):
         coeffs = _draw_tuple(rng, cfg)
         assert sweep._check_bf_identities({"coeffs": coeffs}) is None
         k = len(coeffs)
-        recursion = Counter(
-            {key: n for key, n in calls.items() if key[0] == "_recursive_rows"}
-        )
-        assert recursion == Counter(
-            {("_recursive_rows", coeffs, r, min(6, k - r)): 1 for r in range(min(2, k) + 1)}
-        )
+        recursion = {key: n for key, n in calls.items() if key[0] == "_recursive_rows"}
+        assert recursion == {
+            ("_recursive_rows", coeffs, r, min(6, k - r)): 1 for r in range(min(2, k) + 1)
+        }
         explicit = [n for key, n in calls.items() if key[0] == "bf_explicit"]
         assert explicit and max(explicit) == 1
 
