@@ -10,15 +10,16 @@ Three independent routes to the same number:
 
   evaluated bottom-up as one row D(0..cap) per tuple.  The inner sum
   telescopes to D_j(m) = D_{j-1}(m) + D_j(m - a_j): a running sum along
-  each residue class mod a_j, a strided chunk of the class at a time.
+  each residue class mod a_j.
 * ``popoviciu``: the closed form for two coprime coefficients.
 
 The row cache is keyed on the sorted reduced tuple alone, since the count
 does not depend on coefficient order, and holds one row per tuple: the
 largest built so far, whose power-of-two cap answers every smaller target.
-A larger target rebuilds the row at its own cap and replaces the old one.
+A larger target extends the row to its own cap, building only the new
+cells, and the longer row replaces the old one.
 A coefficient 1 folds in as a plain running sum, so a tuple with ones is
-built from the cached row of the tuple without them, sliced to the cap it
+built from the cached row of the tuple without them, read to the cap it
 needs.  That is how ``extended_count``, which counts the relaxed problem
 sum <= n by adding a slack variable with coefficient 1, reuses the row that
 ``denumerant`` built for the same tuple.  ``prefix_sum_count`` and the
@@ -27,21 +28,26 @@ sum <= n by adding a slack variable with coefficient 1, reuses the row that
 stored in one unsigned 64-bit ``array``: one word per cell when every
 entry fits, and otherwise L words per cell, each cell's count as 8*L
 little-endian bytes.
-Running sums and packing go a chunk at a time, so a build holds one row
-of ints and, whatever the coefficient, one chunk.  A cap over
-``DENUMERANT_MAX_CELLS`` raises BudgetExceededError before anything is
-allocated.
+A row is built one segment of ``_CHUNK`` cells at a time: every
+coefficient folds into a segment before the next segment starts, and the
+segment is packed, so a build holds a segment of ints, not a row.  A tuple
+whose folded coefficients sum past ``_CHUNK`` is built from 0 in one
+segment, summing at most one chunk at a time, so its build holds one row
+of ints and one chunk.  A cap over ``DENUMERANT_MAX_CELLS`` raises
+BudgetExceededError before anything is allocated.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import threading
 from array import array
 from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from operator import add, sub
 from typing import Sequence
 
 from .core import (
@@ -57,12 +63,12 @@ ORACLE_MAX_NODES = 10_000_000
 
 # The most cells one DP row may span, checked against its power-of-two cap
 # before anything is allocated.  On a 2-core x86-64 host `count` at this cap
-# peaked at 280 MB RSS in 1.2-1.4 s for (3, 5, 7, 11), and at 340 MB in
-# 2.6-2.8 s for (1,) * 8, whose entries take three 64-bit limbs.
+# peaked at 50 MB RSS in about 1.0 s for (3, 5, 7, 11), and at 116 MB in
+# 1.8-2.4 s for (1,) * 8, whose entries take three 64-bit limbs.
 DENUMERANT_MAX_CELLS = 1 << 22
 
-# Cells of one residue class per step of a running sum, and per step of
-# packing or unpacking a row, so that a build holds one row and one chunk.
+# Cells of one segment of a row build, and of one step of a running sum, of
+# packing or of unpacking, so that a build holds one segment of ints.
 _CHUNK = 1 << 14
 
 
@@ -138,22 +144,41 @@ class _Row:
 
     ``limbs`` words per cell: one when every count fits in 64 bits, and
     otherwise enough to hold each count as 8 * limbs little-endian bytes.
+    A row grows by ``append``; ``_Row(row)`` copies row's cells, so that a
+    copy can grow while row is read.
     """
 
     __slots__ = ("cap", "limbs", "cells")
 
-    def __init__(self, counts: list[int], top: int) -> None:
-        # top is the largest count in the row.
-        self.cap = len(counts) - 1
-        self.limbs = max(1, -(-top.bit_length() // 64))
-        if self.limbs == 1:
-            self.cells = array("Q", counts)
-            return
-        width = 8 * self.limbs
-        self.cells = array("Q")
-        for start in range(0, len(counts), _CHUNK):
-            chunk = counts[start : start + _CHUNK]
-            self.cells.frombytes(b"".join([v.to_bytes(width, "little") for v in chunk]))
+    def __init__(self, row: _Row | None = None) -> None:
+        if row is None:
+            self.cap, self.limbs, self.cells = -1, 1, array("Q")
+        else:
+            self.cap, self.limbs, self.cells = row.cap, row.limbs, row.cells[:]
+
+    def append(self, counts: list[int], top: int) -> None:
+        """Pack counts as D(cap + 1), D(cap + 2), ...; top is the largest."""
+        limbs = max(self.limbs, -(-top.bit_length() // 64))
+        if limbs > self.limbs:
+            # Widen the packed cells: limb i of each cell moves to word i of
+            # its wider cell, and the new top limbs are zero.  A one-limb
+            # word is native-endian, the limbs of a wider cell little-endian.
+            narrow = self.cells
+            if self.limbs == 1 and sys.byteorder == "big":
+                narrow = narrow[:]
+                narrow.byteswap()
+            self.cells = array("Q", [0]) * (limbs * (self.cap + 1))
+            for i in range(self.limbs):
+                self.cells[i::limbs] = narrow[i :: self.limbs]
+            self.limbs = limbs
+        if limbs == 1:
+            self.cells.fromlist(counts)
+        else:
+            width = 8 * limbs
+            for start in range(0, len(counts), _CHUNK):
+                chunk = counts[start : start + _CHUNK]
+                self.cells.frombytes(b"".join([v.to_bytes(width, "little") for v in chunk]))
+        self.cap += len(counts)
 
     def __getitem__(self, m: int) -> int:
         if self.limbs == 1:
@@ -161,47 +186,93 @@ class _Row:
         raw = self.cells[m * self.limbs : (m + 1) * self.limbs].tobytes()
         return int.from_bytes(raw, "little")
 
-    def counts(self, cap: int) -> list[int]:
-        """D(0), ..., D(cap) as ints, for a cap no larger than the row's."""
+    def counts(self, cap: int, start: int = 0) -> list[int]:
+        """D(start), ..., D(cap) as ints, for a cap no larger than the row's."""
         if self.limbs == 1:
-            return memoryview(self.cells)[: cap + 1].tolist()
+            return memoryview(self.cells)[start : cap + 1].tolist()
         width = 8 * self.limbs
         counts: list[int] = []
-        for start in range(0, cap + 1, _CHUNK):
-            stop = min(start + _CHUNK, cap + 1)
-            raw = self.cells[start * self.limbs : stop * self.limbs].tobytes()
+        for lo in range(start, cap + 1, _CHUNK):
+            hi = min(lo + _CHUNK, cap + 1)
+            raw = self.cells[lo * self.limbs : hi * self.limbs].tobytes()
             counts += [
                 int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)
             ]
         return counts
 
 
-def _build_row(key: tuple[int, ...], cap: int) -> _Row:
-    # counts[m] = number of solutions at target m for the sorted tuple key.
-    # Folding in a coefficient c is a running sum along each residue class
-    # mod c; c = 1 has one class, the whole row, so the leading ones fold
-    # into the cached row of the rest of the tuple.
+def _build_row(key: tuple[int, ...], cap: int, short: _Row | None = None) -> _Row:
+    # D_0 is the indicator of the multiples of key[0] or, for a tuple with
+    # leading ones, the cached row of the rest of the tuple.  Each further
+    # coefficient c folds in as one pass, D_j(m) = D_{j-1}(m) + D_j(m - c).
+    # A segment goes through every pass before the next one starts, and
+    # each pass carries its last c values of D_j into the next segment.
+    # Carries that sum past a segment would be dragged through every one,
+    # so such a tuple is built from 0 in one segment.
     ones = key.count(1)
     if 0 < ones < len(key):
-        counts = _prefix_counts(key[ones:], cap).counts(cap)
+        base = _prefix_counts(key[ones:], cap)
         passes = key[:ones]
     else:
-        first, *passes = key
-        counts = [0] * (cap + 1)
-        counts[::first] = [1] * (cap // first + 1)
-    for coeff in passes:
-        # Each class is summed _CHUNK of its cells at a time, band by band.
-        # A chunk starts on the last cell of the one before it in its class,
-        # which is final, so the sum carries on from there.  Only classes
-        # with two or more cells change, so a coefficient over the cap adds
-        # nothing.
-        for band in range(0, cap + 1 - coeff, coeff * (_CHUNK - 1)):
-            for start in range(band, min(band + coeff, cap + 1 - coeff)):
-                chunk = slice(start, start + coeff * _CHUNK, coeff)
-                counts[chunk] = accumulate(counts[chunk])
-    # One more key[0] turns a solution at m into one at m + key[0], so the
-    # largest count sits in the last key[0] cells.
-    return _Row(counts, max(counts[-key[0] :]))
+        base = None
+        passes = key[1:]
+    total = sum(passes)
+    span = _CHUNK if total <= _CHUNK else cap + 1
+    if short is None or span > _CHUNK:
+        row = _Row()
+        carries: list[list[int]] = [[] for _ in passes]
+    else:
+        # Extend a copy of the short row.  D_{j-1}(m) = D_j(m) - D_j(m - c),
+        # so differencing its last sum(passes) cells back through the passes
+        # gives every carry; a cell below 0 counts 0.
+        row = _Row(short)
+        window = row.counts(row.cap, max(0, row.cap + 1 - total))
+        window = [0] * (total - len(window)) + window
+        carries = []
+        for coeff in reversed(passes):
+            carries.append(window[-coeff:])
+            window = list(map(sub, window[coeff:], window[:-coeff]))
+        carries.reverse()
+    while row.cap < cap:
+        start = row.cap + 1
+        stop = min(cap + 1, start - start % span + span)
+        if base is None:
+            cells = [0] * (stop - start)
+            multiples = range(-start % key[0], stop - start, key[0])
+            cells[multiples.start :: key[0]] = [1] * len(multiples)
+        else:
+            cells = base.counts(stop - 1, start)
+        lead = 0
+        for j, coeff in enumerate(passes):
+            # cells holds this pass's carry, then D_{j-1} on the segment.
+            cells[:lead] = carries[j]
+            lead = len(carries[j])
+            if coeff * coeff > 2 * len(cells):
+                # Few cells per class: adding each block of coeff cells to
+                # the block before it, at most _CHUNK at a time, takes about
+                # len / coeff steps of two slices each, not coeff steps of one.
+                step = min(coeff, _CHUNK)
+                for first in range(coeff, len(cells), step):
+                    block = slice(first, first + step)
+                    before = slice(first - coeff, first - coeff + step)
+                    cells[block] = map(add, cells[block], cells[before])
+            else:
+                # Each class is summed _CHUNK of its cells at a time, band by
+                # band; a chunk starts on the last cell of the one before it
+                # in its class, which is final, so the sum carries on from
+                # there.
+                end = len(cells) - coeff
+                for band in range(0, end, coeff * (_CHUNK - 1)):
+                    for first in range(band, min(band + coeff, end)):
+                        chunk = slice(first, first + coeff * _CHUNK, coeff)
+                        cells[chunk] = accumulate(cells[chunk])
+            if stop <= cap:
+                carries[j] = cells[-coeff:]
+        del cells[:lead]
+        # One more key[0] turns a solution at m into one at m + key[0], so
+        # the largest count sits in the last key[0] cells.
+        row.append(cells, max(cells[-key[0] :]))
+    return row
 
 
 _CacheInfo = namedtuple("_CacheInfo", ["hits", "misses", "maxsize", "currsize"])
@@ -211,9 +282,10 @@ class _RowCache:
     """One DP row per sorted reduced tuple, the least recently used out first.
 
     A lookup hits when the tuple's row reaches the cap asked for; otherwise
-    the row is built at that cap and replaces the old one.  The lock guards
-    the bookkeeping only, never a build, so concurrent callers may build the
-    same row; the larger one is kept.
+    the row is extended to that cap, or built when there is none, and
+    replaces the old one.  The lock guards the bookkeeping only, never a
+    build, so concurrent callers may build the same row; the larger one is
+    kept.
     """
 
     def __init__(self, maxsize: int) -> None:
@@ -229,10 +301,11 @@ class _RowCache:
                 self._rows.move_to_end(key)
                 self._hits += 1
                 return row
-            # A short row is rebuilt, not extended: drop it before the build.
+            # A short row is extended, not rebuilt.  The build copies its
+            # cells, since a reader may still hold it.
             self._rows.pop(key, None)
             self._misses += 1
-        row = _build_row(key, cap)
+        row = _build_row(key, cap, row)
         with self._lock:
             kept = self._rows.get(key)
             if kept is not None and kept.cap >= row.cap:

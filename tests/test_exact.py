@@ -3,6 +3,7 @@ import random
 import sys
 import threading
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -24,6 +25,15 @@ from denumerant.exact import _prefix_counts
 
 def brute(coeffs, n):
     return oracle_count(coeffs, n).value
+
+
+def reference_row(coeffs, cap):
+    # D(0), ..., D(cap) by the plain recurrence, one coefficient at a time.
+    row = [1] + [0] * cap
+    for c in coeffs:
+        for m in range(c, cap + 1):
+            row[m] += row[m - c]
+    return row
 
 
 def test_oracle_spots():
@@ -252,19 +262,22 @@ def test_one_row_answers_every_smaller_target():
 
 
 def test_the_fold_carries_each_residue_class_across_chunks():
-    # A class mod c is summed exact._CHUNK of its cells at a time, so in a
-    # row at cap 2^16 each class r mod 3 carries its sum into a second chunk
-    # at 49152 + r, and at cap 2^17 each class mod 5 does at 81920 + r and
-    # each class mod 7 at 114688 + r.
-    _prefix_counts.cache_clear()
-    for n in (49151, 49152, 49153, 65535):
-        assert denumerant((2, 3), n).value == popoviciu(2, 3, n).value, n
-    assert _prefix_counts((2, 3), 1).cap == 1 << 16
-    for n in (81921, 114689, 131071):
-        expected = sum(popoviciu(3, 5, n - 7 * z).value for z in range(n // 7 + 1))
-        assert denumerant((3, 5, 7), n).value == expected, n
-    assert _prefix_counts((3, 5, 7), 1).cap == 1 << 17
-    assert [c * exact._CHUNK for c in (3, 5, 7)] == [49152, 81920, 114688]
+    # A row is built exact._CHUNK cells at a time, each coefficient's pass
+    # carrying its last cells into the next segment, so every class mod 3, 5
+    # and 7 crosses a segment edge at j * _CHUNK.  An extension carries on
+    # from its row's last cell, and its first segment ends on an edge too.
+    chunk = exact._CHUNK
+    cap = 1 << 17
+    reference = reference_row((3, 5, 7), cap)
+    edges = [j * chunk + e for j in range(1, cap // chunk) for e in (-1, 0, 1)]
+    for caps in ([cap], [256, 1 << 15, cap]):
+        _prefix_counts.cache_clear()
+        for c in caps:
+            assert _prefix_counts((3, 5, 7), c).counts(c) == reference[: c + 1]
+        assert _prefix_counts.cache_info().misses == len(caps)
+        for n in edges + [cap - 1, cap]:
+            assert denumerant((7, 3, 5), n).value == reference[n], (caps, n)
+    assert edges[:3] == [16383, 16384, 16385]
 
 
 def test_a_multi_limb_row_unpacks_a_chunk_at_a_time():
@@ -287,6 +300,72 @@ def test_a_multi_limb_row_unpacks_a_chunk_at_a_time():
         expected = sum(reference[: n + 1])
         assert extended_count(a, n).value == prefix_sum_count(a, n) == expected, n
     assert _prefix_counts.cache_info().currsize == 2
+
+
+def test_an_extended_row_matches_a_reference_dp():
+    # Chains of growing caps on drawn tuples, some with leading ones (built
+    # from the cached row of the rest) and some with coefficients past the
+    # caps the chain starts at: each row is extended from the last one.
+    rng = random.Random(20221)
+    for _ in range(30):
+        top = rng.choice((12, 40, 3000, 20000))
+        a = [rng.randint(2, top) for _ in range(rng.randint(1, 5))]
+        a = tuple(sorted([1] * rng.choice((0, 0, 1, 2)) + a))
+        caps = sorted(rng.sample([1 << b for b in range(8, 16)], rng.randint(2, 4)))
+        reference = reference_row(a, caps[-1])
+        _prefix_counts.cache_clear()
+        for cap in caps:
+            row = _prefix_counts(a, cap)
+            assert row.cap == cap
+            assert row.counts(cap) == reference[: cap + 1], (a, caps, cap)
+
+
+@pytest.mark.parametrize(
+    ("k", "caps", "limbs"),
+    [(8, [1024, 2048], [1, 2]), (12, [256, 512, 4096, 1 << 16], [1, 2, 2, 3])],
+)
+def test_an_extension_widens_the_cells_it_has_packed(k, caps, limbs):
+    # D(n) = C(n + k - 1, k - 1) for k ones; a chain whose counts pass
+    # 2^64 or 2^128 widens the cells packed before, then packs wider ones.
+    _prefix_counts.cache_clear()
+    for cap, want in zip(caps, limbs):
+        row = _prefix_counts((1,) * k, cap)
+        assert (row.cap, row.limbs) == (cap, want)
+        for n in (0, 1, 255, 256, cap // 2, cap - 1, cap):
+            assert row[n] == math.comb(n + k - 1, k - 1), (cap, n)
+    assert row.counts(cap) == [math.comb(n + k - 1, k - 1) for n in range(cap + 1)]
+    assert _prefix_counts.cache_info().misses == len(caps)
+
+
+@pytest.mark.parametrize("a", [(2, 3, 20000), (3, 5000, 7001, 9002), (2, 3, 5000, 9000)])
+def test_coefficients_longer_than_their_classes_sum_block_by_block(a):
+    # (2, 3, 20000) and (3, 5000, 7001, 9002) fold passes that sum past
+    # exact._CHUNK, so their rows are built from 0 in one segment, and an
+    # extension builds them again; the class of 3 in the first spans more
+    # than a chunk.  (2, 3, 5000, 9000) goes segment by segment.  Every
+    # pass of 5000 or more adds whole blocks of cells, a chunk at a time.
+    cap = 1 << 16
+    reference = reference_row(a, cap)
+    for caps in ([cap], [256, cap]):
+        _prefix_counts.cache_clear()
+        for c in caps:
+            assert _prefix_counts(a, c).counts(c) == reference[: c + 1], (a, c)
+
+
+def test_a_build_holds_one_segment_of_ints():
+    # The row of (3, 5, 7, 11) at cap 2^18 packs into 2 MiB, one word a
+    # cell; holding it as ints, as a build of the whole row at once would,
+    # takes about 5 times that.
+    _prefix_counts.cache_clear()
+    tracemalloc.start()
+    try:
+        row = exact._build_row((3, 5, 7, 11), 1 << 18)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    packed = len(row.cells) * row.cells.itemsize
+    assert (row.cap, row.limbs, packed) == (1 << 18, 1, 8 * ((1 << 18) + 1))
+    assert peak < 2 * packed
 
 
 def test_a_slack_row_comes_from_a_base_row_at_a_larger_cap():
@@ -319,7 +398,9 @@ def test_threads_share_the_row_cache():
     # of 32, so lookups, builds and evictions of the same tuples interleave.
     # Every target is a multiple of the gcd, and no tuple keeps a 1 after
     # dividing it out unless it is all ones, so every count is one lookup
-    # and a lost hit or miss shows in the totals.
+    # and a lost hit or miss shows in the totals.  A fifth thread counts one
+    # of those tuples at growing targets, so its row is extended (or, once
+    # evicted, built again) while the others read it.
     rng = random.Random(20221)
     tuples = set()
     while len(tuples) < 40:
@@ -333,15 +414,23 @@ def test_threads_share_the_row_cache():
         a = rng.choice(tuples)
         draws.append((a, math.gcd(*a) * rng.randint(0, 120)))
     results = [None] * 4
+    grown = draws[0][0]
+    d = math.gcd(*grown)
+    targets = [(1 << b) - 1 for b in range(9, 16)]
+    grown_results = []
 
     def work(index):
         results[index] = [denumerant(a, n).value for a, n in draws[index::4]]
+
+    def grow():
+        grown_results.extend(denumerant(grown, d * m).value for m in targets)
 
     _prefix_counts.cache_clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        threads.append(threading.Thread(target=grow))
         for thread in threads:
             thread.start()
         for thread in threads:
@@ -352,8 +441,10 @@ def test_threads_share_the_row_cache():
     expected = {pair: brute(*pair) for pair in set(draws)}
     for index in range(4):
         assert results[index] == [expected[pair] for pair in draws[index::4]]
+    reference = reference_row([c // d for c in grown], targets[-1])
+    assert grown_results == [reference[m] for m in targets]
     info = _prefix_counts.cache_info()
-    assert info.hits + info.misses == len(draws)
+    assert info.hits + info.misses == len(draws) + len(targets)
     assert info.currsize <= info.maxsize == 32
 
 
