@@ -12,7 +12,6 @@ from .bounds import (
     inequality_b_lower,
     prefix_sum_count,
     relaxed_count_chain,
-    relaxed_shift_sequence,
 )
 from .core import (
     BudgetExceededError,
@@ -91,7 +90,6 @@ __all__ = [
     "prefix_sum_count",
     "refined_upper_bound",
     "relaxed_count_chain",
-    "relaxed_shift_sequence",
     "run_verify",
     "shrink_failure",
 ]

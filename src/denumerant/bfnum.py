@@ -14,17 +14,18 @@ and satisfies the closed form
 with e_l the elementary symmetric polynomial.  Both routes are implemented
 below so each can check the other: the recursion in exact rationals, a row
 at a time, and the closed form as an integer column update over the
-coefficients followed by one division by 2^l per entry.  The recursion
-runs once per row sequence: its run to row m passes rows 0, ..., m - 1
-on the way, and ``_recursive_rows`` returns them all, so a check of
-every row at one offset needs one run, not one per row.
+coefficients followed by one division by 2^l per entry.
 
-The unit of evaluation is a row: both routes return the m + 1 weights
-([[m, 0]]_r, ..., [[m, m]]_r), which is what the bounds use.  A row reads
-a_{1+r}, ..., a_{m+r}, so it needs m + r <= k when m >= 1; the row at
-m = -1 is empty.  The edge rules outside a row (0 for l < 0 or l > m, and
-[[m, 0]]_r = 1 for any m >= 0 and any tuple length) read no coefficient;
-the ``bf`` command applies them itself.
+The two routes return what each computes.  The closed form reaches row m
+directly, so ``bf_explicit`` returns that one row, the m + 1 weights
+([[m, 0]]_r, ..., [[m, m]]_r), which is what the bounds use.  The
+recursion passes every row on its way to row m, so ``bf_recursive``
+returns rows 0, ..., m, and a check of every row at one offset needs one
+run, not one per row.  Row m reads a_{1+r}, ..., a_{m+r}, so it needs
+m + r <= k when m >= 1; at m = -1 both routes return an empty tuple.  The
+edge rules outside a row (0 for l < 0 or l > m, and [[m, 0]]_r = 1 for
+any m >= 0 and any tuple length) read no coefficient; the ``bf`` command
+applies them itself.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ def _window(a: Sequence[int], r: int, m: int) -> tuple[int, ...]:
     return coeffs[r : m + r]
 
 
-def _recursive_rows(
+def bf_recursive(
     a: Sequence[int], r: int, m: int
 ) -> tuple[tuple[Fraction, ...], ...]:
     """Rows 0, ..., m of [[., l]]_r by the defining recursion, built from
@@ -66,13 +67,6 @@ def _recursive_rows(
         row = tuple(prev[ell + 1] + half * prev[ell] for ell in range(len(row) + 1))
         rows.append(row)
     return tuple(rows)
-
-
-def bf_recursive(a: Sequence[int], r: int, m: int) -> tuple[Fraction, ...]:
-    """The row ([[m, 0]]_r, ..., [[m, m]]_r) by the defining recursion: the
-    last of the rows 0, ..., m it builds."""
-    rows = _recursive_rows(a, r, m)
-    return rows[-1] if rows else ()
 
 
 def bf_explicit(a: Sequence[int], r: int, m: int) -> tuple[Fraction, ...]:

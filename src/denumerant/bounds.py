@@ -23,10 +23,9 @@ and the integer coefficients of the series polynomial.  It runs in
 integers: every step d_i / d_{i+1} is one, so s-_i, 2 s+_i and 2 r_i are
 integers, and the series coefficients are scaled from the weights' own
 numerators and denominators.  ``Fraction``s appear only in the entries of
-``BoundSequences`` (and of ``relaxed_shift_sequence``) and in the values at
-a target.  A target costs a few integer powers and one Horner pass, and
-one ``Fraction`` of an integer numerator over that fixed denominator per
-value.
+``BoundSequences`` and in the values at a target.  A target costs a few
+integer powers and one Horner pass, and one ``Fraction`` of an integer
+numerator over that fixed denominator per value.
 ``inequality_a``, ``inequality_b_lower`` and ``relaxed_count_chain``
 prepare for their one target; the CLI and the sweeps prepare once per
 command or instance.
@@ -34,7 +33,6 @@ command or instance.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -83,14 +81,6 @@ def _two_or_more(a: Sequence[int]) -> tuple[int, ...]:
     if len(coeffs) < 2:
         raise TooShortTupleError(f"the bounds need at least two coefficients, got {coeffs}")
     return coeffs
-
-
-def relaxed_shift_sequence(a: Sequence[int]) -> tuple[Fraction, ...]:
-    """The shifts r_i = a_1 + (a_2 + ... + a_i) / 2, defined for every k >= 1."""
-    coeffs = as_coeffs(a)
-    # 2 r_i = 2 a_1 + a_2 + ... + a_i, an integer.
-    twice = itertools.accumulate(coeffs[1:], initial=2 * coeffs[0])
-    return tuple(Fraction(t, 2) for t in twice)
 
 
 def bound_sequences(a: Sequence[int]) -> BoundSequences:

@@ -24,10 +24,10 @@ needs.  That is how ``extended_count``, which counts the relaxed problem
 sum <= n by adding a slack variable with coefficient 1, reuses the row that
 ``denumerant`` built for the same tuple.  ``prefix_sum_count`` and the
 ``frobenius`` verify suite read every count up to n from one row
-(``_reduced_counts``) instead of counting each target.  A finished row is
-stored in one unsigned 64-bit ``array``: one word per cell when every
-entry fits, and otherwise L words per cell, each cell's count as 8*L
-little-endian bytes.
+(``_reduced_counts``, a chunk of ints at a time) instead of counting each
+target.  A finished row is stored in one unsigned 64-bit ``array``: one
+word per cell when every entry fits, and otherwise L words per cell, each
+cell's count as 8*L little-endian bytes.
 A row is built one segment of ``_CHUNK`` cells at a time: every
 coefficient folds into a segment before the next segment starts, and the
 segment is packed, so a build holds a segment of ints, not a row.  A tuple
@@ -48,7 +48,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from operator import add, sub
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .core import (
     BudgetExceededError,
@@ -363,17 +363,21 @@ def denumerant(a: Sequence[int], n: int) -> CountResult:
     return CountResult(_reduced_row(coeffs, n, d)[n // d], "recursion")
 
 
-def _reduced_counts(a: Sequence[int], n: int) -> list[int]:
-    """D(a/d, 0), ..., D(a/d, n // d) for d = gcd(a), read from one cached row.
+def _reduced_counts(a: Sequence[int], n: int) -> Iterator[int]:
+    """D(a/d, 0), ..., D(a/d, n // d) for d = gcd(a), read from one cached row
+    ``_CHUNK`` cells at a time, so a reader holds one chunk of ints.
 
     D(a, m) is entry m / d when d divides m and 0 otherwise, so for a
-    coprime tuple the list is D(a, 0), ..., D(a, n).  The row is the one
-    ``denumerant`` reads at d * (n // d), under the same budget.
+    coprime tuple the counts are D(a, 0), ..., D(a, n).  The row is the one
+    ``denumerant`` reads at d * (n // d), under the same budget; a bad input
+    raises on the first read.
     """
     coeffs = as_coeffs(a)
     _require_natural(n)
     d = math.gcd(*coeffs)
-    return _reduced_row(coeffs, n, d).counts(n // d)
+    row, m = _reduced_row(coeffs, n, d), n // d
+    for lo in range(0, m + 1, _CHUNK):
+        yield from row.counts(min(lo + _CHUNK - 1, m), lo)
 
 
 def popoviciu(a1: int, a2: int, n: int) -> CountResult:

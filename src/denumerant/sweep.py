@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator
 
-from .bfnum import _recursive_rows, bf_explicit
+from .bfnum import bf_explicit, bf_recursive
 from .bounds import (
     BoundReport,
     _coprime_sandwich,
@@ -314,7 +314,7 @@ def _check_frobenius(instance: dict) -> Failure | None:
     top = min(g + min(coeffs) + report.brauer_upper, g + 400)
     if top < 0:
         return None
-    counts = _reduced_counts(coeffs, top)
+    counts = list(_reduced_counts(coeffs, top))
     if g >= 0 and counts[g] != 0:
         return _fail(instance, "denumerant(a, g) == 0", counts[g], 0)
     for value in range(max(g + 1, 0), top + 1):
@@ -352,7 +352,7 @@ def _check_bf_identities(instance: dict) -> Failure | None:
     # 0 <= l <= m; off the triangle both routes are 0 by definition and
     # compute nothing.
     for r in range(min(2, k) + 1):
-        by_recursion_rows = _recursive_rows(coeffs, r, min(6, k - r))
+        by_recursion_rows = bf_recursive(coeffs, r, min(6, k - r))
         for m, by_recursion_row in enumerate(by_recursion_rows):
             row, e_row = explicit(coeffs, r, m)
             rows = zip(by_recursion_row, row, e_row, strict=True)

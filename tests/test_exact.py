@@ -368,6 +368,21 @@ def test_a_build_holds_one_segment_of_ints():
     assert peak < 2 * packed
 
 
+def test_a_prefix_sum_reads_one_chunk_of_ints_at_a_time():
+    # On a warm row the sum reads 2^18 counts a chunk of 2^14 ints at a
+    # time; the whole row as ints would take about 10 MiB.
+    a, n = (3, 5, 7, 11), (1 << 18) - 1
+    expected = sum(_prefix_counts(a, 1 << 18).counts(n))
+    tracemalloc.start()
+    try:
+        total = prefix_sum_count(a, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert total == expected
+    assert peak < 1 << 20
+
+
 def test_a_slack_row_comes_from_a_base_row_at_a_larger_cap():
     _prefix_counts.cache_clear()
     denumerant((3, 5, 7), 5000)

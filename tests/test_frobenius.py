@@ -1,6 +1,7 @@
 import math
 import random
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,6 @@ from denumerant import (
     frobenius_exact,
     inequality_a,
     relaxed_count_chain,
-    relaxed_shift_sequence,
 )
 from denumerant.frobenius import FROBENIUS_MAX_CELLS, _frobenius_sieve
 
@@ -123,7 +123,8 @@ def test_root_bounds_match_predicates():
         k = len(coeffs)
         prod = math.prod(coeffs)
         shift_1 = bound_sequences(coeffs).upper_shifts[-1]
-        shift_2 = relaxed_shift_sequence(coeffs)[-1]
+        # r_k = a_1 + (a_2 + ... + a_k) / 2, the relaxed chain's shift.
+        shift_2 = coeffs[0] + Fraction(sum(coeffs[1:]), 2)
         target_1 = math.factorial(k - 1) * prod
         target_2 = math.factorial(k) * prod
         for n in range(0, 5000):

@@ -434,7 +434,7 @@ def _patch_bf_route(monkeypatch, name, change):
     # The suite reads the recursion as one run of rows 0..m per offset and
     # the closed form a row at a time; change(a, r, m, row) edits row m.
     route = getattr(sweep, name)
-    if name == "_recursive_rows":
+    if name == "bf_recursive":
         def patched(a, r, m):
             return tuple(change(a, r, j, row) for j, row in enumerate(route(a, r, m)))
     else:
@@ -446,9 +446,9 @@ def _patch_bf_route(monkeypatch, name, change):
 @pytest.mark.parametrize(
     "routes, change, relation, where",
     [
-        (("_recursive_rows",), _bump_one_entry, "bf_recursive == bf_explicit", (1, 2, 1, "8", "7")),
-        (("_recursive_rows", "bf_explicit"), _negate_last_entry, "[[m, l]] > 0 for 0 <= l <= m", (0, 1, 1, "-3", "0")),
-        (("_recursive_rows", "bf_explicit"), _add_one, "offset shift identity", (1, 0, 0, "1", "0")),
+        (("bf_recursive",), _bump_one_entry, "bf_recursive == bf_explicit", (1, 2, 1, "8", "7")),
+        (("bf_recursive", "bf_explicit"), _negate_last_entry, "[[m, l]] > 0 for 0 <= l <= m", (0, 1, 1, "-3", "0")),
+        (("bf_recursive", "bf_explicit"), _add_one, "offset shift identity", (1, 0, 0, "1", "0")),
         (("bf_explicit",), _zero_other_tuples, "[[m, l]] <= d^l [[m, l]] of reduced", (0, 0, 0, "1", "0")),
         # A weight whose denominator does not divide 2^l is compared exactly,
         # not floored to 0 on its way to e_l.
@@ -473,7 +473,7 @@ def test_bf_identities_evaluate_each_row_once_per_route(monkeypatch):
     # Within one instance the recursion runs once per offset r, to row
     # min(6, k - r), and the closed form sees each (tuple, r, m) at most once.
     calls = Counter()
-    for name in ("bf_explicit", "_recursive_rows"):
+    for name in ("bf_explicit", "bf_recursive"):
         route = getattr(sweep, name)
 
         def counted(*args, name=name, route=route):
@@ -488,9 +488,9 @@ def test_bf_identities_evaluate_each_row_once_per_route(monkeypatch):
         coeffs = _draw_tuple(rng, cfg)
         assert sweep._check_bf_identities({"coeffs": coeffs}) is None
         k = len(coeffs)
-        recursion = {key: n for key, n in calls.items() if key[0] == "_recursive_rows"}
+        recursion = {key: n for key, n in calls.items() if key[0] == "bf_recursive"}
         assert recursion == {
-            ("_recursive_rows", coeffs, r, min(6, k - r)): 1 for r in range(min(2, k) + 1)
+            ("bf_recursive", coeffs, r, min(6, k - r)): 1 for r in range(min(2, k) + 1)
         }
         explicit = [n for key, n in calls.items() if key[0] == "bf_explicit"]
         assert explicit and max(explicit) == 1
