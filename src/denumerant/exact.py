@@ -15,9 +15,12 @@ Three independent routes to the same number:
 
 The row cache is keyed on the sorted reduced tuple alone, since the count
 does not depend on coefficient order, and holds one row per tuple: the
-largest built so far, whose power-of-two cap answers every smaller target.
-A larger target extends the row to its own cap, building only the new
-cells, and the longer row replaces the old one.
+largest built so far, which answers every target up to its cap.  A row
+within one segment of ``_CHUNK`` cells (see below) is sized to the target
+it serves, rounded up to an eighth of that target's octave; a longer one
+to the power of two that covers its target (``_row_cap``).  A larger
+target extends the row, at least doubling it up to that power of two,
+building only the new cells, and the longer row replaces the old one.
 A coefficient 1 folds in as a plain running sum, so a tuple with ones is
 built from the cached row of the tuple without them, read to the cap it
 needs.  That is how ``extended_count``, which counts the relaxed problem
@@ -33,8 +36,9 @@ coefficient folds into a segment before the next segment starts, and the
 segment is packed, so a build holds a segment of ints, not a row.  A tuple
 whose folded coefficients sum past ``_CHUNK`` is built from 0 in one
 segment, summing at most one chunk at a time, so its build holds one row
-of ints and one chunk.  A cap over ``DENUMERANT_MAX_CELLS`` raises
-BudgetExceededError before anything is allocated.
+of ints and one chunk.  A target whose counts D(0..n // d) span more than
+``DENUMERANT_MAX_CELLS`` cells raises BudgetExceededError before anything
+is allocated.
 """
 
 from __future__ import annotations
@@ -61,10 +65,11 @@ from .core import (
 # The most loop nodes one oracle enumeration may visit.
 ORACLE_MAX_NODES = 10_000_000
 
-# The most cells one DP row may span, checked against its power-of-two cap
-# before anything is allocated.  On a 2-core x86-64 host `count` at this cap
-# peaked at 50 MB RSS in about 1.0 s for (3, 5, 7, 11), and at 116 MB in
-# 1.8-2.4 s for (1,) * 8, whose entries take three 64-bit limbs.
+# The most cells one DP row may span, checked against the n // d + 1 cells
+# a target needs before anything is allocated.  On a 2-core x86-64 host
+# `count` at this cap peaked at 50 MB RSS in about 1.0 s for (3, 5, 7, 11),
+# and at 116 MB in 1.8-2.4 s for (1,) * 8, whose entries take three 64-bit
+# limbs.
 DENUMERANT_MAX_CELLS = 1 << 22
 
 # Cells of one segment of a row build, and of one step of a running sum, of
@@ -181,6 +186,8 @@ class _Row:
         self.cap += len(counts)
 
     def __getitem__(self, m: int) -> int:
+        if not 0 <= m <= self.cap:
+            raise IndexError(f"D({m}) is outside the row D(0..{self.cap})")
         if self.limbs == 1:
             return self.cells[m]
         raw = self.cells[m * self.limbs : (m + 1) * self.limbs].tobytes()
@@ -188,6 +195,8 @@ class _Row:
 
     def counts(self, cap: int, start: int = 0) -> list[int]:
         """D(start), ..., D(cap) as ints, for a cap no larger than the row's."""
+        if start < 0 or cap > self.cap:
+            raise IndexError(f"D({start}..{cap}) is outside the row D(0..{self.cap})")
         if self.limbs == 1:
             return memoryview(self.cells)[start : cap + 1].tolist()
         width = 8 * self.limbs
@@ -278,14 +287,36 @@ def _build_row(key: tuple[int, ...], cap: int, short: _Row | None = None) -> _Ro
 _CacheInfo = namedtuple("_CacheInfo", ["hits", "misses", "maxsize", "currsize"])
 
 
+def _row_cap(m: int, short: _Row | None) -> int:
+    """The cap of the row built for target m, from the short row if any.
+
+    Up to one segment, a new row ends at m rounded up to an eighth of its
+    octave, at least 32, and an extension also at least doubles the short
+    row, up to the power of two that covers m, so a rising target extends a
+    row at most twice per octave.  A target past one segment gets that
+    power of two at once: extending a long row costs tens of milliseconds
+    in whichever later call needs it, and rising targets, as in a stream of
+    counts, would pay that again within the octave.  Either way the cap is
+    at most max(32, 1 << m.bit_length()).
+    """
+    power = 1 << (m - 1).bit_length()
+    if m > _CHUNK:
+        return power
+    grid = 1 << max(0, m.bit_length() - 3)
+    cap = max(32, -(-m // grid) * grid)
+    if short is not None:
+        cap = max(cap, min(2 * short.cap, power))
+    return cap
+
+
 class _RowCache:
     """One DP row per sorted reduced tuple, the least recently used out first.
 
-    A lookup hits when the tuple's row reaches the cap asked for; otherwise
-    the row is extended to that cap, or built when there is none, and
-    replaces the old one.  The lock guards the bookkeeping only, never a
-    build, so concurrent callers may build the same row; the larger one is
-    kept.
+    A lookup hits when the tuple's row reaches the target m asked for;
+    otherwise the row is extended to ``_row_cap``, or built when there is
+    none, and replaces the old one.  The lock guards the bookkeeping only,
+    never a build, so concurrent callers may build the same row; the larger
+    one is kept.
     """
 
     def __init__(self, maxsize: int) -> None:
@@ -294,10 +325,10 @@ class _RowCache:
         self._lock = threading.Lock()
         self._hits = self._misses = 0
 
-    def __call__(self, key: tuple[int, ...], cap: int) -> _Row:
+    def __call__(self, key: tuple[int, ...], m: int) -> _Row:
         with self._lock:
             row = self._rows.get(key)
-            if row is not None and row.cap >= cap:
+            if row is not None and row.cap >= m:
                 self._rows.move_to_end(key)
                 self._hits += 1
                 return row
@@ -305,7 +336,7 @@ class _RowCache:
             # cells, since a reader may still hold it.
             self._rows.pop(key, None)
             self._misses += 1
-        row = _build_row(key, cap, row)
+        row = _build_row(key, _row_cap(m, row), row)
         with self._lock:
             kept = self._rows.get(key)
             if kept is not None and kept.cap >= row.cap:
@@ -332,19 +363,16 @@ _prefix_counts = _RowCache(maxsize=32)
 def _reduced_row(coeffs: tuple[int, ...], n: int, d: int) -> _Row:
     """The cached row of a/d, d = gcd(a), that reaches n // d.
 
-    Raises BudgetExceededError when it would span more than
+    Raises BudgetExceededError when D(0..n // d) spans more than
     DENUMERANT_MAX_CELLS cells.
     """
     m = n // d
-    # Round the table size up to a power of two, so that a rebuild at least
-    # doubles the row and nearby targets share it.
-    cap = max(256, 1 << m.bit_length())
-    if cap > DENUMERANT_MAX_CELLS:
+    if m + 1 > DENUMERANT_MAX_CELLS:
         raise BudgetExceededError(
-            f"the table for {coeffs} at n={n} needs {cap} cells, over the "
+            f"the table for {coeffs} at n={n} needs {m + 1} cells, over the "
             f"cap of {DENUMERANT_MAX_CELLS}"
         )
-    return _prefix_counts(tuple(sorted(c // d for c in coeffs)), cap)
+    return _prefix_counts(tuple(sorted(c // d for c in coeffs)), m)
 
 
 def denumerant(a: Sequence[int], n: int) -> CountResult:

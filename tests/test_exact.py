@@ -13,13 +13,15 @@ from denumerant import (
     BudgetExceededError,
     InvariantViolationError,
     NotCoprimeError,
+    SweepConfig,
     denumerant,
     extended_count,
     oracle_count,
     popoviciu,
     prefix_sum_count,
+    run_verify,
 )
-from denumerant import exact
+from denumerant import cli, exact
 from denumerant.exact import _prefix_counts
 
 
@@ -193,7 +195,7 @@ def test_coefficient_orders_share_one_row():
 
 
 def test_a_coefficient_over_the_cap_adds_nothing_to_the_row():
-    # The row for n = 5 spans 256 cells; 10^12 + 1 must not cost a pass per unit.
+    # The row for n = 5 spans 33 cells; 10^12 + 1 must not cost a pass per unit.
     started = time.perf_counter()
     assert denumerant((2, 10**12 + 1), 5).value == 0
     assert denumerant((2, 10**12 + 1), 6).value == 1
@@ -232,8 +234,9 @@ def test_derived_slack_row_is_exact_on_both_sides_of_64_bits(n, limbs):
     _prefix_counts.cache_clear()
     expected = sum(math.comb(n - 2 * y + 6, 6) for y in range(n // 2 + 1))
     assert extended_count(a, n).value == expected
-    assert _prefix_counts((2,), 1 << n.bit_length()).limbs == 1
-    assert _prefix_counts((1,) * 7 + (2,), 1 << n.bit_length()).limbs == limbs
+    assert _prefix_counts((2,), n).limbs == 1
+    assert _prefix_counts((1,) * 7 + (2,), n).limbs == limbs
+    assert _prefix_counts.cache_info().misses == 2
 
 
 def test_a_row_past_2_to_the_128_takes_three_limbs():
@@ -253,12 +256,149 @@ def test_one_row_answers_every_smaller_target():
     assert denumerant((7, 5, 3), 300).value == brute((3, 5, 7), 300)
     after = _prefix_counts.cache_info()
     assert (after.misses, after.hits) == (before.misses, before.hits + 1)
-    # A larger target rebuilds the row at its own cap, in the same slot.
+    # A larger target extends the row, in the same slot: 5000 built it to
+    # 5 * 2^10, and 9000 needs 5 * 2^11, which also doubles it.
     expected = sum(popoviciu(3, 5, 9000 - 7 * z).value for z in range(9000 // 7 + 1))
     assert denumerant((3, 5, 7), 9000).value == expected
     assert _prefix_counts.cache_info().misses == after.misses + 1
     assert _prefix_counts.cache_info().currsize == 1
-    assert _prefix_counts((3, 5, 7), 256).cap == 16384
+    assert _prefix_counts((3, 5, 7), 256).cap == 10240
+
+
+@pytest.mark.parametrize(
+    ("a", "limbs", "cases"),
+    [
+        (
+            (3, 5, 7),
+            1,
+            [
+                (None, 10240, 10240), (None, 10241, 12288), (None, 16383, 16384),
+                (None, 16384, 16384), (None, 16385, 32768), (2560, 10240, 10240),
+                (2560, 10241, 12288), (10240, 10241, 16384), (12288, 16383, 16384),
+                (8192, 16385, 32768), (16384, 16385, 32768), (None, 40960, 65536),
+            ],
+        ),
+        (
+            (1,) * 20,
+            2,
+            [
+                (None, 320, 320), (None, 321, 384), (None, 511, 512), (None, 512, 512),
+                (None, 513, 640), (80, 320, 320), (80, 321, 384), (320, 321, 512),
+                (384, 511, 512), (256, 513, 640), (384, 513, 768),
+            ],
+        ),
+        (
+            (1,) * 20,
+            3,
+            [
+                (None, 1280, 1280), (None, 1281, 1536), (None, 2047, 2048),
+                (None, 2048, 2048), (None, 2049, 2560), (320, 1280, 1280),
+                (320, 1281, 1536), (1280, 1281, 2048), (1536, 2047, 2048),
+                (1024, 2049, 2560), (2048, 2049, 4096),
+            ],
+        ),
+    ],
+    ids=["one limb", "two limbs", "three limbs"],
+)
+def test_a_row_is_sized_to_its_target(a, limbs, cases):
+    # (short target or None, target, cap): up to exact._CHUNK a new row ends
+    # at the target rounded up to an eighth of its octave, and an extension
+    # also at least doubles the short row, up to the power of two that
+    # covers the target; past exact._CHUNK the row ends at that power of
+    # two.  The targets sit on a grid point, one past it, at 2^b - 1 and at
+    # 2^b.
+    reference = reference_row(a, max(cap for _, _, cap in cases))
+    for short, m, cap in cases:
+        _prefix_counts.cache_clear()
+        if short is not None:
+            assert _prefix_counts(a, short).cap == short
+        row = _prefix_counts(a, m)
+        assert (row.cap, row.limbs) == (cap, limbs), (short, m)
+        assert row.counts(cap) == reference[: cap + 1], (short, m)
+        assert _prefix_counts.cache_info().misses == (1 if short is None else 2)
+
+
+def test_a_rising_target_never_builds_past_the_power_of_two_above_it(monkeypatch):
+    # Every build a lookup makes, the base row of a tuple with ones included,
+    # is at most 1 << m.bit_length() long, as the rows were when every cap
+    # was a power of two.
+    built = []
+    build = exact._build_row
+
+    def recorded(key, cap, short=None):
+        built.append(cap)
+        return build(key, cap, short)
+
+    monkeypatch.setattr(exact, "_build_row", recorded)
+    rng = random.Random(20221)
+    for _ in range(20):
+        a = [rng.randint(2, 30) for _ in range(rng.randint(1, 4))]
+        a = tuple(sorted([1] * rng.choice((0, 0, 1, 2)) + a))
+        targets = sorted(int(2 ** rng.uniform(4, 15)) for _ in range(rng.randint(2, 8)))
+        reference = reference_row(a, targets[-1])
+        _prefix_counts.cache_clear()
+        for m in targets:
+            built.clear()
+            row = _prefix_counts(a, m)
+            assert row[m] == reference[m], (a, targets, m)
+            assert m <= row.cap <= 1 << m.bit_length(), (a, targets, m)
+            assert all(cap <= 1 << m.bit_length() for cap in built), (a, targets, m)
+
+
+@pytest.mark.parametrize("coeffs", ["3,5,7", "2,3,20000"])
+def test_a_rising_range_misses_once_per_octave(capsys, coeffs):
+    # Targets 0..99999 one at a time: the row starts at 32 cells and each
+    # miss doubles it, to 2^17.  The passes of (2, 3, 20000) sum past
+    # exact._CHUNK, so each of its misses builds the row from 0 again.
+    _prefix_counts.cache_clear()
+    assert cli.main(["count", "--coeffs", coeffs, "--n-range", "0:99999"]) == 0
+    capsys.readouterr()
+    assert _prefix_counts.cache_info()[:2] == (100000 - 13, 13)
+    assert _prefix_counts(tuple(map(int, coeffs.split(","))), 0).cap == 1 << 17
+
+
+def test_the_asymptotic_suite_builds_rows_to_its_targets(monkeypatch):
+    # A timing-free guard on the row sizes: the asymptotic acceptance config
+    # counts 59 tuples at n = 10^3 and then 10^4, so each row is built to
+    # 1024 and extended to 10240.  Rows of the next power of two would add
+    # 16385 cells per tuple, 966715 in all.
+    added = []
+    build = exact._build_row
+
+    def counted(key, cap, short=None):
+        row = build(key, cap, short)
+        added.append(row.cap - (-1 if short is None else short.cap))
+        return row
+
+    monkeypatch.setattr(exact, "_build_row", counted)
+    _prefix_counts.cache_clear()
+    report = run_verify(
+        SweepConfig(
+            suite="asymptotic", seed=6, trials=50, k_range=(2, 5), max_coeff=15, n_max=120
+        )
+    )
+    assert (report.instances, report.failures) == (50, [])
+    assert len(added) == 2 * 59
+    assert sum(added) <= 59 * (10240 + 1)
+
+
+@pytest.mark.parametrize(
+    ("a", "m", "limbs"), [((3, 5, 7), 256, 1), ((1,) * 8, 2048, 2), ((1,) * 20, 2048, 3)]
+)
+def test_a_read_past_the_row_raises(a, m, limbs):
+    # A row ends at its target's grid point, so a read past it must fail
+    # loudly at every limb count, not read an empty slice as 0.
+    _prefix_counts.cache_clear()
+    row = _prefix_counts(a, m)
+    assert (row.cap, row.limbs) == (m, limbs)
+    assert row[m] == reference_row(a, m)[m]
+    for bad in (m + 1, m + 44, -1):
+        with pytest.raises(IndexError):
+            row[bad]
+    for cap, start in ((m + 1, 0), (m + 44, m - 6), (m, -1)):
+        with pytest.raises(IndexError):
+            row.counts(cap, start)
+    assert len(row.counts(m, m - 6)) == 7
 
 
 def test_the_fold_carries_each_residue_class_across_chunks():
@@ -389,9 +529,9 @@ def test_a_slack_row_comes_from_a_base_row_at_a_larger_cap():
     before = _prefix_counts.cache_info()
     assert extended_count((5, 7, 3), 300).value == oracle_count((1, 3, 5, 7), 300).value
     after = _prefix_counts.cache_info()
-    # One new row, the slack row, cut to its own cap from the cap-8192 row.
+    # One new row, the slack row, cut to its own cap from the cap-5120 row.
     assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
-    assert _prefix_counts((1, 3, 5, 7), 512).cap == 512
+    assert _prefix_counts((1, 3, 5, 7), 300).cap == 320
 
 
 def test_a_33rd_tuple_evicts_the_least_recently_used():
@@ -476,7 +616,7 @@ def test_table_budget_is_checked_before_allocating(monkeypatch):
     monkeypatch.setattr(exact, "DENUMERANT_MAX_CELLS", 512)
     _prefix_counts.cache_clear()
     assert denumerant((3, 5), 511).value == brute((3, 5), 511)
-    with pytest.raises(BudgetExceededError, match="1024 cells"):
+    with pytest.raises(BudgetExceededError, match="513 cells"):
         denumerant((3, 5), 512)
     with pytest.raises(BudgetExceededError):
         extended_count((3, 5), 512)
