@@ -21,16 +21,15 @@ it serves, rounded up to an eighth of that target's octave; a longer one
 to the power of two that covers its target (``_row_cap``).  A larger
 target extends the row, at least doubling it up to that power of two,
 building only the new cells, and the longer row replaces the old one.
-A coefficient 1 folds in as a plain running sum, so a tuple with ones is
-built from the cached row of the tuple without them, read to the cap it
-needs.  That is how ``extended_count``, which counts the relaxed problem
-sum <= n by adding a slack variable with coefficient 1, reuses the row that
-``denumerant`` built for the same tuple.  ``prefix_sum_count`` and the
-``frobenius`` verify suite read every count up to n from one row
-(``_reduced_counts``, a chunk of ints at a time) instead of counting each
-target.  A finished row is stored in one unsigned 64-bit ``array``: one
-word per cell when every entry fits, and otherwise L words per cell, each
-cell's count as 8*L little-endian bytes.
+A row also keeps the running sum D(0) + ... + D(m - 1) at every multiple m
+of ``_BLOCK`` cells, so ``extended_count``, which counts the relaxed
+problem sum <= n, reads the same cached row as ``denumerant`` and adds at
+most ``_BLOCK - 1`` of its cells to one of those sums.
+``prefix_sum_count`` and the ``frobenius`` verify suite read every count up
+to n from one row (``_reduced_counts``, a chunk of ints at a time) instead
+of counting each target.  A finished row is stored in one unsigned 64-bit
+``array``: one word per cell when every entry fits, and otherwise L words
+per cell, each cell's count as 8*L little-endian bytes.
 A row is built one segment of ``_CHUNK`` cells at a time: every
 coefficient folds into a segment before the next segment starts, and the
 segment is packed, so a build holds a segment of ints, not a row.  A tuple
@@ -67,14 +66,23 @@ ORACLE_MAX_NODES = 10_000_000
 
 # The most cells one DP row may span, checked against the n // d + 1 cells
 # a target needs before anything is allocated.  On a 2-core x86-64 host
-# `count` at this cap peaked at 50 MB RSS in about 1.0 s for (3, 5, 7, 11),
-# and at 116 MB in 1.8-2.4 s for (1,) * 8, whose entries take three 64-bit
+# `count` at this cap peaked at 53 MB RSS in about 1.0 s for (3, 5, 7, 11),
+# and at 120 MB in 2.3-2.7 s for (1,) * 8, whose entries take three 64-bit
 # limbs.
 DENUMERANT_MAX_CELLS = 1 << 22
 
 # Cells of one segment of a row build, and of one step of a running sum, of
 # packing or of unpacking, so that a build holds one segment of ints.
 _CHUNK = 1 << 14
+
+# Cells between the running sums a row keeps, and so the most cells a
+# relaxed count adds to one of them.
+_BLOCK = 64
+
+# The array typecode of one unsigned 64-bit word.  'L' converts an int
+# through PyLong_AsUnsignedLong, several times faster than 'Q' does for
+# values of 2^30 or more, so it is used wherever it is 64 bits wide.
+_WORD = "L" if array("L").itemsize == 8 else "Q"
 
 
 @dataclass(frozen=True)
@@ -149,20 +157,32 @@ class _Row:
 
     ``limbs`` words per cell: one when every count fits in 64 bits, and
     otherwise enough to hold each count as 8 * limbs little-endian bytes.
-    A row grows by ``append``; ``_Row(row)`` copies row's cells, so that a
-    copy can grow while row is read.
+    ``sums[b]`` is D(0) + ... + D(b * _BLOCK - 1), for every block of
+    ``_BLOCK`` cells the row completes.  A row grows by ``append``;
+    ``_Row(row)`` copies row's cells and sums, so that a copy can grow while
+    row is read.
     """
 
-    __slots__ = ("cap", "limbs", "cells")
+    __slots__ = ("cap", "limbs", "cells", "sums")
 
     def __init__(self, row: _Row | None = None) -> None:
         if row is None:
-            self.cap, self.limbs, self.cells = -1, 1, array("Q")
+            self.cap, self.limbs, self.cells, self.sums = -1, 1, array(_WORD), [0]
         else:
-            self.cap, self.limbs, self.cells = row.cap, row.limbs, row.cells[:]
+            self.cap, self.limbs = row.cap, row.limbs
+            self.cells, self.sums = row.cells[:], row.sums[:]
 
     def append(self, counts: list[int], top: int) -> None:
         """Pack counts as D(cap + 1), D(cap + 2), ...; top is the largest."""
+        # The sums carry on from the last complete block, whose cells up to
+        # cap are packed already; the next block ends at counts[end].
+        lo = _BLOCK * (len(self.sums) - 1)
+        total = self.sums[-1] + sum(self.counts(self.cap, lo))
+        start = 0
+        for end in range(lo + _BLOCK - self.cap - 1, len(counts) + 1, _BLOCK):
+            total += sum(counts[start:end])
+            self.sums.append(total)
+            start = end
         limbs = max(self.limbs, -(-top.bit_length() // 64))
         if limbs > self.limbs:
             # Widen the packed cells: limb i of each cell moves to word i of
@@ -172,7 +192,7 @@ class _Row:
             if self.limbs == 1 and sys.byteorder == "big":
                 narrow = narrow[:]
                 narrow.byteswap()
-            self.cells = array("Q", [0]) * (limbs * (self.cap + 1))
+            self.cells = array(_WORD, [0]) * (limbs * (self.cap + 1))
             for i in range(self.limbs):
                 self.cells[i::limbs] = narrow[i :: self.limbs]
             self.limbs = limbs
@@ -193,6 +213,19 @@ class _Row:
         raw = self.cells[m * self.limbs : (m + 1) * self.limbs].tobytes()
         return int.from_bytes(raw, "little")
 
+    def total(self, m: int) -> int:
+        """D(0) + ... + D(m), for an m no larger than the row's cap."""
+        if not 0 <= m <= self.cap:
+            raise IndexError(f"D(0..{m}) is outside the row D(0..{self.cap})")
+        block, limbs = (m + 1) // _BLOCK, self.limbs
+        # The cells past the block's sum, summed limb by limb as words.
+        words = self.cells[block * _BLOCK * limbs : (m + 1) * limbs]
+        if limbs == 1:
+            return self.sums[block] + sum(words)
+        if sys.byteorder == "big":
+            words.byteswap()
+        return self.sums[block] + sum(sum(words[i::limbs]) << 64 * i for i in range(limbs))
+
     def counts(self, cap: int, start: int = 0) -> list[int]:
         """D(start), ..., D(cap) as ints, for a cap no larger than the row's."""
         if start < 0 or cap > self.cap:
@@ -211,20 +244,15 @@ class _Row:
 
 
 def _build_row(key: tuple[int, ...], cap: int, short: _Row | None = None) -> _Row:
-    # D_0 is the indicator of the multiples of key[0] or, for a tuple with
-    # leading ones, the cached row of the rest of the tuple.  Each further
-    # coefficient c folds in as one pass, D_j(m) = D_{j-1}(m) + D_j(m - c).
-    # A segment goes through every pass before the next one starts, and
-    # each pass carries its last c values of D_j into the next segment.
-    # Carries that sum past a segment would be dragged through every one,
-    # so such a tuple is built from 0 in one segment.
+    # D_0 is the indicator of the multiples of the smallest coefficient
+    # above 1, or of 1 for a tuple of ones.  Each further coefficient c folds
+    # in as one pass, D_j(m) = D_{j-1}(m) + D_j(m - c), the ones last.  A
+    # segment goes through every pass before the next one starts, and each
+    # pass carries its last c values of D_j into the next segment.  Carries
+    # that sum past a segment would be dragged through every one, so such a
+    # tuple is built from 0 in one segment.
     ones = key.count(1)
-    if 0 < ones < len(key):
-        base = _prefix_counts(key[ones:], cap)
-        passes = key[:ones]
-    else:
-        base = None
-        passes = key[1:]
+    base, *passes = key[ones:] + key[:ones]
     total = sum(passes)
     span = _CHUNK if total <= _CHUNK else cap + 1
     if short is None or span > _CHUNK:
@@ -245,12 +273,9 @@ def _build_row(key: tuple[int, ...], cap: int, short: _Row | None = None) -> _Ro
     while row.cap < cap:
         start = row.cap + 1
         stop = min(cap + 1, start - start % span + span)
-        if base is None:
-            cells = [0] * (stop - start)
-            multiples = range(-start % key[0], stop - start, key[0])
-            cells[multiples.start :: key[0]] = [1] * len(multiples)
-        else:
-            cells = base.counts(stop - 1, start)
+        cells = [0] * (stop - start)
+        multiples = range(-start % base, stop - start, base)
+        cells[multiples.start :: base] = [1] * len(multiples)
         lead = 0
         for j, coeff in enumerate(passes):
             # cells holds this pass's carry, then D_{j-1} on the segment.
@@ -441,11 +466,11 @@ def extended_count(a: Sequence[int], n: int) -> CountResult:
     """Count solutions of a_1*x_1 + ... + a_k*x_k <= n.
 
     Divide out d = gcd(a): only multiples of d up to d*floor(n/d) are
-    reachable, so the relaxed count equals the exact count for the tuple
-    (1, a_1/d, ..., a_k/d) at floor(n/d), the 1 being a slack variable.
+    reachable, so the relaxed count is D(a/d, 0) + ... + D(a/d, floor(n/d)),
+    summed on the row that ``denumerant`` caches for a/d, under the same
+    budget.
     """
     coeffs = as_coeffs(a)
     _require_natural(n)
     d = math.gcd(*coeffs)
-    slack_tuple = (1,) + tuple(c // d for c in coeffs)
-    return denumerant(slack_tuple, n // d)
+    return CountResult(_reduced_row(coeffs, n, d).total(n // d), "recursion")

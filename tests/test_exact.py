@@ -4,6 +4,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from itertools import accumulate
 
 import pytest
 from hypothesis import example, given, settings
@@ -208,12 +209,13 @@ def test_extended_count_derives_its_row_from_the_cached_one():
     denumerant((7, 3, 5), 200)
     before = _prefix_counts.cache_info()
     assert (before.misses, before.currsize) == (1, 1)
-    extended_count((5, 7, 3), 190)
+    assert extended_count((5, 7, 3), 190).value == sum(reference_row((3, 5, 7), 190))
+    assert extended_count((10, 14, 6), 381).value == sum(reference_row((3, 5, 7), 190))
     after = _prefix_counts.cache_info()
-    # One new row, the slack row, built from a hit on the cached (3, 5, 7) row.
-    assert after.misses - before.misses == 1
-    assert after.hits - before.hits == 1
-    assert after.currsize == 2
+    # No new row: each relaxed count is one hit on the cached (3, 5, 7) row.
+    assert after.misses - before.misses == 0
+    assert after.hits - before.hits == 2
+    assert after.currsize == 1
 
 
 @pytest.mark.parametrize(("n", "limbs"), [(1000, 1), (1023, 1), (1500, 2), (2047, 2)])
@@ -228,15 +230,16 @@ def test_rows_are_exact_on_both_sides_of_64_bits(n, limbs):
 
 
 @pytest.mark.parametrize(("n", "limbs"), [(500, 1), (3000, 2)])
-def test_derived_slack_row_is_exact_on_both_sides_of_64_bits(n, limbs):
+def test_a_relaxed_count_is_exact_on_both_sides_of_64_bits(n, limbs):
     # The relaxed count of (1^6, 2) sums the count of sum(x) <= n - 2y over y.
+    # Its row fits one limb a cell at both targets; the sum at 3000 does not.
     a = (1,) * 6 + (2,)
     _prefix_counts.cache_clear()
     expected = sum(math.comb(n - 2 * y + 6, 6) for y in range(n // 2 + 1))
     assert extended_count(a, n).value == expected
-    assert _prefix_counts((2,), n).limbs == 1
-    assert _prefix_counts((1,) * 7 + (2,), n).limbs == limbs
-    assert _prefix_counts.cache_info().misses == 2
+    assert -(-expected.bit_length() // 64) == limbs
+    assert _prefix_counts(a, n).limbs == 1
+    assert _prefix_counts.cache_info()[:2] == (1, 1)
 
 
 def test_a_row_past_2_to_the_128_takes_three_limbs():
@@ -319,9 +322,9 @@ def test_a_row_is_sized_to_its_target(a, limbs, cases):
 
 
 def test_a_rising_target_never_builds_past_the_power_of_two_above_it(monkeypatch):
-    # Every build a lookup makes, the base row of a tuple with ones included,
-    # is at most 1 << m.bit_length() long, as the rows were when every cap
-    # was a power of two.
+    # Every build a lookup makes, of a tuple with ones too, is at most
+    # 1 << m.bit_length() long, as the rows were when every cap was a power
+    # of two.
     built = []
     build = exact._build_row
 
@@ -359,9 +362,9 @@ def test_a_rising_range_misses_once_per_octave(capsys, coeffs):
 
 def test_the_asymptotic_suite_builds_rows_to_its_targets(monkeypatch):
     # A timing-free guard on the row sizes: the asymptotic acceptance config
-    # counts 59 tuples at n = 10^3 and then 10^4, so each row is built to
-    # 1024 and extended to 10240.  Rows of the next power of two would add
-    # 16385 cells per tuple, 966715 in all.
+    # counts 49 sorted reduced tuples at n = 10^3 and then 10^4, so each
+    # tuple's one row, ones included, is built to 1024 and extended to 10240.
+    # Rows of the next power of two would add 16385 cells per tuple.
     added = []
     build = exact._build_row
 
@@ -378,8 +381,8 @@ def test_the_asymptotic_suite_builds_rows_to_its_targets(monkeypatch):
         )
     )
     assert (report.instances, report.failures) == (50, [])
-    assert len(added) == 2 * 59
-    assert sum(added) <= 59 * (10240 + 1)
+    assert len(added) == 2 * 49
+    assert sum(added) <= 49 * (10240 + 1)
 
 
 @pytest.mark.parametrize(
@@ -433,19 +436,19 @@ def test_a_multi_limb_row_unpacks_a_chunk_at_a_time():
         for m in range(coeff, cap + 1):
             reference[m] += reference[m - coeff]
     assert row.counts(cap) == [row[m] for m in range(cap + 1)] == reference
-    # The slack row of the relaxed count is derived from this row, and the
-    # prefix sum reads it directly; both cut it at or next to a chunk edge.
+    # The relaxed count sums this row from its block sums, and the prefix
+    # sum reads it cell by cell; both cut it at or next to a chunk edge.
     chunk = exact._CHUNK
     for n in (0, chunk - 1, chunk, chunk + 1, 2 * chunk, 3 * chunk + 1, cap - 1):
         expected = sum(reference[: n + 1])
         assert extended_count(a, n).value == prefix_sum_count(a, n) == expected, n
-    assert _prefix_counts.cache_info().currsize == 2
+    assert _prefix_counts.cache_info().currsize == 1
 
 
 def test_an_extended_row_matches_a_reference_dp():
-    # Chains of growing caps on drawn tuples, some with leading ones (built
-    # from the cached row of the rest) and some with coefficients past the
-    # caps the chain starts at: each row is extended from the last one.
+    # Chains of growing caps on drawn tuples, some with ones (folded as the
+    # last passes) and some with coefficients past the caps the chain starts
+    # at: each row is extended from the last one.
     rng = random.Random(20221)
     for _ in range(30):
         top = rng.choice((12, 40, 3000, 20000))
@@ -523,15 +526,76 @@ def test_a_prefix_sum_reads_one_chunk_of_ints_at_a_time():
     assert peak < 1 << 20
 
 
-def test_a_slack_row_comes_from_a_base_row_at_a_larger_cap():
+def test_a_relaxed_count_reads_a_row_at_a_larger_cap():
     _prefix_counts.cache_clear()
     denumerant((3, 5, 7), 5000)
     before = _prefix_counts.cache_info()
     assert extended_count((5, 7, 3), 300).value == oracle_count((1, 3, 5, 7), 300).value
     after = _prefix_counts.cache_info()
-    # One new row, the slack row, cut to its own cap from the cap-5120 row.
-    assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
-    assert _prefix_counts((1, 3, 5, 7), 300).cap == 320
+    # No new row: the sum stops at cell 300 of the cap-5120 row.
+    assert (after.misses - before.misses, after.hits - before.hits) == (0, 1)
+    assert (after.currsize, _prefix_counts((3, 5, 7), 300).cap) == (1, 5120)
+
+
+@pytest.mark.parametrize(
+    ("a", "caps", "limbs"),
+    [((3, 5, 7), [320, 1 << 15], 1), ((1,) * 8, [320, 2560], 2), ((1,) * 20, [1280, 2048], 3)],
+    ids=["one limb", "two limbs", "three limbs"],
+)
+def test_a_row_keeps_the_running_sum_at_every_block(a, caps, limbs):
+    # sums[b] is D(0) + ... + D(64 b - 1).  The first cap of each chain ends
+    # one cell past a block, so the extension carries on from a partial
+    # block; the row of (3, 5, 7) also crosses exact._CHUNK.  The short row
+    # is published, so its sums must not change when it is extended.
+    block, chunk = exact._BLOCK, exact._CHUNK
+    running = list(accumulate(reference_row(a, caps[-1])))
+    if set(a) == {1}:
+        assert running[-1] == math.comb(caps[-1] + len(a), len(a))
+    edges = [0, 1, 62, 63, 64, 65, 127, 128, chunk - 1, chunk, chunk + 1]
+    edges += [c + e for c in caps for e in (-1, 0, 1)]
+    _prefix_counts.cache_clear()
+    short = _prefix_counts(a, caps[0])
+    for cap in caps:
+        row = _prefix_counts(a, cap)
+        assert row.cap == cap
+        assert row.sums == [0] + running[block - 1 : cap + 1 : block]
+        for m in [m for m in edges if m <= cap]:
+            assert row.total(m) == running[m], (cap, m)
+            assert extended_count(a, m).value == running[m], (cap, m)
+    assert short.sums == [0] + running[block - 1 : caps[0] + 1 : block]
+    assert short.total(caps[0]) == running[caps[0]]
+    assert row.limbs == limbs
+    assert _prefix_counts.cache_info().misses == len(caps)
+
+
+def test_a_tuple_with_ones_builds_one_row():
+    # The ones fold in as the last passes of the tuple's own row, so neither
+    # count builds or caches a row of (3, 5) alone.
+    _prefix_counts.cache_clear()
+    reference = reference_row((1, 1, 3, 5), 5000)
+    assert denumerant((5, 1, 3, 1), 5000).value == reference[5000]
+    assert extended_count((1, 3, 1, 5), 4000).value == sum(reference[:4001])
+    assert extended_count((2, 6, 2, 10), 7999).value == sum(reference[:4000])
+    info = _prefix_counts.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (2, 1, 1)
+
+
+def test_a_warm_relaxed_count_allocates_no_row():
+    # The row of (3, 5, 7, 11) at 2^18 - 1 packs into 2 MiB; the relaxed
+    # count on it reads one sum and at most exact._BLOCK cells.
+    a, n = (3, 5, 7, 11), (1 << 18) - 1
+    _prefix_counts.cache_clear()
+    denumerant(a, n)
+    expected = sum(_prefix_counts(a, n).counts(n))
+    tracemalloc.start()
+    try:
+        value = extended_count(a, n).value
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == expected
+    assert peak < 1 << 13
+    assert _prefix_counts.cache_info().misses == 1
 
 
 def test_a_33rd_tuple_evicts_the_least_recently_used():
@@ -555,7 +619,8 @@ def test_threads_share_the_row_cache():
     # dividing it out unless it is all ones, so every count is one lookup
     # and a lost hit or miss shows in the totals.  A fifth thread counts one
     # of those tuples at growing targets, so its row is extended (or, once
-    # evicted, built again) while the others read it.
+    # evicted, built again) while the others read it, and a sixth takes the
+    # relaxed count at the same targets, summing that row as it grows.
     rng = random.Random(20221)
     tuples = set()
     while len(tuples) < 40:
@@ -573,6 +638,7 @@ def test_threads_share_the_row_cache():
     d = math.gcd(*grown)
     targets = [(1 << b) - 1 for b in range(9, 16)]
     grown_results = []
+    relaxed_results = []
 
     def work(index):
         results[index] = [denumerant(a, n).value for a, n in draws[index::4]]
@@ -580,12 +646,16 @@ def test_threads_share_the_row_cache():
     def grow():
         grown_results.extend(denumerant(grown, d * m).value for m in targets)
 
+    def relax():
+        relaxed_results.extend(extended_count(grown, d * m).value for m in targets)
+
     _prefix_counts.cache_clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
         threads.append(threading.Thread(target=grow))
+        threads.append(threading.Thread(target=relax))
         for thread in threads:
             thread.start()
         for thread in threads:
@@ -598,8 +668,9 @@ def test_threads_share_the_row_cache():
         assert results[index] == [expected[pair] for pair in draws[index::4]]
     reference = reference_row([c // d for c in grown], targets[-1])
     assert grown_results == [reference[m] for m in targets]
+    assert relaxed_results == [sum(reference[: m + 1]) for m in targets]
     info = _prefix_counts.cache_info()
-    assert info.hits + info.misses == len(draws) + len(targets)
+    assert info.hits + info.misses == len(draws) + 2 * len(targets)
     assert info.currsize <= info.maxsize == 32
 
 
@@ -618,6 +689,6 @@ def test_table_budget_is_checked_before_allocating(monkeypatch):
     assert denumerant((3, 5), 511).value == brute((3, 5), 511)
     with pytest.raises(BudgetExceededError, match="513 cells"):
         denumerant((3, 5), 512)
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetExceededError, match=r"\(3, 5\) at n=512 needs 513 cells"):
         extended_count((3, 5), 512)
     assert _prefix_counts.cache_info().misses == 1
