@@ -24,8 +24,10 @@ integers: every step d_i / d_{i+1} is one, so s-_i, 2 s+_i and 2 r_i are
 integers, and the series coefficients are scaled from the weights' own
 numerators and denominators.  ``Fraction``s appear only in the entries of
 ``BoundSequences`` and in the values at a target.  A target costs a few
-integer powers and one Horner pass, and one ``Fraction`` of an integer
-numerator over that fixed denominator per value.
+integer powers and one Horner pass (``numerators``), and each value at it
+is one of those integers over a fixed denominator: ``at``, ``series_lower``
+and the relaxed chain's ``at`` make a ``Fraction`` of it, and the CLI
+compares and prints the integers without one.
 ``inequality_a``, ``inequality_b_lower`` and ``relaxed_count_chain``
 prepare for their one target; the CLI and the sweeps prepare once per
 command or instance.
@@ -116,9 +118,11 @@ class _Sandwich:
     def __init__(self, a: tuple[int, ...], lower_shift: int, twice_upper: int) -> None:
         self.lower_shift = lower_shift
         self._twice_upper_shift = twice_upper
-        self._power = len(a) - 1
-        self._denom = math.factorial(self._power) * math.prod(a)
-        self._series = _series_numerators(a, self._power - 1)
+        self.power = len(a) - 1
+        denom = math.factorial(self.power) * math.prod(a)
+        # The denominators of lower_a, lower_b and upper_a.
+        self.denominators = (denom, denom << (self.power - 1), denom << self.power)
+        self._series = _series_numerators(a, self.power - 1)
 
     @classmethod
     def of(cls, a: Sequence[int]) -> _Sandwich:
@@ -132,25 +136,28 @@ class _Sandwich:
         lower, upper = seqs.lower_shifts[-1], seqs.upper_shifts[-1]
         return cls(coeffs, lower.numerator, upper.numerator * 2 // upper.denominator)
 
+    def numerators(self, m: int) -> tuple[int, int | None, int]:
+        """The numerators of lower_a, lower_b and upper_a at m over
+        ``denominators``; lower_b's is None below s-, where it is not claimed."""
+        base = m - self.lower_shift
+        series = base * _horner(self._series, base) if base >= 0 else None
+        return base**self.power, series, (2 * m + self._twice_upper_shift) ** self.power
+
     def at(self, m: int) -> BoundReport:
+        lower, _, upper = self.numerators(m)
         return BoundReport(
-            lower_a=Fraction((m - self.lower_shift) ** self._power, self._denom),
-            upper_a=Fraction(
-                (2 * m + self._twice_upper_shift) ** self._power,
-                self._denom << self._power,
-            ),
+            lower_a=Fraction(lower, self.denominators[0]),
+            upper_a=Fraction(upper, self.denominators[2]),
             applicable_lower=m >= self.lower_shift,
         )
 
     def series_lower(self, m: int) -> Fraction:
-        if m < self.lower_shift:
+        series = self.numerators(m)[1]
+        if series is None:
             raise NotApplicableError(
                 f"the series bound needs n >= {self.lower_shift}, got n={m}"
             )
-        base = m - self.lower_shift
-        return Fraction(
-            base * _horner(self._series, base), self._denom << (self._power - 1)
-        )
+        return Fraction(series, self.denominators[1])
 
 
 class _RelaxedChain:
@@ -168,11 +175,16 @@ class _RelaxedChain:
         self._gcd = math.gcd(*coeffs)
         reduced = tuple(c // self._gcd for c in coeffs)
         self._slack = _Sandwich((1,) + reduced, -1, reduced[0] + sum(reduced))
+        self.power, self.denominators = self._slack.power, self._slack.denominators
+
+    def numerators(self, n: int) -> tuple[int, int, int]:
+        """The numerators of the chain at n over ``denominators``."""
+        # s- = -1, so the series bound holds at every m >= 0.
+        return self._slack.numerators(n // self._gcd)
 
     def at(self, n: int) -> tuple[Fraction, Fraction, Fraction]:
-        m = n // self._gcd
-        report = self._slack.at(m)
-        return report.lower_a, self._slack.series_lower(m), report.upper_a
+        lower, middle, upper = map(Fraction, self.numerators(n), self.denominators)
+        return lower, middle, upper
 
 
 def _series_numerators(a: tuple[int, ...], m: int) -> tuple[int, ...]:

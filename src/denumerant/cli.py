@@ -3,10 +3,13 @@
 Subcommands: count, bounds, frobenius, bf, dhat, verify.  Each row command
 yields row dicts to one emitter for --format table|csv|json (json means one
 object per line; json and csv write each row as it comes).  verify always
-emits a single JSON report.  Exit codes: 0 success, 1 a verification sweep
-found failures (or an internal identity broke), 2 bad usage, 3 a
-precondition was violated (non-coprime input, out-of-range query, an input
-over a budget, a sweep that skipped every instance, ...).
+emits a single JSON report.  count, bounds and dhat read one cached row for
+all the targets of a command (``exact._RowReader``), and compare and print
+each bound as its integer numerator over the sandwich's fixed denominator,
+not as a ``Fraction``.  Exit codes: 0 success, 1 a verification sweep found
+failures (or an internal identity broke), 2 bad usage, 3 a precondition was
+violated (non-coprime input, out-of-range query, an input over a budget, a
+sweep that skipped every instance, ...).
 
 The argument parser is built once per process, at import, and every call
 of ``main`` parses with it; ``build_parser`` returns a new one each time.
@@ -33,20 +36,14 @@ from .core import (
     NotApplicableError,
     as_coeffs,
 )
-from .exact import (
-    _OracleBudget,
-    denumerant,
-    extended_count,
-    oracle_count,
-    popoviciu,
-)
+from .exact import _OracleBudget, _RowReader, oracle_count, popoviciu
 from .frobenius import bound_frobenius
 from .sweep import SUITE_NAMES, SweepConfig, run_verify
 
 # The most targets one --n-range may span, checked before any is computed.
 # It caps the cells a table holds for its widths: on a 2-core x86-64 host,
-# bounds at this width on the primes up to 17 took 3-5 s and peaked at
-# 88 MB as a table, 32 MB as json (which streams, as csv does).
+# bounds at this width on the primes up to 17 took 1.2-1.8 s and peaked at
+# 87 MB as a table, 23 MB as json (which streams, as csv does).
 N_RANGE_MAX_WIDTH = 100_000
 
 
@@ -90,32 +87,36 @@ def _cell(value: object) -> str:
     return str(value)
 
 
-def _json_value(value: object) -> object:
-    # json.dumps writes bools, ints and tuples (as lists) itself.
-    if value is None or isinstance(value, (int, tuple)):
-        return value
-    return str(value)
+def _ratio(num: int, den: int) -> str:
+    """str(Fraction(num, den)) for a den > 0, through one gcd."""
+    g = math.gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
+
+
+# json.dumps, with str for what JSON has no type for, such as a Fraction;
+# it writes bools, ints and tuples (as lists) itself.
+_JSON = json.JSONEncoder(default=str)
 
 
 def _emit_rows(
     rows: Iterator[dict], columns: Sequence[str], fmt: str, stream: TextIO
 ) -> None:
-    # Every row command yields at least one row.  Computing the first before
-    # anything is written keeps the output empty when it fails; a failure
-    # further on keeps the json and csv rows written so far.
+    # A row holds the command's columns, in order.  Every row command yields
+    # at least one row.  Computing the first before anything is written
+    # keeps the output empty when it fails; a failure further on keeps the
+    # json and csv rows written so far.
     rows = itertools.chain([next(rows)], rows)
     if fmt == "json":
+        encode = _JSON.encode
         for row in rows:
-            stream.write(
-                json.dumps({c: _json_value(row.get(c)) for c in columns}) + "\n"
-            )
+            stream.write(encode(row) + "\n")
         return
     if fmt == "csv":
         writer = csv.writer(stream)
         writer.writerow(columns)
-        writer.writerows([_cell(row.get(c)) for c in columns] for row in rows)
+        writer.writerows(map(_cell, row.values()) for row in rows)
         return
-    lines = [columns, *([_cell(row.get(c)) for c in columns] for row in rows)]
+    lines = [columns, *([*map(_cell, row.values())] for row in rows)]
     widths = [max(map(len, column)) for column in zip(*lines)]
     for line in lines:
         stream.write("  ".join(map(str.ljust, line, widths)).rstrip() + "\n")
@@ -123,59 +124,69 @@ def _emit_rows(
 
 def _count_rows(args: argparse.Namespace) -> Iterator[dict]:
     coeffs = args.coeffs
+    targets = _targets(args)
+    if args.method == "recursion":
+        reader = _RowReader(coeffs)
+        for n in targets:
+            yield {"coeffs": coeffs, "n": n, "value": reader.count(n), "method": "recursion"}
+        return
     # Every target of the command draws on one oracle node budget.
     budget = _OracleBudget()
-    for n in _targets(args):
+    for n in targets:
         if args.method == "oracle":
             result = oracle_count(coeffs, n, budget)
-        elif args.method == "popoviciu":
+        else:
             if len(coeffs) != 2:
                 raise NotApplicableError("the closed form applies to pairs only")
             result = popoviciu(coeffs[0], coeffs[1], n)
-        else:
-            result = denumerant(coeffs, n)
         yield {"coeffs": coeffs, "n": n, "value": result.value, "method": result.method}
 
 
 def _bounds_rows(args: argparse.Namespace) -> Iterator[dict]:
     # D(a, n) = D(a/d, n/d) when d = gcd(a) divides n, and 0 otherwise, so
-    # the sandwich for the coprime a/d bounds every target d divides.
+    # the sandwich for the coprime a/d bounds every target d divides.  Each
+    # value is an integer numerator over one of the sandwich's denominators,
+    # compared and printed as such.
     coeffs = args.coeffs
-    d = math.gcd(*coeffs)
+    targets = _targets(args)
+    reader = _RowReader(coeffs)
+    d = reader.gcd
     sandwich = None
-    for n in _targets(args):
+    for n in targets:
         # This also rejects a negative n before the shortcut below.
-        exact = denumerant(coeffs, n).value
+        exact = reader.count(n)
         if n % d:
             # No solutions and no meaningful bounds at this target.
             yield {
-                "coeffs": coeffs, "n": n, "exact": exact, "applicable": False, "ok": True
+                "coeffs": coeffs, "n": n, "exact": exact, "lower_a": None,
+                "lower_b": None, "upper_a": None, "applicable": False, "ok": True,
             }
             continue
         if sandwich is None:
             # Prepared at the first target d divides, where a single
             # coefficient is refused under the tuple as given.
             sandwich = _Sandwich.of(coeffs)
-        report = sandwich.at(n // d)
-        lower_b = sandwich.series_lower(n // d) if report.applicable_lower else None
+            lower_den, series_den, upper_den = sandwich.denominators
+            shift = sandwich.power - 1
+        lower, series, upper = sandwich.numerators(n // d)
         # lower_a <= lower_b <= exact also gives the sandwich's lower side.
-        ok = exact <= report.upper_a and (
-            lower_b is None or report.lower_a <= lower_b <= exact
+        ok = exact * upper_den <= upper and (
+            series is None or lower << shift <= series <= exact * series_den
         )
         yield {
             "coeffs": coeffs,
             "n": n,
             "exact": exact,
-            "lower_a": report.lower_a,
-            "lower_b": lower_b,
-            "upper_a": report.upper_a,
-            "applicable": report.applicable_lower,
+            "lower_a": _ratio(lower, lower_den),
+            "lower_b": None if series is None else _ratio(series, series_den),
+            "upper_a": _ratio(upper, upper_den),
+            "applicable": series is not None,
             "ok": ok,
         }
 
 
 def _frobenius_rows(args: argparse.Namespace) -> Iterator[dict]:
-    yield vars(bound_frobenius(args.coeffs))
+    yield {**vars(bound_frobenius(args.coeffs)), "root_lower_1": None, "root_lower_2": None}
 
 
 def _bf_rows(args: argparse.Namespace) -> Iterator[dict]:
@@ -198,17 +209,22 @@ def _bf_rows(args: argparse.Namespace) -> Iterator[dict]:
 def _dhat_rows(args: argparse.Namespace) -> Iterator[dict]:
     targets = _targets(args)
     chain = _RelaxedChain(args.coeffs)
+    reader = _RowReader(args.coeffs)
+    # As in bounds: the chain's values are integers over these denominators.
+    lower_den, middle_den, upper_den = chain.denominators
+    shift = chain.power - 1
     for n in targets:
-        exact = extended_count(args.coeffs, n).value
-        lower, middle, upper = chain.at(n)
+        exact = reader.relaxed(n)
+        lower, middle, upper = chain.numerators(n)
         yield {
             "coeffs": args.coeffs,
             "n": n,
             "exact": exact,
-            "lower": lower,
-            "middle": middle,
-            "upper": upper,
-            "ok": lower <= middle <= exact <= upper,
+            "lower": _ratio(lower, lower_den),
+            "middle": _ratio(middle, middle_den),
+            "upper": _ratio(upper, upper_den),
+            "ok": lower << shift <= middle <= exact * middle_den
+            and exact * upper_den <= upper,
         }
 
 

@@ -25,6 +25,10 @@ A row also keeps the running sum D(0) + ... + D(m - 1) at every multiple m
 of ``_BLOCK`` cells, so ``extended_count``, which counts the relaxed
 problem sum <= n, reads the same cached row as ``denumerant`` and adds at
 most ``_BLOCK - 1`` of its cells to one of those sums.
+Every read of a row goes through a ``_RowReader``, which holds one tuple's
+row across targets and looks it up again only when a target passes its cap:
+``denumerant`` and ``extended_count`` are a reader at one target, and the
+CLI's ``count``, ``bounds`` and ``dhat`` read a whole ``--n-range`` with one.
 ``prefix_sum_count`` and the ``frobenius`` verify suite read every count up
 to n from one row (``_reduced_counts``, a chunk of ints at a time) instead
 of counting each target.  A finished row is stored in one unsigned 64-bit
@@ -385,19 +389,57 @@ class _RowCache:
 _prefix_counts = _RowCache(maxsize=32)
 
 
-def _reduced_row(coeffs: tuple[int, ...], n: int, d: int) -> _Row:
-    """The cached row of a/d, d = gcd(a), that reaches n // d.
+class _RowReader:
+    """The counts of one tuple a at any number of int targets, read from the
+    cached row of a/d, d = gcd(a).
 
-    Raises BudgetExceededError when D(0..n // d) spans more than
-    DENUMERANT_MAX_CELLS cells.
+    The reader holds that row from one target to the next and asks the
+    cache again only when n // d passes the row's cap (or the budget's last
+    cell, so that the budget is checked as a call would), so a rising range
+    makes one lookup per row it needs, and builds the same rows, at the same
+    caps and in the same order, as one ``denumerant`` or ``extended_count``
+    call per target.  A target raises what such a call raises at it: a
+    negative n ValueError, and an n whose counts D(0..n // d) span more than
+    DENUMERANT_MAX_CELLS cells BudgetExceededError, before anything is
+    allocated.
     """
-    m = n // d
-    if m + 1 > DENUMERANT_MAX_CELLS:
-        raise BudgetExceededError(
-            f"the table for {coeffs} at n={n} needs {m + 1} cells, over the "
-            f"cap of {DENUMERANT_MAX_CELLS}"
-        )
-    return _prefix_counts(tuple(sorted(c // d for c in coeffs)), m)
+
+    __slots__ = ("coeffs", "gcd", "_row", "_reach")
+
+    def __init__(self, a: Sequence[int]) -> None:
+        self.coeffs = as_coeffs(a)
+        self.gcd = math.gcd(*self.coeffs)
+        # The held row, and the largest m it answers within the budget.
+        self._row: _Row | None = None
+        self._reach = -1
+
+    def row(self, n: int) -> tuple[_Row, int]:
+        """A row that reaches m = n // d, and m."""
+        m = n // self.gcd
+        # A negative n has m < 0, so it is checked, and rejected, here.
+        if not 0 <= m <= self._reach:
+            _require_natural(n)
+            if m + 1 > DENUMERANT_MAX_CELLS:
+                raise BudgetExceededError(
+                    f"the table for {self.coeffs} at n={n} needs {m + 1} cells, "
+                    f"over the cap of {DENUMERANT_MAX_CELLS}"
+                )
+            key = tuple(sorted(c // self.gcd for c in self.coeffs))
+            self._row = _prefix_counts(key, m)
+            self._reach = min(self._row.cap, DENUMERANT_MAX_CELLS - 1)
+        return self._row, m
+
+    def count(self, n: int) -> int:
+        """D(a, n): 0 when d does not divide n, with no row read."""
+        if n > 0 and n % self.gcd:
+            return 0
+        row, m = self.row(n)
+        return row[m]
+
+    def relaxed(self, n: int) -> int:
+        """The solutions of sum <= n: D(a/d, 0) + ... + D(a/d, n // d)."""
+        row, m = self.row(n)
+        return row.total(m)
 
 
 def denumerant(a: Sequence[int], n: int) -> CountResult:
@@ -408,27 +450,21 @@ def denumerant(a: Sequence[int], n: int) -> CountResult:
     Raises BudgetExceededError when the row for n/d would span more than
     DENUMERANT_MAX_CELLS cells.
     """
-    coeffs = as_coeffs(a)
-    _require_natural(n)
-    d = math.gcd(*coeffs)
-    if n % d:
-        return CountResult(0, "recursion")
-    return CountResult(_reduced_row(coeffs, n, d)[n // d], "recursion")
+    reader = _RowReader(a)
+    return CountResult(reader.count(_require_natural(n)), "recursion")
 
 
 def _reduced_counts(a: Sequence[int], n: int) -> Iterator[int]:
     """D(a/d, 0), ..., D(a/d, n // d) for d = gcd(a), read from one cached row
-    ``_CHUNK`` cells at a time, so a reader holds one chunk of ints.
+    ``_CHUNK`` cells at a time, so a caller holds one chunk of ints.
 
     D(a, m) is entry m / d when d divides m and 0 otherwise, so for a
     coprime tuple the counts are D(a, 0), ..., D(a, n).  The row is the one
     ``denumerant`` reads at d * (n // d), under the same budget; a bad input
     raises on the first read.
     """
-    coeffs = as_coeffs(a)
-    _require_natural(n)
-    d = math.gcd(*coeffs)
-    row, m = _reduced_row(coeffs, n, d), n // d
+    reader = _RowReader(a)
+    row, m = reader.row(_require_natural(n))
     for lo in range(0, m + 1, _CHUNK):
         yield from row.counts(min(lo + _CHUNK - 1, m), lo)
 
@@ -470,7 +506,5 @@ def extended_count(a: Sequence[int], n: int) -> CountResult:
     summed on the row that ``denumerant`` caches for a/d, under the same
     budget.
     """
-    coeffs = as_coeffs(a)
-    _require_natural(n)
-    d = math.gcd(*coeffs)
-    return CountResult(_reduced_row(coeffs, n, d).total(n // d), "recursion")
+    reader = _RowReader(a)
+    return CountResult(reader.relaxed(_require_natural(n)), "recursion")

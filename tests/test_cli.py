@@ -1,11 +1,15 @@
 import argparse
+import csv
 import json
+import math
 import time
+from fractions import Fraction
 
 import pytest
 
 import denumerant
-from denumerant import cli, sweep
+from denumerant import bounds, cli, sweep
+from denumerant.exact import _prefix_counts
 
 
 def run(capsys, *argv):
@@ -183,8 +187,7 @@ def test_n_range_width_budget(monkeypatch, capsys, command):
     def untouched(*args):
         raise AssertionError("a target was computed")
 
-    for name in ("denumerant", "extended_count"):
-        monkeypatch.setattr(cli, name, untouched)
+    monkeypatch.setattr(cli, "_RowReader", untouched)
     code, out, err = run(capsys, command, "--coeffs", "2,3", "--n-range", "10:15")
     assert (code, out) == (3, "")
     assert err == "error: --n-range 10:15 spans 6 targets, over the cap of 5\n"
@@ -231,25 +234,28 @@ def test_failure_at_the_first_row_writes_nothing(capsys, fmt, argv):
 
 def test_failure_partway_keeps_the_streamed_rows(monkeypatch, capsys):
     # json and csv write each row as it is computed; the table needs every
-    # row for its widths, so it writes nothing.
-    counted = cli.denumerant
+    # row for its widths, so it writes nothing.  n = 12 needs 13 cells, one
+    # over the patched budget, though the row cached for n = 10 reaches it.
+    def argv(command, fmt, targets):
+        return command, "--coeffs", "2,3", "--n-range", targets, "--format", fmt
 
-    def third_fails(coeffs, n):
-        if n == 12:
-            raise denumerant.BudgetExceededError("raised on purpose")
-        return counted(coeffs, n)
-
-    monkeypatch.setattr(cli, "denumerant", third_fails)
-    argv = ["count", "--coeffs", "2,3", "--n-range", "10:14", "--format"]
-    code, out, err = run(capsys, *argv, "json")
-    assert code == 3 and err == "error: raised on purpose\n"
-    assert [json.loads(line)["n"] for line in out.splitlines()] == [10, 11]
-    code, out, _ = run(capsys, *argv, "csv")
-    assert code == 3
-    assert out.splitlines() == [
+    streamed = {
+        (command, fmt): run(capsys, *argv(command, fmt, "10:11"))
+        for command in ("count", "bounds", "dhat")
+        for fmt in ("json", "csv")
+    }
+    assert streamed["count", "csv"][1].splitlines() == [
         "coeffs,n,value,method", '"2,3",10,2,recursion', '"2,3",11,2,recursion'
     ]
-    assert run(capsys, *argv, "table")[:2] == (3, "")
+    monkeypatch.setattr(denumerant.exact, "DENUMERANT_MAX_CELLS", 12)
+    for (command, fmt), (code, out, _) in streamed.items():
+        assert code == 0
+        assert run(capsys, *argv(command, fmt, "10:14")) == (
+            3,
+            out,
+            "error: the table for (2, 3) at n=12 needs 13 cells, over the cap of 12\n",
+        )
+        assert run(capsys, *argv(command, "table", "10:14"))[:2] == (3, "")
 
 
 def test_oracle_range_shares_one_node_budget(monkeypatch, capsys):
@@ -365,6 +371,103 @@ def test_dhat_row(capsys):
     assert row["middle"] == "35/6"
     assert row["upper"] == "361/48"
     assert row["ok"] is True
+
+
+def _per_target_rows(command, a, targets):
+    """The rows of a range command, built one target at a time from the
+    Fraction API: denumerant, extended_count, _Sandwich and _RelaxedChain."""
+    d = math.gcd(*a)
+    for n in targets:
+        if command == "count":
+            value = denumerant.denumerant(a, n).value
+            yield {"coeffs": a, "n": n, "value": value, "method": "recursion"}
+        elif command == "bounds":
+            exact = denumerant.denumerant(a, n).value
+            if n % d:
+                yield {
+                    "coeffs": a, "n": n, "exact": exact, "lower_a": None,
+                    "lower_b": None, "upper_a": None, "applicable": False, "ok": True,
+                }
+                continue
+            sandwich = bounds._Sandwich.of(a)
+            report = sandwich.at(n // d)
+            lower_b = sandwich.series_lower(n // d) if report.applicable_lower else None
+            yield {
+                "coeffs": a, "n": n, "exact": exact, "lower_a": report.lower_a,
+                "lower_b": lower_b, "upper_a": report.upper_a,
+                "applicable": report.applicable_lower,
+                "ok": exact <= report.upper_a
+                and (lower_b is None or report.lower_a <= lower_b <= exact),
+            }
+        else:
+            exact = denumerant.extended_count(a, n).value
+            lower, middle, upper = bounds._RelaxedChain(a).at(n)
+            yield {
+                "coeffs": a, "n": n, "exact": exact, "lower": lower,
+                "middle": middle, "upper": upper,
+                "ok": lower <= middle <= exact <= upper,
+            }
+
+
+def _as_json(value):
+    if isinstance(value, Fraction):
+        return str(value)
+    return list(value) if isinstance(value, tuple) else value
+
+
+def _as_csv(value):
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return str(value).lower()
+    return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+
+
+@pytest.mark.parametrize(
+    "coeffs, lo, hi",
+    [
+        ((5, 8, 12, 27), 0, 40),  # s-_4 = 27: the lower bounds start inside
+        ((4, 6, 10), 0, 30),  # gcd 2: odd targets have no bounds
+        ((6, 10, 15), 95, 130),
+        ((1,) * 8, 2000, 2030),  # counts past 2^64: a multi-limb row
+        ((7,), 0, 30),  # k = 1, for count and dhat
+        ((3, 5, 7), 20, 50),  # from a cold cache the row's cap 32 is crossed
+    ],
+)
+def test_range_rows_match_the_per_target_fraction_api(capsys, coeffs, lo, hi):
+    text = ",".join(map(str, coeffs))
+    for command in ("count", "bounds", "dhat"):
+        if command == "bounds" and len(coeffs) == 1:
+            continue
+        _prefix_counts.cache_clear()
+        argv = [command, "--coeffs", text, "--n-range", f"{lo}:{hi}", "--format"]
+        lines = {}
+        for fmt in ("json", "csv", "table"):
+            code, out, _ = run(capsys, *argv, fmt)
+            assert code == 0
+            lines[fmt] = out.splitlines()
+            if coeffs == (3, 5, 7) and fmt == "json":
+                # The range held its row until n = 33 passed its cap, and
+                # extended it once.
+                assert _prefix_counts.cache_info()[:2] == (0, 2)
+        expected = list(_per_target_rows(command, coeffs, range(lo, hi + 1)))
+        assert [json.loads(line) for line in lines["json"]] == [
+            {key: _as_json(value) for key, value in row.items()} for row in expected
+        ]
+        cells = list(csv.reader(lines["csv"]))
+        assert cells == [list(expected[0])] + [
+            list(map(_as_csv, row.values())) for row in expected
+        ]
+        # Split on blanks, a table line is its csv row without the empty cells.
+        assert [line.split() for line in lines["table"]] == [
+            [cell for cell in row if cell] for row in cells
+        ]
+        for n in (lo, (lo + hi) // 2, hi):
+            single = [command, "--coeffs", text, "--n", str(n), "--format"]
+            assert run(capsys, *single, "json")[1].splitlines() == [lines["json"][n - lo]]
+            assert run(capsys, *single, "csv")[1].splitlines() == [
+                lines["csv"][0], lines["csv"][1 + n - lo]
+            ]
 
 
 def test_usage_errors_exit_2(capsys):

@@ -352,12 +352,29 @@ def test_a_rising_target_never_builds_past_the_power_of_two_above_it(monkeypatch
 def test_a_rising_range_misses_once_per_octave(capsys, coeffs):
     # Targets 0..99999 one at a time: the row starts at 32 cells and each
     # miss doubles it, to 2^17.  The passes of (2, 3, 20000) sum past
-    # exact._CHUNK, so each of its misses builds the row from 0 again.
+    # exact._CHUNK, so each of its misses builds the row from 0 again.  The
+    # command holds its row between targets, so it looks a row up only when
+    # a target passes the row's cap: 13 lookups, each a miss.
     _prefix_counts.cache_clear()
     assert cli.main(["count", "--coeffs", coeffs, "--n-range", "0:99999"]) == 0
     capsys.readouterr()
-    assert _prefix_counts.cache_info()[:2] == (100000 - 13, 13)
+    assert _prefix_counts.cache_info()[:2] == (0, 13)
     assert _prefix_counts(tuple(map(int, coeffs.split(","))), 0).cap == 1 << 17
+
+
+@pytest.mark.parametrize("command", ["count", "bounds", "dhat"])
+def test_a_warm_range_looks_its_row_up_once(capsys, command):
+    # A timing-free guard on the cost of a target: on the row cached for
+    # n = 9999 (to 10,240 cells), 10,000 targets take one lookup, a hit, not
+    # one lookup each.
+    _prefix_counts.cache_clear()
+    assert cli.main(["count", "--coeffs", "3,5,7", "--n", "9999"]) == 0
+    before = _prefix_counts.cache_info()
+    argv = [command, "--coeffs", "3,5,7", "--n-range", "0:9999", "--format", "json"]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    after = _prefix_counts.cache_info()
+    assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
 
 
 def test_the_asymptotic_suite_builds_rows_to_its_targets(monkeypatch):
