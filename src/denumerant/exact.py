@@ -31,9 +31,9 @@ row across targets and looks it up again only when a target passes its cap:
 CLI's ``count``, ``bounds`` and ``dhat`` read a whole ``--n-range`` with one.
 ``prefix_sum_count`` and the ``frobenius`` verify suite read every count up
 to n from one row (``_reduced_counts``, a chunk of ints at a time) instead
-of counting each target.  A finished row is stored in one unsigned 64-bit
-``array``: one word per cell when every entry fits, and otherwise L words
-per cell, each cell's count as 8*L little-endian bytes.
+of counting each target.  A finished row is stored as planes of unsigned
+64-bit words, each an ``array`` of one word a cell: plane i holds bits 64 i
+to 64 i + 63 of every count, so a row whose counts fit in 64 bits has one.
 A row is built one segment of ``_CHUNK`` cells at a time: every
 coefficient folds into a segment before the next segment starts, and the
 segment is packed, so a build holds a segment of ints, not a row.  A tuple
@@ -71,8 +71,8 @@ ORACLE_MAX_NODES = 10_000_000
 # The most cells one DP row may span, checked against the n // d + 1 cells
 # a target needs before anything is allocated.  On a 2-core x86-64 host
 # `count` at this cap peaked at 53 MB RSS in about 1.0 s for (3, 5, 7, 11),
-# and at 120 MB in 2.3-2.7 s for (1,) * 8, whose entries take three 64-bit
-# limbs.
+# and at 120 MB in 1.9-2.5 s for (1,) * 8, whose counts take three planes
+# of 64-bit words.
 DENUMERANT_MAX_CELLS = 1 << 22
 
 # Cells of one segment of a row build, and of one step of a running sum, of
@@ -159,22 +159,22 @@ def oracle_count(
 class _Row:
     """D(0), ..., D(cap) for one tuple, packed in unsigned 64-bit words.
 
-    ``limbs`` words per cell: one when every count fits in 64 bits, and
-    otherwise enough to hold each count as 8 * limbs little-endian bytes.
-    ``sums[b]`` is D(0) + ... + D(b * _BLOCK - 1), for every block of
-    ``_BLOCK`` cells the row completes.  A row grows by ``append``;
-    ``_Row(row)`` copies row's cells and sums, so that a copy can grow while
-    row is read.
+    ``planes[i]`` holds bits 64 i to 64 i + 63 of every cell, one word a
+    cell: a row has one plane while every count fits in 64 bits, and gains a
+    plane of zeros when a count passes the planes it has.  ``sums[b]`` is
+    D(0) + ... + D(b * _BLOCK - 1), for every block of ``_BLOCK`` cells the
+    row completes.  A row grows by ``append``; ``_Row(row)`` copies row's
+    planes and sums, so that a copy can grow while row is read.
     """
 
-    __slots__ = ("cap", "limbs", "cells", "sums")
+    __slots__ = ("cap", "planes", "sums")
 
     def __init__(self, row: _Row | None = None) -> None:
         if row is None:
-            self.cap, self.limbs, self.cells, self.sums = -1, 1, array(_WORD), [0]
+            self.cap, self.planes, self.sums = -1, [array(_WORD)], [0]
         else:
-            self.cap, self.limbs = row.cap, row.limbs
-            self.cells, self.sums = row.cells[:], row.sums[:]
+            self.cap, self.sums = row.cap, row.sums[:]
+            self.planes = [plane[:] for plane in row.planes]
 
     def append(self, counts: list[int], top: int) -> None:
         """Pack counts as D(cap + 1), D(cap + 2), ...; top is the largest."""
@@ -187,63 +187,55 @@ class _Row:
             total += sum(counts[start:end])
             self.sums.append(total)
             start = end
-        limbs = max(self.limbs, -(-top.bit_length() // 64))
-        if limbs > self.limbs:
-            # Widen the packed cells: limb i of each cell moves to word i of
-            # its wider cell, and the new top limbs are zero.  A one-limb
-            # word is native-endian, the limbs of a wider cell little-endian.
-            narrow = self.cells
-            if self.limbs == 1 and sys.byteorder == "big":
-                narrow = narrow[:]
-                narrow.byteswap()
-            self.cells = array(_WORD, [0]) * (limbs * (self.cap + 1))
-            for i in range(self.limbs):
-                self.cells[i::limbs] = narrow[i :: self.limbs]
-            self.limbs = limbs
+        while 64 * len(self.planes) < top.bit_length():
+            self.planes.append(array(_WORD, [0]) * (self.cap + 1))
+        limbs = len(self.planes)
         if limbs == 1:
-            self.cells.fromlist(counts)
+            self.planes[0].fromlist(counts)
         else:
+            # Each count as the little-endian bytes of its limbs, read back
+            # as words in the host's order: limb i of each cell is word i of
+            # its group, and goes to plane i.
             width = 8 * limbs
             for start in range(0, len(counts), _CHUNK):
                 chunk = counts[start : start + _CHUNK]
-                self.cells.frombytes(b"".join([v.to_bytes(width, "little") for v in chunk]))
+                words = array(_WORD, b"".join([v.to_bytes(width, "little") for v in chunk]))
+                if sys.byteorder == "big":
+                    words.byteswap()
+                for i, plane in enumerate(self.planes):
+                    plane.extend(words[i::limbs])
         self.cap += len(counts)
 
     def __getitem__(self, m: int) -> int:
         if not 0 <= m <= self.cap:
             raise IndexError(f"D({m}) is outside the row D(0..{self.cap})")
-        if self.limbs == 1:
-            return self.cells[m]
-        raw = self.cells[m * self.limbs : (m + 1) * self.limbs].tobytes()
-        return int.from_bytes(raw, "little")
+        if len(self.planes) == 1:
+            return self.planes[0][m]
+        value = 0
+        for plane in reversed(self.planes):
+            value = value << 64 | plane[m]
+        return value
 
     def total(self, m: int) -> int:
         """D(0) + ... + D(m), for an m no larger than the row's cap."""
         if not 0 <= m <= self.cap:
             raise IndexError(f"D(0..{m}) is outside the row D(0..{self.cap})")
-        block, limbs = (m + 1) // _BLOCK, self.limbs
-        # The cells past the block's sum, summed limb by limb as words.
-        words = self.cells[block * _BLOCK * limbs : (m + 1) * limbs]
-        if limbs == 1:
-            return self.sums[block] + sum(words)
-        if sys.byteorder == "big":
-            words.byteswap()
-        return self.sums[block] + sum(sum(words[i::limbs]) << 64 * i for i in range(limbs))
+        # The cells past the block's sum, summed plane by plane as words.
+        block = (m + 1) // _BLOCK
+        total, shift = self.sums[block], 0
+        for plane in self.planes:
+            total += sum(plane[block * _BLOCK : m + 1]) << shift
+            shift += 64
+        return total
 
     def counts(self, cap: int, start: int = 0) -> list[int]:
         """D(start), ..., D(cap) as ints, for a cap no larger than the row's."""
         if start < 0 or cap > self.cap:
             raise IndexError(f"D({start}..{cap}) is outside the row D(0..{self.cap})")
-        if self.limbs == 1:
-            return memoryview(self.cells)[start : cap + 1].tolist()
-        width = 8 * self.limbs
-        counts: list[int] = []
-        for lo in range(start, cap + 1, _CHUNK):
-            hi = min(lo + _CHUNK, cap + 1)
-            raw = self.cells[lo * self.limbs : hi * self.limbs].tobytes()
-            counts += [
-                int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)
-            ]
+        top, *lower = reversed(self.planes)
+        counts = memoryview(top)[start : cap + 1].tolist()
+        for plane in lower:
+            counts = [v << 64 | w for v, w in zip(counts, plane[start : cap + 1])]
         return counts
 
 

@@ -5,6 +5,7 @@ import threading
 import time
 import tracemalloc
 from itertools import accumulate
+from operator import sub
 
 import pytest
 from hypothesis import example, given, settings
@@ -37,6 +38,30 @@ def reference_row(coeffs, cap):
         for m in range(c, cap + 1):
             row[m] += row[m - c]
     return row
+
+
+def certify(coeffs, row):
+    # The row's series F is right exactly when Q F = 1 mod x^(cap + 1), with
+    # Q = prod(1 - x^c): differencing the row back through every coefficient,
+    # D_{j-1}(m) = D_j(m) - D_j(m - c), must leave 1 followed by zeros.  It
+    # checks every cell, whatever the segments, carries, planes or sizes.
+    cells = row.counts(row.cap)
+    for c in coeffs:
+        cells[c:] = map(sub, cells[c:], cells[:-c])
+    assert cells == [1] + [0] * row.cap, (
+        coeffs,
+        row.cap,
+        next(m for m, v in enumerate(cells) if v != (1 if m == 0 else 0)),
+    )
+
+
+def built_in_two_steps(coeffs, n):
+    # The row for n // 3, and a copy of it extended to n.
+    _prefix_counts.cache_clear()
+    short = _prefix_counts(coeffs, n // 3)
+    row = _prefix_counts(coeffs, n)
+    assert _prefix_counts.cache_info()[:2] == (0, 2)
+    return short, row
 
 
 def test_oracle_spots():
@@ -218,15 +243,31 @@ def test_extended_count_derives_its_row_from_the_cached_one():
     assert after.currsize == 1
 
 
-@pytest.mark.parametrize(("n", "limbs"), [(1000, 1), (1023, 1), (1500, 2), (2047, 2)])
-def test_rows_are_exact_on_both_sides_of_64_bits(n, limbs):
-    # A row at cap 1024 fits in 64 bits; one at cap 2048 takes two limbs a cell.
+@pytest.mark.parametrize(
+    ("k", "n", "planes"),
+    [(8, 1000, 1), (8, 1023, 1), (8, 1500, 2), (8, 2047, 2), (12, 16383, 3)],
+    ids=["1000-1", "1023-1", "1500-2", "2047-2", "16383-3"],
+)
+def test_rows_are_exact_on_both_sides_of_64_bits(k, n, planes):
+    # A row of eight ones at cap 1024 fits in 64 bits, and one at cap 2048
+    # takes two planes; twelve ones at cap 2^14 take three.  The cells on
+    # both sides of 2^64 and of 2^128 are read one at a time, summed and
+    # read as a range.
     _prefix_counts.cache_clear()
-    assert denumerant((1,) * 8, n).value == math.comb(n + 7, 7)
-    assert extended_count((1,) * 7, n).value == math.comb(n + 7, 7)
+    assert denumerant((1,) * k, n).value == math.comb(n + k - 1, k - 1)
+    assert extended_count((1,) * (k - 1), n).value == math.comb(n + k - 1, k - 1)
     cap = 1 << n.bit_length()
-    assert _prefix_counts((1,) * 8, cap).limbs == limbs
-    assert (math.comb(cap + 7, 7) < 2**64) == (limbs == 1)
+    row = _prefix_counts((1,) * k, cap)
+    reference = [math.comb(m + k - 1, k - 1) for m in range(cap + 1)]
+    assert len(row.planes) == planes == -(-reference[-1].bit_length() // 64)
+    running = list(accumulate(reference))
+    crossings = [m for m in range(1, cap + 1) if reference[m - 1] < 2**64 <= reference[m]]
+    crossings += [m for m in range(1, cap + 1) if reference[m - 1] < 2**128 <= reference[m]]
+    assert len(crossings) == planes - 1
+    for m in crossings:
+        for cell in (m - 1, m):
+            assert (row[cell], row.total(cell)) == (reference[cell], running[cell]), cell
+        assert row.counts(m + 1, m - 2) == reference[m - 2 : m + 2], m
 
 
 @pytest.mark.parametrize(("n", "limbs"), [(500, 1), (3000, 2)])
@@ -238,7 +279,7 @@ def test_a_relaxed_count_is_exact_on_both_sides_of_64_bits(n, limbs):
     expected = sum(math.comb(n - 2 * y + 6, 6) for y in range(n // 2 + 1))
     assert extended_count(a, n).value == expected
     assert -(-expected.bit_length() // 64) == limbs
-    assert _prefix_counts(a, n).limbs == 1
+    assert len(_prefix_counts(a, n).planes) == 1
     assert _prefix_counts.cache_info()[:2] == (1, 1)
 
 
@@ -248,7 +289,7 @@ def test_a_row_past_2_to_the_128_takes_three_limbs():
         assert denumerant((1,) * 12, n).value == math.comb(n + 11, 11)
     assert math.comb(65535 + 11, 11) > 2**128
     row = _prefix_counts((1,) * 12, 1 << 16)
-    assert (row.cap, row.limbs) == (1 << 16, 3)
+    assert (row.cap, len(row.planes)) == (1 << 16, 3)
     assert _prefix_counts.cache_info().misses == 1
 
 
@@ -316,7 +357,7 @@ def test_a_row_is_sized_to_its_target(a, limbs, cases):
         if short is not None:
             assert _prefix_counts(a, short).cap == short
         row = _prefix_counts(a, m)
-        assert (row.cap, row.limbs) == (cap, limbs), (short, m)
+        assert (row.cap, len(row.planes)) == (cap, limbs), (short, m)
         assert row.counts(cap) == reference[: cap + 1], (short, m)
         assert _prefix_counts.cache_info().misses == (1 if short is None else 2)
 
@@ -410,7 +451,7 @@ def test_a_read_past_the_row_raises(a, m, limbs):
     # loudly at every limb count, not read an empty slice as 0.
     _prefix_counts.cache_clear()
     row = _prefix_counts(a, m)
-    assert (row.cap, row.limbs) == (m, limbs)
+    assert (row.cap, len(row.planes)) == (m, limbs)
     assert row[m] == reference_row(a, m)[m]
     for bad in (m + 1, m + 44, -1):
         with pytest.raises(IndexError):
@@ -441,13 +482,14 @@ def test_the_fold_carries_each_residue_class_across_chunks():
 
 
 def test_a_multi_limb_row_unpacks_a_chunk_at_a_time():
-    # (2, 3^7) at cap 2^16 takes two limbs a cell, so reading it back as
-    # ints goes exact._CHUNK cells at a time: four full chunks and one cell.
+    # (2, 3^7) at cap 2^16 takes two planes, so each count is read back
+    # from two words, and a prefix sum reads the row exact._CHUNK cells at a
+    # time: four full chunks and one cell.
     a = (2,) + (3,) * 7
     cap = 1 << 16
     _prefix_counts.cache_clear()
     row = _prefix_counts(a, cap)
-    assert (row.cap, row.limbs) == (cap, 2)
+    assert (row.cap, len(row.planes)) == (cap, 2)
     reference = [1] + [0] * cap
     for coeff in a:
         for m in range(coeff, cap + 1):
@@ -460,6 +502,38 @@ def test_a_multi_limb_row_unpacks_a_chunk_at_a_time():
         expected = sum(reference[: n + 1])
         assert extended_count(a, n).value == prefix_sum_count(a, n) == expected, n
     assert _prefix_counts.cache_info().currsize == 1
+
+
+@pytest.mark.parametrize(
+    ("a", "n", "planes"),
+    [
+        ((3, 5, 7, 11), 100_000, (1, 1)),
+        ((1,) * 12, 1 << 16, (3, 3)),
+        ((1,) * 4 + (2, 2), 40_000, (1, 2)),
+    ],
+    ids=["segment edges", "three planes", "ones and twos"],
+)
+def test_a_row_built_in_two_steps_certifies(a, n, planes):
+    # (3, 5, 7, 11) is extended from 2^16 to 2^17 across four segment
+    # edges; (1,) * 12 passes 2^128 in its first segment; (1^4, 2, 2) widens
+    # in its extension, and its class of 1, a segment and its carry, is one
+    # cell longer than exact._CHUNK.  The short row is certified after the
+    # extension, which must not change it.
+    short, row = built_in_two_steps(a, n)
+    assert (len(short.planes), len(row.planes)) == planes
+    assert row.cap == 1 << (n - 1).bit_length()
+    certify(a, row)
+    certify(a, short)
+
+
+def test_drawn_rows_built_in_two_steps_certify():
+    # Drawn tuples, some with ones and twos, at targets past 2^15.
+    rng = random.Random(20221)
+    for _ in range(8):
+        a = [rng.randint(3, 40) for _ in range(rng.randint(1, 4))]
+        a = tuple(sorted(rng.choice(((), (1,), (2,), (1, 2))) + tuple(a)))
+        n = rng.randint(1 << 15, 1 << 17)
+        certify(a, built_in_two_steps(a, n)[1])
 
 
 def test_an_extended_row_matches_a_reference_dp():
@@ -490,7 +564,7 @@ def test_an_extension_widens_the_cells_it_has_packed(k, caps, limbs):
     _prefix_counts.cache_clear()
     for cap, want in zip(caps, limbs):
         row = _prefix_counts((1,) * k, cap)
-        assert (row.cap, row.limbs) == (cap, want)
+        assert (row.cap, len(row.planes)) == (cap, want)
         for n in (0, 1, 255, 256, cap // 2, cap - 1, cap):
             assert row[n] == math.comb(n + k - 1, k - 1), (cap, n)
     assert row.counts(cap) == [math.comb(n + k - 1, k - 1) for n in range(cap + 1)]
@@ -523,8 +597,8 @@ def test_a_build_holds_one_segment_of_ints():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    packed = len(row.cells) * row.cells.itemsize
-    assert (row.cap, row.limbs, packed) == (1 << 18, 1, 8 * ((1 << 18) + 1))
+    packed = sum(len(plane) * plane.itemsize for plane in row.planes)
+    assert (row.cap, len(row.planes), packed) == (1 << 18, 1, 8 * ((1 << 18) + 1))
     assert peak < 2 * packed
 
 
@@ -555,23 +629,40 @@ def test_a_relaxed_count_reads_a_row_at_a_larger_cap():
 
 
 @pytest.mark.parametrize(
-    ("a", "caps", "limbs"),
-    [((3, 5, 7), [320, 1 << 15], 1), ((1,) * 8, [320, 2560], 2), ((1,) * 20, [1280, 2048], 3)],
-    ids=["one limb", "two limbs", "three limbs"],
+    ("a", "caps", "planes"),
+    [
+        ((3, 5, 7), [320, 1 << 15], (1, 1)),
+        ((1,) * 8, [320, 2560], (1, 2)),
+        ((1,) * 20, [1280, 2048], (3, 3)),
+        ((1,) * 12, [256, 1 << 16], (1, 3)),
+    ],
+    ids=["one limb", "two limbs", "three limbs", "one plane to three"],
 )
-def test_a_row_keeps_the_running_sum_at_every_block(a, caps, limbs):
+def test_a_row_keeps_the_running_sum_at_every_block(a, caps, planes):
     # sums[b] is D(0) + ... + D(64 b - 1).  The first cap of each chain ends
     # one cell past a block, so the extension carries on from a partial
-    # block; the row of (3, 5, 7) also crosses exact._CHUNK.  The short row
-    # is published, so its sums must not change when it is extended.
+    # block; the row of (3, 5, 7) also crosses exact._CHUNK, and (1,) * 12
+    # widens from one plane to three in the first segment of its extension.
+    # The sums are read on both sides of every count that passes 2^64 or
+    # 2^128.  The short row is published, so its planes and sums must not
+    # change when it is extended.
     block, chunk = exact._BLOCK, exact._CHUNK
-    running = list(accumulate(reference_row(a, caps[-1])))
+    reference = reference_row(a, caps[-1])
+    running = list(accumulate(reference))
     if set(a) == {1}:
         assert running[-1] == math.comb(caps[-1] + len(a), len(a))
     edges = [0, 1, 62, 63, 64, 65, 127, 128, chunk - 1, chunk, chunk + 1]
     edges += [c + e for c in caps for e in (-1, 0, 1)]
+    edges += [
+        m + e
+        for m in range(1, caps[-1] + 1)
+        for power in (2**64, 2**128)
+        if reference[m - 1] < power <= reference[m]
+        for e in (-1, 0)
+    ]
     _prefix_counts.cache_clear()
     short = _prefix_counts(a, caps[0])
+    assert len(short.planes) == planes[0]
     for cap in caps:
         row = _prefix_counts(a, cap)
         assert row.cap == cap
@@ -581,7 +672,9 @@ def test_a_row_keeps_the_running_sum_at_every_block(a, caps, limbs):
             assert extended_count(a, m).value == running[m], (cap, m)
     assert short.sums == [0] + running[block - 1 : caps[0] + 1 : block]
     assert short.total(caps[0]) == running[caps[0]]
-    assert row.limbs == limbs
+    assert len(short.planes) == planes[0]
+    assert short.counts(caps[0]) == reference[: caps[0] + 1]
+    assert len(row.planes) == planes[1]
     assert _prefix_counts.cache_info().misses == len(caps)
 
 
