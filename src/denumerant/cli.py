@@ -1,15 +1,17 @@
 """Command-line front end.
 
 Subcommands: count, bounds, frobenius, bf, dhat, verify.  Each row command
-yields row dicts to one emitter for --format table|csv|json (json means one
-object per line; json and csv write each row as it comes).  verify always
-emits a single JSON report.  count, bounds and dhat read one cached row for
-all the targets of a command (``exact._RowReader``), and compare and print
-each bound as its integer numerator over the sandwich's fixed denominator,
-not as a ``Fraction``.  Exit codes: 0 success, 1 a verification sweep found
-failures (or an internal identity broke), 2 bad usage, 3 a precondition was
-violated (non-coprime input, out-of-range query, an input over a budget, a
-sweep that skipped every instance, ...).
+yields each row as a tuple of its columns after ``coeffs`` to one emitter,
+which writes ``coeffs`` itself, for --format table|csv|json (json means one
+object per line, filled into a template built once per command; json and
+csv write each row as it comes).  verify always emits a single JSON
+report.  count, bounds and dhat read one cached row for all the targets of
+a command (``exact._RowReader``), and compare and print each bound as its
+integer numerator over the sandwich's fixed denominator, not as a
+``Fraction``.  Exit codes: 0 success, 1 a verification sweep found failures
+(or an internal identity broke), 2 bad usage, 3 a precondition was violated
+(non-coprime input, out-of-range query, an input over a budget, a sweep
+that skipped every instance, ...).
 
 The argument parser is built once per process, at import, and every call
 of ``main`` parses with it; ``build_parser`` returns a new one each time.
@@ -20,11 +22,11 @@ from __future__ import annotations
 import argparse
 import csv
 import itertools
-import json
 import math
 import sys
 from contextlib import nullcontext
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Iterator, Sequence, TextIO
 
 from .bfnum import bf_explicit
@@ -42,8 +44,9 @@ from .sweep import SUITE_NAMES, SweepConfig, run_verify
 
 # The most targets one --n-range may span, checked before any is computed.
 # It caps the cells a table holds for its widths: on a 2-core x86-64 host,
-# bounds at this width on the primes up to 17 took 1.2-1.8 s and peaked at
-# 87 MB as a table, 23 MB as json (which streams, as csv does).
+# bounds at this width on the primes up to 17 took 0.8-1.2 s and peaked at
+# 83 MB as a table, and 0.7-1.0 s at 24 MB as json (which streams, as csv
+# does).
 N_RANGE_MAX_WIDTH = 100_000
 
 
@@ -82,9 +85,19 @@ def _cell(value: object) -> str:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, tuple):
-        return ",".join(str(v) for v in value)
     return str(value)
+
+
+def _literal(value: object) -> str:
+    """``value`` as json.dumps(value, default=str) writes it: an int as its
+    repr, a str escaped to ASCII, anything else (a ``Fraction``) as its str."""
+    if type(value) is int:  # not a bool
+        return repr(value)
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return encode_basestring_ascii(str(value))
 
 
 def _ratio(num: int, den: int) -> str:
@@ -93,42 +106,45 @@ def _ratio(num: int, den: int) -> str:
     return str(num // g) if g == den else f"{num // g}/{den // g}"
 
 
-# json.dumps, with str for what JSON has no type for, such as a Fraction;
-# it writes bools, ints and tuples (as lists) itself.
-_JSON = json.JSONEncoder(default=str)
-
-
 def _emit_rows(
-    rows: Iterator[dict], columns: Sequence[str], fmt: str, stream: TextIO
+    coeffs: tuple[int, ...], rows: Iterator[tuple], columns: Sequence[str],
+    fmt: str, stream: TextIO,
 ) -> None:
-    # A row holds the command's columns, in order.  Every row command yields
-    # at least one row.  Computing the first before anything is written
-    # keeps the output empty when it fails; a failure further on keeps the
-    # json and csv rows written so far.
+    # The first column is always the command's coeffs, written here; a row
+    # holds the other columns, in order.  Every row command yields at least
+    # one row.  Computing the first before anything is written keeps the
+    # output empty when it fails; a failure further on keeps the json and
+    # csv rows written so far.
     rows = itertools.chain([next(rows)], rows)
     if fmt == "json":
-        encode = _JSON.encode
+        # One object per line, as json.dumps writes it, from one template.
+        # (*map(...),) sizes each line's tuple exactly: tuple(map(...))
+        # grows and shrinks one, so CPython keeps the freed tuples on its
+        # free lists, up to 2,000 of each length, instead of reusing them.
+        fields = (f'"{name}": %s' for name in columns[1:])
+        template = "{" + ", ".join([f'"coeffs": {list(coeffs)}', *fields]) + "}\n"
         for row in rows:
-            stream.write(encode(row) + "\n")
+            stream.write(template % (*map(_literal, row),))
         return
+    first = ",".join(map(str, coeffs))
     if fmt == "csv":
         writer = csv.writer(stream)
         writer.writerow(columns)
-        writer.writerows(map(_cell, row.values()) for row in rows)
+        writer.writerows([first, *map(_cell, row)] for row in rows)
         return
-    lines = [columns, *([*map(_cell, row.values())] for row in rows)]
+    lines = [columns, *([first, *map(_cell, row)] for row in rows)]
     widths = [max(map(len, column)) for column in zip(*lines)]
     for line in lines:
         stream.write("  ".join(map(str.ljust, line, widths)).rstrip() + "\n")
 
 
-def _count_rows(args: argparse.Namespace) -> Iterator[dict]:
+def _count_rows(args: argparse.Namespace) -> Iterator[tuple]:
     coeffs = args.coeffs
     targets = _targets(args)
     if args.method == "recursion":
         reader = _RowReader(coeffs)
         for n in targets:
-            yield {"coeffs": coeffs, "n": n, "value": reader.count(n), "method": "recursion"}
+            yield n, reader.count(n), "recursion"
         return
     # Every target of the command draws on one oracle node budget.
     budget = _OracleBudget()
@@ -139,10 +155,10 @@ def _count_rows(args: argparse.Namespace) -> Iterator[dict]:
             if len(coeffs) != 2:
                 raise NotApplicableError("the closed form applies to pairs only")
             result = popoviciu(coeffs[0], coeffs[1], n)
-        yield {"coeffs": coeffs, "n": n, "value": result.value, "method": result.method}
+        yield n, result.value, result.method
 
 
-def _bounds_rows(args: argparse.Namespace) -> Iterator[dict]:
+def _bounds_rows(args: argparse.Namespace) -> Iterator[tuple]:
     # D(a, n) = D(a/d, n/d) when d = gcd(a) divides n, and 0 otherwise, so
     # the sandwich for the coprime a/d bounds every target d divides.  Each
     # value is an integer numerator over one of the sandwich's denominators,
@@ -157,10 +173,7 @@ def _bounds_rows(args: argparse.Namespace) -> Iterator[dict]:
         exact = reader.count(n)
         if n % d:
             # No solutions and no meaningful bounds at this target.
-            yield {
-                "coeffs": coeffs, "n": n, "exact": exact, "lower_a": None,
-                "lower_b": None, "upper_a": None, "applicable": False, "ok": True,
-            }
+            yield n, exact, None, None, None, False, True
             continue
         if sandwich is None:
             # Prepared at the first target d divides, where a single
@@ -173,23 +186,19 @@ def _bounds_rows(args: argparse.Namespace) -> Iterator[dict]:
         ok = exact * upper_den <= upper and (
             series is None or lower << shift <= series <= exact * series_den
         )
-        yield {
-            "coeffs": coeffs,
-            "n": n,
-            "exact": exact,
-            "lower_a": _ratio(lower, lower_den),
-            "lower_b": None if series is None else _ratio(series, series_den),
-            "upper_a": _ratio(upper, upper_den),
-            "applicable": series is not None,
-            "ok": ok,
-        }
+        yield (
+            n, exact, _ratio(lower, lower_den),
+            None if series is None else _ratio(series, series_den),
+            _ratio(upper, upper_den), series is not None, ok,
+        )
 
 
-def _frobenius_rows(args: argparse.Namespace) -> Iterator[dict]:
-    yield {**vars(bound_frobenius(args.coeffs)), "root_lower_1": None, "root_lower_2": None}
+def _frobenius_rows(args: argparse.Namespace) -> Iterator[tuple]:
+    report = bound_frobenius(args.coeffs)
+    yield report.g, report.brauer_upper, None, None
 
 
-def _bf_rows(args: argparse.Namespace) -> Iterator[dict]:
+def _bf_rows(args: argparse.Namespace) -> Iterator[tuple]:
     if args.offset < 0:
         raise ValueError(f"offset must be >= 0, got {args.offset}")
     if 1 <= args.ell <= args.m:
@@ -197,16 +206,10 @@ def _bf_rows(args: argparse.Namespace) -> Iterator[dict]:
     else:
         # The triangle's edges read no coefficient: 0 off it, 1 at l = 0.
         value = Fraction(1 if args.ell == 0 <= args.m else 0)
-    yield {
-        "coeffs": args.coeffs,
-        "r": args.offset,
-        "m": args.m,
-        "ell": args.ell,
-        "value": value,
-    }
+    yield args.offset, args.m, args.ell, value
 
 
-def _dhat_rows(args: argparse.Namespace) -> Iterator[dict]:
+def _dhat_rows(args: argparse.Namespace) -> Iterator[tuple]:
     targets = _targets(args)
     chain = _RelaxedChain(args.coeffs)
     reader = _RowReader(args.coeffs)
@@ -216,16 +219,12 @@ def _dhat_rows(args: argparse.Namespace) -> Iterator[dict]:
     for n in targets:
         exact = reader.relaxed(n)
         lower, middle, upper = chain.numerators(n)
-        yield {
-            "coeffs": args.coeffs,
-            "n": n,
-            "exact": exact,
-            "lower": _ratio(lower, lower_den),
-            "middle": _ratio(middle, middle_den),
-            "upper": _ratio(upper, upper_den),
-            "ok": lower << shift <= middle <= exact * middle_den
+        yield (
+            n, exact, _ratio(lower, lower_den), _ratio(middle, middle_den),
+            _ratio(upper, upper_den),
+            lower << shift <= middle <= exact * middle_den
             and exact * upper_den <= upper,
-        }
+        )
 
 
 def _cmd_verify(args: argparse.Namespace, stream: TextIO) -> int:
@@ -360,7 +359,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         try:
             if args.command == "verify":
                 return _cmd_verify(args, stream)
-            _emit_rows(args.rows(args), args.columns, args.format, stream)
+            _emit_rows(args.coeffs, args.rows(args), args.columns, args.format, stream)
             return 0
         except InvariantViolationError as err:
             print(f"invariant violated: {err}", file=sys.stderr)

@@ -120,10 +120,11 @@ def oracle_count(
 
     Coefficients are enumerated largest first so the outer loops branch the
     least; the final variable is resolved by a divisibility test instead of
-    a loop.  The nodes come out of ``budget``, by default a fresh one of
-    ORACLE_MAX_NODES nodes.  Past it the call raises BudgetExceededError
-    (use the recursion route for anything desk-scale enumeration cannot
-    reach).
+    a loop, over all the takes of the one before it in one pass.  A node is
+    one take of a variable before the final one.  The nodes come out of
+    ``budget``, by default a fresh one of ORACLE_MAX_NODES nodes.  Past it
+    the call raises BudgetExceededError (use the recursion route for
+    anything desk-scale enumeration cannot reach).
     """
     coeffs = as_coeffs(a)
     _require_natural(n)
@@ -133,25 +134,28 @@ def oracle_count(
 
     order = sorted(coeffs, reverse=True)
     heads, last = order[:-1], order[-1]
+    final = len(heads) - 1
 
     def count_from(depth: int, residual: int) -> int:
+        # One node per take of heads[depth], all counted before they run.
         nonlocal nodes
-        if depth == len(heads):
-            return 1 if residual % last == 0 else 0
         coeff = heads[depth]
+        nodes += residual // coeff + 1
+        if nodes > cap:
+            raise BudgetExceededError(
+                f"enumeration budget of {cap} nodes exhausted for "
+                f"coefficients {coeffs} at n={n}"
+            )
+        if depth == final:
+            # The last variable takes what is left when ``last`` divides it.
+            return list(map(last.__rmod__, range(residual, -1, -coeff))).count(0)
         total = 0
-        for take in range(residual // coeff + 1):
-            nodes += 1
-            if nodes > cap:
-                raise BudgetExceededError(
-                    f"enumeration budget of {cap} nodes exhausted for "
-                    f"coefficients {coeffs} at n={n}"
-                )
-            total += count_from(depth + 1, residual - coeff * take)
+        for rest in range(residual, -1, -coeff):
+            total += count_from(depth + 1, rest)
         return total
 
     try:
-        return CountResult(count_from(0, n), "oracle")
+        return CountResult(count_from(0, n) if heads else int(n % last == 0), "oracle")
     finally:
         budget.nodes = nodes
 

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import io
 import json
 import math
 import time
@@ -646,6 +647,63 @@ def test_verify_skip_note_counts_each_exception(monkeypatch, capsys):
 
 # The parser is built once, at import, and every call of main shares it.
 # ---------------------------------------------------------------------------
+
+def _reference_cell(value):
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, tuple):
+        return ",".join(str(v) for v in value)
+    return str(value)
+
+
+def _reference_output(argv, fmt):
+    """A command's output written from dict rows, with the coeffs first, by
+    json.JSONEncoder(default=str) a row, or csv and table cells of each
+    value in turn."""
+    args = cli._PARSER.parse_args([*argv, "--format", fmt])
+    rows = [dict(zip(args.columns, (args.coeffs, *row))) for row in args.rows(args)]
+    if fmt == "json":
+        encoder = json.JSONEncoder(default=str)
+        return "".join(encoder.encode(row) + "\n" for row in rows)
+    lines = [args.columns, *([*map(_reference_cell, row.values())] for row in rows)]
+    if fmt == "csv":
+        stream = io.StringIO()
+        csv.writer(stream).writerows(lines)
+        return stream.getvalue()
+    widths = [max(map(len, column)) for column in zip(*lines)]
+    return "".join("  ".join(map(str.ljust, line, widths)).rstrip() + "\n" for line in lines)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--coeffs", "4,6", "--n-range", "0:12"],
+        ["bounds", "--coeffs", "4,6,10", "--n-range", "0:30"],  # gcd 2: None cells
+        ["bounds", "--coeffs", "5,8,12,27", "--n-range", "0:40"],  # lower_a < 0
+        ["count", "--coeffs", "1,1,1,1,1,1,1,1", "--n-range", "4000:4003"],
+        ["bounds", "--coeffs", "1,1,1,1,1,1,1,1", "--n-range", "4000:4003"],
+        ["dhat", "--coeffs", "1,1,1,1,1,1,1,1", "--n-range", "2000:2003"],
+        ["dhat", "--coeffs", "3,5,7", "--n-range", "0:40"],
+        ["dhat", "--coeffs", "7", "--n", "21"],
+        ["count", "--coeffs", "2,3,5", "--method", "oracle", "--n-range", "0:30"],
+        ["count", "--coeffs", "11,37", "--method", "popoviciu", "--n-range", "400:420"],
+        ["bf", "--coeffs", "3,5,7,11", "-r", "1", "-m", "3", "-l", "2"],
+        ["bf", "--coeffs", "3,5,7", "-m", "2", "-l", "0"],
+        ["bf", "--coeffs", "3,5,7", "-m", "2", "-l", "5"],
+        ["frobenius", "--coeffs", "4,6,9"],
+        ["frobenius", "--coeffs", "1,7"],
+    ],
+    ids=" ".join,
+)
+def test_rows_are_written_as_json_dumps_and_the_cells_write_them(capsys, argv):
+    for fmt in ("json", "csv", "table"):
+        expected = _reference_output(argv, fmt)
+        code, out, _ = run(capsys, *argv, "--format", fmt)
+        assert code == 0
+        assert out == expected, fmt
+
 
 _ROW_ARGV = ["bounds", "--coeffs", "3,5,7", "--n-range", "20:24", "--format", "csv"]
 _BAD_USAGE_ARGV = ["count", "--coeffs", "3,x", "--n", "4"]

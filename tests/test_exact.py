@@ -88,6 +88,46 @@ def test_oracle_budget_is_read_at_each_call(monkeypatch):
     assert oracle_count((1, 1, 1), 300).value > 0
 
 
+def one_take_at_a_time(coeffs, n):
+    # The oracle as one call per take: (count, nodes), a node per take of
+    # every variable before the smallest, which is tested for divisibility.
+    order = sorted(coeffs, reverse=True)
+    heads, last = order[:-1], order[-1]
+    nodes = 0
+
+    def count_from(depth, residual):
+        nonlocal nodes
+        if depth == len(heads):
+            return 1 if residual % last == 0 else 0
+        total = 0
+        for take in range(residual // heads[depth] + 1):
+            nodes += 1
+            total += count_from(depth + 1, residual - heads[depth] * take)
+        return total
+
+    return count_from(0, n), nodes
+
+
+def test_oracle_matches_one_take_at_a_time_in_value_and_nodes():
+    # k 1-6 with ones and twos, n <= 300, at most about 2e5 takes a draw.
+    rng = random.Random(20221)
+    draws = [((1,), 7), ((1, 1), 0), ((1, 1, 1, 1, 1, 1), 12), ((2, 3, 5), 300)]
+    while len(draws) < 80:
+        k = rng.randint(1, 6)
+        coeffs = tuple(
+            rng.choice((1, 2)) if rng.random() < 0.15 else rng.randint(3, 40)
+            for _ in range(k)
+        )
+        n = rng.randint(0, 300)
+        if math.prod(n // c + 1 for c in sorted(coeffs)[1:]) <= 200_000:
+            draws.append((coeffs, n))
+    for coeffs, n in draws:
+        budget = exact._OracleBudget()
+        value = oracle_count(coeffs, n, budget).value
+        assert (value, budget.nodes) == one_take_at_a_time(coeffs, n), (coeffs, n)
+        assert value == denumerant(coeffs, n).value, (coeffs, n)
+
+
 def test_denumerant_spots():
     assert denumerant((1, 2, 3), 10).value == 14
     assert denumerant((2, 3, 5), 10).value == 4
