@@ -4,8 +4,8 @@ The exact Frobenius number g comes from the round-robin residue table
 (Boecker & Liptak, "A fast and simple algorithm for the money changing
 problem", Algorithmica 2007): O(k a_1) steps and a_1 cells for
 a_1 = min(a).  For a coprime tuple, every n > s-_k has at least one
-representation, so g <= s-_k, and a sieve over 0..s-_k finds g by a second,
-independent route; the verify sweep compares the two.
+representation, so g <= s-_k.  The verify sweep certifies the table by
+three local relations that hold of the shortest-path table alone.
 
 No lower bound on g comes from the sandwich.  Its upper bound
 (n + s+_k)^(k-1) / ((k-1)! prod a) is at least D(0) = 1 at n = 0, the
@@ -21,14 +21,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .bounds import bound_sequences
-from .core import (
-    BudgetExceededError,
-    _require_coprime,
-    as_coeffs,
-)
+from .core import BudgetExceededError, _require_coprime, as_coeffs
 
-# The most table cells either route may allocate: a_1 = min(a) for the
-# residue table, s-_k + 1 for the sieve.  Checked before allocating.
+# The most cells the residue table may allocate, checked before allocating.
 FROBENIUS_MAX_CELLS = 10_000_000
 
 
@@ -44,26 +39,18 @@ class FrobeniusReport:
 _NO_FROBENIUS = "has gcd > 1; no Frobenius number exists"
 
 
-def _require_cells(cells: int, route: str) -> None:
-    if cells > FROBENIUS_MAX_CELLS:
-        raise BudgetExceededError(
-            f"the {route} needs {cells} table cells, over the cap of "
-            f"{FROBENIUS_MAX_CELLS}"
-        )
+def _residue_table(a: Sequence[int]) -> list[int | float]:
+    """N[r], the smallest representable number congruent to r mod a_1 = min(a).
 
-
-def frobenius_exact(a: Sequence[int]) -> int:
-    """The largest integer with no representation; -1 when 1 is a coefficient.
-
-    Requires a coprime tuple.  Builds the residue table modulo a_1 = min(a):
-    N[r] is the smallest representable number congruent to r, so
-    g = max(N) - a_1.  Each further coefficient a_i is added by walking the
-    d = gcd(a_1, a_i) residue classes round robin (Boecker & Liptak 2007),
-    in O(k a_1) steps and a_1 cells.
-    """
+    Requires a coprime tuple, so every entry ends finite.  Each further a_i
+    is added by walking the d = gcd(a_1, a_i) residue classes round robin."""
     coeffs = sorted(_require_coprime(as_coeffs(a), _NO_FROBENIUS))
     base = coeffs[0]
-    _require_cells(base, "residue table")
+    if base > FROBENIUS_MAX_CELLS:
+        raise BudgetExceededError(
+            f"the residue table needs {base} table cells, over the cap of "
+            f"{FROBENIUS_MAX_CELLS}"
+        )
     table: list[int | float] = [math.inf] * base
     table[0] = 0
     for coeff in coeffs[1:]:
@@ -80,34 +67,15 @@ def frobenius_exact(a: Sequence[int]) -> int:
                 if table[r] < n:
                     n = table[r]
                 table[r] = n
-    return max(table) - base
+    return table
 
 
-def _frobenius_sieve(a: Sequence[int]) -> int:
-    """The Frobenius number by sieving reachability over 0..s-_k.
+def frobenius_exact(a: Sequence[int]) -> int:
+    """The largest integer with no representation; -1 when 1 is a coefficient.
 
-    The slow, independent route that the verify sweep checks
-    frobenius_exact against; it allocates s-_k + 1 cells.
-    """
-    coeffs = _require_coprime(as_coeffs(a), _NO_FROBENIUS)
-    if 1 in coeffs:
-        return -1
-    # s-_k is built from integers, so it is a Fraction over 1.
-    top = bound_sequences(coeffs).lower_shifts[-1].numerator
-    if top < 0:
-        return -1
-    _require_cells(top + 1, "sieve")
-    reachable = [False] * (top + 1)
-    reachable[0] = True
-    for value in range(1, top + 1):
-        for coeff in coeffs:
-            if coeff <= value and reachable[value - coeff]:
-                reachable[value] = True
-                break
-    for value in range(top, -1, -1):
-        if not reachable[value]:
-            return value
-    return -1
+    Requires a coprime tuple.  It is max(N) - a_1 on the residue table N."""
+    table = _residue_table(a)
+    return max(table) - len(table)
 
 
 def bound_frobenius(a: Sequence[int]) -> FrobeniusReport:

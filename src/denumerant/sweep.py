@@ -18,10 +18,12 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from itertools import compress
 from typing import Callable, Iterator
 
 from .bfnum import bf_explicit, bf_recursive
@@ -47,7 +49,7 @@ from .exact import (
     oracle_count,
     popoviciu,
 )
-from .frobenius import _frobenius_sieve, bound_frobenius
+from .frobenius import _residue_table, bound_frobenius
 from .powersum import _enclosure
 
 _MASK64 = (1 << 64) - 1
@@ -298,23 +300,51 @@ def _check_relaxed(instance: dict) -> Failure | None:
     return None
 
 
+def _certify_residue_table(instance: dict, table: list) -> Failure | None:
+    """The first relation that fails, or None when ``table`` is the residue
+    table of the instance's tuple: N[r] the shortest-path distance from 0 to
+    r on the residues mod a_1 = len(table), an edge r -> r + a_j weighing a_j.
+    N[0] = 0 and no edge shortening an entry put N at most that distance, and
+    a tight edge into every other entry spells a path from 0 of length N[r]."""
+    base = len(table)
+    if table[0] != 0:
+        return _fail(dict(instance, r=0), "N[0] == 0", table[0], 0)
+    shortest = [math.inf] * base
+    for coeff in instance["coeffs"]:
+        # via[s] = N[r] + a_j along the edge r -> s = (r + a_j) mod a_1.
+        cut = base - coeff % base
+        via = [n + coeff for n in table[cut:] + table[:cut]]
+        for s in compress(range(base), map(operator.gt, table, via)):
+            inst = dict(instance, r=(s - coeff) % base, a_j=coeff)
+            return _fail(inst, "N[(r + a_j) mod a_1] <= N[r] + a_j", table[s], via[s])
+        shortest = list(map(min, shortest, via))
+    # No edge shortens an entry, so a tight one meets the shortest.
+    for r in compress(range(1, base), map(operator.ne, table[1:], shortest[1:])):
+        relation = "N[r] == N[(r - a_j) mod a_1] + a_j for some j"
+        return _fail(dict(instance, r=r), relation, table[r], shortest[r])
+    return None
+
+
 def _check_frobenius(instance: dict) -> Failure | None:
     coeffs = instance["coeffs"]
     report = bound_frobenius(coeffs)
     g = report.g
-    sieved = _frobenius_sieve(coeffs)
-    if g != sieved:
-        return _fail(instance, "bound_frobenius(a).g == _frobenius_sieve(a)", g, sieved)
-    if not g <= report.brauer_upper:
-        return _fail(instance, "g <= brauer_upper", g, report.brauer_upper)
     # Every value in a window above g must be representable; the window is
     # capped so one degenerate tuple cannot dominate the sweep.  D(g) and
     # the whole window come from one row: the tuple is coprime, so the
     # reduced counts are D(a, 0..top), and g <= brauer_upper puts g in it.
+    # The row is read first, so an instance whose row is over its budget is
+    # skipped before its table is built again and certified.
     top = min(g + min(coeffs) + report.brauer_upper, g + 400)
-    if top < 0:
-        return None
-    counts = list(_reduced_counts(coeffs, top))
+    counts = list(_reduced_counts(coeffs, top)) if top >= 0 else []
+    table = _residue_table(coeffs)
+    if failure := _certify_residue_table(instance, table):
+        return failure
+    certified = max(table) - len(table)
+    if g != certified:
+        return _fail(instance, "bound_frobenius(a).g == max(N) - a_1", g, certified)
+    if not g <= report.brauer_upper:
+        return _fail(instance, "g <= brauer_upper", g, report.brauer_upper)
     if g >= 0 and counts[g] != 0:
         return _fail(instance, "denumerant(a, g) == 0", counts[g], 0)
     for value in range(max(g + 1, 0), top + 1):

@@ -116,6 +116,7 @@ def test_criterion_7_frobenius():
     report = run_verify(cfg)
     assert report.instances == 200
     assert report.failures == []
+    assert report.skipped == {}
     _passed(7, report, note="g(2,3)=1, g(3,5)=7, g(4,6,9)=11")
 
 

@@ -584,8 +584,9 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
 
 
 def test_verify_names_skipped_instances_on_stderr(tmp_path, capsys):
-    # Three of the five pairs would need a sieve over the cell budget; the
-    # report and the exit code stay as they were, stderr says what happened.
+    # Three of the five pairs have g of 4194304 or more, so the window's DP
+    # row above g is over its cell budget; the report and the exit code stay
+    # as they were, stderr says what happened.
     path = tmp_path / "report.json"
     code, _, err = run(
         capsys, "verify", "--suite", "frobenius", "--trials", "5",

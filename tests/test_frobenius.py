@@ -1,6 +1,7 @@
 import math
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,33 @@ from denumerant import (
     inequality_a,
     relaxed_count_chain,
 )
-from denumerant.frobenius import FROBENIUS_MAX_CELLS, _frobenius_sieve
+from denumerant.core import _require_coprime, as_coeffs
+from denumerant.frobenius import FROBENIUS_MAX_CELLS, _residue_table
+from denumerant.sweep import _certify_residue_table
+
+
+def _frobenius_sieve(a):
+    """The Frobenius number by sieving reachability over 0..s-_k.
+
+    The slow, independent route that frobenius_exact is compared with on
+    small tuples; it needs s-_k + 1 cells.
+    """
+    coeffs = _require_coprime(as_coeffs(a), "has gcd > 1")
+    if 1 in coeffs:
+        return -1
+    # s-_k is built from integers, so it is a Fraction over 1.
+    top = bound_sequences(coeffs).lower_shifts[-1].numerator
+    reachable = [False] * (top + 1)
+    reachable[0] = True
+    for value in range(1, top + 1):
+        for coeff in coeffs:
+            if coeff <= value and reachable[value - coeff]:
+                reachable[value] = True
+                break
+    for value in range(top, -1, -1):
+        if not reachable[value]:
+            return value
+    return -1
 
 
 def test_exact_spots():
@@ -38,7 +65,7 @@ def test_pair_closed_form():
         assert frobenius_exact((a1, a2)) == a1 * a2 - a1 - a2
 
 
-def test_round_robin_matches_sieve():
+def _round_robin_cases():
     rng = random.Random(20070412)
     drawn = []
     for _ in range(400):
@@ -53,13 +80,47 @@ def test_round_robin_matches_sieve():
         (5, 1, 9),  # a 1 in the tuple
         (1,),  # one coefficient
     ]
-    for coeffs in special + drawn:
+    return special + drawn
+
+
+def test_round_robin_matches_sieve():
+    for coeffs in _round_robin_cases():
         assert frobenius_exact(coeffs) == _frobenius_sieve(coeffs), coeffs
     for coeffs in ((4, 6), (9,), (6, 10, 14)):
         with pytest.raises(NotCoprimeError):
             frobenius_exact(coeffs)
         with pytest.raises(NotCoprimeError):
             _frobenius_sieve(coeffs)
+
+
+def test_the_certificate_accepts_each_table_and_rejects_each_mutant():
+    # N[0] is pinned to 0.  Any other entry raised by 1 or a_1 is shortened
+    # by its tight incoming edge.  One lowered meets no incoming edge, unless
+    # it first shortens an entry whose tight edge leaves it.
+    shortened = "N[(r + a_j) mod a_1] <= N[r] + a_j"
+    untight = "N[r] == N[(r - a_j) mod a_1] + a_j for some j"
+    mutants = Counter()
+    for coeffs in _round_robin_cases():
+        instance = {"coeffs": coeffs}
+        table = _residue_table(coeffs)
+        assert _certify_residue_table(instance, table) is None, coeffs
+        base = len(table)
+        for r in {0, base // 2, base - 1}:
+            for delta in (1, -1, base, -base):
+                mutant = list(table)
+                mutant[r] += delta
+                found = _certify_residue_table(instance, mutant)
+                assert found is not None, (coeffs, r, delta)
+                if r == 0:
+                    assert found.relation == "N[0] == 0"
+                elif delta > 0:
+                    assert found.relation == shortened
+                else:
+                    assert found.relation in (shortened, untight)
+                mutants[found.relation] += 1
+    # 406 tables, up to three entries of each, each entry changed four ways.
+    assert sum(mutants.values()) == 4324
+    assert set(mutants) == {"N[0] == 0", shortened, untight}
 
 
 def test_three_primes_near_1e4_fast_and_enclosed():
@@ -77,27 +138,24 @@ def test_three_primes_near_1e4_fast_and_enclosed():
 
 
 def test_table_budget():
-    # The sieve for this pair would need about 10^8 cells; it must refuse
-    # before allocating them.
+    # The table needs a_1 = min(a) cells, whatever the order of the
+    # coefficients, and refuses before allocating them.
     with pytest.raises(BudgetExceededError):
-        _frobenius_sieve((10007, 10009))
-    with pytest.raises(BudgetExceededError):
-        frobenius_exact((FROBENIUS_MAX_CELLS + 1, FROBENIUS_MAX_CELLS + 2))
-    # The acceptance frobenius sweep draws coefficients <= 25, and
-    # s-_k < a_1 max(a), so its sieves stay three orders of magnitude below
-    # the cap.
-    assert 1000 * 25 * 25 < FROBENIUS_MAX_CELLS
+        frobenius_exact((FROBENIUS_MAX_CELLS + 2, FROBENIUS_MAX_CELLS + 1))
+    # s-_k is no part of the budget: this pair's is about 10^8, over the
+    # cap, and its table takes 10007 cells.
+    assert bound_frobenius((10007, 10009)).brauer_upper + 1 > FROBENIUS_MAX_CELLS
+    assert len(_residue_table((10009, 10007))) == 10007
 
 
-def test_a_unit_coefficient_answers_before_the_sieve_budget():
-    # With a 1 among the coefficients every n >= 0 is representable.  This
-    # tuple's s-_k is far over the sieve's budget, so only the shortcut for
-    # a 1 lets the sieve answer -1.
+def test_a_unit_coefficient_needs_one_table_cell():
+    # With a 1 among the coefficients every n >= 0 is representable, and
+    # a_1 = 1 leaves the table one cell, N[0] = 0, however large s-_k is.
     coeffs = (10**6, 10**6 + 2, 1)
     report = bound_frobenius(coeffs)
     assert (report.g, report.brauer_upper) == (-1, 499_998_999_999)
     assert report.brauer_upper + 1 > FROBENIUS_MAX_CELLS
-    assert _frobenius_sieve(coeffs) == -1
+    assert _residue_table(coeffs) == [0]
 
 
 def test_requires_coprime():

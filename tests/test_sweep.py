@@ -1,6 +1,7 @@
 import json
 import math
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -208,11 +209,13 @@ def per_value_frobenius_check(instance):
     coeffs = instance["coeffs"]
     report = sweep.bound_frobenius(coeffs)
     g = report.g
-    sieved = sweep._frobenius_sieve(coeffs)
-    if g != sieved:
-        return sweep._fail(
-            instance, "bound_frobenius(a).g == _frobenius_sieve(a)", g, sieved
-        )
+    table = sweep._residue_table(coeffs)
+    failure = sweep._certify_residue_table(instance, table)
+    if failure is not None:
+        return failure
+    certified = max(table) - len(table)
+    if g != certified:
+        return sweep._fail(instance, "bound_frobenius(a).g == max(N) - a_1", g, certified)
     if not g <= report.brauer_upper:
         return sweep._fail(instance, "g <= brauer_upper", g, report.brauer_upper)
     if g >= 0 and denumerant(coeffs, g).value != 0:
@@ -230,8 +233,10 @@ def test_the_frobenius_window_read_from_one_row_matches_per_value_counts(
     monkeypatch,
 ):
     # A correct g passes both; a g reported too low or too high fails both
-    # at the same relation and values.  The sieve is patched to agree with
-    # the reported g, so the check reaches the window.
+    # at the same relation and values.  The table is patched to the
+    # one-cell table [g + 1], whose max(N) - a_1 is the reported g, and its
+    # certificate to pass, so the check reaches the window.
+    monkeypatch.setattr(sweep, "_certify_residue_table", lambda instance, table: None)
     rng = SplitMix64(18)
     cfg = SweepConfig(suite="frobenius", k_range=(2, 4), max_coeff=40)
     relations = Counter()
@@ -242,7 +247,7 @@ def test_the_frobenius_window_read_from_one_row_matches_per_value_counts(
         for g in {report.g, report.g + 1, -1, *gaps[-3:], *gaps[:2]}:
             fake = FrobeniusReport(report.coeffs, g, report.brauer_upper)
             monkeypatch.setattr(sweep, "bound_frobenius", lambda a, r=fake: r)
-            monkeypatch.setattr(sweep, "_frobenius_sieve", lambda a, g=g: g)
+            monkeypatch.setattr(sweep, "_residue_table", lambda a, g=g: [g + 1])
             instance = {"coeffs": coeffs}
             found = sweep._check_frobenius(instance)
             assert found == per_value_frobenius_check(instance), (coeffs, g)
@@ -256,13 +261,24 @@ def test_the_frobenius_window_read_from_one_row_matches_per_value_counts(
 
 
 def test_skipped_instances_are_counted_outside_the_report():
-    # Three of these five pairs need a sieve over FROBENIUS_MAX_CELLS.
+    # Three of these five pairs have g of 4194304 or more, so the window's
+    # DP row above g is over its cell budget.
     cfg = SweepConfig(suite="frobenius", trials=5, k_range=(2, 2), max_coeff=20000)
     report = run_verify(cfg)
     assert report.instances == 5 and report.passed
     assert report.skipped == {"BudgetExceededError": 3}
     assert "skipped" not in json.loads(report.to_json())
     assert run_verify(SweepConfig(suite="popoviciu", trials=10)).skipped == {}
+
+
+def test_the_frobenius_suite_checks_triples_whose_s_k_is_over_the_table_budget():
+    # Two of these five triples have s-_k over FROBENIUS_MAX_CELLS, but the
+    # certificate works on the a_1 cells of the residue table and their
+    # windows' DP rows stay under budget, so none is skipped.
+    cfg = SweepConfig(suite="frobenius", seed=2, trials=5, k_range=(3, 3), max_coeff=5000)
+    report = run_verify(cfg)
+    assert report.instances == 5 and report.passed
+    assert report.skipped == {}
 
 
 def test_suite_names_follow_the_dispatch_table():
@@ -380,8 +396,14 @@ _BROKEN_RELATIONS = [
      _shift_route("relaxed_count_chain", lambda c, *_: (c[0], c[1] + 10**9, c[2]))),
     ("exact <= upper", "dhat", (2, 4),
      _shift_route("relaxed_count_chain", lambda c, *_: (c[0], c[1], -1))),
-    ("bound_frobenius(a).g == _frobenius_sieve(a)", "frobenius", (2, 4),
-     _shift_route("_frobenius_sieve", lambda *_: -2)),
+    ("N[0] == 0", "frobenius", (2, 4),
+     _shift_route("_residue_table", lambda t, *_: [t[0] + 1, *t[1:]])),
+    ("N[(r + a_j) mod a_1] <= N[r] + a_j", "frobenius", (2, 4),
+     _shift_route("_residue_table", lambda t, *_: t[:1] + [n + 1 for n in t[1:]])),
+    ("N[r] == N[(r - a_j) mod a_1] + a_j for some j", "frobenius", (2, 4),
+     _shift_route("_residue_table", lambda t, *_: [0] * len(t))),
+    ("bound_frobenius(a).g == max(N) - a_1", "frobenius", (2, 4),
+     _shift_route("bound_frobenius", lambda r, *_: replace(r, g=r.g + 1))),
     ("power sum <= refined upper", "powersum", (2, 4),
      _enclosure_patch(_cap_below_the_sum)),
     ("f(n+1) - f(n) == (n+1+c)^k", "powersum", (2, 4),
