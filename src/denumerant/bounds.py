@@ -26,8 +26,8 @@ numerators and denominators.  ``Fraction``s appear only in the entries of
 ``BoundSequences`` and in the values at a target.  A target costs a few
 integer powers and one Horner pass (``numerators``), and each value at it
 is one of those integers over a fixed denominator: ``at``, ``series_lower``
-and the relaxed chain's ``at`` make a ``Fraction`` of it, and the CLI
-compares and prints the integers without one.
+and ``relaxed_count_chain`` make a ``Fraction`` of it, ``contains`` tests a
+count against them in integers, and the CLI prints them without one.
 ``inequality_a``, ``inequality_b_lower`` and ``relaxed_count_chain``
 prepare for their one target; the CLI and the sweeps prepare once per
 command or instance.
@@ -136,12 +136,35 @@ class _Sandwich:
         lower, upper = seqs.lower_shifts[-1], seqs.upper_shifts[-1]
         return cls(coeffs, lower.numerator, upper.numerator * 2 // upper.denominator)
 
+    @classmethod
+    def relaxed(cls, a: Sequence[int]) -> _Sandwich:
+        """The relaxed-count chain of a (any k >= 1, any gcd d): the sandwich
+        of the slack tuple (1,) + a/d, read at m = n // d for the relaxed
+        count at n.  Its shifts are taken without building its sequences:
+        along its gcd chain of ones s- = -1, so the series bound holds at
+        every m >= 0, and s+ = r_k of a/d, so 2 s+ = 2 a_1 + a_2 + ... + a_k
+        over d."""
+        coeffs = as_coeffs(a)
+        d = math.gcd(*coeffs)
+        reduced = tuple(c // d for c in coeffs)
+        return cls((1,) + reduced, -1, reduced[0] + sum(reduced))
+
     def numerators(self, m: int) -> tuple[int, int | None, int]:
         """The numerators of lower_a, lower_b and upper_a at m over
         ``denominators``; lower_b's is None below s-, where it is not claimed."""
         base = m - self.lower_shift
         series = base * _horner(self._series, base) if base >= 0 else None
         return base**self.power, series, (2 * m + self._twice_upper_shift) ** self.power
+
+    def contains(self, count: int, numerators: tuple[int, int | None, int]) -> bool:
+        """Whether count lies in the sandwich at the target of ``numerators``:
+        count <= upper_a, and lower_a <= lower_b <= count where lower_b is
+        claimed (which also gives lower_a <= count)."""
+        lower, series, upper = numerators
+        _, series_den, upper_den = self.denominators
+        return count * upper_den <= upper and (
+            series is None or lower << (self.power - 1) <= series <= count * series_den
+        )
 
     def at(self, m: int) -> BoundReport:
         lower, _, upper = self.numerators(m)
@@ -158,33 +181,6 @@ class _Sandwich:
                 f"the series bound needs n >= {self.lower_shift}, got n={m}"
             )
         return Fraction(series, self.denominators[1])
-
-
-class _RelaxedChain:
-    """The relaxed-count chain of one tuple (any k >= 1, any gcd), prepared
-    once and then evaluated at any target.
-
-    With d = gcd(a), the relaxed count at n is the count of the slack tuple
-    (1,) + a/d at floor(n/d), and the chain is that tuple's sandwich there,
-    its shifts taken without building its sequences: s- = -1, s+ = r_k of a/d,
-    so 2 s+ = 2 a_1 + a_2 + ... + a_k over d.
-    """
-
-    def __init__(self, a: Sequence[int]) -> None:
-        coeffs = as_coeffs(a)
-        self._gcd = math.gcd(*coeffs)
-        reduced = tuple(c // self._gcd for c in coeffs)
-        self._slack = _Sandwich((1,) + reduced, -1, reduced[0] + sum(reduced))
-        self.power, self.denominators = self._slack.power, self._slack.denominators
-
-    def numerators(self, n: int) -> tuple[int, int, int]:
-        """The numerators of the chain at n over ``denominators``."""
-        # s- = -1, so the series bound holds at every m >= 0.
-        return self._slack.numerators(n // self._gcd)
-
-    def at(self, n: int) -> tuple[Fraction, Fraction, Fraction]:
-        lower, middle, upper = map(Fraction, self.numerators(n), self.denominators)
-        return lower, middle, upper
 
 
 def _series_numerators(a: tuple[int, ...], m: int) -> tuple[int, ...]:
@@ -251,8 +247,11 @@ def relaxed_count_chain(
           <= count
           <= (q + r_k)^k / (k! prod a).
     """
-    chain = _RelaxedChain(a)
-    return chain.at(_require_natural(n))
+    coeffs = as_coeffs(a)
+    chain = _Sandwich.relaxed(coeffs)
+    m = _require_natural(n) // math.gcd(*coeffs)
+    lower, middle, upper = map(Fraction, chain.numerators(m), chain.denominators)
+    return lower, middle, upper
 
 
 def prefix_sum_count(a: Sequence[int], n: int) -> int:

@@ -6,12 +6,14 @@ which writes ``coeffs`` itself, for --format table|csv|json (json means one
 object per line, filled into a template built once per command; json and
 csv write each row as it comes).  verify always emits a single JSON
 report.  count, bounds and dhat read one cached row for all the targets of
-a command (``exact._RowReader``), and compare and print each bound as its
-integer numerator over the sandwich's fixed denominator, not as a
-``Fraction``.  Exit codes: 0 success, 1 a verification sweep found failures
-(or an internal identity broke), 2 bad usage, 3 a precondition was violated
-(non-coprime input, out-of-range query, an input over a budget, a sweep
-that skipped every instance, ...).
+a command (``exact._RowReader``).  bounds and dhat yield each bound as its
+integer numerator and the sandwich's fixed denominator, not as a
+``Fraction``; the sandwich tests the count against them, and the writer,
+the one place where a row's values become text, prints each pair as p/q.
+Exit codes: 0 success, 1 a verification sweep found failures (or an
+internal identity broke), 2 bad usage, 3 a precondition was violated
+(non-coprime input, out-of-range query, an input over a budget or a value
+too long for Python to print, a sweep that skipped every instance, ...).
 
 The argument parser is built once per process, at import, and every call
 of ``main`` parses with it; ``build_parser`` returns a new one each time.
@@ -27,10 +29,10 @@ import sys
 from contextlib import nullcontext
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from typing import Iterator, Sequence, TextIO
+from typing import Callable, Iterator, Sequence, TextIO
 
 from .bfnum import bf_explicit
-from .bounds import _RelaxedChain, _Sandwich
+from .bounds import _Sandwich
 from .core import (
     BudgetExceededError,
     DenumerantError,
@@ -85,14 +87,19 @@ def _cell(value: object) -> str:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
+    if type(value) is tuple:
+        return _ratio(*value)
     return str(value)
 
 
 def _literal(value: object) -> str:
     """``value`` as json.dumps(value, default=str) writes it: an int as its
-    repr, a str escaped to ASCII, anything else (a ``Fraction``) as its str."""
+    repr, a (num, den) pair as the str of that ``Fraction``, a str escaped to
+    ASCII, anything else (a ``Fraction``) as its str."""
     if type(value) is int:  # not a bool
         return repr(value)
+    if type(value) is tuple:
+        return '"%s"' % _ratio(*value)
     if value is None:
         return "null"
     if isinstance(value, bool):
@@ -106,33 +113,46 @@ def _ratio(num: int, den: int) -> str:
     return str(num // g) if g == den else f"{num // g}/{den // g}"
 
 
+def _rendered(rows: Iterator[tuple], render: Callable[[object], str]) -> Iterator[tuple]:
+    """Each row as the texts of its values, made by ``render``.  From Python
+    3.11 (and 3.10.7) int refuses to convert a value of more digits than the
+    interpreter's limit to text; that limit is a budget too."""
+    for row in rows:
+        try:
+            # (*map(...),) sizes each line's tuple exactly: tuple(map(...))
+            # grows and shrinks one, so CPython keeps the freed tuples on its
+            # free lists, up to 2,000 of each length, instead of reusing them.
+            line = (*map(render, row),)
+        except ValueError as err:
+            raise BudgetExceededError(f"a value is too long to print: {err}") from None
+        yield line
+
+
 def _emit_rows(
     coeffs: tuple[int, ...], rows: Iterator[tuple], columns: Sequence[str],
     fmt: str, stream: TextIO,
 ) -> None:
     # The first column is always the command's coeffs, written here; a row
-    # holds the other columns, in order.  Every row command yields at least
-    # one row.  Computing the first before anything is written keeps the
-    # output empty when it fails; a failure further on keeps the json and
-    # csv rows written so far.
-    rows = itertools.chain([next(rows)], rows)
+    # holds the other columns, in order, and becomes text only here.  Every
+    # row command yields at least one row.  Computing and rendering the
+    # first before anything is written keeps the output empty when either
+    # fails; a failure further on keeps the json and csv rows written so far.
+    lines = _rendered(rows, _literal if fmt == "json" else _cell)
+    lines = itertools.chain([next(lines)], lines)
     if fmt == "json":
         # One object per line, as json.dumps writes it, from one template.
-        # (*map(...),) sizes each line's tuple exactly: tuple(map(...))
-        # grows and shrinks one, so CPython keeps the freed tuples on its
-        # free lists, up to 2,000 of each length, instead of reusing them.
         fields = (f'"{name}": %s' for name in columns[1:])
         template = "{" + ", ".join([f'"coeffs": {list(coeffs)}', *fields]) + "}\n"
-        for row in rows:
-            stream.write(template % (*map(_literal, row),))
+        for line in lines:
+            stream.write(template % line)
         return
     first = ",".join(map(str, coeffs))
     if fmt == "csv":
         writer = csv.writer(stream)
         writer.writerow(columns)
-        writer.writerows([first, *map(_cell, row)] for row in rows)
+        writer.writerows((first, *line) for line in lines)
         return
-    lines = [columns, *([first, *map(_cell, row)] for row in rows)]
+    lines = [columns, *((first, *line) for line in lines)]
     widths = [max(map(len, column)) for column in zip(*lines)]
     for line in lines:
         stream.write("  ".join(map(str.ljust, line, widths)).rstrip() + "\n")
@@ -161,8 +181,8 @@ def _count_rows(args: argparse.Namespace) -> Iterator[tuple]:
 def _bounds_rows(args: argparse.Namespace) -> Iterator[tuple]:
     # D(a, n) = D(a/d, n/d) when d = gcd(a) divides n, and 0 otherwise, so
     # the sandwich for the coprime a/d bounds every target d divides.  Each
-    # value is an integer numerator over one of the sandwich's denominators,
-    # compared and printed as such.
+    # bound is an integer numerator over one of the sandwich's denominators,
+    # which the sandwich compares with the count and the writer prints.
     coeffs = args.coeffs
     targets = _targets(args)
     reader = _RowReader(coeffs)
@@ -180,16 +200,11 @@ def _bounds_rows(args: argparse.Namespace) -> Iterator[tuple]:
             # coefficient is refused under the tuple as given.
             sandwich = _Sandwich.of(coeffs)
             lower_den, series_den, upper_den = sandwich.denominators
-            shift = sandwich.power - 1
-        lower, series, upper = sandwich.numerators(n // d)
-        # lower_a <= lower_b <= exact also gives the sandwich's lower side.
-        ok = exact * upper_den <= upper and (
-            series is None or lower << shift <= series <= exact * series_den
-        )
+        lower, series, upper = values = sandwich.numerators(n // d)
         yield (
-            n, exact, _ratio(lower, lower_den),
-            None if series is None else _ratio(series, series_den),
-            _ratio(upper, upper_den), series is not None, ok,
+            n, exact, (lower, lower_den),
+            None if series is None else (series, series_den),
+            (upper, upper_den), series is not None, sandwich.contains(exact, values),
         )
 
 
@@ -211,19 +226,18 @@ def _bf_rows(args: argparse.Namespace) -> Iterator[tuple]:
 
 def _dhat_rows(args: argparse.Namespace) -> Iterator[tuple]:
     targets = _targets(args)
-    chain = _RelaxedChain(args.coeffs)
+    chain = _Sandwich.relaxed(args.coeffs)
     reader = _RowReader(args.coeffs)
-    # As in bounds: the chain's values are integers over these denominators.
+    d = reader.gcd
+    # As in bounds, read at n // d: the chain is the sandwich of the slack
+    # tuple (1,) + a/d, whose count there is the relaxed count at n.
     lower_den, middle_den, upper_den = chain.denominators
-    shift = chain.power - 1
     for n in targets:
         exact = reader.relaxed(n)
-        lower, middle, upper = chain.numerators(n)
+        lower, middle, upper = values = chain.numerators(n // d)
         yield (
-            n, exact, _ratio(lower, lower_den), _ratio(middle, middle_den),
-            _ratio(upper, upper_den),
-            lower << shift <= middle <= exact * middle_den
-            and exact * upper_den <= upper,
+            n, exact, (lower, lower_den), (middle, middle_den), (upper, upper_den),
+            chain.contains(exact, values),
         )
 
 

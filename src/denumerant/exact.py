@@ -29,9 +29,10 @@ Every read of a row goes through a ``_RowReader``, which holds one tuple's
 row across targets and looks it up again only when a target passes its cap:
 ``denumerant`` and ``extended_count`` are a reader at one target, and the
 CLI's ``count``, ``bounds`` and ``dhat`` read a whole ``--n-range`` with one.
-``prefix_sum_count`` and the ``frobenius`` verify suite read every count up
-to n from one row (``_reduced_counts``, a chunk of ints at a time) instead
-of counting each target.  A finished row is stored as planes of unsigned
+``prefix_sum_count`` reads every count up to n from one row
+(``_reduced_counts``, a chunk of ints at a time) instead of counting each
+target, and the ``frobenius`` verify suite reads only its window above g
+as ints (``_Row.counts``).  A finished row is stored as planes of unsigned
 64-bit words, each an ``array`` of one word a cell: plane i holds bits 64 i
 to 64 i + 63 of every count, so a row whose counts fit in 64 bits has one.
 A row is built one segment of ``_CHUNK`` cells at a time: every
@@ -52,7 +53,6 @@ import threading
 from array import array
 from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate
 from operator import add, sub
 from typing import Iterator, Sequence
@@ -473,25 +473,25 @@ def popoviciu(a1: int, a2: int, n: int) -> CountResult:
 
         D(n) = n/(a1*a2) - {b'*n/a1} - {a'*n/a2} + 1,
 
-    where {t} is the fractional part.  The result is checked to be a
-    non-negative integer before it is returned.
+    where {t} is the fractional part.  It is evaluated in integers, as
+    a1*a2*(D(n) - 1) = n - a2*(b'*n mod a1) - a1*(a'*n mod a2), and checked
+    to be a non-negative integer before it is returned.
     """
     a1, a2 = as_coeffs((a1, a2))
     _require_natural(n)
     _require_coprime((a1, a2), "is not a coprime pair")
     inv_a2 = pow(a2, -1, a1)
     inv_a1 = pow(a1, -1, a2)
-    value = (
-        Fraction(n, a1 * a2)
-        - Fraction((inv_a2 * n) % a1, a1)
-        - Fraction((inv_a1 * n) % a2, a2)
-        + 1
-    )
-    if value.denominator != 1 or value < 0:
+    den = a1 * a2
+    num = n + den - a2 * (inv_a2 * n % a1) - a1 * (inv_a1 * n % a2)
+    value, rest = divmod(num, den)
+    if rest or value < 0:
+        g = math.gcd(num, den)
+        shown = num // g if g == den else f"{num // g}/{den // g}"
         raise InvariantViolationError(
-            f"closed form produced {value} for ({a1}, {a2}) at n={n}"
+            f"closed form produced {shown} for ({a1}, {a2}) at n={n}"
         )
-    return CountResult(int(value), "popoviciu")
+    return CountResult(value, "popoviciu")
 
 
 def extended_count(a: Sequence[int], n: int) -> CountResult:

@@ -43,7 +43,7 @@ from .core import (
     TooShortTupleError,
 )
 from .exact import (
-    _reduced_counts,
+    _RowReader,
     denumerant,
     extended_count,
     oracle_count,
@@ -331,12 +331,14 @@ def _check_frobenius(instance: dict) -> Failure | None:
     g = report.g
     # Every value in a window above g must be representable; the window is
     # capped so one degenerate tuple cannot dominate the sweep.  D(g) and
-    # the whole window come from one row: the tuple is coprime, so the
-    # reduced counts are D(a, 0..top), and g <= brauer_upper puts g in it.
-    # The row is read first, so an instance whose row is over its budget is
-    # skipped before its table is built again and certified.
+    # the whole window are read from one row: the tuple is coprime, so its
+    # cells are D(a, 0..top), and g <= brauer_upper puts g in it.  Only
+    # D(max(g, 0)..top) becomes ints.  The row is read first, so an instance
+    # whose row is over its budget is skipped before its table is built
+    # again and certified.
     top = min(g + min(coeffs) + report.brauer_upper, g + 400)
-    counts = list(_reduced_counts(coeffs, top)) if top >= 0 else []
+    lo = max(g, 0)
+    window = _RowReader(coeffs).row(top)[0].counts(top, lo) if top >= 0 else []
     table = _residue_table(coeffs)
     if failure := _certify_residue_table(instance, table):
         return failure
@@ -345,10 +347,10 @@ def _check_frobenius(instance: dict) -> Failure | None:
         return _fail(instance, "bound_frobenius(a).g == max(N) - a_1", g, certified)
     if not g <= report.brauer_upper:
         return _fail(instance, "g <= brauer_upper", g, report.brauer_upper)
-    if g >= 0 and counts[g] != 0:
-        return _fail(instance, "denumerant(a, g) == 0", counts[g], 0)
+    if g >= 0 and window[0] != 0:
+        return _fail(instance, "denumerant(a, g) == 0", window[0], 0)
     for value in range(max(g + 1, 0), top + 1):
-        if counts[value] == 0:
+        if window[value - lo] == 0:
             return _fail(instance, "denumerant(a, n) > 0 for n > g", 0, value)
     return None
 

@@ -344,11 +344,12 @@ def test_the_prepared_sandwich_divides_out_the_gcd():
     ids=str,
 )
 def test_the_prepared_relaxed_chain_matches_the_definitions(coeffs):
-    chain = bounds._RelaxedChain(coeffs)
+    chain = bounds._Sandwich.relaxed(coeffs)
     d = math.gcd(*coeffs)
     # Targets d does not divide come first among the small ones.
     for n in (0, 1, d - 1, d, d + 1, 2 * d + 1, 77, 10**6 + 1, 10**40 + 3):
-        assert chain.at(n) == _relaxed_by_definition(coeffs, n), n
+        values = tuple(map(Fraction, chain.numerators(n // d), chain.denominators))
+        assert values == _relaxed_by_definition(coeffs, n), n
 
 
 def test_the_relaxed_chain_is_the_slack_tuples_sandwich():
@@ -373,6 +374,52 @@ def test_the_relaxed_chain_is_the_slack_tuples_sandwich():
             assert upper == (m + shift) ** k / (math.factorial(k) * math.prod(slack))
             assert upper == inequality_a(slack, m).upper_a, (a, target)
     assert uneven > 100
+
+
+def _edge_counts(*limits):
+    """The integers at or one off each of the limits: floor - 1 to ceil + 1."""
+    return sorted({c for x in limits for c in range(math.floor(x) - 1, math.ceil(x) + 2)})
+
+
+def test_the_sandwichs_count_test_agrees_with_the_fraction_chain():
+    # count <= upper_a, and lower_a <= lower_b <= count where lower_b is
+    # claimed, decided in integers by the sandwich against Fractions: at
+    # counts on and one off each bound, at targets on both sides of s-_k
+    # and for the relaxed chain at n.  A series numerator one below
+    # lower_a's, which no true sandwich has, fails the middle comparison.
+    rng = random.Random(2022_0913)
+    below = above = 0
+    for _ in range(150):
+        k, d = rng.randint(2, 5), rng.choice((1, 1, 2, 3))
+        a = tuple(d * rng.randint(1, 30) for _ in range(k))
+        reduced = _coprime(a)
+        sandwich = bounds._Sandwich.of(a)
+        s = sandwich.lower_shift
+        shift = sandwich.power - 1
+        for m in {s - 2, s - 1, s, s + 1, s + rng.randint(2, 400)}:
+            if m < 0:
+                continue
+            values = sandwich.numerators(m)
+            lower_a, upper_a, lower_b = _sandwich_by_definition(reduced, m)
+            claimed = m >= s
+            below += not claimed
+            above += claimed
+            limits = (lower_a, upper_a, lower_b) if claimed else (lower_a, upper_a)
+            for count in _edge_counts(*limits):
+                expected = count <= upper_a and (not claimed or lower_a <= lower_b <= count)
+                assert sandwich.contains(count, values) == expected, (a, m, count)
+                if claimed:
+                    lower, _, upper = values
+                    wrong = (lower, (lower << shift) - 1, upper)
+                    assert not sandwich.contains(count, wrong), (a, m, count)
+        chain = bounds._Sandwich.relaxed(a)
+        n = rng.randint(0, 3000)
+        values = chain.numerators(n // math.gcd(*a))
+        lower, middle, upper = _relaxed_by_definition(a, n)
+        for count in _edge_counts(lower, middle, upper):
+            expected = lower <= middle <= count <= upper
+            assert chain.contains(count, values) == expected, (a, n, count)
+    assert below > 100 and above > 300
 
 
 def _count_calls(monkeypatch, module, name):
@@ -465,7 +512,7 @@ def test_the_integer_preparation_matches_the_fraction_one():
         d = math.gcd(*a)
         reduced = tuple(c // d for c in a)
         twice_relaxed = 2 * _fraction_relaxed_shift_sequence(reduced)[-1]
-        slack = bounds._RelaxedChain(a)._slack
+        slack = bounds._Sandwich.relaxed(a)
         assert slack._twice_upper_shift == twice_relaxed, a
         if len(a) < 2:
             continue

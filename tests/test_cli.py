@@ -3,13 +3,14 @@ import csv
 import io
 import json
 import math
+import sys
 import time
 from fractions import Fraction
 
 import pytest
 
 import denumerant
-from denumerant import bounds, cli, sweep
+from denumerant import bounds, cli, exact, sweep
 from denumerant.exact import _prefix_counts
 
 
@@ -374,9 +375,89 @@ def test_dhat_row(capsys):
     assert row["ok"] is True
 
 
+@pytest.mark.parametrize(
+    "argv, read",
+    [(["bounds", "--coeffs", "1,2,3", "--n", "10"], "count"),
+     (["dhat", "--coeffs", "2,3", "--n", "6"], "relaxed")],
+    ids=["bounds", "dhat"],
+)
+@pytest.mark.parametrize(
+    "case", ["count above upper", "count below lower_b", "lower_b below lower_a"]
+)
+def test_ok_is_false_when_one_comparison_fails(monkeypatch, capsys, argv, read, case):
+    # Each case breaks one comparison and keeps the other two: the count
+    # read, or the series numerator the sandwich gives, set one below
+    # lower_a's over its own denominator.
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert (code, json.loads(out)["ok"]) == (0, True)
+    numerators = bounds._Sandwich.numerators
+
+    def lowered(self, m):
+        lower, _, upper = numerators(self, m)
+        return lower, (lower << (self.power - 1)) - 1, upper
+
+    if case == "lower_b below lower_a":
+        monkeypatch.setattr(bounds._Sandwich, "numerators", lowered)
+    else:
+        count = 10**6 if case == "count above upper" else 0
+        monkeypatch.setattr(exact._RowReader, read, lambda self, n: count)
+    for fmt, cell in (("json", '"ok": false}'), ("csv", ",false"), ("table", "  false")):
+        code, out, _ = run(capsys, *argv, "--format", fmt)
+        assert code == 0
+        assert out.splitlines()[-1].endswith(cell), fmt
+
+
+@pytest.fixture
+def digit_limit():
+    """Python's limit on the digits of an int converted to text, set to its
+    default for the test; an interpreter without one skips the test."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python converts an int of any length to text")
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    yield sys.int_info.default_max_str_digits
+    sys.set_int_max_str_digits(before)
+
+
+def _long_value_argv(command):
+    # Two coprime 3,001-digit coefficients make the sandwich's denominators
+    # about 6,000 digits long; (100003, 10^4297 + 1) has a Frobenius number
+    # of 4,303 digits.
+    if command == "frobenius":
+        return ["frobenius", "--coeffs", f"100003,{10**4297 + 1}"]
+    return [command, "--coeffs", f"{10**3000 + 1},{10**3000 + 3}", "--n", "0"]
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+@pytest.mark.parametrize("command", ["bounds", "dhat", "frobenius"])
+def test_a_value_too_long_to_print_is_over_a_budget(capsys, digit_limit, command, fmt):
+    code, out, err = run(capsys, *_long_value_argv(command), "--format", fmt)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: a value is too long to print: ")
+    assert f"({digit_limit} digits)" in err
+
+
+def test_a_value_too_long_to_print_keeps_the_streamed_rows(capsys, digit_limit):
+    # gcd 2: at n = 1 there is nothing to bound, and at n = 2 the bounds
+    # are too long to print.
+    coeffs = f"{2 * 10**3000 + 2},{2 * 10**3000 + 6}"
+    first = (
+        '{"coeffs": [%s], "n": 1, "exact": 0, "lower_a": null, "lower_b": null, '
+        '"upper_a": null, "applicable": false, "ok": true}' % coeffs.replace(",", ", ")
+    )
+    argv = ["bounds", "--coeffs", coeffs, "--n-range", "1:2"]
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert (code, out.splitlines()) == (3, [first])
+    assert err.startswith("error: a value is too long to print: ")
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    assert (code, out.splitlines()[1]) == (3, f'"{coeffs}",1,0,,,,false,true')
+    assert run(capsys, *argv, "--format", "table")[:2] == (3, "")
+
+
 def _per_target_rows(command, a, targets):
     """The rows of a range command, built one target at a time from the
-    Fraction API: denumerant, extended_count, _Sandwich and _RelaxedChain."""
+    Fraction API: denumerant, extended_count, _Sandwich.of and the public
+    relaxed_count_chain."""
     d = math.gcd(*a)
     for n in targets:
         if command == "count":
@@ -402,7 +483,7 @@ def _per_target_rows(command, a, targets):
             }
         else:
             exact = denumerant.extended_count(a, n).value
-            lower, middle, upper = bounds._RelaxedChain(a).at(n)
+            lower, middle, upper = bounds.relaxed_count_chain(a, n)
             yield {
                 "coeffs": a, "n": n, "exact": exact, "lower": lower,
                 "middle": middle, "upper": upper,
@@ -660,11 +741,17 @@ def _reference_cell(value):
 
 
 def _reference_output(argv, fmt):
-    """A command's output written from dict rows, with the coeffs first, by
+    """A command's output written from dict rows, with the coeffs first and
+    each (numerator, denominator) pair as its Fraction, by
     json.JSONEncoder(default=str) a row, or csv and table cells of each
     value in turn."""
     args = cli._PARSER.parse_args([*argv, "--format", fmt])
-    rows = [dict(zip(args.columns, (args.coeffs, *row))) for row in args.rows(args)]
+    rows = [
+        dict(zip(args.columns, (args.coeffs, *(
+            Fraction(*value) if isinstance(value, tuple) else value for value in row
+        ))))
+        for row in args.rows(args)
+    ]
     if fmt == "json":
         encoder = json.JSONEncoder(default=str)
         return "".join(encoder.encode(row) + "\n" for row in rows)

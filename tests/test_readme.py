@@ -5,14 +5,16 @@ Every ``$ denumerant ...`` line of the "Command line" block runs through
 line ending in ``...}`` is compared as a prefix, and a command shown
 without output must exit 0.  The "Library use" block is executed as is,
 every name the package exports must appear somewhere in the README, every
-budget constant must be stated with its current value, and the list of
-available suites must match ``SUITE_NAMES``.
+budget constant must be stated with its current value, as must the
+interpreter's limit on printing an int, and the list of available suites
+must match ``SUITE_NAMES``.
 """
 
 import importlib
 import pkgutil
 import re
 import shlex
+import sys
 from pathlib import Path
 
 import pytest
@@ -100,3 +102,10 @@ def test_every_budget_is_documented_with_its_value():
     assert len(stated) == 5
     flowed = " ".join(_README.split())
     assert [line for line in stated if line not in flowed] == []
+
+
+def test_the_interpreters_digit_limit_is_documented():
+    limit = getattr(sys.int_info, "default_max_str_digits", None)
+    if limit is None:
+        pytest.skip("this Python converts an int of any length to text")
+    assert f"more than {limit} digits" in " ".join(_README.split())

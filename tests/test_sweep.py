@@ -16,7 +16,7 @@ from denumerant import (
     run_verify,
     shrink_failure,
 )
-from denumerant import bounds, powersum, sweep
+from denumerant import bounds, exact, powersum, sweep
 from denumerant.exact import CountResult
 from denumerant.sweep import _draw_coprime_tuple, _draw_pair, _draw_tuple
 
@@ -258,6 +258,27 @@ def test_the_frobenius_window_read_from_one_row_matches_per_value_counts(
         "denumerant(a, n) > 0 for n > g",
         "g <= brauer_upper",
     }
+
+
+def test_the_frobenius_check_reads_only_its_window(monkeypatch):
+    # D(g..top) is at most 401 cells, however long the row below g; the
+    # cache is fresh so that no extension reads a short row's tail.
+    monkeypatch.setattr(exact, "_prefix_counts", exact._RowCache(maxsize=32))
+    spans = []
+    counts = exact._Row.counts
+
+    def recorded(self, cap, start=0):
+        spans.append(cap + 1 - start)
+        return counts(self, cap, start)
+
+    monkeypatch.setattr(exact._Row, "counts", recorded)
+    for coeffs in ((40, 37), (12, 17, 31), (101, 97, 89, 83), (3, 1000)):
+        spans.clear()
+        report = bound_frobenius(coeffs)
+        top = min(report.g + min(coeffs) + report.brauer_upper, report.g + 400)
+        assert sweep._check_frobenius({"coeffs": coeffs}) is None
+        assert top - report.g + 1 in spans
+        assert max(spans) <= top - report.g + 1, coeffs
 
 
 def test_skipped_instances_are_counted_outside_the_report():
