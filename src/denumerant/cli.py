@@ -59,14 +59,27 @@ def _parse_coeffs(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"invalid coefficients {text!r}: {err}")
 
 
+def _int(text: str, malformed: str) -> int:
+    """int(text), or the argparse error ``malformed`` for text that is no int.
+    From Python 3.11 (and 3.10.7) int refuses more digits than the
+    interpreter's limit, and its message, which names the limit, is kept."""
+    try:
+        return int(text)
+    except ValueError as err:
+        digits = text.strip().lstrip("+-").isdigit()
+        raise argparse.ArgumentTypeError(str(err) if digits else malformed) from None
+
+
+def _parse_n(text: str) -> int:
+    return _int(text, f"invalid int value: {text!r}")
+
+
 def _parse_range(text: str) -> tuple[int, int]:
+    malformed = f"expected LO:HI, got {text!r}"
     parts = text.split(":")
     if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"expected LO:HI, got {text!r}")
-    try:
-        lo, hi = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected LO:HI, got {text!r}")
+        raise argparse.ArgumentTypeError(malformed)
+    lo, hi = _int(parts[0], malformed), _int(parts[1], malformed)
     if lo > hi:
         raise argparse.ArgumentTypeError(f"empty range {text!r}")
     return lo, hi
@@ -292,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     # count, bounds and dhat: at one target or a range of them.
     targets = argparse.ArgumentParser(add_help=False, parents=[rows])
     group = targets.add_mutually_exclusive_group(required=True)
-    group.add_argument("--n", type=int)
+    group.add_argument("--n", type=_parse_n)
     group.add_argument("--n-range", type=_parse_range, metavar="LO:HI")
 
     parser = argparse.ArgumentParser(

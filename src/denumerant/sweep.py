@@ -334,8 +334,9 @@ def _check_frobenius(instance: dict) -> Failure | None:
     # the whole window are read from one row: the tuple is coprime, so its
     # cells are D(a, 0..top), and g <= brauer_upper puts g in it.  Only
     # D(max(g, 0)..top) becomes ints.  The row is read first, so an instance
-    # whose row is over its budget is skipped before its table is built
-    # again and certified.
+    # whose row is over its budget is skipped before its table is built and
+    # certified.  Pairs and triples reach g by closed forms, so the table is
+    # their independent route; k >= 4 reads g off a table built the same way.
     top = min(g + min(coeffs) + report.brauer_upper, g + 400)
     lo = max(g, 0)
     window = _RowReader(coeffs).row(top)[0].counts(top, lo) if top >= 0 else []

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 import denumerant
-from denumerant import bounds, cli, exact, sweep
+from denumerant import bounds, cli, exact, frobenius_exact, sweep
 from denumerant.exact import _prefix_counts
 
 
@@ -160,10 +160,29 @@ def test_frobenius_non_coprime_exits_3(capsys):
 
 
 def test_frobenius_over_table_budget_exits_3_at_once(capsys):
+    # Only k >= 4 builds the residue table, of min(a) cells.
     started = time.perf_counter()
-    code, _, err = run(capsys, "frobenius", "--coeffs", "10000019,10000079")
+    coeffs = "10000019,10000079,10000103,10000121"
+    code, _, err = run(capsys, "frobenius", "--coeffs", coeffs)
     assert code == 3
     assert "cap" in err
+    assert time.perf_counter() - started < 1.0
+
+
+@pytest.mark.parametrize(
+    "coeffs, g",
+    [
+        ("10000019,10000079", 100000960001403),
+        ("10000019,10000079,10000103", frobenius_exact((10000019, 10000079, 10000103))),
+    ],
+)
+def test_frobenius_of_a_pair_or_triple_over_the_table_budget_answers_at_once(
+    capsys, coeffs, g
+):
+    started = time.perf_counter()
+    code, out, _ = run(capsys, "frobenius", "--coeffs", coeffs, "--format", "csv")
+    assert code == 0
+    assert out.splitlines()[1].startswith(f'"{coeffs}",{g},')
     assert time.perf_counter() - started < 1.0
 
 
@@ -452,6 +471,35 @@ def test_a_value_too_long_to_print_keeps_the_streamed_rows(capsys, digit_limit):
     code, out, _ = run(capsys, *argv, "--format", "csv")
     assert (code, out.splitlines()[1]) == (3, f'"{coeffs}",1,0,,,,false,true')
     assert run(capsys, *argv, "--format", "table")[:2] == (3, "")
+
+
+def test_a_triple_whose_g_is_too_long_to_print_exits_3(capsys, digit_limit):
+    # The triple route answers at any size, so the digit limit is the last
+    # budget: three 2,201-digit coefficients give a g of about 4,400 digits.
+    # The command's one row fails before anything is written, in every format.
+    a = 10**2200
+    coeffs = (a + 1, a + 3, a + 7)
+    assert frobenius_exact(coeffs) > 10**digit_limit
+    for fmt in ("table", "csv", "json"):
+        argv = ["frobenius", "--coeffs", ",".join(map(str, coeffs)), "--format", fmt]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: a value is too long to print: ")
+
+
+@pytest.mark.parametrize(
+    "option, text",
+    [("--n", "1{}"), ("--n-range", "0:1{}"), ("--n-range", "1{}:1{}")],
+)
+def test_a_target_past_the_digit_limit_exits_2_naming_it(
+    capsys, digit_limit, option, text
+):
+    digits = "0" * digit_limit
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["count", "--coeffs", "3,5", option, text.format(digits, digits)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {option}: Exceeds the limit ({digit_limit} digits)" in err
 
 
 def _per_target_rows(command, a, targets):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import time
@@ -18,6 +19,7 @@ from denumerant import (
     inequality_a,
     relaxed_count_chain,
 )
+from denumerant import frobenius
 from denumerant.core import _require_coprime, as_coeffs
 from denumerant.frobenius import FROBENIUS_MAX_CELLS, _residue_table
 from denumerant.sweep import _certify_residue_table
@@ -83,9 +85,15 @@ def _round_robin_cases():
     return special + drawn
 
 
+def _table_g(coeffs):
+    table = _residue_table(coeffs)
+    return max(table) - len(table)
+
+
 def test_round_robin_matches_sieve():
     for coeffs in _round_robin_cases():
         assert frobenius_exact(coeffs) == _frobenius_sieve(coeffs), coeffs
+        assert _table_g(coeffs) == _frobenius_sieve(coeffs), coeffs
     for coeffs in ((4, 6), (9,), (6, 10, 14)):
         with pytest.raises(NotCoprimeError):
             frobenius_exact(coeffs)
@@ -139,13 +147,104 @@ def test_three_primes_near_1e4_fast_and_enclosed():
 
 def test_table_budget():
     # The table needs a_1 = min(a) cells, whatever the order of the
-    # coefficients, and refuses before allocating them.
+    # coefficients, and refuses before allocating them.  Only k >= 4 builds
+    # one: pairs and triples have closed forms.
+    over = FROBENIUS_MAX_CELLS + 1
     with pytest.raises(BudgetExceededError):
-        frobenius_exact((FROBENIUS_MAX_CELLS + 2, FROBENIUS_MAX_CELLS + 1))
+        frobenius_exact((over + 3, over + 1, over + 2, over))
+    with pytest.raises(BudgetExceededError):
+        _residue_table((over + 1, over))
     # s-_k is no part of the budget: this pair's is about 10^8, over the
     # cap, and its table takes 10007 cells.
     assert bound_frobenius((10007, 10009)).brauer_upper + 1 > FROBENIUS_MAX_CELLS
     assert len(_residue_table((10009, 10007))) == 10007
+
+
+def _rodseth_step_by_step(a1, a2, a3):
+    """Rodseth's formula for a pairwise coprime triple whose smallest entry
+    a_1 > 1 comes first, one quotient of the continued fraction at a time,
+    with no run jump: the reference for the jump."""
+    s_prev, p_prev, s, p = a1, 0, a3 * pow(a2, -1, a1) % a1, 1
+    while a2 * s > a3 * p:
+        q = -(-s_prev // s)
+        s_prev, p_prev, s, p = s, p, q * s - s_prev, q * p - p_prev
+    return -a1 + a2 * (s_prev - 1) + a3 * (p - 1) - min(a2 * s, a3 * p_prev)
+
+
+def _all_twos(a1, a2, c):
+    """A triple with a_3 = -a_2 mod a_1, so s_0 = a_1 - 1 and every quotient
+    of the continued fraction of a_1 / s_0 is 2."""
+    return a1, a2, c * a1 + (-a2 % a1)
+
+
+def test_every_pair_and_triple_up_to_40_matches_the_table():
+    # With replacement: duplicates, a 1, and pairs that share a factor.
+    checked = 0
+    for k in (2, 3):
+        for coeffs in itertools.combinations_with_replacement(range(1, 41), k):
+            if math.gcd(*coeffs) == 1:
+                for order in (coeffs, coeffs[::-1]):
+                    assert frobenius_exact(order) == _table_g(order), order
+                checked += 1
+    assert checked == 490 + 9389
+    assert frobenius_exact((6, 9, 20)) == 43  # Johnson's reduction twice
+
+
+def test_drawn_triples_match_the_table():
+    rng = random.Random(1978)
+    drawn = 0
+    while drawn < 3000:
+        coeffs = tuple(rng.randint(1, 3000) for _ in range(3))
+        if math.gcd(*coeffs) == 1:
+            assert frobenius_exact(coeffs) == _table_g(coeffs), coeffs
+            drawn += 1
+
+
+def test_runs_of_quotient_two_match_the_table_and_the_step_by_step_loop():
+    family = 0
+    for a1 in range(2, 400):
+        for a2 in (a1 + 1, 2 * a1 + 1, 3 * a1 - 1):
+            for c in (1, 2, 5):
+                coeffs = _all_twos(a1, a2, c)
+                if all(math.gcd(x, y) == 1 for x, y in itertools.combinations(coeffs, 2)):
+                    assert frobenius_exact(coeffs) == _table_g(coeffs), coeffs
+                    family += 1
+    assert family > 1000
+    for a1 in (99991, 100000, 100003):
+        for a2 in (a1 + 1, 2 * a1 + 3):
+            coeffs = _all_twos(a1, a2, 1)
+            assert all(math.gcd(x, y) == 1 for x, y in itertools.combinations(coeffs, 2))
+            assert frobenius_exact(coeffs) == _rodseth_step_by_step(*coeffs), coeffs
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        (2**61 - 1, 2**89 - 1, 2**127 - 1),
+        # s_0 = a_1 - 1: about 10^30 quotients of 2 without the run jump.
+        _all_twos(10**30 + 57, 10**30 + 58, 1),
+    ],
+)
+def test_a_triple_of_any_size_answers_at_once(coeffs):
+    started = time.perf_counter()
+    report = bound_frobenius(coeffs)
+    assert time.perf_counter() - started < 0.1
+    assert 0 < report.g <= report.brauer_upper
+
+
+def test_pairs_and_triples_build_no_table(monkeypatch):
+    def refused(a):
+        raise AssertionError("a residue table was built")
+
+    monkeypatch.setattr(frobenius, "_residue_table", refused)
+    over = FROBENIUS_MAX_CELLS + 1
+    assert frobenius_exact((3, 5)) == 7
+    assert frobenius_exact((over, over + 1)) == over * (over + 1) - 2 * over - 1
+    assert frobenius_exact((6, 9, 20)) == 43
+    assert frobenius_exact((5, 1, 9)) == -1
+    assert bound_frobenius((over, over + 1, over + 2)).g > 0
+    with pytest.raises(AssertionError):
+        frobenius_exact((6, 9, 20, 25))
 
 
 def test_a_unit_coefficient_needs_one_table_cell():

@@ -16,7 +16,7 @@ from denumerant import (
     run_verify,
     shrink_failure,
 )
-from denumerant import bounds, exact, powersum, sweep
+from denumerant import bounds, exact, frobenius, powersum, sweep
 from denumerant.exact import CountResult
 from denumerant.sweep import _draw_coprime_tuple, _draw_pair, _draw_tuple
 
@@ -300,6 +300,20 @@ def test_the_frobenius_suite_checks_triples_whose_s_k_is_over_the_table_budget()
     report = run_verify(cfg)
     assert report.instances == 5 and report.passed
     assert report.skipped == {}
+
+
+def test_the_frobenius_suite_compares_the_triple_route_with_the_table(monkeypatch):
+    # Triples answer by Rodseth's formula, the table stays the certified
+    # slow route, and the suite compares the two on every drawn triple.
+    cfg = SweepConfig(suite="frobenius", trials=20, k_range=(3, 3))
+    assert run_verify(cfg).passed
+    route = frobenius._triple
+    monkeypatch.setattr(frobenius, "_triple", lambda a: route(a) + 1)
+    report = run_verify(cfg)
+    assert len(report.failures) == 20
+    assert {f.relation for f in report.failures} == {
+        "bound_frobenius(a).g == max(N) - a_1"
+    }
 
 
 def test_suite_names_follow_the_dispatch_table():
