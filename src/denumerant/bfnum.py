@@ -12,9 +12,16 @@ and satisfies the closed form
     [[m, l]]_r = (1 / 2^l) * e_l(a_{1+r}, ..., a_{m+r}),
 
 with e_l the elementary symmetric polynomial.  Both routes are implemented
-below so each can check the other: the recursion in exact rationals, a row
-at a time, and the closed form as an integer column update over the
-coefficients followed by one division by 2^l per entry.
+below so each can check the other, and each runs in integers.  The
+recursion is carried times 2^m, a row at a time:
+
+    N_m[l] = 2 N_{m-1}[l] + a_{m+r} N_{m-1}[l-1],   N_0 = (1,),
+
+so [[m, l]]_r = N_m[l] / 2^m.  The closed form is the column update of
+e_0, ..., e_m over the coefficients (``_elementary``), so
+[[m, l]]_r = e_l / 2^l.  The two are different integer recurrences and
+meet only in the comparison N_m[l] 2^l == e_l 2^m; a ``Fraction`` is made
+once per returned entry, where a public function returns it.
 
 The two routes return what each computes.  The closed form reaches row m
 directly, so ``bf_explicit`` returns that one row, the m + 1 weights
@@ -54,27 +61,30 @@ def bf_recursive(
     a: Sequence[int], r: int, m: int
 ) -> tuple[tuple[Fraction, ...], ...]:
     """Rows 0, ..., m of [[., l]]_r by the defining recursion, built from
-    row 0 one row at a time, so no call stack grows with m; empty at m = -1."""
+    row 0 one row at a time, so no call stack grows with m; empty at m = -1.
+
+    Row j is carried as the integers N_j[l] = 2^j [[j, l]]_r, and each
+    entry is returned as N_j[l] / 2^j."""
     window = _window(a, r, m)
     if m < 0:
         return ()
-    row: tuple[Fraction, ...] = (Fraction(1),)
-    rows = [row]
-    for x in window:
-        half = Fraction(x, 2)
+    row = (1,)
+    rows = [(Fraction(1),)]
+    for j, x in enumerate(window, 1):
         # Row j from row j - 1, padded with its zero neighbours l = -1 and l = j.
         prev = (0, *row, 0)
-        row = tuple(prev[ell + 1] + half * prev[ell] for ell in range(len(row) + 1))
-        rows.append(row)
+        row = tuple(2 * prev[ell + 1] + x * prev[ell] for ell in range(j + 1))
+        rows.append(tuple(Fraction(n, 1 << j) for n in row))
     return tuple(rows)
 
 
-def bf_explicit(a: Sequence[int], r: int, m: int) -> tuple[Fraction, ...]:
-    """The row ([[m, 0]]_r, ..., [[m, m]]_r) as e_l(a_{1+r}, ..., a_{m+r}) / 2^l.
+def _elementary(a: Sequence[int], r: int, m: int) -> tuple[int, ...]:
+    """e_0, ..., e_m of (a_{1+r}, ..., a_{m+r}), so e_l = 2^l [[m, l]]_r;
+    empty at m = -1.
 
-    The elementary symmetric values e_0, ..., e_m are accumulated in
-    integers by the usual one-column Newton update, one coefficient at a
-    time; the only rational step is one division by 2^l per entry.
+    The values are accumulated in integers by the usual one-column Newton
+    update, one coefficient at a time, each column entry updated from the
+    top down so that it reads the previous coefficient's column below it.
     """
     window = _window(a, r, m)
     if m < 0:
@@ -83,4 +93,10 @@ def bf_explicit(a: Sequence[int], r: int, m: int) -> tuple[Fraction, ...]:
     for x in window:
         for j in range(m, 0, -1):
             column[j] += x * column[j - 1]
-    return tuple(Fraction(e, 1 << ell) for ell, e in enumerate(column))
+    return tuple(column)
+
+
+def bf_explicit(a: Sequence[int], r: int, m: int) -> tuple[Fraction, ...]:
+    """The row ([[m, 0]]_r, ..., [[m, m]]_r) as e_l(a_{1+r}, ..., a_{m+r}) / 2^l,
+    one division of ``_elementary``'s integers per entry."""
+    return tuple(Fraction(e, 1 << ell) for ell, e in enumerate(_elementary(a, r, m)))

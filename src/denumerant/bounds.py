@@ -22,12 +22,15 @@ Preparing builds everything that does not depend on n: the denominators
 and the integer coefficients of the series polynomial.  It runs in
 integers: every step d_i / d_{i+1} is one, so s-_i, 2 s+_i and 2 r_i are
 integers, and the series coefficients are scaled from the weights' own
-numerators and denominators.  ``Fraction``s appear only in the entries of
-``BoundSequences`` and in the values at a target.  A target costs a few
-integer powers and one Horner pass (``numerators``), and each value at it
-is one of those integers over a fixed denominator: ``at``, ``series_lower``
-and ``relaxed_count_chain`` make a ``Fraction`` of it, ``contains`` tests a
-count against them in integers, and the CLI prints them without one.
+numerators and denominators.  One helper, ``_shift_numerators``, gives
+s-_i and 2 s+_i along the gcd chain: ``bound_sequences`` wraps them in
+``Fraction``s, and the sandwich reads the last two as they are.
+``Fraction``s appear only in the entries of ``BoundSequences`` and in the
+values at a target.  A target costs a few integer powers and one Horner
+pass (``numerators``), and each value at it is one of those integers over
+a fixed denominator: ``at``, ``series_lower`` and ``relaxed_count_chain``
+make a ``Fraction`` of it, ``contains`` and the ``inequality-b`` sweep test
+a count against them in integers, and the CLI prints them without one.
 ``inequality_a``, ``inequality_b_lower`` and ``relaxed_count_chain``
 prepare for their one target; the CLI and the sweeps prepare once per
 command or instance.
@@ -85,17 +88,22 @@ def _two_or_more(a: Sequence[int]) -> tuple[int, ...]:
     return coeffs
 
 
-def bound_sequences(a: Sequence[int]) -> BoundSequences:
-    """Build the upper and lower shift sequences of the tuple; needs k >= 2."""
-    coeffs = _two_or_more(a)
+def _shift_numerators(coeffs: tuple[int, ...]) -> tuple[list[int], list[int]]:
+    """s-_i and 2 s+_i for i = 1, ..., k, of a tuple with k >= 2, in integers:
+    each step d_{i-1} / d_i along the gcd chain is one."""
     d = gcd_chain(coeffs)
-    # Each step d_{i-1} / d_i is an integer, so s-_i and 2 s+_i are too.
     twice_upper = [coeffs[0] * coeffs[1] // d[1]]
     lower = [-coeffs[0]]
     for i in range(1, len(coeffs)):
         step = d[i - 1] // d[i]
         twice_upper.append(twice_upper[-1] + step * coeffs[i])
         lower.append(lower[-1] + (step - 1) * coeffs[i])
+    return lower, twice_upper
+
+
+def bound_sequences(a: Sequence[int]) -> BoundSequences:
+    """Build the upper and lower shift sequences of the tuple; needs k >= 2."""
+    lower, twice_upper = _shift_numerators(_two_or_more(a))
     return BoundSequences(
         upper_shifts=tuple(Fraction(h, 2) for h in twice_upper),
         lower_shifts=tuple(map(Fraction, lower)),
@@ -131,10 +139,8 @@ class _Sandwich:
         coeffs = _two_or_more(a)
         d = math.gcd(*coeffs)
         coeffs = tuple(c // d for c in coeffs)
-        seqs = bound_sequences(coeffs)
-        # s-_k is an integer and s+_k a whole or half integer.
-        lower, upper = seqs.lower_shifts[-1], seqs.upper_shifts[-1]
-        return cls(coeffs, lower.numerator, upper.numerator * 2 // upper.denominator)
+        lower, twice_upper = _shift_numerators(coeffs)
+        return cls(coeffs, lower[-1], twice_upper[-1])
 
     @classmethod
     def relaxed(cls, a: Sequence[int]) -> _Sandwich:

@@ -26,7 +26,7 @@ from fractions import Fraction
 from itertools import compress
 from typing import Callable, Iterator
 
-from .bfnum import bf_explicit, bf_recursive
+from .bfnum import _elementary, bf_recursive
 from .bounds import (
     BoundReport,
     _coprime_sandwich,
@@ -56,8 +56,8 @@ _MASK64 = (1 << 64) - 1
 
 # The most trials one sweep may run, checked before the first draw.  It caps
 # the time of one run: on a 2-core x86-64 host, at this cap and the other
-# defaults, the slowest suite (asymptotic, two DP rows per tuple) took 20 s
-# and the next (bf-identities) 3 s.
+# defaults, the slowest suite (asymptotic, two DP rows per tuple) took 8 s
+# and the next (bf-identities) 0.9 s.
 VERIFY_MAX_TRIALS = 10_000
 
 
@@ -267,17 +267,21 @@ def _sandwich_failure(instance: dict, report: BoundReport) -> Failure | None:
 def _check_inequality_b(instance: dict) -> Failure | None:
     coeffs, n = instance["coeffs"], instance["n"]
     sandwich = _coprime_sandwich(coeffs)
-    report = sandwich.at(n)
-    if not report.applicable_lower:
+    lower, series, _ = sandwich.numerators(n)
+    if series is None:
         return None
     exact = denumerant(coeffs, n).value
-    lower_a = report.lower_a
-    lower_b = sandwich.series_lower(n)
-    if not lower_a <= lower_b:
+    # lower_a and lower_b over one denominator: lower_b's is lower_a's times
+    # 2^(k-2).  Their Fractions are formed for a failure only.
+    lower_den, series_den, _ = sandwich.denominators
+    scaled_lower = lower << (sandwich.power - 1)
+    if not scaled_lower <= series:
+        lower_a, lower_b = Fraction(lower, lower_den), Fraction(series, series_den)
         return _fail(instance, "lower_a <= lower_b", lower_a, lower_b)
-    if not lower_b <= exact:
-        return _fail(instance, "lower_b <= exact", lower_b, exact)
-    if len(coeffs) == 2 and lower_a != lower_b:
+    if not series <= exact * series_den:
+        return _fail(instance, "lower_b <= exact", Fraction(series, series_den), exact)
+    if len(coeffs) == 2 and scaled_lower != series:
+        lower_a, lower_b = Fraction(lower, lower_den), Fraction(series, series_den)
         return _fail(instance, "lower_a == lower_b for pairs", lower_a, lower_b)
     return None
 
@@ -333,10 +337,19 @@ def _check_frobenius(instance: dict) -> Failure | None:
     # capped so one degenerate tuple cannot dominate the sweep.  D(g) and
     # the whole window are read from one row: the tuple is coprime, so its
     # cells are D(a, 0..top), and g <= brauer_upper puts g in it.  Only
-    # D(max(g, 0)..top) becomes ints.  The row is read first, so an instance
-    # whose row is over its budget is skipped before its table is built and
-    # certified.  Pairs and triples reach g by closed forms, so the table is
-    # their independent route; k >= 4 reads g off a table built the same way.
+    # D(max(g, 0)..top) becomes ints.  For a finite g the row is read first,
+    # so an instance whose row is over its budget is skipped before its
+    # table is built and certified.  Pairs and triples reach g by closed
+    # forms, so the table is their independent route; k >= 4 reads g off a
+    # table built the same way.
+    # A table entry left at infinity makes g infinite, with no window to
+    # read: the certificate names an edge that shortens that entry, and a
+    # table it certifies has a finite maximum, which g then misses.
+    if g == math.inf:
+        table = _residue_table(coeffs)
+        return _certify_residue_table(instance, table) or _fail(
+            instance, "bound_frobenius(a).g == max(N) - a_1", g, max(table) - len(table)
+        )
     top = min(g + min(coeffs) + report.brauer_upper, g + 400)
     lo = max(g, 0)
     window = _RowReader(coeffs).row(top)[0].counts(top, lo) if top >= 0 else []
@@ -356,48 +369,34 @@ def _check_frobenius(instance: dict) -> Failure | None:
     return None
 
 
-def _scaled_weights(row: tuple[Fraction, ...]) -> list[int | Fraction]:
-    """e_l = 2^l [[m, l]] for each entry of a row: an int wherever the
-    entry's denominator divides 2^l, as every true weight's does, and the
-    exact quotient otherwise, so no remainder is ever floored away."""
-    scaled: list[int | Fraction] = []
-    for ell, weight in enumerate(row):
-        top = weight.numerator << ell
-        e, rest = divmod(top, weight.denominator)
-        scaled.append(Fraction(top, weight.denominator) if rest else e)
-    return scaled
-
-
 def _check_bf_identities(instance: dict) -> Failure | None:
     coeffs = instance["coeffs"]
     k = len(coeffs)
-
-    # Each (tuple, r, m) row of the closed form is evaluated once, and read
-    # both as weights and scaled to e_l = 2^l [[m, l]], in which the two
-    # identities below are linear relations between integers.
-    @functools.cache
-    def explicit(a: tuple[int, ...], r: int, m: int):
-        row = bf_explicit(a, r, m)
-        return row, _scaled_weights(row)
+    # Each (tuple, r, m) row of the closed form is read once, as the integers
+    # e_l = 2^l [[m, l]], in which the two identities below are linear
+    # relations.  Weights are formed for a failure only.
+    explicit = functools.cache(_elementary)
 
     # One run of the recursion per offset r yields its rows m = 0..min(6,
-    # k - r), and each is compared with the public closed form's row, entries
-    # 0 <= l <= m; off the triangle both routes are 0 by definition and
-    # compute nothing.
+    # k - r), and each is compared with the closed form's row, entries
+    # 0 <= l <= m, as p 2^l == e_l q for the weight p / q; off the triangle
+    # both routes are 0 by definition and compute nothing.
     for r in range(min(2, k) + 1):
         by_recursion_rows = bf_recursive(coeffs, r, min(6, k - r))
         for m, by_recursion_row in enumerate(by_recursion_rows):
-            row, e_row = explicit(coeffs, r, m)
-            rows = zip(by_recursion_row, row, e_row, strict=True)
-            for ell, (by_recursion, by_formula, e) in enumerate(rows):
-                if by_recursion != by_formula:
+            rows = zip(by_recursion_row, explicit(coeffs, r, m), strict=True)
+            for ell, (by_recursion, e) in enumerate(rows):
+                if by_recursion.numerator << ell != e * by_recursion.denominator:
                     inst = dict(instance, r=r, m=m, ell=ell)
                     return _fail(
-                        inst, "bf_recursive == bf_explicit", by_recursion, by_formula
+                        inst, "bf_recursive == bf_explicit",
+                        by_recursion, Fraction(e, 1 << ell),
                     )
                 if not e > 0:
                     inst = dict(instance, r=r, m=m, ell=ell)
-                    return _fail(inst, "[[m, l]] > 0 for 0 <= l <= m", by_formula, 0)
+                    return _fail(
+                        inst, "[[m, l]] > 0 for 0 <= l <= m", Fraction(e, 1 << ell), 0
+                    )
     # Offset shift: [[m, l]]_{r-1} - [m == 0] equals
     # [[m-1, l]]_r + (a_r / 2) [[m-1, l-1]]_r.  Times 2^l (the [m == 0]
     # term lives at l = 0 only): e_l(r-1, m) - [m == 0] equals
@@ -405,9 +404,9 @@ def _check_bf_identities(instance: dict) -> Failure | None:
     # divided back by 2^l.
     for r in range(1, min(2, k) + 1):
         for m in range(0, min(6, k - r + 1) + 1):
-            left = explicit(coeffs, r - 1, m)[1]
+            left = explicit(coeffs, r - 1, m)
             # Row m - 1 padded with its zero neighbours l = -1 and l = m.
-            right = (0, *explicit(coeffs, r, m - 1)[1], 0)
+            right = (0, *explicit(coeffs, r, m - 1), 0)
             for ell in range(m + 1):
                 lhs = left[ell] - (1 if m == 0 else 0)
                 rhs = right[ell + 1] + coeffs[r - 1] * right[ell]
@@ -423,8 +422,8 @@ def _check_bf_identities(instance: dict) -> Failure | None:
         for m in range(0, min(6, k - r, k - 1) + 1):
             d = math.gcd(*coeffs[: m + 1])
             scaled = tuple(c // d for c in coeffs[: m + 1]) + coeffs[m + 1 :]
-            reduced = explicit(scaled, r, m)[1]
-            for ell, original in enumerate(explicit(coeffs, r, m)[1]):
+            reduced = explicit(scaled, r, m)
+            for ell, original in enumerate(explicit(coeffs, r, m)):
                 bound = d**ell * reduced[ell]
                 if not original <= bound:
                     inst = dict(instance, r=r, m=m, ell=ell)

@@ -13,6 +13,7 @@ from denumerant import (
     bf_explicit,
     bf_recursive,
 )
+from denumerant.bfnum import _elementary
 
 
 def last_recursive_row(a, r, m):
@@ -192,3 +193,45 @@ def test_recursive_rows_raise_as_the_row_does(a, r, m, error):
         bf_explicit(a, r, m)
     assert type(by_rows.value) is type(by_row.value)
     assert str(by_rows.value) == str(by_row.value)
+
+
+def fraction_recursion(a, r, m):
+    # The defining recursion in exact rationals, a row at a time: the
+    # reference for bf_recursive's rows carried in integers times 2^j.
+    if m < 0:
+        return ()
+    row = (Fraction(1),)
+    rows = [row]
+    for x in a[r : m + r]:
+        half = Fraction(x, 2)
+        prev = (0, *row, 0)
+        row = tuple(prev[ell + 1] + half * prev[ell] for ell in range(len(row) + 1))
+        rows.append(row)
+    return tuple(rows)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.lists(st.integers(1, 40), min_size=1, max_size=8).map(tuple),
+    st.integers(0, 2),
+    st.data(),
+)
+def test_integer_routes_match_their_fraction_forms(coeffs, r, data):
+    # m = -1 and m = 0 read no coefficient, so they are drawn at every
+    # offset; one row past the last that fits raises.
+    top = len(coeffs) - r
+    m = data.draw(st.sampled_from((-1, 0)) | st.integers(-1, max(top, 0) + 1))
+    if m > max(top, 0):
+        with pytest.raises(IndexRangeError):
+            bf_recursive(coeffs, r, m)
+        with pytest.raises(IndexRangeError):
+            _elementary(coeffs, r, m)
+        return
+    rows = bf_recursive(coeffs, r, m)
+    assert rows == fraction_recursion(coeffs, r, m)
+    for row in rows:
+        assert_reduced_fractions(row)
+    column = _elementary(coeffs, r, m)
+    assert all(type(e) is int for e in column)
+    weights = tuple(Fraction(e, 2**ell) for ell, e in enumerate(column))
+    assert weights == bf_explicit(coeffs, r, m)

@@ -435,7 +435,7 @@ def _count_calls(monkeypatch, module, name):
 
 
 def test_a_bounds_range_prepares_once(monkeypatch, capsys):
-    sequences = _count_calls(monkeypatch, bounds, "bound_sequences")
+    sequences = _count_calls(monkeypatch, bounds, "_shift_numerators")
     weights = _count_calls(monkeypatch, bounds, "bf_explicit")
     argv = ["bounds", "--coeffs", "3,5,7", "--n-range", "100:149", "--format", "json"]
     assert cli.main(argv) == 0
@@ -446,7 +446,7 @@ def test_a_bounds_range_prepares_once(monkeypatch, capsys):
 
 
 def test_a_dhat_range_prepares_once(monkeypatch, capsys):
-    sequences = _count_calls(monkeypatch, bounds, "bound_sequences")
+    sequences = _count_calls(monkeypatch, bounds, "_shift_numerators")
     weights = _count_calls(monkeypatch, bounds, "bf_explicit")
     argv = ["dhat", "--coeffs", "3,5,7", "--n-range", "100:149", "--format", "json"]
     assert cli.main(argv) == 0
@@ -457,9 +457,13 @@ def test_a_dhat_range_prepares_once(monkeypatch, capsys):
 
 
 def test_the_asymptotic_check_prepares_once_per_instance(monkeypatch):
+    # The sandwich reads its shifts from the integer helper, not from the
+    # Fraction sequences.
+    shifts = _count_calls(monkeypatch, bounds, "_shift_numerators")
     sequences = _count_calls(monkeypatch, bounds, "bound_sequences")
     assert sweep._check_asymptotic({"coeffs": (3, 5, 7)}) is None
-    assert len(sequences) == 1
+    assert len(shifts) == 1
+    assert sequences == []
 
 
 # The integer preparation against the Fraction bodies it replaced, copied
@@ -506,7 +510,7 @@ def _chained_tuple(rng):
 
 def test_the_integer_preparation_matches_the_fraction_one():
     rng = random.Random(2204_13689)
-    drops = 0
+    drops = multiples = 0
     for _ in range(2500):
         a = _chained_tuple(rng)
         d = math.gcd(*a)
@@ -517,6 +521,7 @@ def test_the_integer_preparation_matches_the_fraction_one():
         if len(a) < 2:
             continue
         drops += len(set(gcd_chain(a))) > 2
+        multiples += d > 1
         upper, lower = _fraction_bound_sequences(a)
         seqs = bound_sequences(a)
         assert (seqs.upper_shifts, seqs.lower_shifts) == (upper, lower), a
@@ -527,5 +532,11 @@ def test_the_integer_preparation_matches_the_fraction_one():
         upper, lower = _fraction_bound_sequences(reduced)
         assert sandwich.lower_shift == lower[-1], a
         assert sandwich._twice_upper_shift == 2 * upper[-1], a
-    # Most draws have a gcd chain that drops more than once.
+        # The public sequences of a/d end at the sandwich's shifts.
+        seqs = bound_sequences(reduced)
+        assert sandwich.lower_shift == seqs.lower_shifts[-1], a
+        assert sandwich._twice_upper_shift == 2 * seqs.upper_shifts[-1], a
+    # Most draws have a gcd chain that drops more than once, and some a
+    # gcd above 1.
     assert drops > 1000
+    assert multiples > 100

@@ -316,6 +316,29 @@ def test_the_frobenius_suite_compares_the_triple_route_with_the_table(monkeypatc
     }
 
 
+def test_a_table_entry_left_at_infinity_is_named_not_raised(monkeypatch):
+    # A k >= 4 table that keeps an entry at infinity gives g = inf, which has
+    # no DP window: the certificate names an edge that shortens the entry.
+    # The other case, bound_frobenius's table broken while the sweep's own
+    # is true, fails the comparison of g with the certified table.
+    route = frobenius._residue_table
+
+    def one_entry_left(a):
+        table = route(a)
+        return table[:-1] + [math.inf] if len(a) >= 4 and len(table) > 1 else table
+
+    cfg = SweepConfig(suite="frobenius", seed=4, trials=200, k_range=(2, 4), max_coeff=25)
+    monkeypatch.setattr(frobenius, "_residue_table", one_entry_left)
+    report = run_verify(cfg)
+    assert {f.relation for f in report.failures} == {"bound_frobenius(a).g == max(N) - a_1"}
+    assert {f.lhs for f in report.failures} == {"inf"}
+    monkeypatch.setattr(sweep, "_residue_table", one_entry_left)
+    report = run_verify(cfg)
+    assert report.failures
+    assert {f.relation for f in report.failures} == {"N[(r + a_j) mod a_1] <= N[r] + a_j"}
+    assert all(len(f.instance["coeffs"]) == 4 for f in report.failures)
+
+
 def test_suite_names_follow_the_dispatch_table():
     assert sweep.SUITE_NAMES == tuple(sweep._SUITES) == (
         "oracle-eq", "popoviciu", "inequality-a", "inequality-b", "powersum",
@@ -369,20 +392,24 @@ def _raise_invariant(*_):
     raise sweep.InvariantViolationError("patched closed form")
 
 
-def _series_lower(change):
+def _series_numerator(change):
     # The bounds' class is patched; the sweep reaches it through its sandwich.
+    # change(self, lower, series) edits lower_b's numerator where it is claimed.
     def patch(monkeypatch):
-        original = bounds._Sandwich.series_lower
-        monkeypatch.setattr(
-            bounds._Sandwich, "series_lower", lambda self, m: change(self, m, original)
-        )
+        original = bounds._Sandwich.numerators
+
+        def numerators(self, m):
+            lower, series, upper = original(self, m)
+            return lower, series if series is None else change(self, lower, series), upper
+
+        monkeypatch.setattr(bounds._Sandwich, "numerators", numerators)
 
     return patch
 
 
 def _lower_b_above_a_pair(monkeypatch):
     # Above lower_a, and below a count that is patched to be huge.
-    _series_lower(lambda self, m, f: f(self, m) + 1)(monkeypatch)
+    _series_numerator(lambda self, lower, series: series + 1)(monkeypatch)
     monkeypatch.setattr(sweep, "denumerant", lambda a, n: CountResult(10**9, "patched"))
 
 
@@ -419,7 +446,7 @@ _BROKEN_RELATIONS = [
     ("popoviciu == oracle_count", "popoviciu", (2, 4),
      _shift_route("popoviciu", _count_plus_one)),
     ("lower_a <= lower_b", "inequality-b", (2, 4),
-     _series_lower(lambda self, m, f: self.at(m).lower_a - 1)),
+     _series_numerator(lambda self, lower, series: (lower << (self.power - 1)) - 1)),
     ("lower_b <= exact", "inequality-b", (2, 4),
      _shift_route("denumerant", lambda *_: CountResult(-1, "patched"))),
     ("lower_a == lower_b for pairs", "inequality-b", (2, 2), _lower_b_above_a_pair),
@@ -483,20 +510,29 @@ def _zero_other_tuples(a, r, m, row):
     return row if a == _BF_COEFFS else (0,) * len(row)
 
 
-def _third_on_other_tuples(a, r, m, row):
-    return row if a == _BF_COEFFS else tuple(value / 3 for value in row)
+def _top_one_unit_less_on_other_tuples(a, r, m, row):
+    # e_m one less, so [[m, m]] less by 2^-m, on every row past row 0.
+    if a == _BF_COEFFS or m == 0:
+        return row
+    return row[:-1] + (row[-1] - Fraction(1, 2**m),)
 
 
 def _patch_bf_route(monkeypatch, name, change):
     # The suite reads the recursion as one run of rows 0..m per offset and
-    # the closed form a row at a time; change(a, r, m, row) edits row m.
+    # the closed form's kernel a row at a time; change(a, r, m, row) edits
+    # the weights of row m.  The kernel's row is e_l = 2^l [[m, l]], so its
+    # weights are divided out and the changed ones scaled back, which each
+    # change keeps exact.
     route = getattr(sweep, name)
     if name == "bf_recursive":
         def patched(a, r, m):
             return tuple(change(a, r, j, row) for j, row in enumerate(route(a, r, m)))
     else:
         def patched(a, r, m):
-            return change(a, r, m, route(a, r, m))
+            row = tuple(Fraction(e, 2**ell) for ell, e in enumerate(route(a, r, m)))
+            scaled = [w * 2**ell for ell, w in enumerate(change(a, r, m, row))]
+            assert all(e.denominator == 1 for e in scaled)
+            return tuple(map(int, scaled))
     monkeypatch.setattr(sweep, name, patched)
 
 
@@ -504,12 +540,12 @@ def _patch_bf_route(monkeypatch, name, change):
     "routes, change, relation, where",
     [
         (("bf_recursive",), _bump_one_entry, "bf_recursive == bf_explicit", (1, 2, 1, "8", "7")),
-        (("bf_recursive", "bf_explicit"), _negate_last_entry, "[[m, l]] > 0 for 0 <= l <= m", (0, 1, 1, "-3", "0")),
-        (("bf_recursive", "bf_explicit"), _add_one, "offset shift identity", (1, 0, 0, "1", "0")),
-        (("bf_explicit",), _zero_other_tuples, "[[m, l]] <= d^l [[m, l]] of reduced", (0, 0, 0, "1", "0")),
-        # A weight whose denominator does not divide 2^l is compared exactly,
-        # not floored to 0 on its way to e_l.
-        (("bf_explicit",), _third_on_other_tuples, "[[m, l]] <= d^l [[m, l]] of reduced", (0, 0, 0, "1", "1/3")),
+        (("bf_recursive", "_elementary"), _negate_last_entry, "[[m, l]] > 0 for 0 <= l <= m", (0, 1, 1, "-3", "0")),
+        (("bf_recursive", "_elementary"), _add_one, "offset shift identity", (1, 0, 0, "1", "0")),
+        (("_elementary",), _zero_other_tuples, "[[m, l]] <= d^l [[m, l]] of reduced", (0, 0, 0, "1", "0")),
+        # At r = 0 the bound is tight, so a reduced row one unit below it
+        # fails: the comparison is exact and not strict.
+        (("_elementary",), _top_one_unit_less_on_other_tuples, "[[m, l]] <= d^l [[m, l]] of reduced", (0, 1, 1, "3", "2")),
     ],
 )
 def test_bf_identities_name_each_broken_relation(monkeypatch, routes, change, relation, where):
@@ -528,9 +564,10 @@ def test_bf_identities_name_each_broken_relation(monkeypatch, routes, change, re
 
 def test_bf_identities_evaluate_each_row_once_per_route(monkeypatch):
     # Within one instance the recursion runs once per offset r, to row
-    # min(6, k - r), and the closed form sees each (tuple, r, m) at most once.
+    # min(6, k - r), and the closed form's kernel sees each (tuple, r, m) at
+    # most once.
     calls = Counter()
-    for name in ("bf_explicit", "bf_recursive"):
+    for name in ("_elementary", "bf_recursive"):
         route = getattr(sweep, name)
 
         def counted(*args, name=name, route=route):
@@ -549,8 +586,23 @@ def test_bf_identities_evaluate_each_row_once_per_route(monkeypatch):
         assert recursion == {
             ("bf_recursive", coeffs, r, min(6, k - r)): 1 for r in range(min(2, k) + 1)
         }
-        explicit = [n for key, n in calls.items() if key[0] == "bf_explicit"]
+        explicit = [n for key, n in calls.items() if key[0] == "_elementary"]
         assert explicit and max(explicit) == 1
+
+
+def test_passing_bf_and_series_checks_make_no_fraction(monkeypatch):
+    # The two routes and the sandwich meet in integers: the sweep forms a
+    # Fraction only to render a failure, and compares none.
+    def refuse(*args):
+        raise AssertionError("the sweep formed or compared a Fraction")
+
+    monkeypatch.setattr(sweep, "Fraction", refuse)
+    for name in ("__eq__", "__lt__", "__le__"):
+        monkeypatch.setattr(Fraction, name, refuse)
+    assert sweep._check_bf_identities({"coeffs": _BF_COEFFS}) is None
+    assert sweep._check_bf_identities({"coeffs": (3, 5, 7, 2, 9, 11, 4)}) is None
+    assert sweep._check_inequality_b({"coeffs": (3, 5, 7), "n": 200}) is None
+    assert sweep._check_inequality_b({"coeffs": (4, 9), "n": 60}) is None
 
 
 _FAILING_REPORT = """\
