@@ -43,10 +43,9 @@ from typing import Sequence
 from .core import IndexRangeError, as_coeffs
 
 
-def _window(a: Sequence[int], r: int, m: int) -> tuple[int, ...]:
-    """Validate a row request once and return the coefficients it reads,
-    (a_{1+r}, ..., a_{m+r})."""
-    coeffs = as_coeffs(a)
+def _window(coeffs: tuple[int, ...], r: int, m: int) -> tuple[int, ...]:
+    """Check a row request on a validated tuple and return the coefficients
+    it reads, (a_{1+r}, ..., a_{m+r})."""
     if r < 0:
         raise ValueError(f"offset must be >= 0, got {r}")
     if m > 0 and m + r > len(coeffs):
@@ -65,7 +64,7 @@ def bf_recursive(
 
     Row j is carried as the integers N_j[l] = 2^j [[j, l]]_r, and each
     entry is returned as N_j[l] / 2^j."""
-    window = _window(a, r, m)
+    window = _window(as_coeffs(a), r, m)
     if m < 0:
         return ()
     row = (1,)
@@ -78,9 +77,9 @@ def bf_recursive(
     return tuple(rows)
 
 
-def _elementary(a: Sequence[int], r: int, m: int) -> tuple[int, ...]:
-    """e_0, ..., e_m of (a_{1+r}, ..., a_{m+r}), so e_l = 2^l [[m, l]]_r;
-    empty at m = -1.
+def _elementary(a: tuple[int, ...], r: int, m: int) -> tuple[int, ...]:
+    """e_0, ..., e_m of (a_{1+r}, ..., a_{m+r}) for a validated tuple a, so
+    e_l = 2^l [[m, l]]_r; empty at m = -1.
 
     The values are accumulated in integers by the usual one-column Newton
     update, one coefficient at a time, each column entry updated from the
@@ -99,4 +98,5 @@ def _elementary(a: Sequence[int], r: int, m: int) -> tuple[int, ...]:
 def bf_explicit(a: Sequence[int], r: int, m: int) -> tuple[Fraction, ...]:
     """The row ([[m, 0]]_r, ..., [[m, m]]_r) as e_l(a_{1+r}, ..., a_{m+r}) / 2^l,
     one division of ``_elementary``'s integers per entry."""
-    return tuple(Fraction(e, 1 << ell) for ell, e in enumerate(_elementary(a, r, m)))
+    column = _elementary(as_coeffs(a), r, m)
+    return tuple(Fraction(e, 1 << ell) for ell, e in enumerate(column))

@@ -12,28 +12,27 @@ For a coprime tuple with k >= 2 the polynomial sandwich is
     D(n)  <=  (n + s+_k)^(k-1) / ((k-1)! prod a)   for n >= 0,
 
 and the series lower bound sharpens the left side using the triangular
-weights with offset 2.  The relaxed count (sum <= n, any k >= 1, any gcd d)
-is the count of the slack tuple (1,) + a/d at floor(n/d), and its chain is
-that tuple's sandwich there: along its gcd chain of ones, s-_{k+1} = -1 and
-s+_{k+1} = r_k of a/d.
+weights with offset 2.  The relaxed count (sum <= n, any k >= 1) is the
+count of the slack tuple (1,) + a, and its chain is that tuple's sandwich:
+along its gcd chain of ones, s-_{k+1} = -1 and s+_{k+1} = r_k.
 
-Each sandwich is prepared once per tuple and then evaluated at any target.
-Preparing builds everything that does not depend on n: the denominators
-and the integer coefficients of the series polynomial.  It runs in
-integers: every step d_i / d_{i+1} is one, so s-_i, 2 s+_i and 2 r_i are
-integers, and the series coefficients are scaled from the weights' own
-numerators and denominators.  One helper, ``_shift_numerators``, gives
-s-_i and 2 s+_i along the gcd chain: ``bound_sequences`` wraps them in
-``Fraction``s, and the sandwich reads the last two as they are.
-``Fraction``s appear only in the entries of ``BoundSequences`` and in the
-values at a target.  A target costs a few integer powers and one Horner
-pass (``numerators``), and each value at it is one of those integers over
-a fixed denominator: ``at``, ``series_lower`` and ``relaxed_count_chain``
-make a ``Fraction`` of it, ``contains`` and the ``inequality-b`` sweep test
-a count against them in integers, and the CLI prints them without one.
-``inequality_a``, ``inequality_b_lower`` and ``relaxed_count_chain``
-prepare for their one target; the CLI and the sweeps prepare once per
-command or instance.
+The paper proves these for coprime tuples, and the gcd d of any other is
+reduced in one place: D(a, n) = D(a/d, n/d) when d divides n, and the
+relaxed count of a at n is that of a/d at floor(n/d).  So a sandwich is
+prepared for a/d, keeps d, and reads each target n at floor(n/d) itself.
+
+Each sandwich is prepared once per tuple, in integers: every step
+d_i / d_{i+1} is one, so s-_i, 2 s+_i and 2 r_i are integers, and the
+series polynomial's coefficients are scaled from the weights' own
+numerators and denominators.  ``_shift_numerators`` gives s-_i and 2 s+_i
+along the gcd chain: ``bound_sequences`` wraps them in ``Fraction``s, and
+the sandwich reads the last two as they are.  A target costs a few integer
+powers and one Horner pass (``numerators``), and each value at it is one
+integer over a fixed denominator: ``at``, ``series_lower`` and
+``relaxed_count_chain`` make a ``Fraction`` of it, ``contains`` and the
+``inequality-b`` sweep test a count against them in integers, and the CLI
+prints them without one.  The public functions prepare for their one
+target; the CLI and the sweeps prepare once per command or instance.
 """
 
 from __future__ import annotations
@@ -112,9 +111,9 @@ def bound_sequences(a: Sequence[int]) -> BoundSequences:
 
 class _Sandwich:
     """The polynomial sandwich and the series lower bound of a reduced tuple
-    with k >= 2 and integer shifts s- and h = 2 s+, prepared once.  With
-    B = m - s-, each value at a target m is one integer over a fixed
-    denominator:
+    with k >= 2 and integer shifts s- and h = 2 s+, prepared once, with the
+    gcd its targets are divided by.  With m = n // gcd and B = m - s-, each
+    value at a target n is one integer over a fixed denominator:
 
         lower_a = B^(k-1) / ((k-1)! prod a)
         upper_a = (2m + h)^(k-1) / (2^(k-1) (k-1)! prod a)
@@ -123,8 +122,9 @@ class _Sandwich:
     with c_i = 2^(k-2) [[k-2, i]]_2 (k-1)! / (k-1-i)!, an integer.
     """
 
-    def __init__(self, a: tuple[int, ...], lower_shift: int, twice_upper: int) -> None:
-        self.lower_shift = lower_shift
+    def __init__(self, a: tuple[int, ...], gcd: int, lower: int, twice_upper: int) -> None:
+        self.gcd = gcd
+        self.lower_shift = lower
         self._twice_upper_shift = twice_upper
         self.power = len(a) - 1
         denom = math.factorial(self.power) * math.prod(a)
@@ -134,30 +134,31 @@ class _Sandwich:
 
     @classmethod
     def of(cls, a: Sequence[int]) -> _Sandwich:
-        """The sandwich of a/d with its shifts s-_k and s+_k, d = gcd(a), so
-        a target m stands for n = d*m; the length is checked on a as given."""
+        """The sandwich of a/d, d = gcd(a), which bounds D(a, n) at every n
+        that d divides; the length is checked on a as given."""
         coeffs = _two_or_more(a)
         d = math.gcd(*coeffs)
         coeffs = tuple(c // d for c in coeffs)
         lower, twice_upper = _shift_numerators(coeffs)
-        return cls(coeffs, lower[-1], twice_upper[-1])
+        return cls(coeffs, d, lower[-1], twice_upper[-1])
 
     @classmethod
     def relaxed(cls, a: Sequence[int]) -> _Sandwich:
         """The relaxed-count chain of a (any k >= 1, any gcd d): the sandwich
-        of the slack tuple (1,) + a/d, read at m = n // d for the relaxed
-        count at n.  Its shifts are taken without building its sequences:
+        of the slack tuple (1,) + a/d, which bounds the relaxed count of a
+        at every n.  Its shifts are taken without building its sequences:
         along its gcd chain of ones s- = -1, so the series bound holds at
-        every m >= 0, and s+ = r_k of a/d, so 2 s+ = 2 a_1 + a_2 + ... + a_k
+        every n >= 0, and s+ = r_k of a/d, so 2 s+ = 2 a_1 + a_2 + ... + a_k
         over d."""
         coeffs = as_coeffs(a)
         d = math.gcd(*coeffs)
         reduced = tuple(c // d for c in coeffs)
-        return cls((1,) + reduced, -1, reduced[0] + sum(reduced))
+        return cls((1,) + reduced, d, -1, reduced[0] + sum(reduced))
 
-    def numerators(self, m: int) -> tuple[int, int | None, int]:
-        """The numerators of lower_a, lower_b and upper_a at m over
+    def numerators(self, n: int) -> tuple[int, int | None, int]:
+        """The numerators of lower_a, lower_b and upper_a at n over
         ``denominators``; lower_b's is None below s-, where it is not claimed."""
+        m = n // self.gcd
         base = m - self.lower_shift
         series = base * _horner(self._series, base) if base >= 0 else None
         return base**self.power, series, (2 * m + self._twice_upper_shift) ** self.power
@@ -172,19 +173,19 @@ class _Sandwich:
             series is None or lower << (self.power - 1) <= series <= count * series_den
         )
 
-    def at(self, m: int) -> BoundReport:
-        lower, _, upper = self.numerators(m)
+    def at(self, n: int) -> BoundReport:
+        lower, _, upper = self.numerators(n)
         return BoundReport(
             lower_a=Fraction(lower, self.denominators[0]),
             upper_a=Fraction(upper, self.denominators[2]),
-            applicable_lower=m >= self.lower_shift,
+            applicable_lower=n // self.gcd >= self.lower_shift,
         )
 
-    def series_lower(self, m: int) -> Fraction:
-        series = self.numerators(m)[1]
+    def series_lower(self, n: int) -> Fraction:
+        series = self.numerators(n)[1]
         if series is None:
             raise NotApplicableError(
-                f"the series bound needs n >= {self.lower_shift}, got n={m}"
+                f"the series bound needs n >= {self.lower_shift}, got n={n}"
             )
         return Fraction(series, self.denominators[1])
 
@@ -253,11 +254,8 @@ def relaxed_count_chain(
           <= count
           <= (q + r_k)^k / (k! prod a).
     """
-    coeffs = as_coeffs(a)
-    chain = _Sandwich.relaxed(coeffs)
-    m = _require_natural(n) // math.gcd(*coeffs)
-    lower, middle, upper = map(Fraction, chain.numerators(m), chain.denominators)
-    return lower, middle, upper
+    chain = _Sandwich.relaxed(a)
+    return tuple(map(Fraction, chain.numerators(_require_natural(n)), chain.denominators))
 
 
 def prefix_sum_count(a: Sequence[int], n: int) -> int:

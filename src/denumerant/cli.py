@@ -6,14 +6,15 @@ which writes ``coeffs`` itself, for --format table|csv|json (json means one
 object per line, filled into a template built once per command; json and
 csv write each row as it comes).  verify always emits a single JSON
 report.  count, bounds and dhat read one cached row for all the targets of
-a command (``exact._RowReader``).  bounds and dhat yield each bound as its
-integer numerator and the sandwich's fixed denominator, not as a
-``Fraction``; the sandwich tests the count against them, and the writer,
-the one place where a row's values become text, prints each pair as p/q.
+a command (``exact._RowReader``).  bounds and dhat hand each target to the
+sandwich as it is and yield each bound as its integer numerator over the
+sandwich's fixed denominator; the sandwich tests the count against them,
+and the writer, the one place where values become text, prints p/q.
 Exit codes: 0 success, 1 a verification sweep found failures (or an
-internal identity broke), 2 bad usage, 3 a precondition was violated
-(non-coprime input, out-of-range query, an input over a budget or a value
-too long for Python to print, a sweep that skipped every instance, ...).
+internal identity broke), 2 bad usage (an --out path that cannot be opened
+too), 3 a precondition was violated (non-coprime input, out-of-range query,
+an input over a budget or a value too long for Python to print, a sweep
+that skipped every instance, ...).
 
 The argument parser is built once per process, at import, and every call
 of ``main`` parses with it; ``build_parser`` returns a new one each time.
@@ -192,10 +193,9 @@ def _count_rows(args: argparse.Namespace) -> Iterator[tuple]:
 
 
 def _bounds_rows(args: argparse.Namespace) -> Iterator[tuple]:
-    # D(a, n) = D(a/d, n/d) when d = gcd(a) divides n, and 0 otherwise, so
-    # the sandwich for the coprime a/d bounds every target d divides.  Each
-    # bound is an integer numerator over one of the sandwich's denominators,
-    # which the sandwich compares with the count and the writer prints.
+    # The sandwich bounds every target that d = gcd(a) divides.  Each bound
+    # is an integer numerator over one of the sandwich's denominators, which
+    # the sandwich compares with the count and the writer prints.
     coeffs = args.coeffs
     targets = _targets(args)
     reader = _RowReader(coeffs)
@@ -213,7 +213,7 @@ def _bounds_rows(args: argparse.Namespace) -> Iterator[tuple]:
             # coefficient is refused under the tuple as given.
             sandwich = _Sandwich.of(coeffs)
             lower_den, series_den, upper_den = sandwich.denominators
-        lower, series, upper = values = sandwich.numerators(n // d)
+        lower, series, upper = values = sandwich.numerators(n)
         yield (
             n, exact, (lower, lower_den),
             None if series is None else (series, series_den),
@@ -241,13 +241,10 @@ def _dhat_rows(args: argparse.Namespace) -> Iterator[tuple]:
     targets = _targets(args)
     chain = _Sandwich.relaxed(args.coeffs)
     reader = _RowReader(args.coeffs)
-    d = reader.gcd
-    # As in bounds, read at n // d: the chain is the sandwich of the slack
-    # tuple (1,) + a/d, whose count there is the relaxed count at n.
     lower_den, middle_den, upper_den = chain.denominators
     for n in targets:
         exact = reader.relaxed(n)
-        lower, middle, upper = values = chain.numerators(n // d)
+        lower, middle, upper = values = chain.numerators(n)
         yield (
             n, exact, (lower, lower_den), (middle, middle_den), (upper, upper_den),
             chain.contains(exact, values),
@@ -381,7 +378,11 @@ _PARSER = build_parser()
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
-    out = open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout)
+    try:
+        out = open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout)
+    except OSError as err:
+        print(f"error: cannot write --out {args.out!r}: {err.strerror}", file=sys.stderr)
+        return 2
     with out as stream:
         try:
             if args.command == "verify":

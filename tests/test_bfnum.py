@@ -195,6 +195,23 @@ def test_recursive_rows_raise_as_the_row_does(a, r, m, error):
     assert str(by_rows.value) == str(by_row.value)
 
 
+@pytest.mark.parametrize(
+    "a, message",
+    [
+        ((), "coefficient tuple must not be empty"),
+        ([2, 0], "coefficients must be >= 1, got 0"),
+        ((2, 1.5), "coefficients must be integers:"),
+    ],
+)
+@pytest.mark.parametrize("route", [bf_explicit, bf_recursive])
+def test_public_routes_validate_the_tuple_before_the_row(route, a, message):
+    # The tuple is checked before the offset and the row: both are bad here.
+    with pytest.raises(ValueError) as raised:
+        route(a, -1, 5)
+    assert str(raised.value).startswith(message)
+    assert route([2, 3], 0, 1) == route((2, 3), 0, 1)
+
+
 def fraction_recursion(a, r, m):
     # The defining recursion in exact rationals, a row at a time: the
     # reference for bf_recursive's rows carried in integers times 2^j.

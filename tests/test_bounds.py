@@ -330,11 +330,12 @@ def test_the_prepared_sandwich_divides_out_the_gcd():
     # (12, 18, 30) at 6m is bounded as (2, 3, 5) at m.
     sandwich = bounds._Sandwich.of((12, 18, 30))
     assert sandwich.lower_shift == _shifts_by_definition((2, 3, 5))[1] == 1
+    assert sandwich.gcd == 6
     for m in (0, 1, 2, 50):
         lower_a, upper_a, lower_b = _sandwich_by_definition((2, 3, 5), m)
-        assert sandwich.at(m) == BoundReport(lower_a, upper_a, m >= 1)
+        assert sandwich.at(6 * m) == BoundReport(lower_a, upper_a, m >= 1)
         if m >= 1:
-            assert sandwich.series_lower(m) == lower_b
+            assert sandwich.series_lower(6 * m) == lower_b
 
 
 @pytest.mark.parametrize(
@@ -348,8 +349,35 @@ def test_the_prepared_relaxed_chain_matches_the_definitions(coeffs):
     d = math.gcd(*coeffs)
     # Targets d does not divide come first among the small ones.
     for n in (0, 1, d - 1, d, d + 1, 2 * d + 1, 77, 10**6 + 1, 10**40 + 3):
-        values = tuple(map(Fraction, chain.numerators(n // d), chain.denominators))
+        values = tuple(map(Fraction, chain.numerators(n), chain.denominators))
         assert values == _relaxed_by_definition(coeffs, n), n
+
+
+def test_the_sandwich_reads_a_target_at_its_floor_by_the_gcd():
+    # On tuples with a gcd d > 1, the sandwich of a is that of a/d read at
+    # n // d: at every n that d divides for the count's, and at every n for
+    # the relaxed chain's.
+    rng = random.Random(2022_1019)
+    uneven = 0
+    for _ in range(200):
+        scale = rng.choice((2, 3, 4, 6, 10))
+        a = tuple(scale * rng.randint(1, 25) for _ in range(rng.randint(1, 5)))
+        d, reduced = math.gcd(*a), _coprime(a)
+        ns = (0, d - 1, d, d * rng.randint(1, 500) + rng.randint(0, d - 1), 10**30 + 1)
+        if len(a) >= 2:
+            sandwich, of_reduced = bounds._Sandwich.of(a), bounds._Sandwich.of(reduced)
+            assert sandwich.gcd == d and of_reduced.gcd == 1, a
+            for n in (d * (n // d) for n in ns):
+                assert sandwich.numerators(n) == of_reduced.numerators(n // d), (a, n)
+        chain, of_reduced = bounds._Sandwich.relaxed(a), bounds._Sandwich.relaxed(reduced)
+        for n in ns:
+            uneven += n % d != 0
+            values = chain.numerators(n)
+            assert values == of_reduced.numerators(n // d), (a, n)
+            assert tuple(map(Fraction, values, chain.denominators)) == relaxed_count_chain(
+                a, n
+            ), (a, n)
+    assert uneven > 300
 
 
 def test_the_relaxed_chain_is_the_slack_tuples_sandwich():
@@ -399,7 +427,7 @@ def test_the_sandwichs_count_test_agrees_with_the_fraction_chain():
         for m in {s - 2, s - 1, s, s + 1, s + rng.randint(2, 400)}:
             if m < 0:
                 continue
-            values = sandwich.numerators(m)
+            values = sandwich.numerators(sandwich.gcd * m)
             lower_a, upper_a, lower_b = _sandwich_by_definition(reduced, m)
             claimed = m >= s
             below += not claimed
@@ -414,7 +442,7 @@ def test_the_sandwichs_count_test_agrees_with_the_fraction_chain():
                     assert not sandwich.contains(count, wrong), (a, m, count)
         chain = bounds._Sandwich.relaxed(a)
         n = rng.randint(0, 3000)
-        values = chain.numerators(n // math.gcd(*a))
+        values = chain.numerators(n)
         lower, middle, upper = _relaxed_by_definition(a, n)
         for count in _edge_counts(lower, middle, upper):
             expected = lower <= middle <= count <= upper

@@ -411,8 +411,8 @@ def test_ok_is_false_when_one_comparison_fails(monkeypatch, capsys, argv, read, 
     assert (code, json.loads(out)["ok"]) == (0, True)
     numerators = bounds._Sandwich.numerators
 
-    def lowered(self, m):
-        lower, _, upper = numerators(self, m)
+    def lowered(self, n):
+        lower, _, upper = numerators(self, n)
         return lower, (lower << (self.power - 1)) - 1, upper
 
     if case == "lower_b below lower_a":
@@ -520,8 +520,8 @@ def _per_target_rows(command, a, targets):
                 }
                 continue
             sandwich = bounds._Sandwich.of(a)
-            report = sandwich.at(n // d)
-            lower_b = sandwich.series_lower(n // d) if report.applicable_lower else None
+            report = sandwich.at(n)
+            lower_b = sandwich.series_lower(n) if report.applicable_lower else None
             yield {
                 "coeffs": a, "n": n, "exact": exact, "lower_a": report.lower_a,
                 "lower_b": lower_b, "upper_a": report.upper_a,
@@ -662,6 +662,20 @@ def test_out_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert path.read_text().splitlines()[1] == "\"2,3\",6,2,recursion"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["count", "--coeffs", "2,3", "--n", "6"], ["verify", "--suite", "popoviciu"]],
+    ids=["count", "verify"],
+)
+@pytest.mark.parametrize("where", ["missing directory", "a directory"])
+def test_an_out_path_that_cannot_be_opened_exits_2(tmp_path, capsys, argv, where):
+    path = tmp_path / "missing" / "out.txt" if where == "missing directory" else tmp_path
+    code, out, err = run(capsys, *argv, "--out", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write --out {str(path)!r}: ")
+    assert len(err.splitlines()) == 1
 
 
 def test_verify_json_and_exit_codes(tmp_path, capsys):

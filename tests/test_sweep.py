@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -16,7 +17,7 @@ from denumerant import (
     run_verify,
     shrink_failure,
 )
-from denumerant import bounds, exact, frobenius, powersum, sweep
+from denumerant import bfnum, bounds, exact, frobenius, powersum, sweep
 from denumerant.exact import CountResult
 from denumerant.sweep import _draw_coprime_tuple, _draw_pair, _draw_tuple
 
@@ -398,8 +399,8 @@ def _series_numerator(change):
     def patch(monkeypatch):
         original = bounds._Sandwich.numerators
 
-        def numerators(self, m):
-            lower, series, upper = original(self, m)
+        def numerators(self, n):
+            lower, series, upper = original(self, n)
             return lower, series if series is None else change(self, lower, series), upper
 
         monkeypatch.setattr(bounds._Sandwich, "numerators", numerators)
@@ -588,6 +589,25 @@ def test_bf_identities_evaluate_each_row_once_per_route(monkeypatch):
         }
         explicit = [n for key, n in calls.items() if key[0] == "_elementary"]
         assert explicit and max(explicit) == 1
+
+
+def test_a_bf_identities_run_validates_once_per_public_call(monkeypatch):
+    # The sweep reads the closed form's kernel on tuples it drew itself, and
+    # the kernel trusts them: at the acceptance config the only validations
+    # are bf_recursive's, one per run, three offsets for each of 200 tuples.
+    callers = Counter()
+    validate = bfnum.as_coeffs
+
+    def counted(a):
+        callers[sys._getframe(1).f_code.co_name] += 1
+        return validate(a)
+
+    monkeypatch.setattr(bfnum, "as_coeffs", counted)
+    cfg = SweepConfig(
+        suite="bf-identities", seed=3, trials=200, k_range=(2, 8), max_coeff=15
+    )
+    assert run_verify(cfg).passed
+    assert callers == {"bf_recursive": 600}
 
 
 def test_passing_bf_and_series_checks_make_no_fraction(monkeypatch):
