@@ -340,8 +340,8 @@ def _check_frobenius(instance: dict) -> Failure | None:
     # D(max(g, 0)..top) becomes ints.  For a finite g the row is read first,
     # so an instance whose row is over its budget is skipped before its
     # table is built and certified.  Pairs and triples reach g by closed
-    # forms, so the table is their independent route; k >= 4 reads g off a
-    # table built the same way.
+    # forms and k >= 4 by the table seeded with an Apery set, so the plain
+    # round-robin table is the independent route for every k.
     # A table entry left at infinity makes g infinite, with no window to
     # read: the certificate names an edge that shortens that entry, and a
     # table it certifies has a finite maximum, which g then misses.

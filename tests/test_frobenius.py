@@ -21,7 +21,12 @@ from denumerant import (
 )
 from denumerant import frobenius
 from denumerant.core import _require_coprime, as_coeffs
-from denumerant.frobenius import FROBENIUS_MAX_CELLS, _residue_table
+from denumerant.frobenius import (
+    FROBENIUS_MAX_CELLS,
+    _apery,
+    _residue_table,
+    _seeded_table,
+)
 from denumerant.sweep import _certify_residue_table
 
 
@@ -99,6 +104,52 @@ def test_round_robin_matches_sieve():
             frobenius_exact(coeffs)
         with pytest.raises(NotCoprimeError):
             _frobenius_sieve(coeffs)
+
+
+# One tuple for each branch of `_apery`, met by the three smallest
+# coefficients; a fourth makes each a coprime tuple whose table takes a lap.
+_APERY_BRANCHES = {
+    "the L-shape": (5, 7, 9, 11),
+    "gcd(a_1, a_2) glued": (6, 9, 11, 13),
+    "gcd(a_1, a_3) glued": (6, 7, 9, 11),
+    "gcd(a_2, a_3) scaled, both then below a_1": (7, 9, 12, 13),
+    "a_1 reduced to 1": (6, 10, 15, 17),
+    "a_2 reduced to 1": (4, 6, 9, 11),
+    "a common factor of the three smallest": (12, 18, 8, 27),
+}
+
+
+@pytest.mark.parametrize("coeffs", list(_APERY_BRANCHES.values()), ids=list(_APERY_BRANCHES))
+def test_each_apery_branch_matches_the_round_robin(coeffs):
+    a1, a2, a3 = sorted(coeffs)[:3]
+    values = sorted(s + i * step for s, step, count in _apery(a1, a2, a3) for i in range(count))
+    # The least x a_2 + y a_3 in each class mod a_1 that such sums meet;
+    # x, y < a_1 suffice, as a_1 a_2 and a_1 a_3 are 0 mod a_1.
+    least = {}
+    for x, y in itertools.product(range(a1), repeat=2):
+        n = x * a2 + y * a3
+        least[n % a1] = min(least.get(n % a1, n), n)
+    assert values == sorted(least.values()), coeffs
+    assert _seeded_table(coeffs) == _residue_table(coeffs), coeffs
+    assert frobenius_exact(coeffs) == _frobenius_sieve(coeffs), coeffs
+
+
+def test_the_seeded_table_matches_the_round_robin_and_the_sieve():
+    rng = random.Random(2007)
+    drawn = []
+    while len(drawn) < 600:
+        top = rng.choice((12, 40, 400))
+        coeffs = tuple(rng.randint(1, top) for _ in range(rng.randint(3, 6)))
+        if math.gcd(*coeffs) == 1:
+            drawn.append(coeffs)
+    cases = [c for c in _round_robin_cases() if len(c) >= 3] + drawn
+    shared = 0
+    for coeffs in cases:
+        assert _seeded_table(coeffs) == _residue_table(coeffs), coeffs
+        if len(coeffs) >= 4 and max(coeffs) <= 40:
+            assert frobenius_exact(coeffs) == _frobenius_sieve(coeffs), coeffs
+        shared += math.gcd(*sorted(coeffs)[:3]) > 1
+    assert shared > 30
 
 
 def test_the_certificate_accepts_each_table_and_rejects_each_mutant():
@@ -233,18 +284,24 @@ def test_a_triple_of_any_size_answers_at_once(coeffs):
 
 
 def test_pairs_and_triples_build_no_table(monkeypatch):
+    # Every table is allocated by `_cells`; the plain round robin is refused
+    # outright, so the one table k >= 4 builds is the seeded one.
     def refused(a):
-        raise AssertionError("a residue table was built")
+        raise AssertionError("a round-robin residue table was built")
 
+    built = []
+    cells = frobenius._cells
     monkeypatch.setattr(frobenius, "_residue_table", refused)
+    monkeypatch.setattr(frobenius, "_cells", lambda base: built.append(base) or cells(base))
     over = FROBENIUS_MAX_CELLS + 1
     assert frobenius_exact((3, 5)) == 7
     assert frobenius_exact((over, over + 1)) == over * (over + 1) - 2 * over - 1
     assert frobenius_exact((6, 9, 20)) == 43
     assert frobenius_exact((5, 1, 9)) == -1
     assert bound_frobenius((over, over + 1, over + 2)).g > 0
-    with pytest.raises(AssertionError):
-        frobenius_exact((6, 9, 20, 25))
+    assert built == []
+    assert frobenius_exact((6, 9, 20, 25)) == _frobenius_sieve((6, 9, 20, 25))
+    assert built == [6]
 
 
 def test_a_unit_coefficient_needs_one_table_cell():

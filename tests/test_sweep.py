@@ -317,23 +317,41 @@ def test_the_frobenius_suite_compares_the_triple_route_with_the_table(monkeypatc
     }
 
 
+def test_the_frobenius_suite_compares_the_seeded_table_with_the_round_robin(
+    monkeypatch,
+):
+    # k >= 4 reads g off the table seeded with the Apery set of the three
+    # smallest coefficients, and the sweep certifies the plain round robin,
+    # so g == max(N) - a_1 compares two routes there.  A seed whose last
+    # row is lost, as when the L-shape's corner arm is one row short, fails
+    # it at the acceptance config.
+    apery = frobenius._apery
+    monkeypatch.setattr(frobenius, "_apery", lambda a, b, c: apery(a, b, c)[:-1])
+    cfg = SweepConfig(suite="frobenius", seed=4, trials=200, k_range=(2, 4), max_coeff=25)
+    report = run_verify(cfg)
+    assert len(report.failures) > 10
+    assert {f.relation for f in report.failures} == {"bound_frobenius(a).g == max(N) - a_1"}
+    assert {len(f.instance["coeffs"]) for f in report.failures} == {4}
+
+
 def test_a_table_entry_left_at_infinity_is_named_not_raised(monkeypatch):
     # A k >= 4 table that keeps an entry at infinity gives g = inf, which has
     # no DP window: the certificate names an edge that shortens the entry.
-    # The other case, bound_frobenius's table broken while the sweep's own
-    # is true, fails the comparison of g with the certified table.
-    route = frobenius._residue_table
+    # The other case, bound_frobenius's seeded table broken while the
+    # sweep's own is true, fails the comparison of g with the certified table.
+    def one_entry_left(route):
+        def table(a):
+            full = route(a)
+            return full[:-1] + [math.inf] if len(a) >= 4 and len(full) > 1 else full
 
-    def one_entry_left(a):
-        table = route(a)
-        return table[:-1] + [math.inf] if len(a) >= 4 and len(table) > 1 else table
+        return table
 
     cfg = SweepConfig(suite="frobenius", seed=4, trials=200, k_range=(2, 4), max_coeff=25)
-    monkeypatch.setattr(frobenius, "_residue_table", one_entry_left)
+    monkeypatch.setattr(frobenius, "_seeded_table", one_entry_left(frobenius._seeded_table))
     report = run_verify(cfg)
     assert {f.relation for f in report.failures} == {"bound_frobenius(a).g == max(N) - a_1"}
     assert {f.lhs for f in report.failures} == {"inf"}
-    monkeypatch.setattr(sweep, "_residue_table", one_entry_left)
+    monkeypatch.setattr(sweep, "_residue_table", one_entry_left(sweep._residue_table))
     report = run_verify(cfg)
     assert report.failures
     assert {f.relation for f in report.failures} == {"N[(r + a_j) mod a_1] <= N[r] + a_j"}
