@@ -16,8 +16,15 @@ too), 3 a precondition was violated (non-coprime input, out-of-range query,
 an input over a budget or a value too long for Python to print, a sweep
 that skipped every instance, ...).
 
-The argument parser is built once per process, at import, and every call
-of ``main`` parses with it; ``build_parser`` returns a new one each time.
+The argument parser is built once per process, at import; ``build_parser``
+returns a new one each time.  ``main`` first tries the plain form, read
+from a table taken from that parser at import: an exact subcommand name,
+then (option, value) pairs, each option one of the subcommand's option
+strings in full and given once, no value starting with ``-``.  It applies
+the parser's types, choices, defaults, required options and exclusive
+group, and builds the Namespace argparse would.  Every other argv (help,
+--opt=value, an abbreviation, a repeat, a negative value) and every usage
+error goes to argparse, which parses it and writes the help or the error.
 """
 
 from __future__ import annotations
@@ -26,6 +33,7 @@ import argparse
 import csv
 import itertools
 import math
+import re
 import sys
 from contextlib import nullcontext
 from fractions import Fraction
@@ -60,6 +68,11 @@ def _parse_coeffs(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"invalid coefficients {text!r}: {err}")
 
 
+# The text int accepts in base 10.  int checks this first, so an int literal
+# it refuses is refused for its length.
+_INT_LITERAL = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")
+
+
 def _int(text: str, malformed: str) -> int:
     """int(text), or the argparse error ``malformed`` for text that is no int.
     From Python 3.11 (and 3.10.7) int refuses more digits than the
@@ -67,8 +80,8 @@ def _int(text: str, malformed: str) -> int:
     try:
         return int(text)
     except ValueError as err:
-        digits = text.strip().lstrip("+-").isdigit()
-        raise argparse.ArgumentTypeError(str(err) if digits else malformed) from None
+        too_long = _INT_LITERAL.fullmatch(text) is not None
+        raise argparse.ArgumentTypeError(str(err) if too_long else malformed) from None
 
 
 def _parse_n(text: str) -> int:
@@ -371,13 +384,83 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _plain_forms(parser: argparse.ArgumentParser) -> dict[str, tuple]:
+    """For each subcommand of ``parser`` whose options all store one value,
+    the table its plain form is read with: its actions by option string, the
+    Namespace contents of a call that gives none of them, its required
+    actions, and its mutually exclusive groups with whether each is required.
+    A subcommand with any other action is left out, and so left to argparse,
+    as is one with a str default that argparse would pass through its type."""
+    (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    forms = {}
+    for name, sub in commands.choices.items():
+        options, defaults, required = {}, {commands.dest: name}, set()
+        for action in sub._actions:
+            if isinstance(action, argparse._HelpAction):
+                continue  # -h and --help are not in the table
+            if (
+                type(action) is not argparse._StoreAction
+                or action.nargs is not None
+                or not action.option_strings
+                or isinstance(action.default, str) and action.type is not None
+            ):
+                break
+            options.update(dict.fromkeys(action.option_strings, action))
+            if action.default is not argparse.SUPPRESS:
+                defaults[action.dest] = action.default
+            if action.required:
+                required.add(action)
+        else:
+            for dest, value in sub._defaults.items():
+                defaults.setdefault(dest, value)
+            groups = [(g._group_actions, g.required) for g in sub._mutually_exclusive_groups]
+            forms[name] = options, defaults, required, groups
+    return forms
+
+
 # One parser per process: argparse keeps each parse's state in its own
 # Namespace and locals, so every call of main shares this one.
 _PARSER = build_parser()
+_PLAIN_FORMS = _plain_forms(_PARSER)
+
+
+def _plain_args(argv: Sequence[str]) -> argparse.Namespace | None:
+    """The Namespace ``_PARSER.parse_args(argv)`` returns, for an argv of the
+    plain form that argparse accepts; None for every other argv."""
+    form = _PLAIN_FORMS.get(argv[0]) if argv else None
+    if form is None or not len(argv) % 2:
+        return None
+    options, defaults, required, groups = form
+    given = {}
+    for option, text in zip(argv[1::2], argv[2::2]):
+        action = options.get(option)
+        if action is None or action in given or text.startswith("-"):
+            return None
+        try:
+            value = text if action.type is None else action.type(text)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        given[action] = value
+    if not required <= given.keys():
+        return None
+    for group, group_required in groups:
+        # As argparse counts them: an option given its default is not present.
+        present = sum(given.get(a, a.default) is not a.default for a in group)
+        if present > 1 or group_required and not present:
+            return None
+    args = argparse.Namespace()
+    vars(args).update(defaults, **{action.dest: value for action, value in given.items()})
+    return args
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _PARSER.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _plain_args(argv)
+    if args is None:
+        args = _PARSER.parse_args(argv)
     try:
         out = open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout)
     except OSError as err:

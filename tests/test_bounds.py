@@ -85,6 +85,27 @@ def test_sequence_identities(coeffs):
         assert left < right
 
 
+def test_the_last_shifts_bracket_half_the_coefficient_sum():
+    # For a coprime tuple, s-_k >= -1 and 2 s+_k >= sum(a): a_i >= d_i turns
+    # s-_k = -a_1 + sum (d_{i-1}/d_i - 1) a_i into at least a_1 - d_k - a_1,
+    # and 2 lcm(a_1, a_2) >= a_1 + a_2 gives the second, an equality exactly
+    # when the tuple starts with (1, 1).  So the sandwich's n^(k-2)
+    # coefficients bracket the quasi-polynomial's, whose T_1 is sum(a) / 2.
+    rng = random.Random(2204_13689)
+    drawn = equalities = 0
+    while drawn < 20_000:
+        a = tuple(rng.randint(1, 60) for _ in range(rng.randint(2, 7)))
+        if math.gcd(*a) > 1:
+            continue
+        drawn += 1
+        lower, twice_upper = bounds._shift_numerators(a)
+        assert lower[-1] >= -1, a
+        assert twice_upper[-1] >= sum(a), a
+        assert (twice_upper[-1] == sum(a)) == (a[:2] == (1, 1)), a
+        equalities += twice_upper[-1] == sum(a)
+    assert equalities > 0
+
+
 def test_inequality_a_spot():
     report = inequality_a((3, 5), 8)
     assert report.lower_a == Fraction(1, 15)

@@ -1,11 +1,15 @@
 import argparse
 import csv
+import importlib.util
 import io
+import itertools
 import json
 import math
+import random
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -489,7 +493,8 @@ def test_a_triple_whose_g_is_too_long_to_print_exits_3(capsys, digit_limit):
 
 @pytest.mark.parametrize(
     "option, text",
-    [("--n", "1{}"), ("--n-range", "0:1{}"), ("--n-range", "1{}:1{}")],
+    [("--n", "1{}"), ("--n-range", "0:1{}"), ("--n-range", "1{}:1{}"),
+     ("--n", "1_{}"), ("--n-range", "0:+1_0{}")],  # int accepts single underscores
 )
 def test_a_target_past_the_digit_limit_exits_2_naming_it(
     capsys, digit_limit, option, text
@@ -500,6 +505,24 @@ def test_a_target_past_the_digit_limit_exits_2_naming_it(
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert f"argument {option}: Exceeds the limit ({digit_limit} digits)" in err
+
+
+@pytest.mark.parametrize(
+    "option, text, message",
+    [("--n", "1__{}", "invalid int value: '1__00"),
+     ("--n", "_1{}", "invalid int value: '_100"),
+     ("--n-range", "0:1{}_", "expected LO:HI, got '0:100")],
+)
+def test_a_malformed_target_past_the_digit_limit_is_called_malformed(
+    capsys, digit_limit, option, text, message
+):
+    argv = ["count", "--coeffs", "3,5", option, text.format("0" * digit_limit)]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {option}: {message}" in err
+    assert "Exceeds the limit" not in err
 
 
 def _per_target_rows(command, a, targets):
@@ -912,3 +935,144 @@ def test_the_shared_parser_writes_what_a_fresh_one_does(capsys, argv):
     captured = capsys.readouterr()
     assert shared == (("SystemExit", exc.value.code), captured.out, captured.err)
     assert shared[1] or shared[2]
+
+
+# ---------------------------------------------------------------------------
+# The plain form: main reads an argv of exact option strings, each given
+# once with a value that does not start with "-", from a table taken from
+# the parser; argparse parses every other argv.
+# ---------------------------------------------------------------------------
+
+def _benchmark_operations():
+    """Every operation in the pools of ``bench/workloads.py``, read from its
+    file; nothing runs."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return [list(op) for name in module.WORKLOADS for op in module.pool_ops(name)]
+
+
+def test_every_benchmark_operation_takes_the_plain_form():
+    operations = _benchmark_operations()
+    assert len(operations) > 800
+    for argv in operations:
+        args = cli._plain_args(argv)
+        assert args is not None, argv
+        assert vars(args) == vars(cli._PARSER.parse_args(argv)), argv
+
+
+# Per option, values argparse accepts, then values it refuses; a value that
+# starts with "-" is left to argparse, which accepts some of them.
+_DRAWN_VALUES = {
+    "--coeffs": (["3,5,7", "4,6", "7", " 2,3"], ["3,x", "3,0", "", "-3,5"]),
+    "--n": (["8", "0", "1_000", " 12 ", "-1"], ["x", "", "1.0"]),
+    "--n-range": (["0:9", "30:30", " 4:7"], ["9:3", "5", "0:-1", "-1:4", ""]),
+    "--format": (["json", "csv", "table"], ["xml", ""]),
+    "--out": (["rows.csv", "", "-"], ["-x"]),
+    "--method": (["recursion", "oracle", "popoviciu"], ["fast"]),
+    "--offset": (["0", "2", "-1"], ["x"]),
+    "-r": (["0", "3", "-2"], ["1/2"]),
+    "-m": (["2", "0", "-1"], ["x"]),
+    "-l": (["1", "4"], [""]),
+    "--ell": (["0", "2"], ["y"]),
+    "--suite": (["popoviciu", "frobenius"], ["nope"]),
+    "--seed": (["3", "0", "-5"], ["s"]),
+    "--trials": (["200", "7"], ["1.5"]),
+    "--k-range": (["2:4", "3:3"], ["4:2"]),
+    "--max-coeff": (["12", "40"], [""]),
+    "--n-max": (["120", "9", "-3"], ["z"]),
+}
+_TARGETS = ["--n", "--n-range", "--format", "--out"]
+_COMMANDS = {  # each command's required options, then the others
+    "count": (["--coeffs", "--n"], ["--method", *_TARGETS]),
+    "bounds": (["--coeffs", "--n-range"], _TARGETS),
+    "dhat": (["--coeffs", "--n"], _TARGETS),
+    "frobenius": (["--coeffs"], ["--format", "--out"]),
+    "bf": (["--coeffs", "-m", "-l"], ["-r", "--offset", "--ell", "--format", "--out"]),
+    "verify": (["--suite"], ["--out", "--seed", "--trials", "--k-range", "--max-coeff", "--n-max"]),
+}
+
+
+def _drawn_argv(rng):
+    """A command's required options, then a few (option, value) pairs drawn
+    from its options or any command's, the values mostly accepted ones; then
+    now and then one pair changed into a form argparse reads and the plain
+    form does not (an abbreviation, an attached value, a repeat, help), a
+    pair dropped, the pairs shuffled or the last value left off."""
+    command = rng.choice([*_COMMANDS] * 10 + ["cou", "--help"])
+    required, others = _COMMANDS.get(command, ([], []))
+    pairs = [[option, rng.choice(_DRAWN_VALUES[option][0])] for option in required]
+    for _ in range(rng.choice([0, 1, 1, 2, 3])):
+        option = rng.choice(others if others and rng.random() < 0.8 else list(_DRAWN_VALUES))
+        accepted, refused = _DRAWN_VALUES[option]
+        pairs.append([option, rng.choice(accepted if rng.random() < 0.8 or not refused else refused)])
+    if pairs and rng.random() < 0.5:
+        pair = rng.choice(pairs)
+        option, value = pair
+        change = rng.randrange(4)
+        if change == 0 and len(option) > 3:
+            pair[0] = option[:-1]
+        elif change == 1:
+            pair[:] = [f"{option}={value}" if len(option) > 2 else option + value]
+        elif change == 2:
+            pairs.append([option, rng.choice(_DRAWN_VALUES[option][0])])
+        else:
+            pairs.insert(rng.randrange(len(pairs) + 1), [rng.choice(["-h", "--help"])])
+    if pairs and rng.random() < 0.1:
+        pairs.pop(rng.randrange(len(pairs)))
+    if rng.random() < 0.3:
+        rng.shuffle(pairs)
+    argv = [command, *itertools.chain.from_iterable(pairs)]
+    return argv[:-1] if rng.random() < 0.05 else argv
+
+
+def test_the_plain_form_is_argparse_or_declines(capsys):
+    rng = random.Random(2204_13689)
+    taken = declined = refused = 0
+    for _ in range(3000):
+        argv = _drawn_argv(rng)
+        args = cli._plain_args(argv)
+        try:
+            parsed = cli._PARSER.parse_args(argv)
+        except SystemExit:
+            parsed = None
+        capsys.readouterr()
+        if args is not None:
+            assert parsed is not None and vars(args) == vars(parsed), argv
+            taken += 1
+        elif parsed is not None:
+            declined += 1
+        else:
+            refused += 1
+    # The draws reach all three: the plain form, argv that argparse alone
+    # accepts, and usage errors.
+    assert min(taken, declined, refused) > 300, (taken, declined, refused)
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["count", "--coef", "3,5", "--n", "8"], 0),  # argparse takes abbreviations
+        (["count", "--coeffs", "3,5", "--n=8"], 0),
+        (["count", "--coeffs", "3,5", "--n", "3", "--n", "4"], 0),  # the last one wins
+        (["count", "--coeffs", "3,5", "--n", "-1"], 2),
+        (["count", "--coeffs", "3,5", "--n", "8", "--format", "xml"], ("SystemExit", 2)),
+        (["count", "--help"], ("SystemExit", 0)),
+        (["count", "--coeffs", "3,5", "--n", "8", "--n-range", "0:9"], ("SystemExit", 2)),
+        (["count", "--coeffs", "3,5"], ("SystemExit", 2)),
+        (["count", "--coeffs", "3,x", "--n", "8"], ("SystemExit", 2)),
+        (["bf", "--coeffs", "3,5,7", "-m2", "-l", "1"], 0),
+        (["bf", "--coeffs", "3,5,7", "-m", "2", "-r", "1", "--offset", "0", "-l", "1"], 0),
+        (["cou", "--coeffs", "3,5", "--n", "8"], ("SystemExit", 2)),
+    ],
+    ids=lambda value: " ".join(value) if isinstance(value, list) else None,
+)
+def test_what_the_plain_form_declines_main_answers_as_argparse_alone(
+    monkeypatch, capsys, argv, code
+):
+    assert cli._plain_args(argv) is None
+    answer = _outcome(capsys, argv)
+    assert answer[0] == code
+    monkeypatch.setattr(cli, "_plain_args", lambda argv: None)
+    assert _outcome(capsys, argv) == answer

@@ -2,14 +2,16 @@
 
 Every ``$ denumerant ...`` line of the "Command line" block runs through
 ``cli.main`` and its stdout must match the lines shown under it; a shown
-line ending in ``...}`` is compared as a prefix, and a command shown
-without output must exit 0.  The "Library use" block is executed as is,
+line ending in ``...}`` is compared as a prefix, a command shown
+without output must exit 0, and every row command shown must run with
+argparse's parse refused.  The "Library use" block is executed as is,
 every name the package exports must appear somewhere in the README, every
 budget constant must be stated with its current value, as must the
 interpreter's limit on printing an int, and the list of available suites
 must match ``SUITE_NAMES``.
 """
 
+import argparse
 import importlib
 import pkgutil
 import re
@@ -69,6 +71,20 @@ def test_command_line_example(capsys, command, expected):
             assert line.startswith(shown[: -len("...}")])
         else:
             assert line == shown
+
+
+@pytest.mark.parametrize(
+    "command",
+    [command for command, _ in _EXAMPLES if shlex.split(command)[1] != "verify"],
+)
+def test_row_command_examples_take_the_plain_form(monkeypatch, capsys, command):
+    # main reads each shown row command without argparse.
+    def refused(*args, **kwargs):
+        raise AssertionError("argparse parsed a shown command")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", refused)
+    assert cli.main(shlex.split(command)[1:]) == 0
+    assert capsys.readouterr().out
 
 
 def test_library_use_example():
