@@ -21,6 +21,9 @@ it serves, rounded up to an eighth of that target's octave; a longer one
 to the power of two that covers its target (``_row_cap``).  A larger
 target extends the row, at least doubling it up to that power of two,
 building only the new cells, and the longer row replaces the old one.
+The cache is bounded in words, not rows: once the rows it holds pass
+``ROW_CACHE_MAX_WORDS`` 64-bit words of packed cells (see below), the
+least recently used are evicted, but the row just stored is always kept.
 A row also keeps the running sum D(0) + ... + D(m - 1) at every multiple m
 of ``_BLOCK`` cells, so ``extended_count``, which counts the relaxed
 problem sum <= n, reads the same cached row as ``denumerant`` and adds at
@@ -74,6 +77,13 @@ ORACLE_MAX_NODES = 10_000_000
 # and at 120 MB in 1.9-2.5 s for (1,) * 8, whose counts take three planes
 # of 64-bit words.
 DENUMERANT_MAX_CELLS = 1 << 22
+
+# The most 64-bit words (one a cell a plane) the DP rows in the row cache
+# may hold together, 64 MiB of cells: past it the least recently used rows
+# are evicted, though the row just stored always stays.  Every row of a
+# verify process at the acceptance configs fits in about 0.65 M words, and
+# count-stream's largest working set is 2.10 M words in 8 rows.
+ROW_CACHE_MAX_WORDS = 1 << 23
 
 # Cells of one segment of a row build, and of one step of a running sum, of
 # packing or of unpacking, so that a build holds one segment of ints.
@@ -334,21 +344,29 @@ def _row_cap(m: int, short: _Row | None) -> int:
     return cap
 
 
+def _words(row: _Row) -> int:
+    """The 64-bit words of row's planes, one a cell a plane."""
+    return sum(map(len, row.planes))
+
+
 class _RowCache:
     """One DP row per sorted reduced tuple, the least recently used out first.
 
     A lookup hits when the tuple's row reaches the target m asked for;
     otherwise the row is extended to ``_row_cap``, or built when there is
-    none, and replaces the old one.  The lock guards the bookkeeping only,
-    never a build, so concurrent callers may build the same row; the larger
-    one is kept.
+    none, and replaces the old one.  ``words`` is the total of ``_words``
+    over the rows held; their running sums are not counted.  After each
+    store the least recently used rows are evicted until ``words`` is at
+    most ROW_CACHE_MAX_WORDS, read at that store, but the row just stored
+    is always kept, so a row over the budget is held alone.  The lock
+    guards the bookkeeping only, never a build, so concurrent callers may
+    build the same row; the larger one is kept.
     """
 
-    def __init__(self, maxsize: int) -> None:
-        self.maxsize = maxsize
+    def __init__(self) -> None:
         self._rows: OrderedDict[tuple[int, ...], _Row] = OrderedDict()
         self._lock = threading.Lock()
-        self._hits = self._misses = 0
+        self._hits = self._misses = self.words = 0
 
     def __call__(self, key: tuple[int, ...], m: int) -> _Row:
         with self._lock:
@@ -359,30 +377,36 @@ class _RowCache:
                 return row
             # A short row is extended, not rebuilt.  The build copies its
             # cells, since a reader may still hold it.
-            self._rows.pop(key, None)
+            if row is not None:
+                del self._rows[key]
+                self.words -= _words(row)
             self._misses += 1
         row = _build_row(key, _row_cap(m, row), row)
         with self._lock:
-            kept = self._rows.get(key)
-            if kept is not None and kept.cap >= row.cap:
-                row = kept
+            kept = self._rows.pop(key, None)
+            if kept is not None:
+                self.words -= _words(kept)
+                if kept.cap >= row.cap:
+                    row = kept
             self._rows[key] = row
-            self._rows.move_to_end(key)
-            if len(self._rows) > self.maxsize:
-                self._rows.popitem(last=False)
+            self.words += _words(row)
+            while self.words > ROW_CACHE_MAX_WORDS and len(self._rows) > 1:
+                self.words -= _words(self._rows.popitem(last=False)[1])
         return row
 
     def cache_info(self) -> _CacheInfo:
+        """Hits, misses, maxsize None (no row count bounds the cache) and
+        the rows held."""
         with self._lock:
-            return _CacheInfo(self._hits, self._misses, self.maxsize, len(self._rows))
+            return _CacheInfo(self._hits, self._misses, None, len(self._rows))
 
     def cache_clear(self) -> None:
         with self._lock:
             self._rows.clear()
-            self._hits = self._misses = 0
+            self._hits = self._misses = self.words = 0
 
 
-_prefix_counts = _RowCache(maxsize=32)
+_prefix_counts = _RowCache()
 
 
 class _RowReader:

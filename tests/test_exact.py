@@ -748,23 +748,104 @@ def test_a_warm_relaxed_count_allocates_no_row():
     assert _prefix_counts.cache_info().misses == 1
 
 
-def test_a_33rd_tuple_evicts_the_least_recently_used():
+def test_the_least_recently_used_rows_go_past_the_word_budget(monkeypatch):
+    # Each pair's row at 100 ends at _row_cap(100) = 112, one plane of 113
+    # words, so a budget of 32 such rows holds 32 of these 33 tuples.
+    words = exact._row_cap(100, None) + 1
+    monkeypatch.setattr(exact, "ROW_CACHE_MAX_WORDS", 32 * words)
     _prefix_counts.cache_clear()
     pairs = [(2, 2 * i + 3) for i in range(33)]
     for a in pairs[:32]:
         denumerant(a, 100)
+    assert _prefix_counts.words == 32 * words
     denumerant(pairs[0], 100)
     denumerant(pairs[32], 100)
-    assert _prefix_counts.cache_info() == (1, 33, 32, 32)
+    assert _prefix_counts.cache_info() == (1, 33, None, 32)
+    assert _prefix_counts.words == 32 * words
     denumerant(pairs[0], 100)
     assert _prefix_counts.cache_info().misses == 33
     denumerant(pairs[1], 100)
     assert _prefix_counts.cache_info().misses == 34
 
 
-def test_threads_share_the_row_cache():
+def held_words():
+    # The words of every row the cache holds, summed afresh.
+    return sum(map(exact._words, _prefix_counts._rows.values()))
+
+
+def test_a_row_over_the_word_budget_is_kept_alone(monkeypatch):
+    # Five rows of at most 113 words fit in 1,000; the row of (3, 5, 7) at
+    # 2,000 ends at 2,048 and takes 2,049 words, so it evicts all five, and
+    # the next row stored evicts it in turn.
+    monkeypatch.setattr(exact, "ROW_CACHE_MAX_WORDS", 1000)
+    _prefix_counts.cache_clear()
+    for c in (3, 5, 7, 9, 11):
+        denumerant((2, c), 100)
+    assert _prefix_counts.cache_info().currsize == 5
+    big = _prefix_counts((3, 5, 7), 2000)
+    assert exact._words(big) == 2049
+    assert _prefix_counts.cache_info().currsize == 1
+    assert _prefix_counts.words == held_words() == 2049
+    assert denumerant((7, 5, 3), 2000).value == big[2000]
+    assert _prefix_counts.cache_info().misses == 6
+    denumerant((2, 3), 100)
+    assert list(_prefix_counts._rows) == [(2, 3)]
+    assert _prefix_counts.words == held_words() == exact._row_cap(100, None) + 1
+
+
+def test_an_extension_replaces_the_short_rows_words():
+    _prefix_counts.cache_clear()
+    short = _prefix_counts((3, 5, 7), 100)
+    assert _prefix_counts.words == exact._words(short) == short.cap + 1
+    row = _prefix_counts((3, 5, 7), 5000)
+    assert row.cap > short.cap
+    assert _prefix_counts.cache_info()[1:] == (2, None, 1)
+    assert _prefix_counts.words == exact._words(row) == row.cap + 1
+
+
+def test_cache_clear_zeroes_the_words():
+    _prefix_counts.cache_clear()
+    denumerant((3, 5), 1000)
+    denumerant((1,) * 10, 2000)
+    assert _prefix_counts.words == held_words() > 0
+    _prefix_counts.cache_clear()
+    assert _prefix_counts.words == 0
+    assert _prefix_counts.cache_info() == (0, 0, None, 0)
+
+
+def test_the_cache_never_holds_more_than_its_word_budget(monkeypatch):
+    # Half the drawn tuples are all ones, whose rows past a few hundred
+    # cells take two planes: ten ones at n near 2,000 take 4,098 words, over
+    # the budget of 2^12 on their own.  After every count the running total
+    # is the words of the rows held, and at most the budget unless one row
+    # is held alone.
+    budget = 1 << 12
+    monkeypatch.setattr(exact, "ROW_CACHE_MAX_WORDS", budget)
+    _prefix_counts.cache_clear()
+    rng = random.Random(20221)
+    lone = crowded = 0
+    for _ in range(40):
+        if rng.random() < 0.5:
+            a = (1,) * rng.randint(6, 10)
+        else:
+            a = tuple(rng.randint(1, 12) for _ in range(rng.randint(1, 4)))
+        n = rng.randint(0, 2000)
+        assert denumerant(a, n).value == reference_row(a, n)[n], (a, n)
+        words = _prefix_counts.words
+        assert words == held_words()
+        if words > budget:
+            assert _prefix_counts.cache_info().currsize == 1, (a, n)
+            lone += 1
+        elif _prefix_counts.cache_info().currsize > 1:
+            crowded += 1
+    assert lone and crowded
+
+
+def test_threads_share_the_row_cache(monkeypatch):
     # Four threads count drawn targets on 40 drawn tuples through one cache
-    # of 32, so lookups, builds and evictions of the same tuples interleave.
+    # whose word budget holds the fifth thread's longest row and about 20
+    # short ones, so lookups, builds and evictions of the same tuples
+    # interleave.
     # Every target is a multiple of the gcd, and no tuple keeps a 1 after
     # dividing it out unless it is all ones, so every count is one lookup
     # and a lost hit or miss shows in the totals.  A fifth thread counts one
@@ -799,6 +880,8 @@ def test_threads_share_the_row_cache():
     def relax():
         relaxed_results.extend(extended_count(grown, d * m).value for m in targets)
 
+    budget = (1 << 15) + (1 << 11)
+    monkeypatch.setattr(exact, "ROW_CACHE_MAX_WORDS", budget)
     _prefix_counts.cache_clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -821,7 +904,8 @@ def test_threads_share_the_row_cache():
     assert relaxed_results == [sum(reference[: m + 1]) for m in targets]
     info = _prefix_counts.cache_info()
     assert info.hits + info.misses == len(draws) + 2 * len(targets)
-    assert info.currsize <= info.maxsize == 32
+    assert info.maxsize is None
+    assert _prefix_counts.words == held_words() <= budget
 
 
 def test_extended_count_matches_the_oracle_on_drawn_tuples():

@@ -264,7 +264,7 @@ def test_the_frobenius_window_read_from_one_row_matches_per_value_counts(
 def test_the_frobenius_check_reads_only_its_window(monkeypatch):
     # D(g..top) is at most 401 cells, however long the row below g; the
     # cache is fresh so that no extension reads a short row's tail.
-    monkeypatch.setattr(exact, "_prefix_counts", exact._RowCache(maxsize=32))
+    monkeypatch.setattr(exact, "_prefix_counts", exact._RowCache())
     spans = []
     counts = exact._Row.counts
 
@@ -280,6 +280,22 @@ def test_the_frobenius_check_reads_only_its_window(monkeypatch):
         assert sweep._check_frobenius({"coeffs": coeffs}) is None
         assert top - report.g + 1 in spans
         assert max(spans) <= top - report.g + 1, coeffs
+
+
+def test_inequality_b_reads_the_rows_inequality_a_built(monkeypatch):
+    # At their acceptance configs the two suites draw the same tuples and
+    # targets, so with every row of the first run kept the second builds
+    # none; a cache of 32 rows built 438 of them again.
+    monkeypatch.setattr(exact, "_prefix_counts", exact._RowCache())
+    common = dict(seed=2, trials=500, k_range=(2, 5), max_coeff=15, n_max=400)
+    assert run_verify(SweepConfig(suite="inequality-a", **common)).passed
+    before = exact._prefix_counts.cache_info()
+    assert before.misses > 0
+    report = run_verify(SweepConfig(suite="inequality-b", **common))
+    assert report.passed and report.instances == 500
+    after = exact._prefix_counts.cache_info()
+    assert after.misses == before.misses
+    assert after.hits > before.hits
 
 
 def test_skipped_instances_are_counted_outside_the_report():
