@@ -50,14 +50,14 @@ from .exact import (
     popoviciu,
 )
 from .frobenius import _residue_table, bound_frobenius
-from .powersum import _enclosure
+from .powersum import _enclosure, _estimates
 
 _MASK64 = (1 << 64) - 1
 
 # The most trials one sweep may run, checked before the first draw.  It caps
 # the time of one run: on a 2-core x86-64 host, at this cap and the other
-# defaults, the slowest suite (asymptotic, two DP rows per tuple) took 8 s
-# and the next (bf-identities) 0.9 s.
+# defaults, the slowest suite (asymptotic, two DP rows per tuple) took 4 to
+# 4.5 s at 92 MB and the next (bf-identities) 1.0 to 1.25 s.
 VERIFY_MAX_TRIALS = 10_000
 
 
@@ -517,13 +517,27 @@ def _run_drawn(
     return cfg.trials, failures
 
 
-# The relations behind the first three estimates of ``powersum._enclosure``
+# The relations behind the first three estimates of ``powersum._estimates``
 # against the sum, in order.
 _ENCLOSURE = (
     "crude lower <= refined lower",
     "refined lower <= power sum",
     "power sum <= upper",
 )
+
+# The grid's last j: x + c = j/16 for j = 0..320.
+_GRID_TOP = 320
+
+
+def _chain_sums(terms: list[int], s: int) -> list[int]:
+    """Running sums of ``terms`` along the residue chains j mod 16, at the
+    shift c = s/8: entry j sums terms[j - 16 step] over the [x] + 1 steps of
+    x = (j - 2s)/16, so it carries entry j - 16 exactly when [x] >= 1, that
+    is when j - 16 >= 2s."""
+    sums: list[int] = []
+    for j, term in enumerate(terms):
+        sums.append(term + sums[j - 16] if j - 16 >= 2 * s else term)
+    return sums
 
 
 def _run_powersum(cfg: SweepConfig) -> tuple[int, list[Failure]]:
@@ -534,42 +548,54 @@ def _run_powersum(cfg: SweepConfig) -> tuple[int, list[Failure]]:
     f_k(n+1) - f_k(n) = (n+1+c)^k on integer points.
 
     The grid is walked in integers: x + c = j/16 and [x] = trunc((j - 2s)/16),
-    where -1/2 <= x < 0 truncates to 0.  The step identity takes
-    x + c = (8n + s)/8.  ``Fraction`` values are formed for a failure only.
+    where -1/2 <= x < 0 truncates to 0.  The estimates depend on (j, k)
+    only, so ``_estimates`` is read once per (j, k) for all five shifts.
+    The sum at j is j^k plus, when [x] >= 1, the sum at j - 16: each shift
+    keeps running sums along the residue chains j mod 16 (``_chain_sums``).
+    A carry taken at the wrong point adds up along its chain, so the last
+    point of each chain (j = 305..320) compares the running sum with
+    ``_enclosure``'s term-by-term one, first, under its own relation.  The
+    step identity takes x + c = (8n + s)/8 for n = 0..21; each f_k there is
+    summed term by term once, and read as f_k(n + 1) and as the next f_k(n).
+    ``Fraction`` values are formed for a failure only.
     """
     failures: list[Failure] = []
     instances = 0
     for k in range(2, 9):
+        estimates = [_estimates(j, 16, k) for j in range(_GRID_TOP + 1)]
+        # f_k * L = (L / 16^k) sum_step (j - 16 step)^k, with L fixed by k.
+        unit = estimates[0][0] // 16**k
+        terms = [unit * j**k for j in range(_GRID_TOP + 1)]
         for s in range(5):
-            for j in range(0, 321):
+            for j, total in enumerate(_chain_sums(terms, s)):
                 instances += 1
-                steps = max(j - 2 * s, 0) // 16 + 1
-                scale, total, crude, refined, upper, cap = _enclosure(j, 16, k, steps)
-                held = (crude <= refined, refined <= total, total <= upper)
-                if all(held) and total <= cap:
+                scale, crude, refined, upper, cap = estimates[j]
+                # At a chain end j > 2s, so [x] + 1 = (j - 2s) // 16 + 1.
+                ends = j > _GRID_TOP - 16
+                slow = _enclosure(j, 16, k, (j - 2 * s) // 16 + 1)[1] if ends else total
+                if total != slow:
+                    relation = "walked power sum == term-by-term sum"
+                    lhs, rhs = Fraction(total, scale), Fraction(slow, scale)
+                elif not crude <= refined <= total <= upper:
+                    held = (crude <= refined, refined <= total, total <= upper)
+                    relation, lhs, rhs = _ENCLOSURE[held.index(False)], "", ""
+                elif not total <= cap:
+                    relation = "power sum <= refined upper"
+                    lhs, rhs = Fraction(total, scale), Fraction(cap, scale)
+                else:
                     continue
                 c = Fraction(s, 8)
                 inst = {"k": k, "c": str(c), "x": str(Fraction(j, 16) - c)}
-                if not all(held):
-                    failures.append(_fail(inst, _ENCLOSURE[held.index(False)], "", ""))
-                else:
-                    failures.append(
-                        _fail(
-                            inst,
-                            "power sum <= refined upper",
-                            Fraction(total, scale),
-                            Fraction(cap, scale),
-                        )
-                    )
+                failures.append(_fail(inst, relation, lhs, rhs))
     for k in range(2, 9):
         for s in range(5):
+            # f_k at n = 0..21 share d = 8, so they share the scale L.
+            kernel = [_enclosure(8 * n + s, 8, k, n + 1) for n in range(22)]
+            scale = kernel[0][0]
             for n in range(0, 21):
                 instances += 1
-                # f_k at n and at n + 1 share d = 8, so they share the scale L.
                 after = 8 * (n + 1) + s
-                scale, total, *_ = _enclosure(after - 8, 8, k, n + 1)
-                _, total_after, *_ = _enclosure(after, 8, k, n + 2)
-                step = total_after - total
+                step = kernel[n + 1][1] - kernel[n][1]
                 # (f_k(n+1) - f_k(n)) * L against (after / 8)^k * L.
                 if step * 8**k != scale * after**k:
                     c = Fraction(s, 8)

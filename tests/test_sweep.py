@@ -155,40 +155,46 @@ def test_report_json_shape():
 
 
 def test_powersum_suite_evaluates_each_point_once(monkeypatch):
-    # One kernel sum per grid point (7 x 5 x 321) and two per step identity
-    # (7 x 5 x 21), whichever module the call goes through.
-    calls = 0
-    original = powersum._enclosure
+    # The grid reads its estimates once per (j, k) (7 x 321), and sums term
+    # by term once per chain end (7 x 5 x 16) and once per step identity
+    # point n = 0..21 (7 x 5 x 22), whichever module the call goes through.
+    calls = Counter()
 
-    def counted(p, d, k, steps):
-        nonlocal calls
-        calls += 1
-        return original(p, d, k, steps)
+    def counted(name, original):
+        def count(*args):
+            calls[name] += 1
+            return original(*args)
 
-    monkeypatch.setattr(powersum, "_enclosure", counted)
-    monkeypatch.setattr(sweep, "_enclosure", counted)
+        return count
+
+    monkeypatch.setattr(sweep, "_estimates", counted("_estimates", powersum._estimates))
+    enclosure = counted("_enclosure", powersum._enclosure)
+    monkeypatch.setattr(powersum, "_enclosure", enclosure)
+    monkeypatch.setattr(sweep, "_enclosure", enclosure)
     report = run_verify(SweepConfig(suite="powersum", seed=1, trials=1))
     assert report.passed
-    assert calls == 12_705 == 7 * 5 * 321 + 2 * 7 * 5 * 21
+    assert calls["_estimates"] == 2_247 == 7 * 321
+    assert calls["_enclosure"] == 1_330 == 7 * 5 * (16 + 22)
 
 
 def test_powersum_suite_names_the_first_broken_enclosure_relation(monkeypatch):
     # The enclosure holds on the whole grid, so only patched estimates can
-    # show which relation a failure names.  The scale and the sum are left
-    # as they are, so the step identity stays intact.
+    # show which relation a failure names.  One set of estimates serves all
+    # five shifts, so each is moved past the sum at every shift: the sum
+    # lies between its first term (steps = 1) and its value at s = 0
+    # (steps = p // 16 + 1).  The sums are left as they are, so the chain
+    # ends and the step identity stay intact.
     def breaking(*flags):
-        def patched(p, d, k, steps):
-            scale, total, crude, refined, upper, cap = powersum._enclosure(
-                p, d, k, steps
-            )
+        def patched(p, d, k):
+            scale, crude, refined, upper, cap = powersum._estimates(p, d, k)
             # Each False flag moves its estimate just past the sum.
             if not flags[1]:
-                refined = total + 1
+                refined = powersum._enclosure(p, d, k, p // d + 1)[1] + 1
             if not flags[0]:
                 crude = refined + 1
             if not flags[2]:
-                upper = total - 1
-            return scale, total, crude, refined, upper, cap
+                upper = powersum._enclosure(p, d, k, 1)[1] - 1
+            return scale, crude, refined, upper, cap
 
         return patched
 
@@ -198,10 +204,92 @@ def test_powersum_suite_names_the_first_broken_enclosure_relation(monkeypatch):
         (True, True, False): "power sum <= upper",
     }
     for flags, relation in expected.items():
-        monkeypatch.setattr(sweep, "_enclosure", breaking(*flags))
+        monkeypatch.setattr(sweep, "_estimates", breaking(*flags))
         report = run_verify(SweepConfig(suite="powersum", seed=1, trials=1))
         assert len(report.failures) == 7 * 5 * 321
         assert {f.relation for f in report.failures} == {relation}
+
+
+def test_powersum_walk_matches_the_term_by_term_sum_at_every_grid_point(monkeypatch):
+    # Every running sum the suite walks, not only those at the chain ends,
+    # against the kernel's term-by-term sum at the same point.
+    walked = []
+    original = sweep._chain_sums
+
+    def recorded(terms, s):
+        sums = original(terms, s)
+        walked.append((s, sums))
+        return sums
+
+    monkeypatch.setattr(sweep, "_chain_sums", recorded)
+    assert run_verify(SweepConfig(suite="powersum", seed=1, trials=1)).passed
+    points = 0
+    shifts = [(k, s) for k in range(2, 9) for s in range(5)]
+    assert [s for s, _ in walked] == [s for _, s in shifts]
+    for (k, s), (_, sums) in zip(shifts, walked):
+        assert len(sums) == 321
+        for j, total in enumerate(sums):
+            points += 1
+            steps = max(j - 2 * s, 0) // 16 + 1
+            assert total == powersum._enclosure(j, 16, k, steps)[1]
+    assert points == 11_235 == 7 * 5 * 321
+
+
+def _walk_carrying_when(carries):
+    # sweep._chain_sums with its carry test replaced.
+    def chain_sums(terms, s):
+        sums = []
+        for j, term in enumerate(terms):
+            sums.append(term + sums[j - 16] if carries(j, s) else term)
+        return sums
+
+    return chain_sums
+
+
+def _grid_points(points):
+    return {
+        (k, str(Fraction(s, 8)), str(Fraction(j, 16) - Fraction(s, 8)))
+        for k, s, j in points
+    }
+
+
+@pytest.mark.parametrize(
+    "carries, chain_end_failures",
+    [
+        # A strict cutoff drops the term 2s at j = 16 + 2s, which is 0 for
+        # s = 0; the chain of residue 2s ends at j = 304 + 2s.
+        (
+            lambda j, s: j - 16 > 2 * s,
+            [(k, s, 304 + 2 * s) for k in range(2, 9) for s in range(1, 5)],
+        ),
+        # A cutoff that ignores s carries for 16 <= j < 16 + 2s, where
+        # [x] = 0; j = 16 carries 0^k, so the chains of residues 1..2s-1 go
+        # wrong.
+        (
+            lambda j, s: j >= 16,
+            [
+                (k, s, 304 + r)
+                for k in range(2, 9)
+                for s in range(5)
+                for r in range(1, 2 * s)
+            ],
+        ),
+    ],
+    ids=["strict cutoff", "cutoff ignoring s"],
+)
+def test_powersum_chain_ends_catch_a_carry_at_the_wrong_point(
+    monkeypatch, carries, chain_end_failures
+):
+    # Both mutants keep every sum inside the enclosure, so only the chain
+    # ends, where the walked sum meets the term-by-term one, can see them.
+    monkeypatch.setattr(sweep, "_chain_sums", _walk_carrying_when(carries))
+    report = run_verify(SweepConfig(suite="powersum", seed=1, trials=1))
+    assert {f.relation for f in report.failures} == {
+        "walked power sum == term-by-term sum"
+    }
+    found = [(f.instance["k"], f.instance["c"], f.instance["x"]) for f in report.failures]
+    assert len(found) == len(chain_end_failures)
+    assert set(found) == _grid_points(chain_end_failures)
 
 
 def per_value_frobenius_check(instance):
@@ -460,9 +548,16 @@ def _enclosure_patch(change):
     return patch
 
 
-def _cap_below_the_sum(values, d, steps):
-    scale, total, crude, refined, upper, _ = values
-    return scale, total, crude, refined, upper, total - 1
+def _cap_below_the_sum(monkeypatch):
+    # The grid reads one set of estimates for all five shifts; the sum's
+    # first term, times L, is at most the sum at each of them.
+    original = sweep._estimates
+
+    def patched(p, d, k):
+        scale, crude, refined, upper, _ = original(p, d, k)
+        return scale, crude, refined, upper, powersum._enclosure(p, d, k, 1)[1] - 1
+
+    monkeypatch.setattr(sweep, "_estimates", patched)
 
 
 def _step_off_by_one(values, d, steps):
@@ -501,8 +596,7 @@ _BROKEN_RELATIONS = [
      _shift_route("_residue_table", lambda t, *_: [0] * len(t))),
     ("bound_frobenius(a).g == max(N) - a_1", "frobenius", (2, 4),
      _shift_route("bound_frobenius", lambda r, *_: replace(r, g=r.g + 1))),
-    ("power sum <= refined upper", "powersum", (2, 4),
-     _enclosure_patch(_cap_below_the_sum)),
+    ("power sum <= refined upper", "powersum", (2, 4), _cap_below_the_sum),
     ("f(n+1) - f(n) == (n+1+c)^k", "powersum", (2, 4),
      _enclosure_patch(_step_off_by_one)),
 ]
