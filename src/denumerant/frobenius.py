@@ -5,24 +5,25 @@ checked coprime:
 
 * a single coefficient: it is 1, as the tuple is coprime, so g = -1;
 * a pair: Sylvester's g = a_1 a_2 - a_1 - a_2;
-* a triple: Johnson's reduction to a pairwise coprime triple, then
-  Rodseth's formula (Ramirez Alfonsin, "The Diophantine Frobenius
-  Problem", OUP 2005, section 2.2), in O(log a_1) steps of big-int
-  arithmetic at any size;
+* a triple: g = max Ap - a_1, for Ap the Apery set of the semigroup with
+  respect to a_1 (Ramirez Alfonsin, "The Diophantine Frobenius Problem",
+  OUP 2005, section 2.2).  `_apery` writes Ap as a few boxes, by
+  Johnson's gluing down to a pairwise coprime triple and Rodseth's L-shape
+  there, in O(log a_1) steps of big-int arithmetic at any size, and max Ap
+  is the largest box top;
 * k >= 4: the residue table of a_1 = min(a) cells, N[r] the least
   representable number congruent to r mod a_1, and g = max(N) - a_1.  It is
-  seeded with the Apery set of the three smallest coefficients, Rodseth's
-  L-shape after Johnson's gluing, and each further coefficient takes one
-  lap of the round robin (Boecker & Liptak, "A fast and simple algorithm
-  for the money changing problem", Algorithmica 2007): k - 3 laps,
-  O((k - 2) a_1) steps.
+  seeded with the boxes of the three smallest coefficients, and each
+  further coefficient takes one lap of the round robin (Boecker & Liptak,
+  "A fast and simple algorithm for the money changing problem",
+  Algorithmica 2007): k - 3 laps, O((k - 2) a_1) steps.
 
 For a coprime tuple, every n > s-_k has at least one representation, so
 g <= s-_k.  The verify sweep builds the plain round-robin table, whose
 first lap is the multiples of a_2 and which laps every further coefficient,
 certifies it by three local relations that hold of the shortest-path table
-alone, and compares g with it for every k: a closed form for k <= 3, the
-seeded table for k >= 4.
+alone, and compares g with it for every k: a closed form for k <= 2, the
+boxes for k = 3 and the table they seed for k >= 4.
 
 No lower bound on g comes from the sandwich.  Its upper bound
 (n + s+_k)^(k-1) / ((k-1)! prod a) is at least D(0) = 1 at n = 0, the
@@ -68,21 +69,33 @@ def _cells(base: int) -> list[int | float]:
     return [math.inf] * base
 
 
+# A box (start, ((step, count), ...)) holds the values start + sum x_i step_i
+# for 0 <= x_i < count_i; every count is at least 1.
+_Box = tuple[int, tuple[tuple[int, int], ...]]
+
+
 def _fill(
-    table: list[int | float], rows: Sequence[tuple[int, int, int]], coeffs: Sequence[int]
+    table: list[int | float], boxes: Sequence[_Box], coeffs: Sequence[int]
 ) -> list[int | float]:
-    """``table`` with each value of each row (start, step, count), the
-    progression start + i step for i < count, written at its residue, and
+    """``table`` with each value of each box written at its residue, and
     then each of ``coeffs`` added by walking the d = gcd(a_1, a_i) residue
-    classes round robin."""
+    classes round robin.  A box is written as rows along its longest side,
+    one row start + i step for i < count per value of its other sides: at
+    most sqrt(m n) rows for an m by n box."""
     base = len(table)
-    # Each row is made by addition, as the round robin makes its entries.
-    # Past 2^30 CPython keeps a sum in a block one digit longer than `range`
-    # keeps the same value, and entries of one size let each lap reuse the
-    # memory it frees: 139 MB, not 180, at a_1 = 2,000,003 with k = 4.
-    for start, step, count in rows:
-        for n in accumulate(repeat(step, count - 1), initial=start):
-            table[n % base] = n
+    for start, sides in boxes:
+        (step, count), *others = sorted(sides, key=lambda side: side[1], reverse=True)
+        starts = [start]
+        for gap, rows in others:
+            starts = [s + i * gap for s in starts for i in range(rows)]
+        # Each row is made by addition, as the round robin makes its entries.
+        # Past 2^30 CPython keeps a sum in a block one digit longer than
+        # `range` keeps the same value, and entries of one size let each lap
+        # reuse the memory it frees: 139 MB, not 180, at a_1 = 2,000,003 with
+        # k = 4.
+        for row in starts:
+            for n in accumulate(repeat(step, count - 1), initial=row):
+                table[n % base] = n
     for coeff in coeffs:
         d = math.gcd(base, coeff)
         for start in range(d):
@@ -104,69 +117,71 @@ def _residue_table(a: Sequence[int]) -> list[int | float]:
     """N[r], the smallest representable number congruent to r mod a_1 = min(a).
 
     Requires a coprime tuple, so every entry ends finite.  a_2 fills the
-    classes j a_2 mod a_1 with j a_2 for j < a_1 / gcd(a_1, a_2); each further
-    a_i is added by a round-robin lap.  The plain route, which the verify
-    sweep certifies and compares the seeded table with."""
+    classes j a_2 mod a_1 with j a_2 for j < a_1 / gcd(a_1, a_2), a box of one
+    side; each further a_i is added by a round-robin lap.  The plain route,
+    which the verify sweep certifies and compares every g with."""
     coeffs = sorted(_require_coprime(as_coeffs(a), _NO_FROBENIUS))
     base = coeffs[0]
     table = _cells(base)
     # With one coefficient, a = (1,), the first lap is N[0] = 0 alone.
     second = coeffs[1] if len(coeffs) > 1 else base
-    return _fill(table, [(0, second, base // math.gcd(base, second))], coeffs[2:])
+    return _fill(table, [(0, ((second, base // math.gcd(base, second)),))], coeffs[2:])
 
 
 def _seeded_table(a: Sequence[int]) -> list[int | float]:
-    """The residue table of a coprime tuple with k >= 3, seeded with
-    Ap(<a_1, a_2, a_3>; a_1) of its three smallest coefficients, so that only
-    a_4, ..., a_k take a round-robin lap."""
+    """The residue table of a coprime tuple with k >= 3, seeded with the
+    boxes of Ap(<a_1, a_2, a_3>; a_1) of its three smallest coefficients, so
+    that only a_4, ..., a_k take a round-robin lap."""
     a1, a2, a3, *rest = sorted(a)
-    table = _cells(a1)  # the cap is checked before any row is built
+    table = _cells(a1)  # the cap is checked before any box is built
     return _fill(table, _apery(a1, a2, a3), rest)
 
 
-def _rectangle(
-    start: int, one: tuple[int, int], two: tuple[int, int]
-) -> list[tuple[int, int, int]]:
-    """The values start + x u + y v for x < m and y < n, with one = (u, m) and
-    two = (v, n), as rows along the longer side: at most sqrt(m n) rows."""
-    if one[1] < two[1]:
-        one, two = two, one
-    (step, count), (gap, rows) = one, two
-    return [(start + i * gap, step, count) for i in range(rows)]
+def _top(box: _Box) -> int:
+    """The largest value of a box, start + sum step (count - 1)."""
+    top, sides = box
+    for step, count in sides:
+        top += step * (count - 1)
+    return top
 
 
-def _apery(a: int, b: int, c: int) -> list[tuple[int, int, int]]:
+def _scaled(boxes: list[_Box], d: int, *side: tuple[int, int]) -> list[_Box]:
+    """Each box with its start and steps times d, and ``side`` added."""
+    return [
+        (d * start, (*[(d * step, n) for step, n in sides], *side)) for start, sides in boxes
+    ]
+
+
+def _apery(a: int, b: int, c: int) -> list[_Box]:
     """Ap(<a, b, c>; a), the least element of the semigroup <a, b, c> in each
-    residue class mod a that it meets, as rows (start, step, count) of
-    arithmetic progressions.
+    residue class mod a that it meets, as boxes (see `_Box`).
 
-    A common factor e of all three scales the set of (a/e, b/e, c/e).
-    Johnson's gluing peels a factor d shared by two coefficients: for
-    d = gcd(a, b), each w of Ap(<a/d, b/d, c>; a/d) gives d w + t c for
-    t < d, and the same with b and c swapped; for d = gcd(b, c) the set is
-    d Ap(<a, b/d, c/d>; a).  A 1 leaves {0} or range(a).  A pairwise coprime
+    A 1 leaves {0} or range(a), one box of one side.  A common factor e of
+    all three scales the boxes of (a/e, b/e, c/e).  Johnson's gluing peels a
+    factor d shared by two coefficients: for d = gcd(a, b), each w of
+    Ap(<a/d, b/d, c>; a/d) gives d w + t c for t < d, so each box is scaled
+    by d and takes the side (c, d), and the same with b and c swapped; for
+    d = gcd(b, c) the set is d Ap(<a, b/d, c/d>; a).  A pairwise coprime
     triple gives Rodseth's L-shape {x b + y c : x < s_v, y < p_{v+1}} less
-    the corner x >= s_v - s_{v+1}, y >= p_{v+1} - p_v, whose two arms are
-    written as two rectangles."""
+    the corner x >= s_v - s_{v+1}, y >= p_{v+1} - p_v, as two boxes of two
+    sides: the rows y < p_{v+1} - p_v of s_v values, and the p_v rows above
+    them of s_v - s_{v+1} values, which are none when p_v = 0."""
     if 1 in (a, b, c):
-        return [(0, 1, a)]
+        return [(0, ((1, a),))]
     if (e := math.gcd(a, b, c)) > 1:
-        return [(e * s, e * step, n) for s, step, n in _apery(a // e, b // e, c // e)]
-    for glued, other in ((b, c), (c, b)):
-        if (d := math.gcd(a, glued)) > 1:
-            return [
-                row
-                for s, step, n in _apery(a // d, glued // d, other)
-                for row in _rectangle(d * s, (d * step, n), (other, d))
-            ]
+        return _scaled(_apery(a // e, b // e, c // e), e)
+    if (d := math.gcd(a, b)) > 1:
+        return _scaled(_apery(a // d, b // d, c), d, (c, d))
+    if (d := math.gcd(a, c)) > 1:
+        return _scaled(_apery(a // d, c // d, b), d, (b, d))
     if (d := math.gcd(b, c)) > 1:
-        return [(d * s, d * step, n) for s, step, n in _apery(a, b // d, c // d)]
+        return _scaled(_apery(a, b // d, c // d), d)
     s_v, p_v, s_w, p_w = _rodseth(a, b, c)
-    # Rows y < full have s_v values, the rest of the p_{v+1} rows s_v - s_{v+1}.
     full = p_w - p_v
-    return _rectangle(0, (b, s_v), (c, full)) + _rectangle(
-        full * c, (b, s_v - s_w), (c, p_w - full)
-    )
+    boxes = [(0, ((b, s_v), (c, full)))]
+    if p_v:
+        boxes.append((full * c, ((b, s_v - s_w), (c, p_v))))
+    return boxes
 
 
 def _rodseth(a1: int, a2: int, a3: int) -> tuple[int, int, int, int]:
@@ -177,7 +192,9 @@ def _rodseth(a1: int, a2: int, a3: int) -> tuple[int, int, int, int]:
     negative-remainder continued fraction s_{i-1} = q_{i+1} s_i - s_{i+1} of
     a_1 / s_0, with s_{-1} = a_1, p_{-1} = 0, p_0 = 1 and
     p_{i+1} = q_{i+1} p_i - p_{i-1}.  v is the first v >= -1 with
-    s_{v+1} / p_{v+1} <= a_3 / a_2."""
+    s_{v+1} / p_{v+1} <= a_3 / a_2.  These give `_apery`'s L-shape, whose
+    larger arm top a_2 (s_v - 1) + a_3 (p_{v+1} - 1) - min(a_2 s_{v+1},
+    a_3 p_v) is Rodseth's g + a_1."""
     # (s_prev, p_prev) is (s_v, p_v) and (s, p) is (s_{v+1}, p_{v+1}).  The
     # test stays strict: when a_1 is not the smallest, a_2 s = a_3 p can hold
     # with s > 0, and there the run jump would take t = 0 and never end.
@@ -198,36 +215,13 @@ def _rodseth(a1: int, a2: int, a3: int) -> tuple[int, int, int, int]:
     return s_prev, p_prev, s, p
 
 
-def _triple(a: Sequence[int]) -> int:
-    """g of a coprime triple.  Johnson's g(a, b, c) = d g(a/d, b/d, c) +
-    (d - 1) c for d = gcd(a, b) makes each pair coprime in turn, and dividing
-    never gives a pair a common factor again, so one pass leaves the triple
-    pairwise coprime; gcd(c, d) = 1 there, as the triple is coprime.  Then
-    g = -a_1 + a_2 (s_v - 1) + a_3 (p_{v+1} - 1) - min(a_2 s_{v+1}, a_3 p_v),
-    the largest element of Rodseth's L-shape (see `_apery`) less a_1."""
-    a = list(a)
-    scale, shift = 1, 0
-    for i, j, other in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
-        d = math.gcd(a[i], a[j])
-        shift += scale * (d - 1) * a[other]
-        scale *= d
-        a[i] //= d
-        a[j] //= d
-    if 1 in a:
-        g = -1
-    else:
-        a1, a2, a3 = sorted(a)
-        s_v, p_v, s_w, p_w = _rodseth(a1, a2, a3)
-        g = -a1 + a2 * (s_v - 1) + a3 * (p_w - 1) - min(a2 * s_w, a3 * p_v)
-    return scale * g + shift
-
-
 def frobenius_exact(a: Sequence[int]) -> int:
     """The largest integer with no representation; -1 when 1 is a coefficient.
 
-    Requires a coprime tuple.  A pair is a_1 a_2 - a_1 - a_2, a triple
-    Rodseth's formula, and any other tuple max(N) - a_1 on the residue
-    table N seeded with the Apery set of its three smallest coefficients."""
+    Requires a coprime tuple.  A pair is a_1 a_2 - a_1 - a_2, a triple the
+    largest top of its Apery boxes less a_1, and any other tuple
+    max(N) - a_1 on the residue table N seeded with the boxes of its three
+    smallest coefficients."""
     coeffs = _require_coprime(as_coeffs(a), _NO_FROBENIUS)
     if len(coeffs) == 1:  # the one coprime single coefficient is 1
         return -1
@@ -235,7 +229,8 @@ def frobenius_exact(a: Sequence[int]) -> int:
         a1, a2 = coeffs
         return a1 * a2 - a1 - a2
     if len(coeffs) == 3:
-        return _triple(coeffs)
+        a1, a2, a3 = sorted(coeffs)
+        return max(map(_top, _apery(a1, a2, a3))) - a1
     table = _seeded_table(coeffs)
     return max(table) - len(table)
 

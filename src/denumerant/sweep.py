@@ -339,9 +339,10 @@ def _check_frobenius(instance: dict) -> Failure | None:
     # cells are D(a, 0..top), and g <= brauer_upper puts g in it.  Only
     # D(max(g, 0)..top) becomes ints.  For a finite g the row is read first,
     # so an instance whose row is over its budget is skipped before its
-    # table is built and certified.  Pairs and triples reach g by closed
-    # forms and k >= 4 by the table seeded with an Apery set, so the plain
-    # round-robin table is the independent route for every k.
+    # table is built and certified.  Pairs reach g by Sylvester's formula,
+    # triples by the largest top of their Apery boxes and k >= 4 by the
+    # table those boxes seed, so the plain round-robin table is the
+    # independent route for every k.
     # A table entry left at infinity makes g infinite, with no window to
     # read: the certificate names an edge that shortens that entry, and a
     # table it certifies has a finite maximum, which g then misses.

@@ -26,6 +26,7 @@ from denumerant.frobenius import (
     _apery,
     _residue_table,
     _seeded_table,
+    _top,
 )
 from denumerant.sweep import _certify_residue_table
 
@@ -116,13 +117,23 @@ _APERY_BRANCHES = {
     "a_1 reduced to 1": (6, 10, 15, 17),
     "a_2 reduced to 1": (4, 6, 9, 11),
     "a common factor of the three smallest": (12, 18, 8, 27),
+    "glued twice: a box of four sides": (30, 34, 39, 41),
 }
+
+
+def _expanded(boxes):
+    """Every value of every box, start + sum x_i step_i over all x_i < count_i."""
+    return [
+        start + sum(x * step for x, (step, _) in zip(xs, sides))
+        for start, sides in boxes
+        for xs in itertools.product(*(range(count) for _, count in sides))
+    ]
 
 
 @pytest.mark.parametrize("coeffs", list(_APERY_BRANCHES.values()), ids=list(_APERY_BRANCHES))
 def test_each_apery_branch_matches_the_round_robin(coeffs):
     a1, a2, a3 = sorted(coeffs)[:3]
-    values = sorted(s + i * step for s, step, count in _apery(a1, a2, a3) for i in range(count))
+    values = sorted(_expanded(_apery(a1, a2, a3)))
     # The least x a_2 + y a_3 in each class mod a_1 that such sums meet;
     # x, y < a_1 suffice, as a_1 a_2 and a_1 a_3 are 0 mod a_1.
     least = {}
@@ -239,6 +250,39 @@ def test_every_pair_and_triple_up_to_40_matches_the_table():
                 checked += 1
     assert checked == 490 + 9389
     assert frobenius_exact((6, 9, 20)) == 43  # Johnson's reduction twice
+
+
+def test_the_boxes_of_every_triple_up_to_40_are_its_residue_table():
+    # With a_1 = min(a) the boxes hold the Apery set, one value per residue,
+    # so they expand to the plain table's values and their largest top less
+    # a_1 is the table's g.  The reduction glues at most twice, so a box has
+    # at most the L-shape's two sides and two glued ones.
+    checked = most_sides = 0
+    for coeffs in itertools.combinations_with_replacement(range(1, 41), 3):
+        if math.gcd(*coeffs) == 1:
+            boxes = _apery(*coeffs)
+            table = _residue_table(coeffs)
+            assert all(count >= 1 for _, sides in boxes for _, count in sides), coeffs
+            assert sorted(_expanded(boxes)) == sorted(table), coeffs
+            assert max(map(_top, boxes)) - coeffs[0] == max(table) - len(table), coeffs
+            most_sides = max(most_sides, *(len(sides) for _, sides in boxes))
+            checked += 1
+    assert checked == 9389
+    assert most_sides == 4
+
+
+def test_drawn_triples_up_to_1e40_match_the_step_by_step_loop():
+    # Past the table's reach: pairwise coprime triples up to 10^40,
+    # g from the boxes in either order against Rodseth's formula one
+    # quotient at a time.
+    rng = random.Random(2005)
+    drawn = 0
+    while drawn < 500:
+        coeffs = sorted(rng.randint(2, 10 ** rng.randint(1, 40)) for _ in range(3))
+        if all(math.gcd(x, y) == 1 for x, y in itertools.combinations(coeffs, 2)):
+            g = _rodseth_step_by_step(*coeffs)
+            assert frobenius_exact(coeffs) == frobenius_exact(coeffs[::-1]) == g, coeffs
+            drawn += 1
 
 
 def test_drawn_triples_match_the_table():

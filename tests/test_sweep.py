@@ -408,12 +408,13 @@ def test_the_frobenius_suite_checks_triples_whose_s_k_is_over_the_table_budget()
 
 
 def test_the_frobenius_suite_compares_the_triple_route_with_the_table(monkeypatch):
-    # Triples answer by Rodseth's formula, the table stays the certified
-    # slow route, and the suite compares the two on every drawn triple.
+    # Triples answer by the largest top of their Apery boxes, the table
+    # stays the certified slow route, and the suite compares the two on
+    # every drawn triple.
     cfg = SweepConfig(suite="frobenius", trials=20, k_range=(3, 3))
     assert run_verify(cfg).passed
-    route = frobenius._triple
-    monkeypatch.setattr(frobenius, "_triple", lambda a: route(a) + 1)
+    top = frobenius._top
+    monkeypatch.setattr(frobenius, "_top", lambda box: top(box) + 1)
     report = run_verify(cfg)
     assert len(report.failures) == 20
     assert {f.relation for f in report.failures} == {
@@ -424,18 +425,25 @@ def test_the_frobenius_suite_compares_the_triple_route_with_the_table(monkeypatc
 def test_the_frobenius_suite_compares_the_seeded_table_with_the_round_robin(
     monkeypatch,
 ):
-    # k >= 4 reads g off the table seeded with the Apery set of the three
-    # smallest coefficients, and the sweep certifies the plain round robin,
-    # so g == max(N) - a_1 compares two routes there.  A seed whose last
-    # row is lost, as when the L-shape's corner arm is one row short, fails
-    # it at the acceptance config.
+    # A triple reads g off its Apery boxes and k >= 4 off the table they
+    # seed, and the sweep certifies the plain round robin, so
+    # g == max(N) - a_1 compares two routes at both.  Boxes whose last box
+    # has its longest side one count short, at every level of `_apery`'s
+    # recursion, fail it for both at the acceptance config.
     apery = frobenius._apery
-    monkeypatch.setattr(frobenius, "_apery", lambda a, b, c: apery(a, b, c)[:-1])
+
+    def last_side_short(a, b, c):
+        *boxes, (start, sides) = apery(a, b, c)
+        i = max(range(len(sides)), key=lambda j: sides[j][1])
+        step, count = sides[i]
+        return [*boxes, (start, (*sides[:i], (step, count - 1), *sides[i + 1 :]))]
+
+    monkeypatch.setattr(frobenius, "_apery", last_side_short)
     cfg = SweepConfig(suite="frobenius", seed=4, trials=200, k_range=(2, 4), max_coeff=25)
     report = run_verify(cfg)
     assert len(report.failures) > 10
     assert {f.relation for f in report.failures} == {"bound_frobenius(a).g == max(N) - a_1"}
-    assert {len(f.instance["coeffs"]) for f in report.failures} == {4}
+    assert {len(f.instance["coeffs"]) for f in report.failures} == {3, 4}
 
 
 def test_a_table_entry_left_at_infinity_is_named_not_raised(monkeypatch):
