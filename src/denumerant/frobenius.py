@@ -11,19 +11,25 @@ checked coprime:
   Johnson's gluing down to a pairwise coprime triple and Rodseth's L-shape
   there, in O(log a_1) steps of big-int arithmetic at any size, and max Ap
   is the largest box top;
-* k >= 4: the residue table of a_1 = min(a) cells, N[r] the least
-  representable number congruent to r mod a_1, and g = max(N) - a_1.  It is
-  seeded with the boxes of the three smallest coefficients, and each
-  further coefficient takes one lap of the round robin (Boecker & Liptak,
-  "A fast and simple algorithm for the money changing problem",
-  Algorithmica 2007): k - 3 laps, O((k - 2) a_1) steps.
+* k >= 4: while some k - 1 coefficients share a factor d > 1, Johnson's
+  reduction g(a) = d g(a' / d, a_j) + (d - 1) a_j (Johnson 1960; Brauer &
+  Shockley 1962) divides them by d.  Then the residue table of
+  a_1 = min(a) cells, N[r] the least representable number congruent to r
+  mod a_1, and g = max(N) - a_1.  It is seeded with the boxes of the three
+  smallest coefficients, and each further coefficient takes one lap of the
+  round robin (Boecker & Liptak, "A fast and simple algorithm for the money
+  changing problem", Algorithmica 2007).  The table is laid out in the last
+  coefficient's lap order, so that the last lap reads each of its classes
+  as one slice and keeps only the running maximum: k - 4 laps that write
+  and one that reads, O((k - 2) a_1) steps on the reduced a_1.
 
 For a coprime tuple, every n > s-_k has at least one representation, so
 g <= s-_k.  The verify sweep builds the plain round-robin table, whose
 first lap is the multiples of a_2 and which laps every further coefficient,
 certifies it by three local relations that hold of the shortest-path table
 alone, and compares g with it for every k: a closed form for k <= 2, the
-boxes for k = 3 and the table they seed for k >= 4.
+boxes for k = 3 and, for k >= 4, the reduction and the laid-out table the
+boxes seed.
 
 No lower bound on g comes from the sandwich.  Its upper bound
 (n + s+_k)^(k-1) / ((k-1)! prod a) is at least D(0) = 1 at n = 0, the
@@ -36,7 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate, repeat
+from itertools import accumulate, chain, islice, repeat
 from typing import Sequence
 
 from .bounds import bound_sequences
@@ -75,42 +81,89 @@ _Box = tuple[int, tuple[tuple[int, int], ...]]
 
 
 def _fill(
-    table: list[int | float], boxes: Sequence[_Box], coeffs: Sequence[int]
+    table: list[int | float], boxes: Sequence[_Box], coeffs: Sequence[int], x: int
 ) -> list[int | float]:
-    """``table`` with each value of each box written at its residue, and
-    then each of ``coeffs`` added by walking the d = gcd(a_1, a_i) residue
-    classes round robin.  A box is written as rows along its longest side,
-    one row start + i step for i < count per value of its other sides: at
-    most sqrt(m n) rows for an m by n box."""
+    """``table`` with each value n of each box written at position n x mod
+    a_1, and then each of ``coeffs`` added by walking the d = gcd(a_1, a_i)
+    residue classes round robin.  x is a unit mod a_1 = len(table), so
+    residue r sits at r x mod a_1: x = 1 is the plain layout, and a_i
+    steps the position by a_i x mod a_1.  A box is written as rows along its
+    longest side, one row start + i step for i < count per value of its
+    other sides: at most sqrt(m n) rows for an m by n box."""
     base = len(table)
     for start, sides in boxes:
         (step, count), *others = sorted(sides, key=lambda side: side[1], reverse=True)
         starts = [start]
         for gap, rows in others:
             starts = [s + i * gap for s in starts for i in range(rows)]
-        # Each row is made by addition, as the round robin makes its entries.
-        # Past 2^30 CPython keeps a sum in a block one digit longer than
-        # `range` keeps the same value, and entries of one size let each lap
-        # reuse the memory it frees: 139 MB, not 180, at a_1 = 2,000,003 with
-        # k = 4.
+        # Each row is made by addition, as the laps make their entries.  Past
+        # 2^30 CPython keeps a sum in a block one digit longer than `range`
+        # keeps the same value, and entries of one size let a lap that
+        # writes reuse the memory it frees: 139 MB, not 178, at
+        # a_1 = 2,000,003 with k = 5.  The last lap writes nothing, so with
+        # k = 4 the rows alone make the peak, 123 MB there.
         for row in starts:
             for n in accumulate(repeat(step, count - 1), initial=row):
-                table[n % base] = n
+                table[n * x % base] = n
     for coeff in coeffs:
         d = math.gcd(base, coeff)
+        # The position of n + a_i is that of n plus a_i x, wrapped below a_1.
+        step = coeff * x % base
+        cut, back = base - step, step - base
         for start in range(d):
             # Adding a_i cannot lower the class minimum, so a lap started
             # there settles every entry of the class.
             n = min(table[start::d])
             if n == math.inf:
                 continue
+            p = n * x % base
             for _ in range(base // d):
                 n += coeff
-                r = n % base
-                if table[r] < n:
-                    n = table[r]
-                table[r] = n
+                p = p + back if p >= cut else p + step
+                if table[p] < n:
+                    n = table[p]
+                else:
+                    table[p] = n
     return table
+
+
+def _lap_order(base: int, coeff: int) -> int:
+    """x, a unit mod ``base`` with coeff x = d mod base for d = gcd(base,
+    coeff): (coeff / d)^-1 mod base / d, raised by base / d until it is
+    coprime to base.  Laid out by x, the lap of ``coeff`` visits each of its
+    residue classes as one slice table[j::d], in order."""
+    d = math.gcd(base, coeff)
+    x = pow(coeff // d, -1, base // d)
+    while math.gcd(x, base) > 1:
+        x += base // d
+    return x
+
+
+def _last_lap_top(table: list[int | float], coeff: int) -> int | float:
+    """max(N) once ``coeff`` takes its round-robin lap on ``table``, laid
+    out by `_lap_order` for it, writing nothing.  Each class table[j::d] is
+    read once from its minimum, and a running entry n becomes
+    min(n + coeff, c) at each cell c.  n only grows between the cells that
+    undercut it, so the largest n is one met just before such a cell or at
+    the end.  A class whose minimum is infinite makes the maximum infinite."""
+    base = len(table)
+    d = math.gcd(base, coeff)
+    peak = -math.inf  # the largest n + coeff that a cell undercut
+    for start in range(d):
+        # A class of d > 1 is sliced out: islice would walk the whole table.
+        cells = table[start::d] if d > 1 else table
+        n = min(cells)
+        if n == math.inf:
+            return n
+        i = cells.index(n)
+        for c in chain(islice(cells, i + 1, None), islice(cells, i)):
+            n += coeff
+            if c < n:
+                if n > peak:
+                    peak = n
+                n = c
+        peak = max(peak, n + coeff)
+    return peak - coeff
 
 
 def _residue_table(a: Sequence[int]) -> list[int | float]:
@@ -125,16 +178,29 @@ def _residue_table(a: Sequence[int]) -> list[int | float]:
     table = _cells(base)
     # With one coefficient, a = (1,), the first lap is N[0] = 0 alone.
     second = coeffs[1] if len(coeffs) > 1 else base
-    return _fill(table, [(0, ((second, base // math.gcd(base, second)),))], coeffs[2:])
+    boxes = [(0, ((second, base // math.gcd(base, second)),))]
+    return _fill(table, boxes, coeffs[2:], 1)
 
 
-def _seeded_table(a: Sequence[int]) -> list[int | float]:
-    """The residue table of a coprime tuple with k >= 3, seeded with the
-    boxes of Ap(<a_1, a_2, a_3>; a_1) of its three smallest coefficients, so
-    that only a_4, ..., a_k take a round-robin lap."""
-    a1, a2, a3, *rest = sorted(a)
-    table = _cells(a1)  # the cap is checked before any box is built
-    return _fill(table, _apery(a1, a2, a3), rest)
+def _johnson(coeffs: list[int]) -> tuple[int, int, list[int]]:
+    """(s, t, b) with g(a) = s g(b) + t, for a sorted coprime tuple a and b
+    sorted, of the same length, with no k - 1 coefficients sharing a factor.
+
+    While some k - 1 coefficients a' share a factor d > 1, g(a) =
+    d g(a' / d, a_j) + (d - 1) a_j for a_j the one left out (Johnson 1960;
+    Brauer & Shockley 1962), and a' / d with a_j is again coprime."""
+    scale, shift = 1, 0
+    j = 0
+    while j < len(coeffs):
+        rest = coeffs[:j] + coeffs[j + 1 :]
+        d = math.gcd(*rest)
+        if d > 1:
+            shift += scale * (d - 1) * coeffs[j]
+            scale *= d
+            coeffs, j = sorted([c // d for c in rest] + [coeffs[j]]), 0
+        else:
+            j += 1
+    return scale, shift, coeffs
 
 
 def _top(box: _Box) -> int:
@@ -219,9 +285,11 @@ def frobenius_exact(a: Sequence[int]) -> int:
     """The largest integer with no representation; -1 when 1 is a coefficient.
 
     Requires a coprime tuple.  A pair is a_1 a_2 - a_1 - a_2, a triple the
-    largest top of its Apery boxes less a_1, and any other tuple
-    max(N) - a_1 on the residue table N seeded with the boxes of its three
-    smallest coefficients."""
+    largest top of its Apery boxes less a_1, and any other tuple is first
+    reduced by `_johnson`, then read as max(N) - a_1 on the residue table N
+    of the reduced tuple: seeded with the boxes of its three smallest
+    coefficients, laid out by `_lap_order` for its largest, whose lap
+    `_last_lap_top` reads."""
     coeffs = _require_coprime(as_coeffs(a), _NO_FROBENIUS)
     if len(coeffs) == 1:  # the one coprime single coefficient is 1
         return -1
@@ -231,8 +299,10 @@ def frobenius_exact(a: Sequence[int]) -> int:
     if len(coeffs) == 3:
         a1, a2, a3 = sorted(coeffs)
         return max(map(_top, _apery(a1, a2, a3))) - a1
-    table = _seeded_table(coeffs)
-    return max(table) - len(table)
+    scale, shift, (a1, a2, a3, *middle, last) = _johnson(sorted(coeffs))
+    x = _lap_order(a1, last)
+    table = _fill(_cells(a1), _apery(a1, a2, a3), middle, x)
+    return scale * (_last_lap_top(table, last) - a1) + shift
 
 
 def bound_frobenius(a: Sequence[int]) -> FrobeniusReport:

@@ -174,6 +174,34 @@ def test_frobenius_over_table_budget_exits_3_at_once(capsys):
 
 
 @pytest.mark.parametrize(
+    "coeffs, code",
+    [
+        # 10000019 (5, 7, 9) and 10000079 reduce to (5, 7, 9, 10000079): a
+        # table of 5 cells, so g is printed.
+        ("50000095,70000133,90000171,10000079", 0),
+        # Twice (10000019, 10000079, 10000103) and 10000121 reduce to those
+        # four primes, a table still over the cap, refused before it is
+        # allocated.
+        ("20000038,20000158,20000206,10000121", 3),
+    ],
+)
+def test_frobenius_over_table_budget_is_judged_after_johnsons_reduction(
+    capsys, coeffs, code
+):
+    started = time.perf_counter()
+    exit_code, out, err = run(capsys, "frobenius", "--coeffs", coeffs, "--format", "csv")
+    assert exit_code == code
+    if code == 0:
+        a = tuple(map(int, coeffs.split(",")))
+        g = 10000019 * frobenius_exact((5, 7, 9, 10000079)) + 10000018 * 10000079
+        assert g == frobenius_exact(a)
+        assert out.splitlines()[1].startswith(f'"{coeffs}",{g},')
+    else:
+        assert "cap" in err
+    assert time.perf_counter() - started < 1.0
+
+
+@pytest.mark.parametrize(
     "coeffs, g",
     [
         ("10000019,10000079", 100000960001403),

@@ -24,8 +24,11 @@ from denumerant.core import _require_coprime, as_coeffs
 from denumerant.frobenius import (
     FROBENIUS_MAX_CELLS,
     _apery,
+    _fill,
+    _johnson,
+    _lap_order,
+    _last_lap_top,
     _residue_table,
-    _seeded_table,
     _top,
 )
 from denumerant.sweep import _certify_residue_table
@@ -121,6 +124,22 @@ _APERY_BRANCHES = {
 }
 
 
+def _laid_out(coeffs):
+    """The seeded table of a coprime tuple with k >= 3, as the k >= 4 route
+    builds it with no reduction: the boxes of its three smallest
+    coefficients and a lap of each further one but the last, laid out by x
+    for the last.  Returns the table with the last lap written too, read
+    back through x into residue order, and the max(N) that `_last_lap_top`
+    reads off the table before it.  A triple takes a_1 as its last
+    coefficient, whose lap changes nothing."""
+    a1, a2, a3, *rest = sorted(coeffs)
+    *middle, last = rest or [a1]
+    x = _lap_order(a1, last)
+    before = _fill(frobenius._cells(a1), _apery(a1, a2, a3), middle, x)
+    after = _fill(list(before), [], [last], x)
+    return [after[r * x % a1] for r in range(a1)], _last_lap_top(before, last), x
+
+
 def _expanded(boxes):
     """Every value of every box, start + sum x_i step_i over all x_i < count_i."""
     return [
@@ -141,7 +160,9 @@ def test_each_apery_branch_matches_the_round_robin(coeffs):
         n = x * a2 + y * a3
         least[n % a1] = min(least.get(n % a1, n), n)
     assert values == sorted(least.values()), coeffs
-    assert _seeded_table(coeffs) == _residue_table(coeffs), coeffs
+    table, top, _ = _laid_out(coeffs)
+    plain = _residue_table(coeffs)
+    assert table == plain and top == max(plain), coeffs
     assert frobenius_exact(coeffs) == _frobenius_sieve(coeffs), coeffs
 
 
@@ -154,13 +175,79 @@ def test_the_seeded_table_matches_the_round_robin_and_the_sieve():
         if math.gcd(*coeffs) == 1:
             drawn.append(coeffs)
     cases = [c for c in _round_robin_cases() if len(c) >= 3] + drawn
-    shared = 0
+    shared = permuted = 0
     for coeffs in cases:
-        assert _seeded_table(coeffs) == _residue_table(coeffs), coeffs
+        # Entry by entry, through x, and the maximum the last lap reads.
+        table, top, x = _laid_out(coeffs)
+        plain = _residue_table(coeffs)
+        assert table == plain and top == max(plain), coeffs
         if len(coeffs) >= 4 and max(coeffs) <= 40:
             assert frobenius_exact(coeffs) == _frobenius_sieve(coeffs), coeffs
         shared += math.gcd(*sorted(coeffs)[:3]) > 1
+        permuted += x > 1
     assert shared > 30
+    assert permuted > 250
+
+
+def test_a_last_lap_class_left_at_infinity_makes_the_maximum_infinite():
+    # Every class of the last lap is read from its minimum; one whose
+    # minimum is infinite is not skipped, as a writing lap would skip it.
+    for coeffs in ((5, 7, 9, 11), (6, 7, 9, 10), (4, 6, 9, 10)):
+        a1, a2, a3, last = coeffs
+        x = _lap_order(a1, last)
+        table = _fill(frobenius._cells(a1), _apery(a1, a2, a3), [], x)
+        d = math.gcd(a1, last)
+        assert _last_lap_top(table, last) < math.inf
+        for j in range(d):
+            left = list(table)
+            left[j::d] = [math.inf] * (a1 // d)
+            assert _last_lap_top(left, last) == math.inf, (coeffs, j)
+
+
+def _planted(rng, k):
+    """A coprime tuple a = (b_m d_1 d_2) with d_1 left off b_j and d_2 off
+    b_i, for b a k-tuple of entries up to 12 of which no k - 1 share a
+    factor.  Dividing the k - 1 multiples of d_1 by it leaves k - 1
+    multiples of d_2, one factor inside the other, so the reduction
+    repeats; d_2 = 1 plants one factor."""
+    while True:
+        b = [rng.randint(1, 12) for _ in range(k)]
+        if any(math.gcd(*b[:j], *b[j + 1 :]) > 1 for j in range(k)):
+            continue
+        d1, d2 = rng.randint(2, 4), rng.choice((1, 2, 3))
+        i, j = rng.sample(range(k), 2)
+        a = [c * (d1 if m != j else 1) * (d2 if m != i else 1) for m, c in enumerate(b)]
+        if math.gcd(*a) == 1:
+            return a, d1, d2
+
+
+def test_johnsons_reduction_matches_the_sieve_and_the_plain_table(monkeypatch):
+    # Drawn k = 4..6 tuples with planted factors on k - 1 coefficients,
+    # once or nested; each builds one table, of min(reduced a) cells.
+    built = []
+    cells = frobenius._cells
+    monkeypatch.setattr(frobenius, "_cells", lambda base: built.append(base) or cells(base))
+    rng = random.Random(1962)
+    nested = sieved = 0
+    for _ in range(300):
+        k = rng.randint(4, 6)
+        a, d1, d2 = _planted(rng, k)
+        scale, shift, reduced = _johnson(sorted(a))
+        assert len(reduced) == k and reduced == sorted(reduced), a
+        assert not any(math.gcd(*reduced[:j], *reduced[j + 1 :]) > 1 for j in range(k)), a
+        assert scale % (d1 * d2) == 0, a
+        built.clear()
+        g = frobenius_exact(rng.sample(a, k))
+        assert built == [reduced[0]], a
+        assert g == _table_g(a) == scale * _table_g(reduced) + shift, a
+        if max(a) <= 60:
+            assert g == _frobenius_sieve(a), a
+            sieved += 1
+        nested += d2 > 1
+    assert nested > 80 and sieved > 200
+    # (8, 12, 18, 27) shares 3 on (12, 18, 27) and then 2 on (4, 6, 8).
+    assert _johnson([8, 12, 18, 27]) == (6, 43, [2, 3, 4, 9])
+    assert frobenius_exact((8, 12, 18, 27)) == 6 * 1 + 43 == _frobenius_sieve((8, 12, 18, 27))
 
 
 def test_the_certificate_accepts_each_table_and_rejects_each_mutant():
@@ -220,6 +307,15 @@ def test_table_budget():
     # cap, and its table takes 10007 cells.
     assert bound_frobenius((10007, 10009)).brauer_upper + 1 > FROBENIUS_MAX_CELLS
     assert len(_residue_table((10009, 10007))) == 10007
+    # The cap is on the table actually allocated, of min(reduced a) cells:
+    # d (5, 7, 9) with one more coefficient reduces to a table of 5 cells,
+    # and d times four primes over the cap to a table still over it.
+    d = FROBENIUS_MAX_CELLS + 19
+    assert frobenius_exact((5 * d, 7 * d, 9 * d, over)) == d * frobenius_exact(
+        (5, 7, 9, over)
+    ) + (d - 1) * over
+    with pytest.raises(BudgetExceededError):
+        frobenius_exact((2 * over, 2 * (over + 2), 2 * (over + 6), over + 4))
 
 
 def _rodseth_step_by_step(a1, a2, a3):
@@ -346,6 +442,12 @@ def test_pairs_and_triples_build_no_table(monkeypatch):
     assert built == []
     assert frobenius_exact((6, 9, 20, 25)) == _frobenius_sieve((6, 9, 20, 25))
     assert built == [6]
+    # A k >= 4 call allocates one table, of min(reduced a) cells: (8, 12,
+    # 18, 27) reduces to (2, 3, 4, 9) and (14, 21, 35, 10) to (2, 3, 5, 10).
+    for coeffs, cells_of_reduced in (((8, 12, 18, 27), 2), ((14, 21, 35, 10), 2)):
+        built.clear()
+        assert frobenius_exact(coeffs) == _frobenius_sieve(coeffs)
+        assert built == [cells_of_reduced]
 
 
 def test_a_unit_coefficient_needs_one_table_cell():

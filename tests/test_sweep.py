@@ -449,8 +449,10 @@ def test_the_frobenius_suite_compares_the_seeded_table_with_the_round_robin(
 def test_a_table_entry_left_at_infinity_is_named_not_raised(monkeypatch):
     # A k >= 4 table that keeps an entry at infinity gives g = inf, which has
     # no DP window: the certificate names an edge that shortens the entry.
-    # The other case, bound_frobenius's seeded table broken while the
-    # sweep's own is true, fails the comparison of g with the certified table.
+    # The other case, bound_frobenius's laid-out table broken while the
+    # sweep's own is true, fails the comparison of g with the certified
+    # table: there the last lap meets a class left at infinity, which makes
+    # max(N) infinite too.
     def one_entry_left(route):
         def table(a):
             full = route(a)
@@ -458,11 +460,22 @@ def test_a_table_entry_left_at_infinity_is_named_not_raised(monkeypatch):
 
         return table
 
+    def one_class_left(last_lap_top):
+        def top(table, coeff):
+            d = math.gcd(len(table), coeff)
+            if len(table) > 1:
+                table = list(table)
+                table[d - 1 :: d] = [math.inf] * (len(table) // d)
+            return last_lap_top(table, coeff)
+
+        return top
+
     cfg = SweepConfig(suite="frobenius", seed=4, trials=200, k_range=(2, 4), max_coeff=25)
-    monkeypatch.setattr(frobenius, "_seeded_table", one_entry_left(frobenius._seeded_table))
+    monkeypatch.setattr(frobenius, "_last_lap_top", one_class_left(frobenius._last_lap_top))
     report = run_verify(cfg)
     assert {f.relation for f in report.failures} == {"bound_frobenius(a).g == max(N) - a_1"}
     assert {f.lhs for f in report.failures} == {"inf"}
+    assert {len(f.instance["coeffs"]) for f in report.failures} == {4}
     monkeypatch.setattr(sweep, "_residue_table", one_entry_left(sweep._residue_table))
     report = run_verify(cfg)
     assert report.failures
