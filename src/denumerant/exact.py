@@ -38,14 +38,14 @@ target, and the ``frobenius`` verify suite reads only its window above g
 as ints (``_Row.counts``).  A finished row is stored as planes of unsigned
 64-bit words, each an ``array`` of one word a cell: plane i holds bits 64 i
 to 64 i + 63 of every count, so a row whose counts fit in 64 bits has one.
-A row is built one segment of ``_CHUNK`` cells at a time: every
-coefficient folds into a segment before the next segment starts, and the
-segment is packed, so a build holds a segment of ints, not a row.  A tuple
-whose folded coefficients sum past ``_CHUNK`` is built from 0 in one
-segment, summing at most one chunk at a time, so its build holds one row
-of ints and one chunk.  A target whose counts D(0..n // d) span more than
-``DENUMERANT_MAX_CELLS`` cells raises BudgetExceededError before anything
-is allocated.
+A row is built one segment at a time, every coefficient folding into a
+segment before the next one starts and carrying its last counts over, and
+the segment is packed, so a build holds a segment of ints, not a row.  A
+segment spans ``_CHUNK`` cells, or the sum of the folded coefficients when
+that is larger, and a short row is extended when it holds that many cells
+and built again from 0 otherwise.  A target whose counts D(0..n // d) span
+more than ``DENUMERANT_MAX_CELLS`` cells raises BudgetExceededError before
+anything is allocated.
 """
 
 from __future__ import annotations
@@ -258,23 +258,23 @@ def _build_row(key: tuple[int, ...], cap: int, short: _Row | None = None) -> _Ro
     # above 1, or of 1 for a tuple of ones.  Each further coefficient c folds
     # in as one pass, D_j(m) = D_{j-1}(m) + D_j(m - c), the ones last.  A
     # segment goes through every pass before the next one starts, and each
-    # pass carries its last c values of D_j into the next segment.  Carries
-    # that sum past a segment would be dragged through every one, so such a
-    # tuple is built from 0 in one segment.
+    # pass carries its last c values of D_j into the next segment.  A
+    # segment spans _CHUNK cells, or sum(passes) when that is larger, so the
+    # carries together are never longer than the segment they enter.
     ones = key.count(1)
     base, *passes = key[ones:] + key[:ones]
     total = sum(passes)
-    span = _CHUNK if total <= _CHUNK else cap + 1
-    if short is None or span > _CHUNK:
+    span = max(_CHUNK, total)
+    if short is None or short.cap + 1 < total:
         row = _Row()
         carries: list[list[int]] = [[] for _ in passes]
     else:
-        # Extend a copy of the short row.  D_{j-1}(m) = D_j(m) - D_j(m - c),
-        # so differencing its last sum(passes) cells back through the passes
-        # gives every carry; a cell below 0 counts 0.
+        # Extend a copy of the short row, which holds at least sum(passes)
+        # cells; a shorter one is built again from 0, which holds no more
+        # ints.  D_{j-1}(m) = D_j(m) - D_j(m - c), so differencing its last
+        # sum(passes) cells back through the passes gives every carry.
         row = _Row(short)
-        window = row.counts(row.cap, max(0, row.cap + 1 - total))
-        window = [0] * (total - len(window)) + window
+        window = row.counts(row.cap, row.cap + 1 - total)
         carries = []
         for coeff in reversed(passes):
             carries.append(window[-coeff:])
@@ -325,14 +325,14 @@ _CacheInfo = namedtuple("_CacheInfo", ["hits", "misses", "maxsize", "currsize"])
 def _row_cap(m: int, short: _Row | None) -> int:
     """The cap of the row built for target m, from the short row if any.
 
-    Up to one segment, a new row ends at m rounded up to an eighth of its
-    octave, at least 32, and an extension also at least doubles the short
-    row, up to the power of two that covers m, so a rising target extends a
-    row at most twice per octave.  A target past one segment gets that
-    power of two at once: extending a long row costs tens of milliseconds
-    in whichever later call needs it, and rising targets, as in a stream of
-    counts, would pay that again within the octave.  Either way the cap is
-    at most max(32, 1 << m.bit_length()).
+    Up to ``_CHUNK`` cells, a new row ends at m rounded up to an eighth of
+    its octave, at least 32, and one that replaces a short row also at
+    least doubles it, up to the power of two that covers m, so a rising
+    target lengthens a row at most twice per octave.  A target past
+    ``_CHUNK`` gets that power of two at once: lengthening a long row costs
+    tens of milliseconds in whichever later call needs it, and rising
+    targets, as in a stream of counts, would pay that again within the
+    octave.  Either way the cap is at most max(32, 1 << m.bit_length()).
     """
     power = 1 << (m - 1).bit_length()
     if m > _CHUNK:
@@ -353,14 +353,14 @@ class _RowCache:
     """One DP row per sorted reduced tuple, the least recently used out first.
 
     A lookup hits when the tuple's row reaches the target m asked for;
-    otherwise the row is extended to ``_row_cap``, or built when there is
-    none, and replaces the old one.  ``words`` is the total of ``_words``
-    over the rows held; their running sums are not counted.  After each
-    store the least recently used rows are evicted until ``words`` is at
-    most ROW_CACHE_MAX_WORDS, read at that store, but the row just stored
-    is always kept, so a row over the budget is held alone.  The lock
-    guards the bookkeeping only, never a build, so concurrent callers may
-    build the same row; the larger one is kept.
+    otherwise a row to ``_row_cap`` is built, from the old one when
+    ``_build_row`` can extend it, and replaces it.  ``words`` is the total
+    of ``_words`` over the rows held; their running sums are not counted.
+    After each store the least recently used rows are evicted until
+    ``words`` is at most ROW_CACHE_MAX_WORDS, read at that store, but the
+    row just stored is always kept, so a row over the budget is held alone.
+    The lock guards the bookkeeping only, never a build, so concurrent
+    callers may build the same row; the larger one is kept.
     """
 
     def __init__(self) -> None:
@@ -375,12 +375,10 @@ class _RowCache:
                 self._rows.move_to_end(key)
                 self._hits += 1
                 return row
-            # A short row is extended, not rebuilt.  The build copies its
-            # cells, since a reader may still hold it.
-            if row is not None:
-                del self._rows[key]
-                self.words -= _words(row)
             self._misses += 1
+        # The short row stays held until the new one replaces it, so a build
+        # that raises leaves the cache as it was.  An extension copies the
+        # short row's cells, since a reader may still hold it.
         row = _build_row(key, _row_cap(m, row), row)
         with self._lock:
             kept = self._rows.pop(key, None)

@@ -190,7 +190,8 @@ def _draw_n(rng: SplitMix64, cfg: SweepConfig) -> int:
 # Checkers.  Each takes an instance dict and returns the first violated
 # relation as a Failure, or None.  Instances outside a checker's domain
 # (for example a shrink candidate that lost coprimality) return None via
-# the _attempt wrapper.
+# the _attempt wrapper, and any other exception a check raises becomes a
+# Failure there.
 # ---------------------------------------------------------------------------
 
 _SKIPPABLE = (
@@ -208,13 +209,17 @@ def _attempt(
     skipped: Counter[str] | None = None,
 ) -> Failure | None:
     """Run one check; an instance outside its domain counts as no failure,
-    and its exception name is tallied in ``skipped`` when one is given."""
+    and its exception name is tallied in ``skipped`` when one is given.  Any
+    other exception is a failure of the instance, named by its type and
+    message, so that it is shrunk and reported like a broken relation."""
     try:
         return check(instance)
     except _SKIPPABLE as err:
         if skipped is not None:
             skipped[type(err).__name__] += 1
         return None
+    except Exception as err:
+        return _fail(instance, "the check raises no exception", type(err).__name__, err)
 
 
 def _fail(instance: dict, relation: str, lhs: object, rhs: object) -> Failure:

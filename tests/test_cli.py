@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import denumerant
-from denumerant import bounds, cli, exact, frobenius_exact, sweep
+from denumerant import bounds, cli, exact, frobenius, frobenius_exact, shrink_failure, sweep
 from denumerant.exact import _prefix_counts
 
 
@@ -775,6 +775,44 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
     code, out, err = run(capsys, "verify", "--suite", "oracle-eq")
     assert code == 1
     assert json.loads(out)["failures"][0]["relation"] == "broken"
+
+
+def test_a_check_that_raises_exits_1_with_shrunk_failures(monkeypatch, capsys):
+    # Johnson's reduction broken to divide all k coefficients, not the k - 1
+    # that share the factor, can make a coefficient 0, and the table's lap
+    # order then raises ValueError inside the check.  verify reports each
+    # such instance as a failure, shrunk until no smaller tuple raises, and
+    # exits 1: exit 2 is for malformed input only.
+    def dividing_all(coeffs):
+        scale, shift, j = 1, 0, 0
+        while j < len(coeffs):
+            d = math.gcd(*coeffs[:j], *coeffs[j + 1 :])
+            if d > 1:
+                shift += scale * (d - 1) * coeffs[j]
+                scale *= d
+                coeffs, j = sorted(c // d for c in coeffs), 0
+            else:
+                j += 1
+        return scale, shift, coeffs
+
+    monkeypatch.setattr(frobenius, "_johnson", dividing_all)
+    code, out, err = run(
+        capsys, "verify", "--suite", "frobenius", "--seed", "4", "--trials", "200",
+        "--k-range", "2:4", "--max-coeff", "25",
+    )
+    assert code == 1
+    assert not err.startswith("error:")
+    raised = [
+        f for f in json.loads(out)["failures"] if f["relation"] == "the check raises no exception"
+    ]
+    assert raised[0]["instance"] == {"coeffs": [5, 5, 1, 15]}
+    assert {(f["lhs"], f["rhs"]) for f in raised} == {
+        ("ValueError", "pow() 3rd argument cannot be 0")
+    }
+    check = sweep._SUITES["frobenius"][2]
+    for failure in raised:
+        instance = {"coeffs": tuple(failure["instance"]["coeffs"])}
+        assert shrink_failure(instance, check, failure["relation"]) == instance
 
 
 def test_verify_names_skipped_instances_on_stderr(tmp_path, capsys):

@@ -261,12 +261,27 @@ def test_coefficient_orders_share_one_row():
 
 
 def test_a_coefficient_over_the_cap_adds_nothing_to_the_row():
-    # The row for n = 5 spans 33 cells; 10^12 + 1 must not cost a pass per unit.
+    # The row for n = 5 spans 33 cells, and the one for n = 100 spans 113;
+    # 10^12 + 1 must not cost a pass per unit, nor a cell per unit when the
+    # short row gives way to the longer one.
+    _prefix_counts.cache_clear()
     started = time.perf_counter()
     assert denumerant((2, 10**12 + 1), 5).value == 0
     assert denumerant((2, 10**12 + 1), 6).value == 1
     assert extended_count((2, 10**12 + 1), 5).value == 3
+    assert denumerant((2, 10**12 + 1), 100).value == 1
+    assert extended_count((2, 10**12 + 1), 100).value == 51
     assert time.perf_counter() - started < 1.0
+    assert _prefix_counts((2, 10**12 + 1), 0).cap == 112
+    # 10^7 + 19 cells of ints would take over 80 MB.
+    tracemalloc.start()
+    try:
+        assert denumerant((3, 10000019), 5).value == 0
+        assert denumerant((3, 10000019), 99).value == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
 
 
 def test_extended_count_derives_its_row_from_the_cached_one():
@@ -432,8 +447,9 @@ def test_a_rising_target_never_builds_past_the_power_of_two_above_it(monkeypatch
 @pytest.mark.parametrize("coeffs", ["3,5,7", "2,3,20000"])
 def test_a_rising_range_misses_once_per_octave(capsys, coeffs):
     # Targets 0..99999 one at a time: the row starts at 32 cells and each
-    # miss doubles it, to 2^17.  The passes of (2, 3, 20000) sum past
-    # exact._CHUNK, so each of its misses builds the row from 0 again.  The
+    # miss doubles it, to 2^17.  The passes of (2, 3, 20000) sum to 20003,
+    # past exact._CHUNK, and a row shorter than that is built from 0 again,
+    # so only its rows of 2^16 and 2^17 extend the one before.  The
     # command holds its row between targets, so it looks a row up only when
     # a target passes the row's cap: 13 lookups, each a miss.
     _prefix_counts.cache_clear()
@@ -496,6 +512,9 @@ def test_a_read_past_the_row_raises(a, m, limbs):
     for bad in (m + 1, m + 44, -1):
         with pytest.raises(IndexError):
             row[bad]
+    for bad in (m + 1, -1):
+        with pytest.raises(IndexError):
+            row.total(bad)
     for cap, start in ((m + 1, 0), (m + 44, m - 6), (m, -1)):
         with pytest.raises(IndexError):
             row.counts(cap, start)
@@ -611,13 +630,17 @@ def test_an_extension_widens_the_cells_it_has_packed(k, caps, limbs):
     assert _prefix_counts.cache_info().misses == len(caps)
 
 
-@pytest.mark.parametrize("a", [(2, 3, 20000), (3, 5000, 7001, 9002), (2, 3, 5000, 9000)])
+@pytest.mark.parametrize(
+    "a", [(2, 3, 20000), (3, 5000, 7001, 9002), (2, 3, 5000, 9000), (2, 3, 40000, 40001)]
+)
 def test_coefficients_longer_than_their_classes_sum_block_by_block(a):
     # (2, 3, 20000) and (3, 5000, 7001, 9002) fold passes that sum past
-    # exact._CHUNK, so their rows are built from 0 in one segment, and an
-    # extension builds them again; the class of 3 in the first spans more
-    # than a chunk.  (2, 3, 5000, 9000) goes segment by segment.  Every
-    # pass of 5000 or more adds whole blocks of cells, a chunk at a time.
+    # exact._CHUNK, so their segments are that sum long, and the row of 256
+    # holds fewer cells than the carries, so the longer row is built from 0
+    # again.  The passes of (2, 3, 40000, 40001) sum past the whole row, so
+    # it is one segment, in which the class of 3 spans more than a chunk.
+    # (2, 3, 5000, 9000) goes segment by segment.  Every pass of 5000 or
+    # more adds whole blocks of cells, a chunk at a time.
     cap = 1 << 16
     reference = reference_row(a, cap)
     for caps in ([cap], [256, cap]):
@@ -626,20 +649,23 @@ def test_coefficients_longer_than_their_classes_sum_block_by_block(a):
             assert _prefix_counts(a, c).counts(c) == reference[: c + 1], (a, c)
 
 
-def test_a_build_holds_one_segment_of_ints():
-    # The row of (3, 5, 7, 11) at cap 2^18 packs into 2 MiB, one word a
-    # cell; holding it as ints, as a build of the whole row at once would,
-    # takes about 5 times that.
+@pytest.mark.parametrize(("a", "factor"), [((3, 5, 7, 11), 2), ((2, 3, 20000), 3)])
+def test_a_build_holds_one_segment_of_ints(a, factor):
+    # A row at cap 2^18 packs into 2 MiB, one word a cell; holding it as
+    # ints, as a build of the whole row at once would, takes 5 to 6 times
+    # that.  The passes of (2, 3, 20000) sum to 20003, past exact._CHUNK,
+    # so its segments span 20003 cells, and a segment with its carries
+    # holds 40003 ints, about the packed row again.
     _prefix_counts.cache_clear()
     tracemalloc.start()
     try:
-        row = exact._build_row((3, 5, 7, 11), 1 << 18)
+        row = exact._build_row(a, 1 << 18)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     packed = sum(len(plane) * plane.itemsize for plane in row.planes)
     assert (row.cap, len(row.planes), packed) == (1 << 18, 1, 8 * ((1 << 18) + 1))
-    assert peak < 2 * packed
+    assert peak < factor * packed
 
 
 def test_a_prefix_sum_reads_one_chunk_of_ints_at_a_time():
@@ -801,6 +827,29 @@ def test_an_extension_replaces_the_short_rows_words():
     assert row.cap > short.cap
     assert _prefix_counts.cache_info()[1:] == (2, None, 1)
     assert _prefix_counts.words == exact._words(row) == row.cap + 1
+
+
+def test_a_build_that_raises_leaves_the_cache_as_it_was(monkeypatch):
+    # The short row stays held while its extension is built, so an
+    # extension that fails takes nothing from the cache.
+    build = exact._build_row
+
+    def failing(key, cap, short=None):
+        if short is not None:
+            raise MemoryError
+        return build(key, cap)
+
+    _prefix_counts.cache_clear()
+    short = _prefix_counts((3, 5, 7), 100)
+    words = _prefix_counts.words
+    monkeypatch.setattr(exact, "_build_row", failing)
+    with pytest.raises(MemoryError):
+        denumerant((3, 5, 7), 5000)
+    assert list(_prefix_counts._rows.items()) == [((3, 5, 7), short)]
+    assert _prefix_counts.words == held_words() == words == short.cap + 1
+    assert _prefix_counts((3, 5, 7), 100) is short
+    monkeypatch.undo()
+    assert denumerant((3, 5, 7), 5000).value == reference_row((3, 5, 7), 5000)[5000]
 
 
 def test_cache_clear_zeroes_the_words():

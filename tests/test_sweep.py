@@ -483,6 +483,27 @@ def test_a_table_entry_left_at_infinity_is_named_not_raised(monkeypatch):
     assert all(len(f.instance["coeffs"]) == 4 for f in report.failures)
 
 
+def test_a_check_that_raises_is_shrunk_like_a_broken_relation(monkeypatch):
+    # A closed form that raises from n = 5 on fails every pair drawn past
+    # it, and each failure shrinks to the least instance that raises: n = 5,
+    # then both coefficients down to 1.
+    closed = sweep.popoviciu
+
+    def raising(a1, a2, n):
+        if n >= 5:
+            raise ZeroDivisionError("planted")
+        return closed(a1, a2, n)
+
+    monkeypatch.setattr(sweep, "popoviciu", raising)
+    report = run_verify(SweepConfig(suite="popoviciu", trials=20))
+    assert report.instances == 20
+    assert len(report.failures) > 10
+    assert {(f.relation, f.lhs, f.rhs) for f in report.failures} == {
+        ("the check raises no exception", "ZeroDivisionError", "planted")
+    }
+    assert all(f.instance == {"coeffs": (1, 1), "n": 5} for f in report.failures)
+
+
 def test_suite_names_follow_the_dispatch_table():
     assert sweep.SUITE_NAMES == tuple(sweep._SUITES) == (
         "oracle-eq", "popoviciu", "inequality-a", "inequality-b", "powersum",
