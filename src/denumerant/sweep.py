@@ -6,6 +6,11 @@ constants and the per-suite draw order are documented in the README.  For a
 fixed configuration the report is deterministic in every field except
 ``wall_time_s``.
 
+A failure names the relation it broke and prints both sides exactly.  An
+ordered relation is named ``a <= b`` after its two sides, and every one is
+tested as a link of a chain of named values (``_unordered``), which reports
+the first link out of order.
+
 Failing instances are minimized before they are reported: first the target
 n is halved and then bisected toward 0, then each coefficient greedily
 toward 1, keeping only candidates that still fail with the same relation.
@@ -23,7 +28,7 @@ import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, pairwise
 from typing import Callable, Iterator
 
 from .bfnum import _elementary, bf_recursive
@@ -37,7 +42,6 @@ from .bounds import (
 from .core import (
     BudgetExceededError,
     IndexRangeError,
-    InvariantViolationError,
     NotApplicableError,
     NotCoprimeError,
     TooShortTupleError,
@@ -227,6 +231,17 @@ def _fail(instance: dict, relation: str, lhs: object, rhs: object) -> Failure:
     return Failure(instance, relation, str(lhs), str(rhs))
 
 
+def _unordered(instance: dict, den: int, *chain: tuple[str, object]) -> Failure | None:
+    """The first adjacent pair of the (name, value) ``chain`` out of order, as
+    a failure of ``a <= b`` with each side over ``den``, or None.  Over 1 the
+    sides are printed as they are, so a residue table's inf stays one."""
+    for (a, va), (b, vb) in pairwise(chain):
+        if not va <= vb:
+            sides = (va, vb) if den == 1 else (Fraction(va, den), Fraction(vb, den))
+            return _fail(instance, f"{a} <= {b}", *sides)
+    return None
+
+
 def _check_oracle_eq(instance: dict) -> Failure | None:
     coeffs, n = instance["coeffs"], instance["n"]
     fast = denumerant(coeffs, n).value
@@ -244,10 +259,7 @@ def _check_popoviciu(instance: dict, brute: int | None = None) -> Failure | None
     coeffs, n = instance["coeffs"], instance["n"]
     if math.gcd(*coeffs) != 1:
         return None
-    try:
-        closed = popoviciu(coeffs[0], coeffs[1], n).value
-    except InvariantViolationError as err:
-        return _fail(instance, "popoviciu returns a count", err, "")
+    closed = popoviciu(coeffs[0], coeffs[1], n).value
     if brute is None:
         brute = oracle_count(coeffs, n).value
     if closed != brute:
@@ -261,12 +273,9 @@ def _check_inequality_a(instance: dict) -> Failure | None:
 
 def _sandwich_failure(instance: dict, report: BoundReport) -> Failure | None:
     """Check the sandwich ``report`` at the instance's n against the count."""
-    exact = denumerant(instance["coeffs"], instance["n"]).value
-    if not exact <= report.upper_a:
-        return _fail(instance, "exact <= upper_a", exact, report.upper_a)
-    if report.applicable_lower and not report.lower_a <= exact:
-        return _fail(instance, "lower_a <= exact", report.lower_a, exact)
-    return None
+    exact = ("exact", denumerant(instance["coeffs"], instance["n"]).value)
+    lower = [("lower_a", report.lower_a)] if report.applicable_lower else []
+    return _unordered(instance, 1, *lower, exact, ("upper_a", report.upper_a))
 
 
 def _check_inequality_b(instance: dict) -> Failure | None:
@@ -276,17 +285,15 @@ def _check_inequality_b(instance: dict) -> Failure | None:
     if series is None:
         return None
     exact = denumerant(coeffs, n).value
-    # lower_a and lower_b over one denominator: lower_b's is lower_a's times
-    # 2^(k-2).  Their Fractions are formed for a failure only.
-    lower_den, series_den, _ = sandwich.denominators
+    # The chain over lower_b's denominator, lower_a's times 2^(k-2).  Its
+    # Fractions are formed for a failure only.
+    den = sandwich.denominators[1]
     scaled_lower = lower << (sandwich.power - 1)
-    if not scaled_lower <= series:
-        lower_a, lower_b = Fraction(lower, lower_den), Fraction(series, series_den)
-        return _fail(instance, "lower_a <= lower_b", lower_a, lower_b)
-    if not series <= exact * series_den:
-        return _fail(instance, "lower_b <= exact", Fraction(series, series_den), exact)
+    chain = ("lower_a", scaled_lower), ("lower_b", series), ("exact", exact * den)
+    if failure := _unordered(instance, den, *chain):
+        return failure
     if len(coeffs) == 2 and scaled_lower != series:
-        lower_a, lower_b = Fraction(lower, lower_den), Fraction(series, series_den)
+        lower_a, lower_b = Fraction(scaled_lower, den), Fraction(series, den)
         return _fail(instance, "lower_a == lower_b for pairs", lower_a, lower_b)
     return None
 
@@ -300,13 +307,10 @@ def _check_relaxed(instance: dict) -> Failure | None:
             instance, "extended_count == prefix sum of denumerant", exact, prefix
         )
     lower, refined, upper = relaxed_count_chain(coeffs, n)
-    if not lower <= refined:
-        return _fail(instance, "lower <= refined lower", lower, refined)
-    if not refined <= exact:
-        return _fail(instance, "refined lower <= exact", refined, exact)
-    if not exact <= upper:
-        return _fail(instance, "exact <= upper", exact, upper)
-    return None
+    return _unordered(
+        instance, 1,
+        ("lower", lower), ("refined lower", refined), ("exact", exact), ("upper", upper),
+    )
 
 
 def _certify_residue_table(instance: dict, table: list) -> Failure | None:
@@ -325,7 +329,8 @@ def _certify_residue_table(instance: dict, table: list) -> Failure | None:
         via = [n + coeff for n in table[cut:] + table[:cut]]
         for s in compress(range(base), map(operator.gt, table, via)):
             inst = dict(instance, r=(s - coeff) % base, a_j=coeff)
-            return _fail(inst, "N[(r + a_j) mod a_1] <= N[r] + a_j", table[s], via[s])
+            chain = ("N[(r + a_j) mod a_1]", table[s]), ("N[r] + a_j", via[s])
+            return _unordered(inst, 1, *chain)
         shortest = list(map(min, shortest, via))
     # No edge shortens an entry, so a tight one meets the shortest.
     for r in compress(range(1, base), map(operator.ne, table[1:], shortest[1:])):
@@ -365,8 +370,8 @@ def _check_frobenius(instance: dict) -> Failure | None:
     certified = max(table) - len(table)
     if g != certified:
         return _fail(instance, "bound_frobenius(a).g == max(N) - a_1", g, certified)
-    if not g <= report.brauer_upper:
-        return _fail(instance, "g <= brauer_upper", g, report.brauer_upper)
+    if failure := _unordered(instance, 1, ("g", g), ("brauer_upper", report.brauer_upper)):
+        return failure
     if g >= 0 and window[0] != 0:
         return _fail(instance, "denumerant(a, g) == 0", window[0], 0)
     for value in range(max(g + 1, 0), top + 1):
@@ -433,10 +438,8 @@ def _check_bf_identities(instance: dict) -> Failure | None:
                 bound = d**ell * reduced[ell]
                 if not original <= bound:
                     inst = dict(instance, r=r, m=m, ell=ell)
-                    return _fail(
-                        inst, "[[m, l]] <= d^l [[m, l]] of reduced",
-                        Fraction(original, 1 << ell), Fraction(bound, 1 << ell),
-                    )
+                    chain = ("[[m, l]]", original), ("d^l [[m, l]] of reduced", bound)
+                    return _unordered(inst, 1 << ell, *chain)
     return None
 
 
@@ -447,8 +450,7 @@ def _check_asymptotic(instance: dict) -> Failure | None:
     # The ratio bounds (1 -+ s/n)^(k-1) are this sandwich over n^(k-1)/((k-1)! prod a).
     sandwich = _coprime_sandwich(instance["coeffs"])
     for n in _ASYMPTOTIC_POINTS:
-        found = _sandwich_failure(dict(instance, n=n), sandwich.at(n))
-        if found is not None:
+        if found := _sandwich_failure(dict(instance, n=n), sandwich.at(n)):
             return found
     return None
 
@@ -523,14 +525,6 @@ def _run_drawn(
     return cfg.trials, failures
 
 
-# The relations behind the first three estimates of ``powersum._estimates``
-# against the sum, in order.
-_ENCLOSURE = (
-    "crude lower <= refined lower",
-    "refined lower <= power sum",
-    "power sum <= upper",
-)
-
 # The grid's last j: x + c = j/16 for j = 0..320.
 _GRID_TOP = 320
 
@@ -579,20 +573,21 @@ def _run_powersum(cfg: SweepConfig) -> tuple[int, list[Failure]]:
                 # At a chain end j > 2s, so [x] + 1 = (j - 2s) // 16 + 1.
                 ends = j > _GRID_TOP - 16
                 slow = _enclosure(j, 16, k, (j - 2 * s) // 16 + 1)[1] if ends else total
-                if total != slow:
-                    relation = "walked power sum == term-by-term sum"
-                    lhs, rhs = Fraction(total, scale), Fraction(slow, scale)
-                elif not crude <= refined <= total <= upper:
-                    held = (crude <= refined, refined <= total, total <= upper)
-                    relation, lhs, rhs = _ENCLOSURE[held.index(False)], "", ""
-                elif not total <= cap:
-                    relation = "power sum <= refined upper"
-                    lhs, rhs = Fraction(total, scale), Fraction(cap, scale)
-                else:
+                if total == slow and crude <= refined <= total <= upper and total <= cap:
                     continue
                 c = Fraction(s, 8)
                 inst = {"k": k, "c": str(c), "x": str(Fraction(j, 16) - c)}
-                failures.append(_fail(inst, relation, lhs, rhs))
+                if total != slow:
+                    relation = "walked power sum == term-by-term sum"
+                    sides = Fraction(total, scale), Fraction(slow, scale)
+                    failure = _fail(inst, relation, *sides)
+                else:
+                    summed = ("power sum", total)
+                    failure = _unordered(
+                        inst, scale, ("crude lower", crude), ("refined lower", refined),
+                        summed, ("upper", upper),
+                    ) or _unordered(inst, scale, summed, ("refined upper", cap))
+                failures.append(failure)
     for k in range(2, 9):
         for s in range(5):
             # f_k at n = 0..21 share d = 8, so they share the scale L.

@@ -10,6 +10,7 @@ import pytest
 from denumerant import (
     Failure,
     FrobeniusReport,
+    InvariantViolationError,
     SplitMix64,
     SweepConfig,
     bound_frobenius,
@@ -204,10 +205,24 @@ def test_powersum_suite_names_the_first_broken_enclosure_relation(monkeypatch):
         (True, True, False): "power sum <= upper",
     }
     for flags, relation in expected.items():
-        monkeypatch.setattr(sweep, "_estimates", breaking(*flags))
+        patched = breaking(*flags)
+        monkeypatch.setattr(sweep, "_estimates", patched)
         report = run_verify(SweepConfig(suite="powersum", seed=1, trials=1))
         assert len(report.failures) == 7 * 5 * 321
         assert {f.relation for f in report.failures} == {relation}
+        # Each failure prints the two sides of its pair, over the scale L.
+        lhs, rhs = relation.split(" <= ")
+        for f in report.failures:
+            k, c = f.instance["k"], Fraction(f.instance["c"])
+            j, s = int((Fraction(f.instance["x"]) + c) * 16), int(c * 8)
+            scale, crude, refined, upper, _ = patched(j, 16, k)
+            total = powersum._enclosure(j, 16, k, max(j - 2 * s, 0) // 16 + 1)[1]
+            sides = {
+                "crude lower": crude, "refined lower": refined,
+                "power sum": total, "upper": upper,
+            }
+            assert f.lhs == str(Fraction(sides[lhs], scale))
+            assert f.rhs == str(Fraction(sides[rhs], scale))
 
 
 def test_powersum_walk_matches_the_term_by_term_sum_at_every_grid_point(monkeypatch):
@@ -446,6 +461,38 @@ def test_the_frobenius_suite_compares_the_seeded_table_with_the_round_robin(
     assert {len(f.instance["coeffs"]) for f in report.failures} == {3, 4}
 
 
+def test_a_frobenius_run_past_k_4_reaches_the_middle_laps(monkeypatch):
+    # The acceptance config draws k <= 4, so its tables have no lap between
+    # the seeded boxes and the last one, and `_apery` never meets three
+    # coefficients with a common factor.  A run at k = 4..7 reaches both: it
+    # passes, some `_apery` call takes the common-factor branch, and a
+    # reduction that drops the middle coefficients fails it while the
+    # acceptance config still passes.
+    wide = SweepConfig(suite="frobenius", seed=9, trials=300, k_range=(4, 7), max_coeff=40)
+    apery = frobenius._apery
+    factors = []
+
+    def recorded(a, b, c):
+        factors.append(math.gcd(a, b, c))
+        return apery(a, b, c)
+
+    monkeypatch.setattr(frobenius, "_apery", recorded)
+    assert run_verify(wide).passed
+    assert max(factors) > 1
+    johnson = frobenius._johnson
+
+    def middle_dropped(coeffs):
+        scale, shift, reduced = johnson(coeffs)
+        return scale, shift, reduced[:3] + reduced[-1:]
+
+    monkeypatch.setattr(frobenius, "_johnson", middle_dropped)
+    cfg = SweepConfig(suite="frobenius", seed=4, trials=200, k_range=(2, 4), max_coeff=25)
+    assert run_verify(cfg).passed
+    report = run_verify(wide)
+    assert len(report.failures) > 10
+    assert {f.relation for f in report.failures} == {"bound_frobenius(a).g == max(N) - a_1"}
+
+
 def test_a_table_entry_left_at_infinity_is_named_not_raised(monkeypatch):
     # A k >= 4 table that keeps an entry at infinity gives g = inf, which has
     # no DP window: the certificate names an edge that shortens the entry.
@@ -554,7 +601,7 @@ def _count_plus_one(result, *_):
 
 
 def _raise_invariant(*_):
-    raise sweep.InvariantViolationError("patched closed form")
+    raise InvariantViolationError("patched closed form")
 
 
 def _series_numerator(change):
@@ -613,7 +660,7 @@ def _step_off_by_one(values, d, steps):
 _BROKEN_RELATIONS = [
     ("denumerant == oracle_count", "oracle-eq", (2, 4),
      _shift_route("denumerant", _count_plus_one)),
-    ("popoviciu returns a count", "popoviciu", (2, 4),
+    ("the check raises no exception", "popoviciu", (2, 4),
      _shift_route("popoviciu", _raise_invariant)),
     ("popoviciu == oracle_count", "popoviciu", (2, 4),
      _shift_route("popoviciu", _count_plus_one)),
@@ -660,6 +707,9 @@ def test_each_relation_the_suites_hold_can_fail(
     report = run_verify(cfg)
     assert report.failures
     assert {failure.relation for failure in report.failures} == {relation}
+    if relation == "the check raises no exception":
+        # The closed form's own error is named like any other exception.
+        assert {failure.lhs for failure in report.failures} == {"InvariantViolationError"}
 
 
 _BF_COEFFS = (6, 4, 10, 3)
