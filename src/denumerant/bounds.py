@@ -51,7 +51,7 @@ from .core import (
     as_coeffs,
     gcd_chain,
 )
-from .exact import _reduced_counts
+from .exact import _RowReader
 
 _NOT_COPRIME = "is not coprime; reduce by the gcd first"
 
@@ -263,7 +263,7 @@ def prefix_sum_count(a: Sequence[int], n: int) -> int:
     counts D(a, 0), ..., D(a, n).
 
     D(a, m) is 0 unless d = gcd(a) divides m, so the sum is that of
-    D(a/d, 0..floor(n/d)): one cached row of a/d, under the budget of the
-    count at n.
+    D(a/d, 0..floor(n/d)), read a chunk at a time from the one cached row
+    of a/d that the count at n reads, under the same budget.
     """
-    return sum(_reduced_counts(a, n))
+    return sum(_RowReader(a).counts(_require_natural(n)))

@@ -14,7 +14,8 @@ Exit codes: 0 success, 1 a verification sweep found failures (or an
 internal identity broke), 2 bad usage (an --out path that cannot be opened
 too), 3 a precondition was violated (non-coprime input, out-of-range query,
 an input over a budget or a value too long for Python to print, a sweep
-that skipped every instance, ...).
+that skipped every instance, ...).  A closed stdout ends the command as it
+ends ``cat``, by SIGPIPE with no traceback, where the platform has SIGPIPE.
 
 The argument parser is built once per process, at import; ``build_parser``
 returns a new one each time.  ``main`` first tries the plain form, read
@@ -34,6 +35,7 @@ import csv
 import itertools
 import math
 import re
+import signal
 import sys
 from contextlib import nullcontext
 from fractions import Fraction
@@ -484,6 +486,8 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def entry() -> None:
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())
 
 

@@ -32,12 +32,13 @@ Every read of a row goes through a ``_RowReader``, which holds one tuple's
 row across targets and looks it up again only when a target passes its cap:
 ``denumerant`` and ``extended_count`` are a reader at one target, and the
 CLI's ``count``, ``bounds`` and ``dhat`` read a whole ``--n-range`` with one.
-``prefix_sum_count`` reads every count up to n from one row
-(``_reduced_counts``, a chunk of ints at a time) instead of counting each
-target, and the ``frobenius`` verify suite reads only its window above g
-as ints (``_Row.counts``).  A finished row is stored as planes of unsigned
-64-bit words, each an ``array`` of one word a cell: plane i holds bits 64 i
-to 64 i + 63 of every count, so a row whose counts fit in 64 bits has one.
+A reader's ``counts`` yields a span of the row as ints, a chunk at a time:
+``prefix_sum_count`` sums every count up to n from it instead of counting
+each target, and the ``frobenius`` verify suite reads only its window above g.
+No module but this one handles a row itself.  A finished row is stored as
+planes of unsigned 64-bit words, each an ``array`` of one word a cell:
+plane i holds bits 64 i to 64 i + 63 of every count, so a row whose counts
+fit in 64 bits has one.
 A row is built one segment at a time, every coefficient folding into a
 segment before the next one starts and carrying its last counts over, and
 the segment is packed, so a build holds a segment of ints, not a row.  A
@@ -431,7 +432,7 @@ class _RowReader:
         self._row: _Row | None = None
         self._reach = -1
 
-    def row(self, n: int) -> tuple[_Row, int]:
+    def _lookup(self, n: int) -> tuple[_Row, int]:
         """A row that reaches m = n // d, and m."""
         m = n // self.gcd
         # A negative n has m < 0, so it is checked, and rejected, here.
@@ -451,13 +452,25 @@ class _RowReader:
         """D(a, n): 0 when d does not divide n, with no row read."""
         if n > 0 and n % self.gcd:
             return 0
-        row, m = self.row(n)
+        row, m = self._lookup(n)
         return row[m]
 
     def relaxed(self, n: int) -> int:
         """The solutions of sum <= n: D(a/d, 0) + ... + D(a/d, n // d)."""
-        row, m = self.row(n)
+        row, m = self._lookup(n)
         return row.total(m)
+
+    def counts(self, n: int, lo: int = 0) -> Iterator[int]:
+        """D(a/d, lo), ..., D(a/d, n // d), read ``_CHUNK`` cells at a time,
+        so a caller holds one chunk of ints.
+
+        D(a, m) is entry m / d when d divides m and 0 otherwise, so for a
+        coprime tuple these are D(a, lo), ..., D(a, n).  A bad n raises on
+        the first read, as ``count`` raises at n.
+        """
+        row, m = self._lookup(n)
+        for start in range(lo, m + 1, _CHUNK):
+            yield from row.counts(min(start + _CHUNK - 1, m), start)
 
 
 def denumerant(a: Sequence[int], n: int) -> CountResult:
@@ -470,21 +483,6 @@ def denumerant(a: Sequence[int], n: int) -> CountResult:
     """
     reader = _RowReader(a)
     return CountResult(reader.count(_require_natural(n)), "recursion")
-
-
-def _reduced_counts(a: Sequence[int], n: int) -> Iterator[int]:
-    """D(a/d, 0), ..., D(a/d, n // d) for d = gcd(a), read from one cached row
-    ``_CHUNK`` cells at a time, so a caller holds one chunk of ints.
-
-    D(a, m) is entry m / d when d divides m and 0 otherwise, so for a
-    coprime tuple the counts are D(a, 0), ..., D(a, n).  The row is the one
-    ``denumerant`` reads at d * (n // d), under the same budget; a bad input
-    raises on the first read.
-    """
-    reader = _RowReader(a)
-    row, m = reader.row(_require_natural(n))
-    for lo in range(0, m + 1, _CHUNK):
-        yield from row.counts(min(lo + _CHUNK - 1, m), lo)
 
 
 def popoviciu(a1: int, a2: int, n: int) -> CountResult:

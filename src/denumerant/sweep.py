@@ -347,23 +347,17 @@ def _check_frobenius(instance: dict) -> Failure | None:
     # capped so one degenerate tuple cannot dominate the sweep.  D(g) and
     # the whole window are read from one row: the tuple is coprime, so its
     # cells are D(a, 0..top), and g <= brauer_upper puts g in it.  Only
-    # D(max(g, 0)..top) becomes ints.  For a finite g the row is read first,
-    # so an instance whose row is over its budget is skipped before its
-    # table is built and certified.  Pairs reach g by Sylvester's formula,
-    # triples by the largest top of their Apery boxes and k >= 4 by the
-    # table those boxes seed, so the plain round-robin table is the
-    # independent route for every k.
-    # A table entry left at infinity makes g infinite, with no window to
-    # read: the certificate names an edge that shortens that entry, and a
-    # table it certifies has a finite maximum, which g then misses.
-    if g == math.inf:
-        table = _residue_table(coeffs)
-        return _certify_residue_table(instance, table) or _fail(
-            instance, "bound_frobenius(a).g == max(N) - a_1", g, max(table) - len(table)
-        )
+    # D(max(g, 0)..top) becomes ints.  The row is read first, so an
+    # instance whose row is over its budget is skipped before its table is
+    # built and certified.  Pairs reach g by Sylvester's formula, triples by
+    # the largest top of their Apery boxes and k >= 4 by the table those
+    # boxes seed, so the plain round-robin table is the independent route
+    # for every k.
     top = min(g + min(coeffs) + report.brauer_upper, g + 400)
     lo = max(g, 0)
-    window = _RowReader(coeffs).row(top)[0].counts(top, lo) if top >= 0 else []
+    # A table entry left at infinity makes g, and so top, infinite, with no
+    # window to read: the certified table's finite maximum then misses g.
+    window = list(_RowReader(coeffs).counts(top, lo)) if 0 <= top < math.inf else []
     table = _residue_table(coeffs)
     if failure := _certify_residue_table(instance, table):
         return failure

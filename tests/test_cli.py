@@ -5,7 +5,10 @@ import io
 import itertools
 import json
 import math
+import os
 import random
+import signal
+import subprocess
 import sys
 import time
 from fractions import Fraction
@@ -1142,3 +1145,35 @@ def test_what_the_plain_form_declines_main_answers_as_argparse_alone(
     assert answer[0] == code
     monkeypatch.setattr(cli, "_plain_args", lambda argv: None)
     assert _outcome(capsys, argv) == answer
+
+
+def test_the_plain_form_leaves_out_a_subcommand_it_cannot_read():
+    # A flag stores no value, and a str default would go through its type
+    # in argparse alone, so both subcommands are left to argparse.
+    parser = argparse.ArgumentParser()
+    commands = parser.add_subparsers(dest="command", required=True)
+    commands.add_parser("plain").add_argument("--n", type=int, default=3)
+    flag = commands.add_parser("flag")
+    flag.add_argument("--n", type=int)
+    flag.add_argument("--quiet", action="store_true")
+    commands.add_parser("typed").add_argument("--n", default="7", type=int)
+    assert set(cli._plain_forms(parser)) == {"plain"}
+
+
+def test_a_closed_stdout_ends_the_command_quietly():
+    # The command is killed by SIGPIPE once the reader closes its end, as
+    # cat is, with no BrokenPipeError traceback and no exit 1.
+    if not hasattr(signal, "SIGPIPE"):
+        pytest.skip("this platform has no SIGPIPE")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = ["count", "--coeffs", "3,5,7", "--n-range", "0:99999", "--format", "csv"]
+    with subprocess.Popen(
+        [sys.executable, "-m", "denumerant.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    ) as proc:
+        assert proc.stdout.readline().rstrip() == b"coeffs,n,value,method"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    assert b"Traceback" not in err, err.decode()
+    assert proc.returncode == -signal.SIGPIPE
