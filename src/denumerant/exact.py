@@ -57,6 +57,7 @@ import threading
 from array import array
 from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import accumulate
 from operator import add, sub
 from typing import Iterator, Sequence
@@ -145,28 +146,36 @@ def oracle_count(
 
     order = sorted(coeffs, reverse=True)
     heads, last = order[:-1], order[-1]
-    final = len(heads) - 1
-
-    def count_from(depth: int, residual: int) -> int:
-        # One node per take of heads[depth], all counted before they run.
-        nonlocal nodes
-        coeff = heads[depth]
-        nodes += residual // coeff + 1
-        if nodes > cap:
-            raise BudgetExceededError(
-                f"enumeration budget of {cap} nodes exhausted for "
-                f"coefficients {coeffs} at n={n}"
-            )
-        if depth == final:
-            # The last variable takes what is left when ``last`` divides it.
-            return list(map(last.__rmod__, range(residual, -1, -coeff))).count(0)
-        total = 0
-        for rest in range(residual, -1, -coeff):
-            total += count_from(depth + 1, rest)
-        return total
-
+    if not heads:
+        return CountResult(int(n % last == 0), "oracle")
+    # Depth first, with one iterator over the takes left at each level above
+    # the final one, not one call per level, so no tuple is too long.  A
+    # level's takes are counted as nodes when its range is made.
+    levels: list[Iterator[int]] = []
+    total, residual = 0, n
     try:
-        return CountResult(count_from(0, n) if heads else int(n % last == 0), "oracle")
+        while True:
+            coeff = heads[len(levels)]
+            nodes += residual // coeff + 1
+            if nodes > cap:
+                raise BudgetExceededError(
+                    f"enumeration budget of {cap} nodes exhausted for "
+                    f"coefficients {coeffs} at n={n}"
+                )
+            takes = range(residual, -1, -coeff)
+            if len(levels) < len(heads) - 1:
+                levels.append(iter(takes))
+            else:
+                # The last variable takes what is left when ``last`` divides it.
+                total += list(map(last.__rmod__, takes)).count(0)
+            # Go on from the next take of the deepest level that has one left.
+            while levels:
+                residual = next(levels[-1], None)
+                if residual is not None:
+                    break
+                levels.pop()
+            else:
+                return CountResult(total, "oracle")
     finally:
         budget.nodes = nodes
 
@@ -179,7 +188,8 @@ class _Row:
     plane of zeros when a count passes the planes it has.  ``sums[b]`` is
     D(0) + ... + D(b * _BLOCK - 1), for every block of ``_BLOCK`` cells the
     row completes.  A row grows by ``append``; ``_Row(row)`` copies row's
-    planes and sums, so that a copy can grow while row is read.
+    planes and sums, so that a copy can grow while row is read.  Only
+    ``counts`` combines planes into ints.
     """
 
     __slots__ = ("cap", "planes", "sums")
@@ -226,29 +236,21 @@ class _Row:
             raise IndexError(f"D({m}) is outside the row D(0..{self.cap})")
         if len(self.planes) == 1:
             return self.planes[0][m]
-        value = 0
-        for plane in reversed(self.planes):
-            value = value << 64 | plane[m]
-        return value
+        return self.counts(m, m)[0]
 
     def total(self, m: int) -> int:
         """D(0) + ... + D(m), for an m no larger than the row's cap."""
         if not 0 <= m <= self.cap:
             raise IndexError(f"D(0..{m}) is outside the row D(0..{self.cap})")
-        # The cells past the block's sum, summed plane by plane as words.
         block = (m + 1) // _BLOCK
-        total, shift = self.sums[block], 0
-        for plane in self.planes:
-            total += sum(plane[block * _BLOCK : m + 1]) << shift
-            shift += 64
-        return total
+        return self.sums[block] + sum(self.counts(m, block * _BLOCK))
 
     def counts(self, cap: int, start: int = 0) -> list[int]:
         """D(start), ..., D(cap) as ints, for a cap no larger than the row's."""
         if start < 0 or cap > self.cap:
             raise IndexError(f"D({start}..{cap}) is outside the row D(0..{self.cap})")
         top, *lower = reversed(self.planes)
-        counts = memoryview(top)[start : cap + 1].tolist()
+        counts = top[start : cap + 1].tolist()
         for plane in lower:
             counts = [v << 64 | w for v, w in zip(counts, plane[start : cap + 1])]
         return counts
@@ -506,10 +508,8 @@ def popoviciu(a1: int, a2: int, n: int) -> CountResult:
     num = n + den - a2 * (inv_a2 * n % a1) - a1 * (inv_a1 * n % a2)
     value, rest = divmod(num, den)
     if rest or value < 0:
-        g = math.gcd(num, den)
-        shown = num // g if g == den else f"{num // g}/{den // g}"
         raise InvariantViolationError(
-            f"closed form produced {shown} for ({a1}, {a2}) at n={n}"
+            f"closed form produced {Fraction(num, den)} for ({a1}, {a2}) at n={n}"
         )
     return CountResult(value, "popoviciu")
 

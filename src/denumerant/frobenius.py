@@ -24,8 +24,8 @@ checked coprime:
   and one that reads, O((k - 2) a_1) steps on the reduced a_1.
 
 For a coprime tuple, every n > s-_k has at least one representation, so
-g <= s-_k.  The verify sweep builds the plain round-robin table, whose
-first lap is the multiples of a_2 and which laps every further coefficient,
+g <= s-_k.  The verify sweep builds the plain round-robin table, which
+starts from N[0] = 0 and laps every coefficient past a_1, writing no box,
 certifies it by three local relations that hold of the shortest-path table
 alone, and compares g with it for every k: a closed form for k <= 2, the
 boxes for k = 3 and, for k >= 4, the reduction and the laid-out table the
@@ -169,17 +169,14 @@ def _last_lap_top(table: list[int | float], coeff: int) -> int | float:
 def _residue_table(a: Sequence[int]) -> list[int | float]:
     """N[r], the smallest representable number congruent to r mod a_1 = min(a).
 
-    Requires a coprime tuple, so every entry ends finite.  a_2 fills the
-    classes j a_2 mod a_1 with j a_2 for j < a_1 / gcd(a_1, a_2), a box of one
-    side; each further a_i is added by a round-robin lap.  The plain route,
-    which the verify sweep certifies and compares every g with."""
+    Requires a coprime tuple, so every entry ends finite.  The table starts
+    as N[0] = 0 alone, and every a_i past a_1 is added by a round-robin lap,
+    with no box.  The plain route, which the verify sweep certifies and
+    compares every g with."""
     coeffs = sorted(_require_coprime(as_coeffs(a), _NO_FROBENIUS))
-    base = coeffs[0]
-    table = _cells(base)
-    # With one coefficient, a = (1,), the first lap is N[0] = 0 alone.
-    second = coeffs[1] if len(coeffs) > 1 else base
-    boxes = [(0, ((second, base // math.gcd(base, second)),))]
-    return _fill(table, boxes, coeffs[2:], 1)
+    table = _cells(coeffs[0])
+    table[0] = 0
+    return _fill(table, [], coeffs[1:], 1)
 
 
 def _johnson(coeffs: list[int]) -> tuple[int, int, list[int]]:

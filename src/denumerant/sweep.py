@@ -59,9 +59,11 @@ from .powersum import _enclosure, _estimates
 _MASK64 = (1 << 64) - 1
 
 # The most trials one sweep may run, checked before the first draw.  It caps
-# the time of one run: on a 2-core x86-64 host, at this cap and the other
-# defaults, the slowest suite (asymptotic, two DP rows per tuple) took 4 to
-# 4.5 s at 92 MB and the next (bf-identities) 1.0 to 1.25 s.
+# the time of one run at the default k range: on a 2-core x86-64 host, at
+# this cap and the other defaults, the slowest suite (asymptotic, two DP rows
+# per tuple) took 4 to 4.5 s at 92 MB and the next (bf-identities) 1.0 to
+# 1.25 s.  No budget bounds the tuple length: asymptotic at --k-range
+# 2000:2000 took 8.4 s for 2 trials there, about 11 hours at this cap.
 VERIFY_MAX_TRIALS = 10_000
 
 
@@ -351,8 +353,8 @@ def _check_frobenius(instance: dict) -> Failure | None:
     # instance whose row is over its budget is skipped before its table is
     # built and certified.  Pairs reach g by Sylvester's formula, triples by
     # the largest top of their Apery boxes and k >= 4 by the table those
-    # boxes seed, so the plain round-robin table is the independent route
-    # for every k.
+    # boxes seed, so the plain round-robin table, which writes no box, is the
+    # independent route for every k.
     top = min(g + min(coeffs) + report.brauer_upper, g + 400)
     lo = max(g, 0)
     # A table entry left at infinity makes g, and so top, infinite, with no

@@ -88,6 +88,13 @@ def test_oracle_budget_is_read_at_each_call(monkeypatch):
     assert oracle_count((1, 1, 1), 300).value > 0
 
 
+def test_the_oracle_enumerates_a_tuple_of_any_length():
+    # One iterator a level, not one call, so a tuple longer than the
+    # interpreter's recursion limit is counted as a short one is.
+    assert oracle_count((1,) * 1500, 0).value == 1
+    assert oracle_count((2,) * 1500, 1).value == 0
+
+
 def one_take_at_a_time(coeffs, n):
     # The oracle as one call per take: (count, nodes), a node per take of
     # every variable before the smallest, which is tested for divisibility.
@@ -216,6 +223,15 @@ def test_popoviciu_matches_oracle(a1, a2, n):
     d = math.gcd(a1, a2)
     a1, a2 = a1 // d, a2 // d
     assert popoviciu(a1, a2, n).value == brute((a1, a2), n)
+
+
+def test_a_broken_closed_form_names_the_value_it_produced(monkeypatch):
+    # With both inverses 0, (3, 5) at n = 1 gives 15 (D - 1) = 1: D = 16/15.
+    monkeypatch.setattr(exact, "pow", lambda *a: 0, raising=False)
+    with pytest.raises(
+        InvariantViolationError, match=r"^closed form produced 16/15 for \(3, 5\) at n=1$"
+    ):
+        popoviciu(3, 5, 1)
 
 
 def test_extended_count_spots():
@@ -850,6 +866,27 @@ def test_a_build_that_raises_leaves_the_cache_as_it_was(monkeypatch):
     assert _prefix_counts((3, 5, 7), 100) is short
     monkeypatch.undo()
     assert denumerant((3, 5, 7), 5000).value == reference_row((3, 5, 7), 5000)[5000]
+
+
+def test_a_longer_row_stored_during_a_build_is_kept(monkeypatch):
+    # The lock guards no build, so another caller may store a row for the
+    # same tuple while one is built: here the build first stores the row for
+    # 4 cap, and the call that asked for m = 100 returns that longer row.
+    build = exact._build_row
+    stored = []
+
+    def raced(key, cap, short=None):
+        monkeypatch.setattr(exact, "_build_row", build)
+        stored.append(_prefix_counts(key, 4 * cap))
+        return build(key, cap, short)
+
+    _prefix_counts.cache_clear()
+    monkeypatch.setattr(exact, "_build_row", raced)
+    row = _prefix_counts((3, 5, 7), 100)
+    assert row is stored[0] and row.cap >= 4 * exact._row_cap(100, None)
+    assert _prefix_counts.words == exact._words(row) == held_words()
+    assert _prefix_counts.cache_info() == (0, 2, None, 1)
+    certify((3, 5, 7), row)
 
 
 def test_cache_clear_zeroes_the_words():
