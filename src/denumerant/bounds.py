@@ -26,13 +26,17 @@ d_i / d_{i+1} is one, so s-_i, 2 s+_i and 2 r_i are integers, and the
 series polynomial's coefficients are scaled from the weights' own
 numerators and denominators.  ``_shift_numerators`` gives s-_i and 2 s+_i
 along the gcd chain: ``bound_sequences`` wraps them in ``Fraction``s, and
-the sandwich reads the last two as they are.  A target costs a few integer
-powers and one Horner pass (``numerators``), and each value at it is one
-integer over a fixed denominator: ``at``, ``series_lower`` and
-``relaxed_count_chain`` make a ``Fraction`` of it, ``contains`` and the
-``inequality-b`` sweep test a count against them in integers, and the CLI
-prints them without one.  The public functions prepare for their one
-target; the CLI and the sweeps prepare once per command or instance.
+the sandwich reads the last two as they are.  Each value at a target is
+one integer over a fixed denominator, and ``numerators`` gives them for a
+span of targets by column, each a lazy map: integer powers for lower_a and
+upper_a, and Horner's rule down the column for the series, so a caller
+pays only for the columns it reads.  ``contains`` tests a column of counts
+against them in integers, which is the CLI's ``ok``.  A single target is a
+span of one: ``at``, ``series_lower`` and
+``relaxed_count_chain`` make a ``Fraction`` of its values, the
+``inequality-b`` sweep tests its count in integers, and the CLI prints
+them without one.  The public functions prepare for their one target; the
+CLI and the sweeps prepare once per command or instance.
 """
 
 from __future__ import annotations
@@ -40,7 +44,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from itertools import chain, repeat
+from operator import add, mul
+from typing import Iterable, Iterator, Sequence
 
 from .bfnum import bf_explicit
 from .core import (
@@ -130,7 +136,9 @@ class _Sandwich:
         denom = math.factorial(self.power) * math.prod(a)
         # The denominators of lower_a, lower_b and upper_a.
         self.denominators = (denom, denom << (self.power - 1), denom << self.power)
-        self._series = _series_numerators(a, self.power - 1)
+        # repeat(x) yields x for ever, so one of each serves every map.
+        self._powers = repeat(self.power)
+        self._series = [*map(repeat, _series_numerators(a, self.power - 1))]
 
     @classmethod
     def of(cls, a: Sequence[int]) -> _Sandwich:
@@ -138,7 +146,8 @@ class _Sandwich:
         that d divides; the length is checked on a as given."""
         coeffs = _two_or_more(a)
         d = math.gcd(*coeffs)
-        coeffs = tuple(c // d for c in coeffs)
+        if d > 1:
+            coeffs = tuple(c // d for c in coeffs)
         lower, twice_upper = _shift_numerators(coeffs)
         return cls(coeffs, d, lower[-1], twice_upper[-1])
 
@@ -152,29 +161,50 @@ class _Sandwich:
         over d."""
         coeffs = as_coeffs(a)
         d = math.gcd(*coeffs)
-        reduced = tuple(c // d for c in coeffs)
+        reduced = tuple(c // d for c in coeffs) if d > 1 else coeffs
         return cls((1,) + reduced, d, -1, reduced[0] + sum(reduced))
 
-    def numerators(self, n: int) -> tuple[int, int | None, int]:
-        """The numerators of lower_a, lower_b and upper_a at n over
-        ``denominators``; lower_b's is None below s-, where it is not claimed."""
-        m = n // self.gcd
-        base = m - self.lower_shift
-        series = base * _horner(self._series, base) if base >= 0 else None
-        return base**self.power, series, (2 * m + self._twice_upper_shift) ** self.power
-
-    def contains(self, count: int, numerators: tuple[int, int | None, int]) -> bool:
-        """Whether count lies in the sandwich at the target of ``numerators``:
-        count <= upper_a, and lower_a <= lower_b <= count where lower_b is
-        claimed (which also gives lower_a <= count)."""
-        lower, series, upper = numerators
-        _, series_den, upper_den = self.denominators
-        return count * upper_den <= upper and (
-            series is None or lower << (self.power - 1) <= series <= count * series_den
+    def numerators(
+        self, lo: int, hi: int
+    ) -> tuple[Iterator[int], Iterator[int | None], Iterator[int]]:
+        """The numerators of lower_a, lower_b and upper_a over
+        ``denominators``, each a column with one entry for each m = n // gcd
+        from lo // gcd to hi // gcd; lower_b's is None below s-, where it is
+        not claimed, so its Nones come first.  The columns are lazy maps, so
+        a caller that reads one column pays for that one alone."""
+        m, last = lo // self.gcd, hi // self.gcd
+        h = self._twice_upper_shift
+        bases = range(m - self.lower_shift, last + 1 - self.lower_shift)
+        claimed = bases[-bases.start :] if bases.start < 0 else bases
+        # Horner's rule down the column, a pass per coefficient.
+        series, *rest = self._series
+        for c in rest:
+            series = map(add, map(mul, series, claimed), c)
+        series = map(mul, claimed, series)
+        if len(claimed) < len(bases):
+            series = chain(repeat(None, len(bases) - len(claimed)), series)
+        return (
+            map(pow, bases, self._powers),
+            series,
+            map(pow, range(2 * m + h, 2 * last + h + 1, 2), self._powers),
         )
 
+    def contains(
+        self, counts: Iterable[int], numerators: tuple[Iterable[int], ...]
+    ) -> list[bool]:
+        """Whether each count lies in the sandwich at its entry of the
+        columns ``numerators``: count <= upper_a, and lower_a <= lower_b <=
+        count where lower_b is claimed (which also gives lower_a <= count)."""
+        _, series_den, upper_den = self.denominators
+        shift = self.power - 1
+        return [
+            count * upper_den <= upper
+            and (series is None or lower << shift <= series <= count * series_den)
+            for count, lower, series, upper in zip(counts, *numerators)
+        ]
+
     def at(self, n: int) -> BoundReport:
-        lower, _, upper = self.numerators(n)
+        (lower,), _, (upper,) = self.numerators(n, n)
         return BoundReport(
             lower_a=Fraction(lower, self.denominators[0]),
             upper_a=Fraction(upper, self.denominators[2]),
@@ -182,7 +212,7 @@ class _Sandwich:
         )
 
     def series_lower(self, n: int) -> Fraction:
-        series = self.numerators(n)[1]
+        (series,) = self.numerators(n, n)[1]
         if series is None:
             raise NotApplicableError(
                 f"the series bound needs n >= {self.lower_shift}, got n={n}"
@@ -198,19 +228,12 @@ def _series_numerators(a: tuple[int, ...], m: int) -> tuple[int, ...]:
 
     that is c_i = 2^m [[m, i]]_2 (m+1)! / (m+1-i)!; [[m, i]]_2 2^i is an
     integer, so each c_i is one."""
-    top = math.factorial(m + 1)
-    return tuple(
-        weight.numerator * (top // math.factorial(m + 1 - i) << m) // weight.denominator
-        for i, weight in enumerate(bf_explicit(a, 2, m))
-    )
-
-
-def _horner(coeffs: tuple[int, ...], x: int) -> int:
-    """c_0 x^m + c_1 x^(m-1) + ... + c_m."""
-    total = 0
-    for c in coeffs:
-        total = total * x + c
-    return total
+    numerators, scale = [], 1 << m  # scale = 2^m (m+1)! / (m+1-i)!
+    for i, weight in enumerate(bf_explicit(a, 2, m)):
+        num, den = weight.as_integer_ratio()
+        numerators.append(num * scale // den)
+        scale *= m + 1 - i
+    return tuple(numerators)
 
 
 def _coprime_sandwich(a: Sequence[int]) -> _Sandwich:
@@ -254,8 +277,9 @@ def relaxed_count_chain(
           <= count
           <= (q + r_k)^k / (k! prod a).
     """
-    chain = _Sandwich.relaxed(a)
-    return tuple(map(Fraction, chain.numerators(_require_natural(n)), chain.denominators))
+    relaxed = _Sandwich.relaxed(a)
+    n = _require_natural(n)
+    return tuple(map(Fraction, map(next, relaxed.numerators(n, n)), relaxed.denominators))
 
 
 def prefix_sum_count(a: Sequence[int], n: int) -> int:

@@ -1,21 +1,37 @@
 """Command-line front end.
 
-Subcommands: count, bounds, frobenius, bf, dhat, verify.  Each row command
-yields each row as a tuple of its columns after ``coeffs`` to one emitter,
-which writes ``coeffs`` itself, for --format table|csv|json (json means one
-object per line, filled into a template built once per command; json and
-csv write each row as it comes).  verify always emits a single JSON
-report.  count, bounds and dhat read one cached row for all the targets of
-a command (``exact._RowReader``).  bounds and dhat hand each target to the
-sandwich as it is and yield each bound as its integer numerator over the
-sandwich's fixed denominator; the sandwich tests the count against them,
-and the writer, the one place where values become text, prints p/q.
-Exit codes: 0 success, 1 a verification sweep found failures (or an
-internal identity broke), 2 bad usage (an --out path that cannot be opened
-too), 3 a precondition was violated (non-coprime input, out-of-range query,
-an input over a budget or a value too long for Python to print, a sweep
-that skipped every instance, ...).  A closed stdout ends the command as it
-ends ``cat``, by SIGPIPE with no traceback, where the platform has SIGPIPE.
+Subcommands: count, bounds, frobenius, bf, dhat, verify.  verify always
+emits a single JSON report; the others are row commands.  Exit codes: 0
+success, 1 a verification sweep found failures (or an internal identity
+broke), 2 bad usage (an --out path that cannot be opened too), 3 a
+precondition was violated (non-coprime input, out-of-range query, an input
+over a budget or a value too long for Python to print, a sweep that
+skipped every instance, ...).  A closed stdout ends the command as it ends
+``cat``, by SIGPIPE with no traceback, where the platform has SIGPIPE.
+
+A row command yields each row as a tuple of its columns after ``coeffs``
+to one writer, ``_emit_rows``, the one place where values become text, for
+--format table|csv|json (json means one object per line; json and csv
+write each row as it comes).  Each command declares its columns once, as
+names with kinds (``_Columns``): int, ratio (a pair (num, den), or None
+where the column has no value), bool or str.  Each kind has one render per
+format, picked once per command, so no value goes through a test of its
+type: a ratio prints as p/q through one gcd (the text of ``Fraction``),
+and json renders each value as json.dumps writes it into a line template
+whose fields after ``coeffs`` are built once per command.  Each row is
+rendered and written before the next is computed, so a failure at the first
+row leaves the output empty and one further on keeps the json and csv rows
+written so far.
+
+count, bounds and dhat serve their targets, one --n or a --n-range, in
+spans: ``exact._RowReader.spans`` gives the counts of the targets one held
+row answers as one list, the sandwich gives the bounds of a span by column
+(``bounds._Sandwich.numerators``), each an integer numerator over a fixed
+denominator, and tests the counts against them by column (``contains``, the
+ok column).  dhat's relaxed counts are one ``relaxed`` read at a span's
+first target and a running sum over the span.  With d = gcd(a) > 1, count
+and bounds read the row only at the targets d divides; a target before the
+first of them is written before the row is read.
 
 The argument parser is built once per process, at import; ``build_parser``
 returns a new one each time.  ``main`` first tries the plain form, read
@@ -34,12 +50,15 @@ import argparse
 import csv
 import itertools
 import math
+import operator
 import re
 import signal
 import sys
 from contextlib import nullcontext
 from fractions import Fraction
+from itertools import accumulate, islice, repeat
 from json.encoder import encode_basestring_ascii
+from operator import is_not
 from typing import Callable, Iterator, Sequence, TextIO
 
 from .bfnum import bf_explicit
@@ -57,9 +76,9 @@ from .sweep import SUITE_NAMES, SweepConfig, run_verify
 
 # The most targets one --n-range may span, checked before any is computed.
 # It caps the cells a table holds for its widths: on a 2-core x86-64 host,
-# bounds at this width on the primes up to 17 took 0.8-1.2 s and peaked at
-# 83 MB as a table, and 0.7-1.0 s at 24 MB as json (which streams, as csv
-# does).
+# bounds at this width on the primes up to 17 took 0.8-0.95 s and peaked at
+# 83 MB as a table, and 0.7-0.75 s at 33 MB as json (which streams, as csv
+# does, holding one span of at most 2^14 targets).
 N_RANGE_MAX_WIDTH = 100_000
 
 
@@ -111,70 +130,88 @@ def _targets(args: argparse.Namespace) -> range:
     return range(lo, hi + 1)
 
 
-def _cell(value: object) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if type(value) is tuple:
-        return _ratio(*value)
-    return str(value)
+def _ratio(quote: str, none: str) -> Callable[[tuple[int, int] | None], str]:
+    """The render of a ratio column: a pair (num, den) with den > 0 as
+    str(Fraction(num, den)), through one gcd, between two quotes; None, a
+    cell with no value, as none."""
+
+    def render(value: tuple[int, int] | None) -> str:
+        if value is None:
+            return none
+        num, den = value
+        g = math.gcd(num, den)
+        if g == den:
+            return f"{quote}{num // g}{quote}"
+        return f"{quote}{num // g}/{den // g}{quote}"
+
+    return render
 
 
-def _literal(value: object) -> str:
-    """``value`` as json.dumps(value, default=str) writes it: an int as its
-    repr, a (num, den) pair as the str of that ``Fraction``, a str escaped to
-    ASCII, anything else (a ``Fraction``) as its str."""
-    if type(value) is int:  # not a bool
-        return repr(value)
-    if type(value) is tuple:
-        return '"%s"' % _ratio(*value)
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return encode_basestring_ascii(str(value))
+_truth = {True: "true", False: "false"}.__getitem__
+
+# How a value of each column kind becomes text: in json as json.dumps
+# writes it, and in csv and table as the cell.  A ratio is a pair
+# (num, den), written p/q, or None where the column has no value.
+_JSON = {"int": str, "ratio": _ratio('"', "null"), "bool": _truth, "str": encode_basestring_ascii}
+_CELLS = {"int": str, "ratio": _ratio("", ""), "bool": _truth, "str": str}
 
 
-def _ratio(num: int, den: int) -> str:
-    """str(Fraction(num, den)) for a den > 0, through one gcd."""
-    g = math.gcd(num, den)
-    return str(num // g) if g == den else f"{num // g}/{den // g}"
+class _Columns(tuple):
+    """A row command's column names, coeffs first, with the renders of the
+    others resolved once from their kinds: ``json`` and ``cells``, one a
+    column, and ``json_tail``, each json line's template after coeffs."""
+
+    def __new__(cls, **kinds: str) -> _Columns:
+        columns = super().__new__(cls, ("coeffs", *kinds))
+        columns.json = [*map(_JSON.__getitem__, kinds.values())]
+        columns.cells = [*map(_CELLS.__getitem__, kinds.values())]
+        columns.json_tail = "".join(map(', "{}": %s'.format, kinds)) + "}\n"
+        return columns
 
 
-def _rendered(rows: Iterator[tuple], render: Callable[[object], str]) -> Iterator[tuple]:
-    """Each row as the texts of its values, made by ``render``.  From Python
-    3.11 (and 3.10.7) int refuses to convert a value of more digits than the
-    interpreter's limit to text; that limit is a budget too."""
-    for row in rows:
-        try:
-            # (*map(...),) sizes each line's tuple exactly: tuple(map(...))
-            # grows and shrinks one, so CPython keeps the freed tuples on its
-            # free lists, up to 2,000 of each length, instead of reusing them.
-            line = (*map(render, row),)
-        except ValueError as err:
-            raise BudgetExceededError(f"a value is too long to print: {err}") from None
-        yield line
+# render(value) for a render and its value, with no Python frame of its
+# own where the operator module has it (Python 3.11 on).
+_call = getattr(operator, "call", lambda render, value: render(value))
+
+
+def _too_long(err: ValueError) -> BudgetExceededError:
+    """From Python 3.11 (and 3.10.7) int refuses to convert a value of more
+    digits than the interpreter's limit to text; that limit is a budget
+    too."""
+    return BudgetExceededError(f"a value is too long to print: {err}")
+
+
+def _rendered(row: tuple, renders: Sequence[Callable]) -> tuple:
+    """The texts of a row's values, each made by its column's render."""
+    try:
+        return tuple(map(_call, renders, row))
+    except ValueError as err:
+        raise _too_long(err) from None
 
 
 def _emit_rows(
-    coeffs: tuple[int, ...], rows: Iterator[tuple], columns: Sequence[str],
-    fmt: str, stream: TextIO,
+    coeffs: tuple[int, ...], rows: Iterator[tuple], columns: _Columns, fmt: str,
+    stream: TextIO,
 ) -> None:
     # The first column is always the command's coeffs, written here; a row
-    # holds the other columns, in order, and becomes text only here.  Every
-    # row command yields at least one row.  Computing and rendering the
-    # first before anything is written keeps the output empty when either
-    # fails; a failure further on keeps the json and csv rows written so far.
-    lines = _rendered(rows, _literal if fmt == "json" else _cell)
-    lines = itertools.chain([next(lines)], lines)
+    # holds the other columns, in order, and becomes text only here, each
+    # value through its column's render.  Every row command yields at least
+    # one row, and each row is written as soon as it is rendered, the first
+    # before anything else: so a failure at the first row leaves the output
+    # empty, and one further on keeps the json and csv rows written so far.
     if fmt == "json":
         # One object per line, as json.dumps writes it, from one template.
-        fields = (f'"{name}": %s' for name in columns[1:])
-        template = "{" + ", ".join([f'"coeffs": {list(coeffs)}', *fields]) + "}\n"
-        for line in lines:
-            stream.write(template % line)
+        template = f'{{"coeffs": {list(coeffs)}{columns.json_tail}'
+        renders = columns.json
+        for row in rows:
+            try:
+                line = template % tuple(map(_call, renders, row))
+            except ValueError as err:
+                raise _too_long(err) from None
+            stream.write(line)
         return
+    lines = map(_rendered, rows, repeat(columns.cells))
+    lines = itertools.chain([next(lines)], lines)
     first = ",".join(map(str, coeffs))
     if fmt == "csv":
         writer = csv.writer(stream)
@@ -187,13 +224,47 @@ def _emit_rows(
         stream.write("  ".join(map(str.ljust, line, widths)).rstrip() + "\n")
 
 
+def _reads(targets: range, d: int, fill: tuple) -> tuple[Iterator[tuple], range]:
+    """For count and bounds: the rows of the targets before the first one d
+    divides, each n with ``fill``, and the targets whose count reads the row,
+    those d divides from there; every target from a negative first one,
+    which raises when it is read."""
+    if d == 1:
+        return iter(()), targets
+    start = targets.start
+    first = start if start < 0 else start + -start % d
+    gap = range(start, min(first, targets.stop))
+    return zip(gap, *map(repeat, fill)), range(first, targets.stop, d)
+
+
+def _rows(
+    targets: range, m: int, d: int, columns: Sequence, fill: tuple | None = None
+) -> Iterator[tuple]:
+    """The rows (n, *values) of the targets that a span of columns answers:
+    the columns hold the values at m, m + 1, ..., the first as a list, and
+    target n reads entry n // d - m, or, given ``fill``, takes the fill
+    unless d divides n."""
+    if d == 1:
+        return zip(range(m, m + len(columns[0])), *columns)
+    span = range(max(targets.start, d * m), min(targets.stop, d * (m + len(columns[0]))))
+    entries = list(zip(*columns))
+    if fill is None:
+        return ((n, *entries[n // d - m]) for n in span)
+    return ((n, *(fill if n % d else entries[n // d - m])) for n in span)
+
+
 def _count_rows(args: argparse.Namespace) -> Iterator[tuple]:
     coeffs = args.coeffs
     targets = _targets(args)
     if args.method == "recursion":
+        # A target d = gcd(a) does not divide has no solutions and no read.
         reader = _RowReader(coeffs)
-        for n in targets:
-            yield n, reader.count(n), "recursion"
+        d = reader.gcd
+        fill = (0, "recursion")
+        before, reads = _reads(targets, d, fill)
+        yield from before
+        for m, counts in reader.spans(reads):
+            yield from _rows(targets, m, d, (counts, repeat("recursion")), fill)
         return
     # Every target of the command draws on one oracle node budget.
     budget = _OracleBudget()
@@ -208,32 +279,45 @@ def _count_rows(args: argparse.Namespace) -> Iterator[tuple]:
 
 
 def _bounds_rows(args: argparse.Namespace) -> Iterator[tuple]:
-    # The sandwich bounds every target that d = gcd(a) divides.  Each bound
-    # is an integer numerator over one of the sandwich's denominators, which
-    # the sandwich compares with the count and the writer prints.
+    # The sandwich bounds every target that d = gcd(a) divides, a span of
+    # them at a time.  Each bound is an integer numerator over one of the
+    # sandwich's denominators, which the sandwich compares with the count
+    # and the writer prints.
     coeffs = args.coeffs
     targets = _targets(args)
     reader = _RowReader(coeffs)
     d = reader.gcd
+    # No solutions and no meaningful bounds at a target d does not divide.
+    fill = (0, None, None, None, False, True)
+    before, reads = _reads(targets, d, fill)
+    yield from before
     sandwich = None
-    for n in targets:
-        # This also rejects a negative n before the shortcut below.
-        exact = reader.count(n)
-        if n % d:
-            # No solutions and no meaningful bounds at this target.
-            yield n, exact, None, None, None, False, True
-            continue
+    for m, counts in reader.spans(reads):
         if sandwich is None:
             # Prepared at the first target d divides, where a single
             # coefficient is refused under the tuple as given.
             sandwich = _Sandwich.of(coeffs)
             lower_den, series_den, upper_den = sandwich.denominators
-        lower, series, upper = values = sandwich.numerators(n)
-        yield (
-            n, exact, (lower, lower_den),
-            None if series is None else (series, series_den),
-            (upper, upper_den), series is not None, sandwich.contains(exact, values),
+        values = sandwich.numerators(d * m, d * (m + len(counts) - 1))
+        if len(counts) == 1 == d:
+            # One target, the row of a single --n: building it from the one
+            # entry of each column costs less than building the columns.
+            (lower,), (series,), (upper,) = values
+            (ok,) = sandwich.contains(counts, ([lower], [series], [upper]))
+            yield (
+                m, counts[0], (lower, lower_den),
+                None if series is None else (series, series_den),
+                (upper, upper_den), series is not None, ok,
+            )
+            continue
+        lower, series, upper = values = [*map(list, values)]
+        columns = (
+            counts, zip(lower, repeat(lower_den)),
+            [None if s is None else (s, series_den) for s in series],
+            zip(upper, repeat(upper_den)), map(is_not, series, repeat(None)),
+            sandwich.contains(counts, values),
         )
+        yield from _rows(targets, m, d, columns, fill)
 
 
 def _frobenius_rows(args: argparse.Namespace) -> Iterator[tuple]:
@@ -249,21 +333,31 @@ def _bf_rows(args: argparse.Namespace) -> Iterator[tuple]:
     else:
         # The triangle's edges read no coefficient: 0 off it, 1 at l = 0.
         value = Fraction(1 if args.ell == 0 <= args.m else 0)
-    yield args.offset, args.m, args.ell, value
+    yield args.offset, args.m, args.ell, (value.numerator, value.denominator)
 
 
 def _dhat_rows(args: argparse.Namespace) -> Iterator[tuple]:
     targets = _targets(args)
     chain = _Sandwich.relaxed(args.coeffs)
     reader = _RowReader(args.coeffs)
+    d = reader.gcd
     lower_den, middle_den, upper_den = chain.denominators
-    for n in targets:
-        exact = reader.relaxed(n)
-        lower, middle, upper = values = chain.numerators(n)
-        yield (
-            n, exact, (lower, lower_den), (middle, middle_den), (upper, upper_den),
-            chain.contains(exact, values),
+    for m, counts in reader.spans(targets):
+        # The relaxed count at m, then a running sum over the span.
+        exact = list(accumulate(islice(counts, 1, None), initial=reader.relaxed(d * m)))
+        values = chain.numerators(d * m, d * (m + len(counts) - 1))
+        if len(exact) == 1 == d:
+            # One target, as in bounds.
+            (lower,), (middle,), (upper,) = values
+            (ok,) = chain.contains(exact, ([lower], [middle], [upper]))
+            yield m, exact[0], (lower, lower_den), (middle, middle_den), (upper, upper_den), ok
+            continue
+        lower, middle, upper = values = [*map(list, values)]
+        columns = (
+            exact, zip(lower, repeat(lower_den)), zip(middle, repeat(middle_den)),
+            zip(upper, repeat(upper_den)), chain.contains(exact, values),
         )
+        yield from _rows(targets, m, d, columns)
 
 
 def _cmd_verify(args: argparse.Namespace, stream: TextIO) -> int:
@@ -306,7 +400,8 @@ def _skip_note(skipped: dict[str, int]) -> str:
 
 def build_parser() -> argparse.ArgumentParser:
     # The row commands: count, bounds, dhat, frobenius and bf.  Each sets
-    # `rows`, its row generator, and `columns`, the names it writes.
+    # `rows`, its row generator, and `columns`, the names it writes with the
+    # kind of each after coeffs: int, ratio, bool or str.
     rows = argparse.ArgumentParser(add_help=False)
     rows.add_argument(
         "--format", choices=("table", "csv", "json"), default="table",
@@ -332,15 +427,16 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("recursion", "oracle", "popoviciu"),
         default="recursion",
     )
-    p.set_defaults(rows=_count_rows, columns=("coeffs", "n", "value", "method"))
+    p.set_defaults(rows=_count_rows, columns=_Columns(n="int", value="int", method="str"))
 
     p = sub.add_parser(
         "bounds", parents=[targets], help="two-sided bounds next to the exact count"
     )
     p.set_defaults(
         rows=_bounds_rows,
-        columns=(
-            "coeffs", "n", "exact", "lower_a", "lower_b", "upper_a", "applicable", "ok"
+        columns=_Columns(
+            n="int", exact="int", lower_a="ratio", lower_b="ratio", upper_a="ratio",
+            applicable="bool", ok="bool",
         ),
     )
 
@@ -351,7 +447,9 @@ def build_parser() -> argparse.ArgumentParser:
     # always empty; they stay so that the output keeps its shape.
     p.set_defaults(
         rows=_frobenius_rows,
-        columns=("coeffs", "g", "brauer_upper", "root_lower_1", "root_lower_2"),
+        columns=_Columns(
+            g="int", brauer_upper="int", root_lower_1="ratio", root_lower_2="ratio"
+        ),
     )
 
     p = sub.add_parser(
@@ -360,14 +458,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-r", "--offset", type=int, default=0)
     p.add_argument("-m", type=int, required=True, dest="m")
     p.add_argument("-l", "--ell", type=int, required=True, dest="ell")
-    p.set_defaults(rows=_bf_rows, columns=("coeffs", "r", "m", "ell", "value"))
+    p.set_defaults(rows=_bf_rows, columns=_Columns(r="int", m="int", ell="int", value="ratio"))
 
     p = sub.add_parser(
         "dhat", parents=[targets], help="relaxed count (sum <= n) with its bound chain"
     )
     p.set_defaults(
         rows=_dhat_rows,
-        columns=("coeffs", "n", "exact", "lower", "middle", "upper", "ok"),
+        columns=_Columns(
+            n="int", exact="int", lower="ratio", middle="ratio", upper="ratio", ok="bool"
+        ),
     )
 
     p = sub.add_parser("verify", help="run one randomized verification suite")

@@ -31,7 +31,8 @@ most ``_BLOCK - 1`` of its cells to one of those sums.
 Every read of a row goes through a ``_RowReader``, which holds one tuple's
 row across targets and looks it up again only when a target passes its cap:
 ``denumerant`` and ``extended_count`` are a reader at one target, and the
-CLI's ``count``, ``bounds`` and ``dhat`` read a whole ``--n-range`` with one.
+CLI's ``count``, ``bounds`` and ``dhat`` read a whole ``--n-range`` with one,
+a list of counts per held row (``spans``).
 A reader's ``counts`` yields a span of the row as ints, a chunk at a time:
 ``prefix_sum_count`` sums every count up to n from it instead of counting
 each target, and the ``frobenius`` verify suite reads only its window above g.
@@ -423,6 +424,12 @@ class _RowReader:
     negative n ValueError, and an n whose counts D(0..n // d) span more than
     DENUMERANT_MAX_CELLS cells BudgetExceededError, before anything is
     allocated.
+
+    ``spans`` reads a rising range of targets a held row at a time: for
+    each row the range needs it yields the counts of that row's targets as
+    one list, at most ``_CHUNK`` cells long, and looks up again only at the
+    first target past the reach.  A target over the budget raises when its
+    span is read, after every earlier span has been yielded.
     """
 
     __slots__ = ("coeffs", "gcd", "_row", "_reach")
@@ -445,7 +452,8 @@ class _RowReader:
                     f"the table for {self.coeffs} at n={n} needs {m + 1} cells, "
                     f"over the cap of {DENUMERANT_MAX_CELLS}"
                 )
-            key = tuple(sorted(c // self.gcd for c in self.coeffs))
+            reduced = self.coeffs if self.gcd == 1 else (c // self.gcd for c in self.coeffs)
+            key = tuple(sorted(reduced))
             self._row = _prefix_counts(key, m)
             self._reach = min(self._row.cap, DENUMERANT_MAX_CELLS - 1)
         return self._row, m
@@ -461,6 +469,22 @@ class _RowReader:
         """The solutions of sum <= n: D(a/d, 0) + ... + D(a/d, n // d)."""
         row, m = self._lookup(n)
         return row.total(m)
+
+    def spans(self, targets: range) -> Iterator[tuple[int, list[int]]]:
+        """(m, [D(a/d, m), ..., D(a/d, m')]) for the rising ``targets``, one
+        held row at a time: m to m' are the n // d of the targets that row
+        answers, at most ``_CHUNK`` of them.  The row is looked up as
+        ``relaxed`` looks it up at each target, so only at the first target
+        past the reach; a range of the targets d divides reads the rows that
+        ``count`` reads at each of them.
+        """
+        d, i = self.gcd, 0
+        while i < len(targets):
+            row, m = self._lookup(targets[i])
+            last = min(self._reach, targets[-1] // d, m + _CHUNK - 1)
+            yield m, row.counts(last, m)
+            # On from the first target past the span, at n >= d (last + 1).
+            i = -(-(d * (last + 1) - targets.start) // targets.step)
 
     def counts(self, n: int, lo: int = 0) -> Iterator[int]:
         """D(a/d, lo), ..., D(a/d, n // d), read ``_CHUNK`` cells at a time,

@@ -283,7 +283,7 @@ def _sandwich_failure(instance: dict, report: BoundReport) -> Failure | None:
 def _check_inequality_b(instance: dict) -> Failure | None:
     coeffs, n = instance["coeffs"], instance["n"]
     sandwich = _coprime_sandwich(coeffs)
-    lower, series, _ = sandwich.numerators(n)
+    (lower,), (series,), _ = sandwich.numerators(n, n)
     if series is None:
         return None
     exact = denumerant(coeffs, n).value

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import itertools
 import json
 import math
@@ -370,7 +372,7 @@ def test_the_prepared_relaxed_chain_matches_the_definitions(coeffs):
     d = math.gcd(*coeffs)
     # Targets d does not divide come first among the small ones.
     for n in (0, 1, d - 1, d, d + 1, 2 * d + 1, 77, 10**6 + 1, 10**40 + 3):
-        values = tuple(map(Fraction, chain.numerators(n), chain.denominators))
+        values = tuple(map(Fraction, _at(chain, n), chain.denominators))
         assert values == _relaxed_by_definition(coeffs, n), n
 
 
@@ -389,12 +391,12 @@ def test_the_sandwich_reads_a_target_at_its_floor_by_the_gcd():
             sandwich, of_reduced = bounds._Sandwich.of(a), bounds._Sandwich.of(reduced)
             assert sandwich.gcd == d and of_reduced.gcd == 1, a
             for n in (d * (n // d) for n in ns):
-                assert sandwich.numerators(n) == of_reduced.numerators(n // d), (a, n)
+                assert _at(sandwich, n) == _at(of_reduced, n // d), (a, n)
         chain, of_reduced = bounds._Sandwich.relaxed(a), bounds._Sandwich.relaxed(reduced)
         for n in ns:
             uneven += n % d != 0
-            values = chain.numerators(n)
-            assert values == of_reduced.numerators(n // d), (a, n)
+            values = _at(chain, n)
+            assert values == _at(of_reduced, n // d), (a, n)
             assert tuple(map(Fraction, values, chain.denominators)) == relaxed_count_chain(
                 a, n
             ), (a, n)
@@ -425,6 +427,17 @@ def test_the_relaxed_chain_is_the_slack_tuples_sandwich():
     assert uneven > 100
 
 
+def _at(sandwich, n):
+    """The sandwich's numerators at the one target n, from its span of one."""
+    return tuple(map(next, sandwich.numerators(n, n)))
+
+
+def _contains(sandwich, count, values):
+    """The sandwich's count test of one count against the values at its target."""
+    (ok,) = sandwich.contains([count], tuple([value] for value in values))
+    return ok
+
+
 def _edge_counts(*limits):
     """The integers at or one off each of the limits: floor - 1 to ceil + 1."""
     return sorted({c for x in limits for c in range(math.floor(x) - 1, math.ceil(x) + 2)})
@@ -448,7 +461,7 @@ def test_the_sandwichs_count_test_agrees_with_the_fraction_chain():
         for m in {s - 2, s - 1, s, s + 1, s + rng.randint(2, 400)}:
             if m < 0:
                 continue
-            values = sandwich.numerators(sandwich.gcd * m)
+            values = _at(sandwich, sandwich.gcd * m)
             lower_a, upper_a, lower_b = _sandwich_by_definition(reduced, m)
             claimed = m >= s
             below += not claimed
@@ -456,19 +469,85 @@ def test_the_sandwichs_count_test_agrees_with_the_fraction_chain():
             limits = (lower_a, upper_a, lower_b) if claimed else (lower_a, upper_a)
             for count in _edge_counts(*limits):
                 expected = count <= upper_a and (not claimed or lower_a <= lower_b <= count)
-                assert sandwich.contains(count, values) == expected, (a, m, count)
+                assert _contains(sandwich, count, values) == expected, (a, m, count)
                 if claimed:
                     lower, _, upper = values
                     wrong = (lower, (lower << shift) - 1, upper)
-                    assert not sandwich.contains(count, wrong), (a, m, count)
+                    assert not _contains(sandwich, count, wrong), (a, m, count)
         chain = bounds._Sandwich.relaxed(a)
         n = rng.randint(0, 3000)
-        values = chain.numerators(n)
+        values = _at(chain, n)
         lower, middle, upper = _relaxed_by_definition(a, n)
         for count in _edge_counts(lower, middle, upper):
             expected = lower <= middle <= count <= upper
-            assert chain.contains(count, values) == expected, (a, n, count)
+            assert _contains(chain, count, values) == expected, (a, n, count)
     assert below > 100 and above > 300
+
+
+def _slow_ok_columns(limits):
+    """Count columns, each with the answers ``contains`` must give for it,
+    from the Fraction limits of each entry of a span: (lower_a, lower_b or
+    None, upper_a) of the count's sandwich, (lower, middle, upper) of the
+    relaxed chain's.  Together the columns give every entry the integers
+    on, one off and between its limits."""
+    candidates = [_edge_counts(*(x for x in entry if x is not None)) for entry in limits]
+    for j in range(max(map(len, candidates))):
+        counts = [c[min(j, len(c) - 1)] for c in candidates]
+        yield counts, [
+            count <= upper and (middle is None or lower <= middle <= count)
+            for count, (lower, middle, upper) in zip(counts, limits)
+        ]
+
+
+def _json_rows(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(list(argv)) == 0
+    return [json.loads(line) for line in out.getvalue().splitlines()]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    a=st.lists(st.integers(1, 12), min_size=1, max_size=5).map(tuple),
+    lo=st.integers(0, 90),
+    width=st.integers(1, 40),
+)
+def test_the_ok_column_is_the_fraction_chain(a, lo, width):
+    # The slow route for the ok column of bounds and dhat: each target's
+    # bounds as Fractions from inequality_a, inequality_b_lower and
+    # relaxed_count_chain, compared in Fractions.  The sandwich's column
+    # test must agree on counts around every bound of a drawn span, and the
+    # CLI's ok on the counts it prints.
+    hi = lo + width - 1
+    chain = bounds._Sandwich.relaxed(a)
+    # The relaxed chain's entries are those of m = n // d.
+    ms = range(lo // chain.gcd, hi // chain.gcd + 1)
+    limits = [relaxed_count_chain(a, chain.gcd * m) for m in ms]
+    values = [*map(list, chain.numerators(lo, hi))]
+    for counts, expected in _slow_ok_columns(limits):
+        assert chain.contains(counts, values) == expected, (a, lo, hi, counts)
+    text = ",".join(map(str, a))
+    for row in _json_rows("dhat", "--coeffs", text, "--n-range", f"{lo}:{hi}", "--format", "json"):
+        lower, middle, upper = relaxed_count_chain(a, row["n"])
+        assert row["ok"] == (lower <= middle <= row["exact"] <= upper), (a, row)
+    a = _coprime(a)
+    if len(a) < 2:
+        return
+    sandwich = bounds._Sandwich.of(a)
+    limits = []
+    for n in range(lo, hi + 1):
+        report = inequality_a(a, n)
+        lower_b = inequality_b_lower(a, n) if report.applicable_lower else None
+        limits.append((report.lower_a, lower_b, report.upper_a))
+    values = [*map(list, sandwich.numerators(lo, hi))]
+    for counts, expected in _slow_ok_columns(limits):
+        assert sandwich.contains(counts, values) == expected, (a, lo, hi, counts)
+    text = ",".join(map(str, a))
+    rows = _json_rows("bounds", "--coeffs", text, "--n-range", f"{lo}:{hi}", "--format", "json")
+    for row, (lower_a, lower_b, upper_a) in zip(rows, limits):
+        exact = row["exact"]
+        expected = exact <= upper_a and (lower_b is None or lower_a <= lower_b <= exact)
+        assert row["ok"] == expected, (a, row)
 
 
 def _count_calls(monkeypatch, module, name):

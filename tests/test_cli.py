@@ -288,30 +288,50 @@ def test_failure_at_the_first_row_writes_nothing(capsys, fmt, argv):
     assert err.startswith("error: ")
 
 
-def test_failure_partway_keeps_the_streamed_rows(monkeypatch, capsys):
+@pytest.mark.parametrize(
+    "coeffs, cells, kept, failing",
+    [
+        # n = 12 needs 13 cells, one over the budget, though the row cached
+        # for n = 10 reaches it: the failing target is inside the first span.
+        ("2,3", 12, "10:11", "10:14"),
+        # gcd 2: n = 12 needs 7 cells.  count and bounds keep n = 9 and 11,
+        # which read no row, and dhat reads at every target.
+        ("4,6", 6, "9:11", "9:14"),
+        # The first target that reads fails, after the one before it, which
+        # does not read, is written by count and bounds.
+        ("4,6", 6, "11:11", "11:14"),
+    ],
+)
+def test_failure_partway_keeps_the_streamed_rows(
+    monkeypatch, capsys, coeffs, cells, kept, failing
+):
     # json and csv write each row as it is computed; the table needs every
-    # row for its widths, so it writes nothing.  n = 12 needs 13 cells, one
-    # over the patched budget, though the row cached for n = 10 reaches it.
+    # row for its widths, so it writes nothing.  The rows kept are those of
+    # the targets before the failing one, computed under the real budget.
     def argv(command, fmt, targets):
-        return command, "--coeffs", "2,3", "--n-range", targets, "--format", fmt
+        return command, "--coeffs", coeffs, "--n-range", targets, "--format", fmt
 
     streamed = {
-        (command, fmt): run(capsys, *argv(command, fmt, "10:11"))
+        (command, fmt): run(capsys, *argv(command, fmt, kept))
         for command in ("count", "bounds", "dhat")
         for fmt in ("json", "csv")
     }
-    assert streamed["count", "csv"][1].splitlines() == [
-        "coeffs,n,value,method", '"2,3",10,2,recursion', '"2,3",11,2,recursion'
-    ]
-    monkeypatch.setattr(denumerant.exact, "DENUMERANT_MAX_CELLS", 12)
+    if coeffs == "2,3":
+        assert streamed["count", "csv"][1].splitlines() == [
+            "coeffs,n,value,method", '"2,3",10,2,recursion', '"2,3",11,2,recursion'
+        ]
+    monkeypatch.setattr(denumerant.exact, "DENUMERANT_MAX_CELLS", cells)
+    error = (
+        f"error: the table for ({coeffs.replace(',', ', ')}) at n=12 needs {cells + 1} "
+        f"cells, over the cap of {cells}\n"
+    )
     for (command, fmt), (code, out, _) in streamed.items():
         assert code == 0
-        assert run(capsys, *argv(command, fmt, "10:14")) == (
-            3,
-            out,
-            "error: the table for (2, 3) at n=12 needs 13 cells, over the cap of 12\n",
-        )
-        assert run(capsys, *argv(command, "table", "10:14"))[:2] == (3, "")
+        if command == "dhat" and kept == "11:11":
+            # dhat reads at n = 11 too, where m = 5 is within the budget.
+            assert len(out.splitlines()) == 1 + (fmt == "csv")
+        assert run(capsys, *argv(command, fmt, failing)) == (3, out, error)
+        assert run(capsys, *argv(command, "table", failing))[:2] == (3, "")
 
 
 def test_oracle_range_shares_one_node_budget(monkeypatch, capsys):
@@ -431,7 +451,7 @@ def test_dhat_row(capsys):
 
 @pytest.mark.parametrize(
     "argv, read",
-    [(["bounds", "--coeffs", "1,2,3", "--n", "10"], "count"),
+    [(["bounds", "--coeffs", "1,2,3", "--n", "10"], "spans"),
      (["dhat", "--coeffs", "2,3", "--n", "6"], "relaxed")],
     ids=["bounds", "dhat"],
 )
@@ -440,21 +460,27 @@ def test_dhat_row(capsys):
 )
 def test_ok_is_false_when_one_comparison_fails(monkeypatch, capsys, argv, read, case):
     # Each case breaks one comparison and keeps the other two: the count
-    # read, or the series numerator the sandwich gives, set one below
-    # lower_a's over its own denominator.
+    # read (bounds reads its one target's span, dhat its relaxed count), or
+    # the series numerator the sandwich gives, set one below lower_a's over
+    # its own denominator.
     code, out, _ = run(capsys, *argv, "--format", "json")
     assert (code, json.loads(out)["ok"]) == (0, True)
     numerators = bounds._Sandwich.numerators
 
-    def lowered(self, n):
-        lower, _, upper = numerators(self, n)
-        return lower, (lower << (self.power - 1)) - 1, upper
+    def lowered(self, lo, hi):
+        lower, _, upper = numerators(self, lo, hi)
+        lower = list(lower)
+        return lower, [(v << (self.power - 1)) - 1 for v in lower], upper
 
     if case == "lower_b below lower_a":
         monkeypatch.setattr(bounds._Sandwich, "numerators", lowered)
     else:
         count = 10**6 if case == "count above upper" else 0
-        monkeypatch.setattr(exact._RowReader, read, lambda self, n: count)
+        reads = {
+            "spans": lambda self, targets: iter([(targets[0] // self.gcd, [count])]),
+            "relaxed": lambda self, n: count,
+        }
+        monkeypatch.setattr(exact._RowReader, read, reads[read])
     for fmt, cell in (("json", '"ok": false}'), ("csv", ",false"), ("table", "  false")):
         code, out, _ = run(capsys, *argv, "--format", fmt)
         assert code == 0
@@ -652,6 +678,55 @@ def test_range_rows_match_the_per_target_fraction_api(capsys, coeffs, lo, hi):
             assert run(capsys, *single, "csv")[1].splitlines() == [
                 lines["csv"][0], lines["csv"][1 + n - lo]
             ]
+
+
+def _held_rows():
+    """The row cache's counts and the cap of each row it holds."""
+    info = _prefix_counts.cache_info()
+    return info.misses, info.currsize, {key: row.cap for key, row in _prefix_counts._rows.items()}
+
+
+@pytest.mark.parametrize(
+    "coeffs, lo, hi",
+    [
+        ("4,6,10", 3, 31),  # gcd 2, from a target it does not divide
+        ("5,8,12,27", 0, 40),  # from below s-_4 = 27
+        ("3,5,7", 20, 80),  # the second half passes the first row's reach
+        ("1,1,1,1,1,1,1,1", 4000, 4003),  # counts past 2^64
+        ("7", 0, 30),  # one coefficient, for count and dhat
+    ],
+)
+def test_a_range_writes_what_its_targets_write(capsys, coeffs, lo, hi):
+    # The span read and the writer's by-column renders against one command
+    # per target: the range's json is the targets' lines joined, its csv
+    # those lines under one header, and its table the same cells (the
+    # widths are the range's).  Both build the same rows to the same caps;
+    # a range looks a held row up once, so only its hits are fewer.
+    for command in ("count", "bounds", "dhat"):
+        if command == "bounds" and "," not in coeffs:
+            continue
+        for fmt in ("json", "csv", "table"):
+            argv = [command, "--coeffs", coeffs, "--format", fmt]
+            _prefix_counts.cache_clear()
+            code, whole, _ = run(capsys, *argv, "--n-range", f"{lo}:{hi}")
+            assert code == 0
+            whole_hits, whole_rows = _prefix_counts.cache_info().hits, _held_rows()
+            _prefix_counts.cache_clear()
+            parts = []
+            for n in range(lo, hi + 1):
+                code, out, _ = run(capsys, *argv, "--n", str(n))
+                assert code == 0
+                parts.append(out.splitlines(keepends=True))
+            assert _held_rows() == whole_rows, (command, fmt)
+            assert whole_hits <= _prefix_counts.cache_info().hits
+            if fmt == "json":
+                assert whole == "".join(line for part in parts for (line,) in [part])
+            elif fmt == "csv":
+                assert whole == "".join([parts[0][0], *(part[1] for part in parts)])
+            else:
+                header, *lines = whole.splitlines()
+                assert header.split() == parts[0][0].split()
+                assert [line.split() for line in lines] == [part[1].split() for part in parts]
 
 
 def test_usage_errors_exit_2(capsys):

@@ -610,9 +610,10 @@ def _series_numerator(change):
     def patch(monkeypatch):
         original = bounds._Sandwich.numerators
 
-        def numerators(self, n):
-            lower, series, upper = original(self, n)
-            return lower, series if series is None else change(self, lower, series), upper
+        def numerators(self, lo, hi):
+            lower, series, upper = map(list, original(self, lo, hi))
+            changed = [s if s is None else change(self, v, s) for v, s in zip(lower, series)]
+            return lower, changed, upper
 
         monkeypatch.setattr(bounds._Sandwich, "numerators", numerators)
 
