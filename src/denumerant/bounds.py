@@ -35,14 +35,21 @@ against them in integers, which is the CLI's ``ok``.  A single target is a
 span of one: ``at``, ``series_lower`` and
 ``relaxed_count_chain`` make a ``Fraction`` of its values, the
 ``inequality-b`` sweep tests its count in integers, and the CLI prints
-them without one.  The public functions prepare for their one target; the
-CLI and the sweeps prepare once per command or instance.
+them without one.
+
+A tuple's sandwich is prepared once per process, within a bound: ``of``
+and ``relaxed`` validate the tuple as given and then read one memo keyed on
+it (coefficient order changes the shifts), so the public functions, the
+CLI and the sweeps share one frozen sandwich per tuple.  The memo holds at
+most ``SANDWICH_CACHE_MAX_WORDS`` 64-bit words of the sandwiches' integers,
+the least recently used out first, though the one just stored always stays;
+its lock guards the bookkeeping, never a preparation.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, repeat
 from operator import add, mul
@@ -57,9 +64,14 @@ from .core import (
     as_coeffs,
     gcd_chain,
 )
-from .exact import _RowReader
+from .exact import _RowReader, _WordCache
 
 _NOT_COPRIME = "is not coprime; reduce by the gcd first"
+
+# The most 64-bit words of integers the sandwiches prepared in a process may
+# hold together (``_Sandwich.words``): past it the least recently used are
+# evicted, though the one just stored always stays.
+SANDWICH_CACHE_MAX_WORDS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -115,6 +127,7 @@ def bound_sequences(a: Sequence[int]) -> BoundSequences:
     )
 
 
+@dataclass(frozen=True)
 class _Sandwich:
     """The polynomial sandwich and the series lower bound of a reduced tuple
     with k >= 2 and integer shifts s- and h = 2 s+, prepared once, with the
@@ -126,30 +139,48 @@ class _Sandwich:
         lower_b = B * (c_0 B^(k-2) + ... + c_(k-2)) / (2^(k-2) (k-1)! prod a)
 
     with c_i = 2^(k-2) [[k-2, i]]_2 (k-1)! / (k-1-i)!, an integer.
+
+    A prepared sandwich is frozen and shared: ``of`` and ``relaxed`` return
+    the one the memo holds to every caller and thread.
     """
 
-    def __init__(self, a: tuple[int, ...], gcd: int, lower: int, twice_upper: int) -> None:
-        self.gcd = gcd
-        self.lower_shift = lower
-        self._twice_upper_shift = twice_upper
-        self.power = len(a) - 1
-        denom = math.factorial(self.power) * math.prod(a)
-        # The denominators of lower_a, lower_b and upper_a.
-        self.denominators = (denom, denom << (self.power - 1), denom << self.power)
-        # repeat(x) yields x for ever, so one of each serves every map.
-        self._powers = repeat(self.power)
-        self._series = [*map(repeat, _series_numerators(a, self.power - 1))]
+    gcd: int
+    lower_shift: int
+    _twice_upper_shift: int
+    power: int
+    # The denominators of lower_a, lower_b and upper_a.
+    denominators: tuple[int, int, int]
+    # c_0, ..., c_(k-2).
+    series: tuple[int, ...]
+    # repeat(x) yields x for ever and changes no state, so one of each
+    # serves every map, in every call and thread.
+    _powers: repeat = field(repr=False, compare=False)
+    _series: tuple[repeat, ...] = field(repr=False, compare=False)
+
+    @classmethod
+    def _prepare(cls, a: tuple[int, ...], gcd: int, lower: int, twice_upper: int) -> _Sandwich:
+        power = len(a) - 1
+        denom = math.factorial(power) * math.prod(a)
+        series = _series_numerators(a, power - 1)
+        return cls(
+            gcd, lower, twice_upper, power,
+            (denom, denom << (power - 1), denom << power), series,
+            repeat(power), tuple(map(repeat, series)),
+        )
 
     @classmethod
     def of(cls, a: Sequence[int]) -> _Sandwich:
         """The sandwich of a/d, d = gcd(a), which bounds D(a, n) at every n
         that d divides; the length is checked on a as given."""
         coeffs = _two_or_more(a)
-        d = math.gcd(*coeffs)
-        if d > 1:
-            coeffs = tuple(c // d for c in coeffs)
-        lower, twice_upper = _shift_numerators(coeffs)
-        return cls(coeffs, d, lower[-1], twice_upper[-1])
+
+        def prepare(_: None) -> _Sandwich:
+            d = math.gcd(*coeffs)
+            reduced = tuple(c // d for c in coeffs) if d > 1 else coeffs
+            lower, twice_upper = _shift_numerators(reduced)
+            return cls._prepare(reduced, d, lower[-1], twice_upper[-1])
+
+        return _sandwiches.get(("of", coeffs), prepare)
 
     @classmethod
     def relaxed(cls, a: Sequence[int]) -> _Sandwich:
@@ -160,9 +191,23 @@ class _Sandwich:
         every n >= 0, and s+ = r_k of a/d, so 2 s+ = 2 a_1 + a_2 + ... + a_k
         over d."""
         coeffs = as_coeffs(a)
-        d = math.gcd(*coeffs)
-        reduced = tuple(c // d for c in coeffs) if d > 1 else coeffs
-        return cls((1,) + reduced, d, -1, reduced[0] + sum(reduced))
+
+        def prepare(_: None) -> _Sandwich:
+            d = math.gcd(*coeffs)
+            reduced = tuple(c // d for c in coeffs) if d > 1 else coeffs
+            return cls._prepare((1,) + reduced, d, -1, reduced[0] + sum(reduced))
+
+        return _sandwiches.get(("relaxed", coeffs), prepare)
+
+    @property
+    def words(self) -> int:
+        """The 64-bit words of the integers the sandwich holds, one at least
+        for each."""
+        held = (
+            self.gcd, self.lower_shift, self._twice_upper_shift, self.power,
+            *self.denominators, *self.series,
+        )
+        return sum((v.bit_length() + 63) // 64 or 1 for v in held)
 
     def numerators(
         self, lo: int, hi: int
@@ -218,6 +263,11 @@ class _Sandwich:
                 f"the series bound needs n >= {self.lower_shift}, got n={n}"
             )
         return Fraction(series, self.denominators[1])
+
+
+# Every sandwich prepared in this process, keyed on how it was asked for and
+# the tuple as validated: coefficient order changes the shifts.
+_sandwiches = _WordCache(lambda sandwich: sandwich.words, lambda: SANDWICH_CACHE_MAX_WORDS)
 
 
 def _series_numerators(a: tuple[int, ...], m: int) -> tuple[int, ...]:

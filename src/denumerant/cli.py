@@ -25,11 +25,12 @@ written so far.
 
 count, bounds and dhat serve their targets, one --n or a --n-range, in
 spans: ``exact._RowReader.spans`` gives the counts of the targets one held
-row answers as one list, the sandwich gives the bounds of a span by column
+row answers as one list, and bounds and dhat cut it into runs of at most
+``_RUN`` targets.  The sandwich gives the bounds of a run by column
 (``bounds._Sandwich.numerators``), each an integer numerator over a fixed
 denominator, and tests the counts against them by column (``contains``, the
-ok column).  dhat's relaxed counts are one ``relaxed`` read at a span's
-first target and a running sum over the span.  With d = gcd(a) > 1, count
+ok column).  dhat's relaxed counts are one ``relaxed`` read at a run's
+first target and a running sum over the run.  With d = gcd(a) > 1, count
 and bounds read the row only at the targets d divides; a target before the
 first of them is written before the row is read.
 
@@ -76,9 +77,10 @@ from .sweep import SUITE_NAMES, SweepConfig, run_verify
 
 # The most targets one --n-range may span, checked before any is computed.
 # It caps the cells a table holds for its widths: on a 2-core x86-64 host,
-# bounds at this width on the primes up to 17 took 0.8-0.95 s and peaked at
-# 83 MB as a table, and 0.7-0.75 s at 33 MB as json (which streams, as csv
-# does, holding one span of at most 2^14 targets).
+# bounds at this width on the primes up to 17 took 0.85-1.25 s and peaked
+# at 80 MB as a table, and 0.75-1.05 s at 26 MB as json (which streams, as
+# csv does, holding the counts of one span of at most 2^14 targets and the
+# bounds of one run of at most ``_RUN``).
 N_RANGE_MAX_WIDTH = 100_000
 
 
@@ -237,6 +239,19 @@ def _reads(targets: range, d: int, fill: tuple) -> tuple[Iterator[tuple], range]
     return zip(gap, *map(repeat, fill)), range(first, targets.stop, d)
 
 
+# The most targets of a span whose bound columns bounds and dhat build at
+# once, so a json or csv range holds one run of columns, not a span's.
+_RUN = 256
+
+
+def _runs(spans: Iterator[tuple[int, list[int]]]) -> Iterator[tuple[int, list[int]]]:
+    """Each span (m, counts) of ``_RowReader.spans`` as runs of at most
+    ``_RUN`` counts, each with its first m."""
+    for m, counts in spans:
+        for i in range(0, len(counts), _RUN):
+            yield m + i, counts[i : i + _RUN]
+
+
 def _rows(
     targets: range, m: int, d: int, columns: Sequence, fill: tuple | None = None
 ) -> Iterator[tuple]:
@@ -292,7 +307,7 @@ def _bounds_rows(args: argparse.Namespace) -> Iterator[tuple]:
     before, reads = _reads(targets, d, fill)
     yield from before
     sandwich = None
-    for m, counts in reader.spans(reads):
+    for m, counts in _runs(reader.spans(reads)):
         if sandwich is None:
             # Prepared at the first target d divides, where a single
             # coefficient is refused under the tuple as given.
@@ -342,8 +357,8 @@ def _dhat_rows(args: argparse.Namespace) -> Iterator[tuple]:
     reader = _RowReader(args.coeffs)
     d = reader.gcd
     lower_den, middle_den, upper_den = chain.denominators
-    for m, counts in reader.spans(targets):
-        # The relaxed count at m, then a running sum over the span.
+    for m, counts in _runs(reader.spans(targets)):
+        # The relaxed count at m, then a running sum over the run.
         exact = list(accumulate(islice(counts, 1, None), initial=reader.relaxed(d * m)))
         values = chain.numerators(d * m, d * (m + len(counts) - 1))
         if len(exact) == 1 == d:

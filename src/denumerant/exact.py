@@ -24,6 +24,7 @@ building only the new cells, and the longer row replaces the old one.
 The cache is bounded in words, not rows: once the rows it holds pass
 ``ROW_CACHE_MAX_WORDS`` 64-bit words of packed cells (see below), the
 least recently used are evicted, but the row just stored is always kept.
+That bookkeeping, ``_WordCache``, also keeps ``bounds``' prepared sandwiches.
 A row also keeps the running sum D(0) + ... + D(m - 1) at every multiple m
 of ``_BLOCK`` cells, so ``extended_count``, which counts the relaxed
 problem sum <= n, reads the same cached row as ``denumerant`` and adds at
@@ -61,7 +62,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from operator import add, sub
-from typing import Iterator, Sequence
+from typing import Any, Callable, Hashable, Iterator, Sequence
 
 from .core import (
     BudgetExceededError,
@@ -353,59 +354,89 @@ def _words(row: _Row) -> int:
     return sum(map(len, row.planes))
 
 
-class _RowCache:
-    """One DP row per sorted reduced tuple, the least recently used out first.
+class _WordCache:
+    """Values by key, the least recently used out first, bounded in 64-bit
+    words rather than entries.
 
-    A lookup hits when the tuple's row reaches the target m asked for;
-    otherwise a row to ``_row_cap`` is built, from the old one when
-    ``_build_row`` can extend it, and replaces it.  ``words`` is the total
-    of ``_words`` over the rows held; their running sums are not counted.
-    After each store the least recently used rows are evicted until
-    ``words`` is at most ROW_CACHE_MAX_WORDS, read at that store, but the
-    row just stored is always kept, so a row over the budget is held alone.
-    The lock guards the bookkeeping only, never a build, so concurrent
-    callers may build the same row; the larger one is kept.
+    ``get`` returns the value held for a key when ``usable`` accepts it (by
+    default any value held), a hit; otherwise, a miss, it makes one from the
+    value held (None when there is none) and stores it.  ``words`` is the
+    total of ``size`` over the values held.  After each store the least
+    recently used values are evicted until ``words`` is at most
+    ``budget()``, read at that store, but the value just stored is always
+    kept, so a value over the budget is held alone.  The lock guards the bookkeeping only, never the making of a
+    value, so concurrent callers may make one for the same key; of two, the
+    one that holds more words is kept, the one held first on a tie.
     """
 
-    def __init__(self) -> None:
-        self._rows: OrderedDict[tuple[int, ...], _Row] = OrderedDict()
+    def __init__(self, size: Callable[[Any], int], budget: Callable[[], int]) -> None:
+        self._entries: OrderedDict[Hashable, Any] = OrderedDict()
+        self._size, self._budget = size, budget
         self._lock = threading.Lock()
         self._hits = self._misses = self.words = 0
 
-    def __call__(self, key: tuple[int, ...], m: int) -> _Row:
+    def get(
+        self,
+        key: Hashable,
+        make: Callable[[Any], Any],
+        usable: Callable[[Any], bool] | None = None,
+    ) -> Any:
         with self._lock:
-            row = self._rows.get(key)
-            if row is not None and row.cap >= m:
-                self._rows.move_to_end(key)
+            value = self._entries.get(key)
+            if value is not None and (usable is None or usable(value)):
+                self._entries.move_to_end(key)
                 self._hits += 1
-                return row
+                return value
             self._misses += 1
-        # The short row stays held until the new one replaces it, so a build
-        # that raises leaves the cache as it was.  An extension copies the
-        # short row's cells, since a reader may still hold it.
-        row = _build_row(key, _row_cap(m, row), row)
+        # The value held stays held until the new one replaces it, so a make
+        # that raises leaves the cache as it was.
+        value = make(value)
         with self._lock:
-            kept = self._rows.pop(key, None)
+            kept = self._entries.pop(key, None)
             if kept is not None:
-                self.words -= _words(kept)
-                if kept.cap >= row.cap:
-                    row = kept
-            self._rows[key] = row
-            self.words += _words(row)
-            while self.words > ROW_CACHE_MAX_WORDS and len(self._rows) > 1:
-                self.words -= _words(self._rows.popitem(last=False)[1])
-        return row
+                self.words -= self._size(kept)
+                if self._size(kept) >= self._size(value):
+                    value = kept
+            self._entries[key] = value
+            self.words += self._size(value)
+            budget = self._budget()
+            while self.words > budget and len(self._entries) > 1:
+                self.words -= self._size(self._entries.popitem(last=False)[1])
+        return value
 
     def cache_info(self) -> _CacheInfo:
-        """Hits, misses, maxsize None (no row count bounds the cache) and
-        the rows held."""
+        """Hits, misses, maxsize None (no entry count bounds the cache) and
+        the entries held."""
         with self._lock:
-            return _CacheInfo(self._hits, self._misses, None, len(self._rows))
+            return _CacheInfo(self._hits, self._misses, None, len(self._entries))
 
     def cache_clear(self) -> None:
         with self._lock:
-            self._rows.clear()
+            self._entries.clear()
             self._hits = self._misses = self.words = 0
+
+
+class _RowCache(_WordCache):
+    """One DP row per sorted reduced tuple, bounded by ROW_CACHE_MAX_WORDS
+    words of planes (``_words``; the running sums are not counted).
+
+    A lookup hits when the tuple's row reaches the target m asked for;
+    otherwise a row to ``_row_cap`` is built, from the old one when
+    ``_build_row`` can extend it, and replaces it.  A row holds more words
+    than a shorter one of the same tuple, so of two rows built for a tuple
+    at once the longer one is kept.
+    """
+
+    def __init__(self) -> None:
+        super().__init__(_words, lambda: ROW_CACHE_MAX_WORDS)
+
+    def __call__(self, key: tuple[int, ...], m: int) -> _Row:
+        # An extension copies the short row's cells, since a reader may
+        # still hold it.
+        return self.get(
+            key, lambda short: _build_row(key, _row_cap(m, short), short),
+            lambda row: row.cap >= m,
+        )
 
 
 _prefix_counts = _RowCache()

@@ -210,12 +210,25 @@ def test_row_replay_covers_the_recorded_operations():
     }
 
 
+def _row_digest(key: str) -> str:
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert cli.main(key.split(" ")) == 0, key
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
 @pytest.mark.parametrize("key", sorted(_RECORDED_ROWS))
 def test_row_bytes_match_recorded_digest(key):
     # The benchmark records the SHA-256 of every row command's stdout; the
     # frobenius-large operations and the count-stream ones with a target
     # below 4096 pin the row bytes of count, bounds, dhat and frobenius.
-    out = io.StringIO()
-    with redirect_stdout(out):
-        assert cli.main(key.split(" ")) == 0
-    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == _RECORDED_ROWS[key]
+    assert _row_digest(key) == _RECORDED_ROWS[key]
+
+
+def test_state_kept_between_calls_changes_no_row_byte():
+    # The rows and the prepared bounds are kept between calls; once every
+    # recorded operation has run, running them all again in reverse order,
+    # warm, writes the same bytes.
+    keys = sorted(_RECORDED_ROWS)
+    for key in keys + keys[::-1]:
+        assert _row_digest(key) == _RECORDED_ROWS[key], key

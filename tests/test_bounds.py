@@ -4,6 +4,8 @@ import itertools
 import json
 import math
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -563,17 +565,20 @@ def _count_calls(monkeypatch, module, name):
 
 
 def test_a_bounds_range_prepares_once(monkeypatch, capsys):
+    # From an empty memo, so that once means exactly one preparation.
+    bounds._sandwiches.cache_clear()
     sequences = _count_calls(monkeypatch, bounds, "_shift_numerators")
     weights = _count_calls(monkeypatch, bounds, "bf_explicit")
     argv = ["bounds", "--coeffs", "3,5,7", "--n-range", "100:149", "--format", "json"]
     assert cli.main(argv) == 0
     rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert len(rows) == 50 and all(row["applicable"] for row in rows)
-    assert len(sequences) <= 1
-    assert len(weights) <= 1
+    assert len(sequences) == 1
+    assert len(weights) == 1
 
 
 def test_a_dhat_range_prepares_once(monkeypatch, capsys):
+    bounds._sandwiches.cache_clear()
     sequences = _count_calls(monkeypatch, bounds, "_shift_numerators")
     weights = _count_calls(monkeypatch, bounds, "bf_explicit")
     argv = ["dhat", "--coeffs", "3,5,7", "--n-range", "100:149", "--format", "json"]
@@ -581,17 +586,181 @@ def test_a_dhat_range_prepares_once(monkeypatch, capsys):
     assert len(capsys.readouterr().out.splitlines()) == 50
     # The slack tuple's upper shift is r_k, so its s+ is never built.
     assert sequences == []
-    assert len(weights) <= 1
+    assert len(weights) == 1
 
 
 def test_the_asymptotic_check_prepares_once_per_instance(monkeypatch):
     # The sandwich reads its shifts from the integer helper, not from the
     # Fraction sequences.
+    bounds._sandwiches.cache_clear()
     shifts = _count_calls(monkeypatch, bounds, "_shift_numerators")
     sequences = _count_calls(monkeypatch, bounds, "bound_sequences")
     assert sweep._check_asymptotic({"coeffs": (3, 5, 7)}) is None
     assert len(shifts) == 1
     assert sequences == []
+
+
+def test_a_repeated_preparation_is_one_hit_on_the_same_object():
+    bounds._sandwiches.cache_clear()
+    sandwich, chain = bounds._Sandwich.of((3, 5, 7)), bounds._Sandwich.relaxed((3, 5, 7))
+    assert sandwich is not chain
+    assert bounds._sandwiches.cache_info() == (0, 2, None, 2)
+    assert bounds._Sandwich.of((3, 5, 7)) is sandwich
+    assert bounds._Sandwich.relaxed((3, 5, 7)) is chain
+    assert bounds._sandwiches.cache_info() == (2, 2, None, 2)
+    # The public functions read the same entries.
+    inequality_a((3, 5, 7), 100)
+    inequality_b_lower((3, 5, 7), 100)
+    relaxed_count_chain((3, 5, 7), 100)
+    assert bounds._sandwiches.cache_info() == (5, 2, None, 2)
+
+
+def test_the_memo_keys_a_tuple_in_its_order_and_not_its_type():
+    bounds._sandwiches.cache_clear()
+    forward, backward = bounds._Sandwich.of((3, 5, 7)), bounds._Sandwich.of((7, 5, 3))
+    assert forward is not backward
+    assert (forward.lower_shift, forward._twice_upper_shift) == (7, 37)
+    assert (backward.lower_shift, backward._twice_upper_shift) == (23, 73)
+    assert bounds._Sandwich.of([3, 5, 7]) is forward
+    assert bounds._Sandwich.relaxed([7, 5, 3]) is bounds._Sandwich.relaxed((7, 5, 3))
+    assert bounds._sandwiches.cache_info() == (2, 3, None, 3)
+
+
+def test_a_refused_tuple_is_refused_on_every_call_and_never_held():
+    bounds._sandwiches.cache_clear()
+    for _ in range(2):
+        with pytest.raises(TooShortTupleError):
+            bounds._Sandwich.of((5,))
+        with pytest.raises(TooShortTupleError):
+            inequality_a((5,), 10)
+        with pytest.raises(NotCoprimeError):
+            inequality_a((4, 6), 10)
+        with pytest.raises(NotCoprimeError):
+            inequality_b_lower([6, 10, 14], 10)
+    assert bounds._sandwiches.cache_info() == (0, 0, None, 0)
+    assert bounds._sandwiches.words == 0
+
+
+def _memo_words():
+    # The words of every sandwich the memo holds, summed afresh.
+    return sum(sandwich.words for sandwich in bounds._sandwiches._entries.values())
+
+
+def test_the_memo_evicts_down_to_its_word_budget(monkeypatch):
+    # Each pair's sandwich holds eight one-word integers, so a budget of 40
+    # words holds five of them.
+    monkeypatch.setattr(bounds, "SANDWICH_CACHE_MAX_WORDS", 40)
+    bounds._sandwiches.cache_clear()
+    pairs = [(2, 2 * i + 3) for i in range(7)]
+    for a in pairs:
+        assert bounds._Sandwich.of(a).words == 8
+    assert list(bounds._sandwiches._entries) == [("of", a) for a in pairs[2:]]
+    assert bounds._sandwiches.words == _memo_words() == 40
+    # A hit makes a tuple the most recent, so the next store evicts another.
+    bounds._Sandwich.of(pairs[2])
+    bounds._Sandwich.of((3, 4))
+    assert [key for _, key in bounds._sandwiches._entries] == [*pairs[4:], pairs[2], (3, 4)]
+    # A sandwich over the budget on its own is kept, alone, until the next
+    # store evicts it in turn.
+    big = bounds._Sandwich.of(tuple(range(2, 30)))
+    assert big.words > 40
+    assert list(bounds._sandwiches._entries.values()) == [big]
+    assert bounds._sandwiches.words == _memo_words() == big.words
+    assert bounds._Sandwich.of(tuple(range(2, 30))) is big
+    small = bounds._Sandwich.of((2, 3))
+    assert list(bounds._sandwiches._entries.values()) == [small]
+    assert bounds._sandwiches.words == _memo_words() == 8
+
+
+def test_a_stream_of_tuples_holds_at_most_the_budget_and_the_newest(monkeypatch):
+    budget = 1 << 9
+    monkeypatch.setattr(bounds, "SANDWICH_CACHE_MAX_WORDS", budget)
+    bounds._sandwiches.cache_clear()
+    rng = random.Random(20221)
+    crowded = lone = 0
+    for _ in range(200):
+        a = tuple(rng.randint(1, 30) for _ in range(rng.randint(1, 90)))
+        newest = bounds._Sandwich.relaxed(a)
+        assert bounds._sandwiches.words == _memo_words()
+        assert bounds._sandwiches.words <= max(budget, newest.words)
+        if bounds._sandwiches.words > budget:
+            assert list(bounds._sandwiches._entries.values()) == [newest]
+            lone += 1
+        else:
+            crowded += bounds._sandwiches.cache_info().currsize > 1
+        assert next(reversed(bounds._sandwiches._entries.values())) is newest
+    assert lone and crowded
+
+
+def test_cache_clear_empties_the_memo():
+    bounds._sandwiches.cache_clear()
+    first = bounds._Sandwich.of((3, 5))
+    bounds._Sandwich.relaxed((3, 5))
+    assert bounds._sandwiches.words == _memo_words() > 0
+    bounds._sandwiches.cache_clear()
+    assert bounds._sandwiches.cache_info() == (0, 0, None, 0)
+    assert bounds._sandwiches.words == 0
+    again = bounds._Sandwich.of((3, 5))
+    assert again is not first and again == first
+
+
+def test_a_prepared_sandwich_is_frozen_and_reads_the_same_every_time():
+    bounds._sandwiches.cache_clear()
+    sandwich = bounds._Sandwich.of((4, 7, 9, 11))
+    with pytest.raises(AttributeError):
+        sandwich.gcd = 2
+    with pytest.raises(AttributeError):
+        sandwich.series = ()
+    assert isinstance(sandwich.series, tuple) and isinstance(sandwich.denominators, tuple)
+    first = [*map(list, sandwich.numerators(0, 300))]
+    # Its repeat iterators yield for ever, so no read uses them up.
+    for n in range(0, 300, 7):
+        sandwich.numerators(n, n + 50)
+        sandwich.at(n)
+    assert [*map(list, sandwich.numerators(0, 300))] == first
+    assert [*map(list, bounds._Sandwich.of((4, 7, 9, 11)).numerators(0, 300))] == first
+
+
+def test_threads_that_prepare_one_tuple_get_equal_sandwiches(monkeypatch):
+    # Six threads prepare the same tuples at once, each then reading its
+    # sandwiches' columns, while a memo of about two tuples' words makes
+    # them evict each other.
+    tuples = [(3, 5, 7), (7, 5, 3), (4, 9, 11, 13), (2, 3)]
+    expected = {a: bounds._Sandwich._prepare(a, 1, *_last_shifts(a)) for a in tuples}
+    columns = {a: [*map(list, s.numerators(0, 200))] for a, s in expected.items()}
+    results = [[] for _ in range(6)]
+
+    def work(index):
+        for round in range(40):
+            for a in tuples[index % 4 :] + tuples[: index % 4]:
+                sandwich = bounds._Sandwich.of(a)
+                results[index].append((a, sandwich, [*map(list, sandwich.numerators(0, 200))]))
+
+    monkeypatch.setattr(bounds, "SANDWICH_CACHE_MAX_WORDS", 20)
+    bounds._sandwiches.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for index in range(6):
+        assert len(results[index]) == 40 * len(tuples)
+        for a, sandwich, read in results[index]:
+            assert sandwich == expected[a] and read == columns[a], a
+    info = bounds._sandwiches.cache_info()
+    assert info.hits + info.misses == 6 * 40 * len(tuples)
+    assert bounds._sandwiches.words == _memo_words()
+
+
+def _last_shifts(a):
+    lower, twice_upper = bounds._shift_numerators(a)
+    return lower[-1], twice_upper[-1]
 
 
 # The integer preparation against the Fraction bodies it replaced, copied

@@ -683,7 +683,7 @@ def test_range_rows_match_the_per_target_fraction_api(capsys, coeffs, lo, hi):
 def _held_rows():
     """The row cache's counts and the cap of each row it holds."""
     info = _prefix_counts.cache_info()
-    return info.misses, info.currsize, {key: row.cap for key, row in _prefix_counts._rows.items()}
+    return info.misses, info.currsize, {key: row.cap for key, row in _prefix_counts._entries.items()}
 
 
 @pytest.mark.parametrize(
@@ -727,6 +727,41 @@ def test_a_range_writes_what_its_targets_write(capsys, coeffs, lo, hi):
                 header, *lines = whole.splitlines()
                 assert header.split() == parts[0][0].split()
                 assert [line.split() for line in lines] == [part[1].split() for part in parts]
+
+
+@pytest.mark.parametrize("command", ["bounds", "dhat"])
+@pytest.mark.parametrize(
+    "coeffs, lo, hi",
+    [
+        ("3,5,7", 0, 700),  # from below s-_3 = 7, past the first row's reach
+        ("4,6,10", 3, 901),  # gcd 2: the runs cover targets 2 apart
+        ("5,8,12,27", 63, 64),  # two targets that one run holds
+    ],
+)
+def test_a_range_builds_its_columns_a_run_at_a_time(monkeypatch, capsys, command, coeffs, lo, hi):
+    # Cut into runs of 64 targets, a span writes the bytes it writes whole,
+    # and no run's columns cover more than 64 of its targets.
+    argv = [command, "--coeffs", coeffs, "--n-range", f"{lo}:{hi}", "--format"]
+    numerators = bounds._Sandwich.numerators
+    widths = {}
+
+    def recorded(self, lo, hi):
+        widths[run_length].append(hi // self.gcd - lo // self.gcd + 1)
+        return numerators(self, lo, hi)
+
+    monkeypatch.setattr(bounds._Sandwich, "numerators", recorded)
+    outputs = {}
+    for run_length in (1 << 20, 64):
+        monkeypatch.setattr(cli, "_RUN", run_length)
+        widths[run_length] = []
+        for fmt in ("json", "csv"):
+            code, outputs[run_length, fmt], _ = run(capsys, *argv, fmt)
+            assert code == 0
+    for fmt in ("json", "csv"):
+        assert outputs[64, fmt] == outputs[1 << 20, fmt], (command, fmt)
+    assert max(widths[64]) <= 64
+    assert sum(widths[64]) == sum(widths[1 << 20])
+    assert len(widths[64]) > len(widths[1 << 20]) or hi - lo < 64
 
 
 def test_usage_errors_exit_2(capsys):

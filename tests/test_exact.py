@@ -812,7 +812,7 @@ def test_the_least_recently_used_rows_go_past_the_word_budget(monkeypatch):
 
 def held_words():
     # The words of every row the cache holds, summed afresh.
-    return sum(map(exact._words, _prefix_counts._rows.values()))
+    return sum(map(exact._words, _prefix_counts._entries.values()))
 
 
 def test_a_row_over_the_word_budget_is_kept_alone(monkeypatch):
@@ -831,7 +831,7 @@ def test_a_row_over_the_word_budget_is_kept_alone(monkeypatch):
     assert denumerant((7, 5, 3), 2000).value == big[2000]
     assert _prefix_counts.cache_info().misses == 6
     denumerant((2, 3), 100)
-    assert list(_prefix_counts._rows) == [(2, 3)]
+    assert list(_prefix_counts._entries) == [(2, 3)]
     assert _prefix_counts.words == held_words() == exact._row_cap(100, None) + 1
 
 
@@ -861,7 +861,7 @@ def test_a_build_that_raises_leaves_the_cache_as_it_was(monkeypatch):
     monkeypatch.setattr(exact, "_build_row", failing)
     with pytest.raises(MemoryError):
         denumerant((3, 5, 7), 5000)
-    assert list(_prefix_counts._rows.items()) == [((3, 5, 7), short)]
+    assert list(_prefix_counts._entries.items()) == [((3, 5, 7), short)]
     assert _prefix_counts.words == held_words() == words == short.cap + 1
     assert _prefix_counts((3, 5, 7), 100) is short
     monkeypatch.undo()

@@ -14,7 +14,8 @@ import sys
 from pathlib import Path
 
 import denumerant
-from denumerant import cli
+from denumerant import bounds, cli
+from denumerant.exact import _prefix_counts
 
 _EXPECTED = Path(__file__).resolve().parent.parent / "bench" / "expected.json"
 
@@ -53,6 +54,10 @@ def test_every_public_function_is_reached_by_an_acceptance_run(tmp_path):
     configs = json.loads(_EXPECTED.read_text())["verify-acceptance"]
     assert len(configs) == 9
     called = set()
+    # A fresh process prepares every tuple and builds every row, so nothing
+    # kept by an earlier test may stand in for a call.
+    _prefix_counts.cache_clear()
+    bounds._sandwiches.cache_clear()
 
     def profile(frame, event, arg):
         if event == "call":
