@@ -25,8 +25,9 @@ Each sandwich is prepared once per tuple, in integers: every step
 d_i / d_{i+1} is one, so s-_i, 2 s+_i and 2 r_i are integers, and the
 series polynomial's coefficients are scaled from the weights' own
 numerators and denominators.  ``_shift_numerators`` gives s-_i and 2 s+_i
-along the gcd chain: ``bound_sequences`` wraps them in ``Fraction``s, and
-the sandwich reads the last two as they are.  Each value at a target is
+along the gcd chain: ``bound_sequences`` wraps them in ``Fraction``s, the
+sandwich reads the last two as they are, and ``bound_frobenius`` reads the
+last s-_k as its integer upper bound on g.  Each value at a target is
 one integer over a fixed denominator, and ``numerators`` gives them for a
 span of targets by column, each a lazy map: integer powers for lower_a and
 upper_a, and Horner's rule down the column for the series, so a caller
@@ -97,9 +98,8 @@ class BoundReport:
     applicable_lower: bool
 
 
-def _two_or_more(a: Sequence[int]) -> tuple[int, ...]:
-    """Validate a tuple for the bounds that need k >= 2."""
-    coeffs = as_coeffs(a)
+def _require_two(coeffs: tuple[int, ...]) -> tuple[int, ...]:
+    """A validated tuple, refused unless it has the k >= 2 the bounds need."""
     if len(coeffs) < 2:
         raise TooShortTupleError(f"the bounds need at least two coefficients, got {coeffs}")
     return coeffs
@@ -120,7 +120,7 @@ def _shift_numerators(coeffs: tuple[int, ...]) -> tuple[list[int], list[int]]:
 
 def bound_sequences(a: Sequence[int]) -> BoundSequences:
     """Build the upper and lower shift sequences of the tuple; needs k >= 2."""
-    lower, twice_upper = _shift_numerators(_two_or_more(a))
+    lower, twice_upper = _shift_numerators(_require_two(as_coeffs(a)))
     return BoundSequences(
         upper_shifts=tuple(Fraction(h, 2) for h in twice_upper),
         lower_shifts=tuple(map(Fraction, lower)),
@@ -172,7 +172,11 @@ class _Sandwich:
     def of(cls, a: Sequence[int]) -> _Sandwich:
         """The sandwich of a/d, d = gcd(a), which bounds D(a, n) at every n
         that d divides; the length is checked on a as given."""
-        coeffs = _two_or_more(a)
+        return cls._of_coeffs(_require_two(as_coeffs(a)))
+
+    @classmethod
+    def _of_coeffs(cls, coeffs: tuple[int, ...]) -> _Sandwich:
+        """``of`` for a tuple already validated, with k >= 2."""
 
         def prepare(_: None) -> _Sandwich:
             d = math.gcd(*coeffs)
@@ -288,8 +292,8 @@ def _series_numerators(a: tuple[int, ...], m: int) -> tuple[int, ...]:
 
 def _coprime_sandwich(a: Sequence[int]) -> _Sandwich:
     """The prepared bounds of a coprime tuple with k >= 2, the tuples they
-    are proved for."""
-    return _Sandwich.of(_require_coprime(_two_or_more(a), _NOT_COPRIME))
+    are proved for; the tuple is validated once."""
+    return _Sandwich._of_coeffs(_require_coprime(_require_two(as_coeffs(a)), _NOT_COPRIME))
 
 
 def inequality_a(a: Sequence[int], n: int) -> BoundReport:

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from itertools import accumulate, chain, islice, repeat
 from typing import Sequence
 
-from .bounds import bound_sequences
+from .bounds import _require_two, _shift_numerators
 from .core import BudgetExceededError, _require_coprime, as_coeffs
 
 # The most cells the residue table may allocate, checked before allocating.
@@ -304,8 +304,9 @@ def frobenius_exact(a: Sequence[int]) -> int:
 
 def bound_frobenius(a: Sequence[int]) -> FrobeniusReport:
     """The Frobenius number of a coprime tuple with k >= 2 and its upper
-    bound brauer_upper = s-_k, read off the lower shift sequence."""
+    bound brauer_upper = s-_k, the last lower shift, read as the integer it
+    is along the gcd chain."""
     coeffs = as_coeffs(a)
     g = frobenius_exact(coeffs)
-    brauer_upper = bound_sequences(coeffs).lower_shifts[-1].numerator
-    return FrobeniusReport(coeffs=coeffs, g=g, brauer_upper=brauer_upper)
+    lower, _ = _shift_numerators(_require_two(coeffs))
+    return FrobeniusReport(coeffs=coeffs, g=g, brauer_upper=lower[-1])

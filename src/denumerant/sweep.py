@@ -35,6 +35,7 @@ from .bfnum import _elementary, bf_recursive
 from .bounds import (
     BoundReport,
     _coprime_sandwich,
+    bound_sequences,
     inequality_a,
     prefix_sum_count,
     relaxed_count_chain,
@@ -368,6 +369,12 @@ def _check_frobenius(instance: dict) -> Failure | None:
         return _fail(instance, "bound_frobenius(a).g == max(N) - a_1", g, certified)
     if failure := _unordered(instance, 1, ("g", g), ("brauer_upper", report.brauer_upper)):
         return failure
+    # The report reads s-_k as an integer; the public sequences build it as
+    # a Fraction along the same gcd chain.
+    lower_shift = bound_sequences(coeffs).lower_shifts[-1]
+    if report.brauer_upper != lower_shift:
+        relation = "bound_frobenius(a).brauer_upper == s-_k of bound_sequences(a)"
+        return _fail(instance, relation, report.brauer_upper, lower_shift)
     if g >= 0 and window[0] != 0:
         return _fail(instance, "denumerant(a, g) == 0", window[0], 0)
     for value in range(max(g + 1, 0), top + 1):

@@ -22,6 +22,7 @@ from denumerant import (
     bound_sequences,
     bounds,
     cli,
+    core,
     denumerant,
     exact,
     extended_count,
@@ -639,6 +640,31 @@ def test_a_refused_tuple_is_refused_on_every_call_and_never_held():
             inequality_b_lower([6, 10, 14], 10)
     assert bounds._sandwiches.cache_info() == (0, 0, None, 0)
     assert bounds._sandwiches.words == 0
+
+
+def test_a_coprime_sandwich_validates_its_tuple_once():
+    # A memo hit reads the tuple once, as _Sandwich.of does on its own.
+    validate = core.as_coeffs.__code__
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is validate:
+            calls.append(frame)
+
+    for a in ((3, 5, 7), [4, 7, 9, 11]):
+        inequality_a(a, 50)
+        for route in (
+            lambda: bounds._coprime_sandwich(a),
+            lambda: inequality_a(a, 50),
+            lambda: bounds._Sandwich.of(a),
+        ):
+            calls.clear()
+            sys.setprofile(profile)
+            try:
+                route()
+            finally:
+                sys.setprofile(None)
+            assert len(calls) == 1, a
 
 
 def _memo_words():

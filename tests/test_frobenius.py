@@ -1,9 +1,15 @@
+import hashlib
+import io
 import itertools
+import json
 import math
 import random
+import sys
 import time
 from collections import Counter
+from contextlib import redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +18,7 @@ from hypothesis import strategies as st
 from denumerant import (
     BudgetExceededError,
     NotCoprimeError,
+    TooShortTupleError,
     bound_frobenius,
     bound_sequences,
     denumerant,
@@ -19,7 +26,7 @@ from denumerant import (
     inequality_a,
     relaxed_count_chain,
 )
-from denumerant import frobenius
+from denumerant import bounds, cli, core, frobenius
 from denumerant.core import _require_coprime, as_coeffs
 from denumerant.frobenius import (
     FROBENIUS_MAX_CELLS,
@@ -474,6 +481,83 @@ def test_report_spots():
 
     report = bound_frobenius((4, 6, 9))
     assert report.g == 11 and report.brauer_upper == 11
+
+
+@pytest.mark.parametrize(
+    "a, expected",
+    [
+        ((1,), (TooShortTupleError, "the bounds need at least two coefficients, got (1,)")),
+        ((2,), (NotCoprimeError, "(2,) has gcd > 1; no Frobenius number exists")),
+        ((4, 6), (NotCoprimeError, "(4, 6) has gcd > 1; no Frobenius number exists")),
+        ((1, 5), ((1, 5), -1, -1)),
+        ((3, 5, 7), ((3, 5, 7), 4, 7)),
+        ([True, 3], ((1, 3), -1, -1)),
+    ],
+)
+def test_report_edges_keep_their_values_and_errors(a, expected):
+    # A coprime single coefficient has a g but no shift sequence, so (1,)
+    # is refused for its length, and (2,) for its gcd first.
+    if isinstance(expected[0], type):
+        error, message = expected
+        with pytest.raises(error) as caught:
+            bound_frobenius(a)
+        assert type(caught.value) is error and str(caught.value) == message
+    else:
+        report = bound_frobenius(a)
+        assert (report.coeffs, report.g, report.brauer_upper) == expected
+        assert type(report.brauer_upper) is int
+
+
+_RECORDED_FROBENIUS = json.loads(
+    (Path(__file__).resolve().parent.parent / "bench" / "expected.json").read_text()
+)["frobenius-large"]
+
+
+def test_the_report_builds_no_shift_sequences(monkeypatch):
+    # brauer_upper is read as an integer, so every frobenius-large
+    # operation writes its recorded row with the Fraction sequences refused.
+    def refused(*_):
+        raise AssertionError("the shift sequences were built")
+
+    monkeypatch.setattr(bounds, "bound_sequences", refused)
+    monkeypatch.setattr(bounds, "BoundSequences", refused)
+    assert len(_RECORDED_FROBENIUS) == 40
+    for key, digest in _RECORDED_FROBENIUS.items():
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert cli.main(key.split(" ")) == 0, key
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest, key
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 60), min_size=2, max_size=7))
+def test_brauer_upper_is_the_last_lower_shift(coeffs):
+    d = math.gcd(*coeffs)
+    coeffs = tuple(c // d for c in coeffs)
+    report = bound_frobenius(coeffs)
+    assert report.brauer_upper == bound_sequences(coeffs).lower_shifts[-1]
+
+
+def test_the_report_validates_its_tuple_at_most_three_times():
+    # Once for the tuple given; frobenius_exact and gcd_chain are public
+    # and validate what they are given, once each.
+    validate = core.as_coeffs.__code__
+    calls = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is validate:
+            calls["as_coeffs"] += 1
+
+    for a in ((3, 5), (3, 5, 7), [7, 11, 13, 17], (1,), (4, 6)):
+        calls.clear()
+        sys.setprofile(profile)
+        try:
+            bound_frobenius(a)
+        except (TooShortTupleError, NotCoprimeError):
+            pass
+        finally:
+            sys.setprofile(None)
+        assert calls["as_coeffs"] <= 3, a
 
 
 def test_root_bounds_match_predicates():

@@ -686,6 +686,9 @@ _BROKEN_RELATIONS = [
      _shift_route("_residue_table", lambda t, *_: [0] * len(t))),
     ("bound_frobenius(a).g == max(N) - a_1", "frobenius", (2, 4),
      _shift_route("bound_frobenius", lambda r, *_: replace(r, g=r.g + 1))),
+    # g <= brauer_upper still holds, and the window only widens.
+    ("bound_frobenius(a).brauer_upper == s-_k of bound_sequences(a)", "frobenius", (2, 4),
+     _shift_route("bound_frobenius", lambda r, *_: replace(r, brauer_upper=r.brauer_upper + 1))),
     ("power sum <= refined upper", "powersum", (2, 4), _cap_below_the_sum),
     ("f(n+1) - f(n) == (n+1+c)^k", "powersum", (2, 4),
      _enclosure_patch(_step_off_by_one)),
