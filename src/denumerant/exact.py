@@ -3,7 +3,10 @@
 Three independent routes to the same number:
 
 * ``oracle_count``: brute-force enumeration with a node budget.  Slow and
-  obviously correct; everything else is checked against it.
+  obviously correct; everything else is checked against it.  Once its last
+  loop has tested more than n + 1 takes, it memoizes them in a table of
+  n + 1 cells, fewer than the nodes the budget has already allowed, and the
+  loop above reads that table in one pass.
 * ``denumerant``: gcd reduction followed by the prefix recurrence
 
       D_{k+1}(n) = sum_{l=0}^{[n/a_{k+1}]} D_k(n - a_{k+1} * l),
@@ -134,11 +137,19 @@ def oracle_count(
 
     Coefficients are enumerated largest first so the outer loops branch the
     least; the final variable is resolved by a divisibility test instead of
-    a loop, over all the takes of the one before it in one pass.  A node is
-    one take of a variable before the final one.  The nodes come out of
-    ``budget``, by default a fresh one of ORACLE_MAX_NODES nodes.  Past it
-    the call raises BudgetExceededError (use the recursion route for
-    anything desk-scale enumeration cannot reach).
+    a loop, over all the takes of the one before it, h, in one pass.  Once
+    those passes have tested more than n + 1 takes, the call memoizes them
+    in a table of n + 1 cells, hits[s] counting the takes s, s - h, ..., 0
+    or more, that the smallest coefficient divides; from then on each range
+    of takes of the variable before h reads the table in one pass, so
+    Python loops only over the variables above it.  Only a tuple of three
+    or more coefficients can reach that point, and a call that does not
+    allocates no table.  A node is one take of a variable before the final
+    one, tested or read from the table alike.  The nodes come out of
+    ``budget``, by default a fresh one of ORACLE_MAX_NODES nodes, so the
+    table's n + 1 cells never pass it.  Past it the call raises
+    BudgetExceededError (use the recursion route for anything desk-scale
+    enumeration cannot reach), at the same node as without the table.
     """
     coeffs = as_coeffs(a)
     _require_natural(n)
@@ -150,14 +161,19 @@ def oracle_count(
     heads, last = order[:-1], order[-1]
     if not heads:
         return CountResult(int(n % last == 0), "oracle")
+    # h, the variable before the final one, is the deepest level.
+    deepest, h = len(heads) - 1, heads[-1]
     # Depth first, with one iterator over the takes left at each level above
     # the final one, not one call per level, so no tuple is too long.  A
-    # level's takes are counted as nodes when its range is made.
+    # level's takes are counted as nodes when its range is made.  ``tested``
+    # counts the takes of h tested one at a time; ``hits`` is the table.
     levels: list[Iterator[int]] = []
-    total, residual = 0, n
+    total, residual, tested = 0, n, 0
+    hits: list[int] | None = None
     try:
         while True:
-            coeff = heads[len(levels)]
+            depth = len(levels)
+            coeff = heads[depth]
             nodes += residual // coeff + 1
             if nodes > cap:
                 raise BudgetExceededError(
@@ -165,11 +181,39 @@ def oracle_count(
                     f"coefficients {coeffs} at n={n}"
                 )
             takes = range(residual, -1, -coeff)
-            if len(levels) < len(heads) - 1:
-                levels.append(iter(takes))
+            # The takes of the level above h to read from the table at once.
+            rest: Sequence[int] | None = None
+            if depth < deepest:
+                if hits is None or depth < deepest - 1:
+                    levels.append(iter(takes))
+                else:
+                    rest = takes
+            elif hits is not None:
+                # Only over the budget, one take of the level above at a time.
+                total += hits[residual]
             else:
                 # The last variable takes what is left when ``last`` divides it.
                 total += list(map(last.__rmod__, takes)).count(0)
+                tested += len(takes)
+                if tested > n + 1:
+                    # hits[s] = [last | s] + hits[s - h], a running sum along
+                    # each class mod h; a class of one cell is its own sum.
+                    hits = [0] * (n + 1)
+                    hits[::last] = [1] * (n // last + 1)
+                    for start in range(min(h, n + 1 - h)):
+                        hits[start::h] = accumulate(hits[start::h])
+                    rest = list(levels.pop())
+            if rest is not None:
+                # Each take s adds the s // h + 1 nodes of its takes of h,
+                # and hits[s] solutions.  Over the budget the takes go one
+                # at a time, so the call raises at the take of h it would
+                # raise at without the table.
+                below = sum(map(h.__rfloordiv__, rest)) + len(rest)
+                if nodes + below > cap:
+                    levels.append(iter(rest))
+                else:
+                    nodes += below
+                    total += sum(map(hits.__getitem__, rest))
             # Go on from the next take of the deepest level that has one left.
             while levels:
                 residual = next(levels[-1], None)

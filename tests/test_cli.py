@@ -371,6 +371,22 @@ def test_oracle_range_budget_bounds_the_command_time(capsys):
     assert time.perf_counter() - started < 20
 
 
+def test_the_readme_oracle_range_stops_at_n_958(capsys):
+    # README's budget example: the 10^7 nodes shared by 0..1999 on (2, 3, 5)
+    # run out at n = 958, after the rows for 0..957, each the exact count.
+    code, out, err = run(
+        capsys, "count", "--coeffs", "2,3,5", "--method", "oracle",
+        "--n-range", "0:1999", "--format", "json",
+    )
+    assert code == 3
+    assert err.endswith("at n=958\n")
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert [row["n"] for row in rows] == list(range(958))
+    assert [row["value"] for row in rows] == [
+        denumerant.denumerant((2, 3, 5), n).value for n in range(958)
+    ]
+
+
 def test_every_domain_error_maps_to_its_exit_code(monkeypatch, capsys):
     expected = {
         denumerant.NotCoprimeError: 3,

@@ -95,24 +95,31 @@ def test_the_oracle_enumerates_a_tuple_of_any_length():
     assert oracle_count((2,) * 1500, 1).value == 0
 
 
-def one_take_at_a_time(coeffs, n):
-    # The oracle as one call per take: (count, nodes), a node per take of
-    # every variable before the smallest, which is tested for divisibility.
+def one_take_at_a_time(coeffs, n, cap=math.inf):
+    # The oracle as one call per take: (count, nodes, takes of h), a node per
+    # take of every variable before the smallest, which is tested for
+    # divisibility; h is the variable before it.  A variable's takes count
+    # as nodes when it is entered, as the oracle counts them, and past cap
+    # the call raises with the nodes counted so far.
     order = sorted(coeffs, reverse=True)
     heads, last = order[:-1], order[-1]
-    nodes = 0
+    nodes = takes_of_h = 0
 
     def count_from(depth, residual):
-        nonlocal nodes
+        nonlocal nodes, takes_of_h
         if depth == len(heads):
             return 1 if residual % last == 0 else 0
-        total = 0
-        for take in range(residual // heads[depth] + 1):
-            nodes += 1
-            total += count_from(depth + 1, residual - heads[depth] * take)
-        return total
+        takes = residual // heads[depth] + 1
+        nodes += takes
+        if depth == len(heads) - 1:
+            takes_of_h += takes
+        if nodes > cap:
+            raise BudgetExceededError(nodes)
+        return sum(
+            count_from(depth + 1, residual - heads[depth] * take) for take in range(takes)
+        )
 
-    return count_from(0, n), nodes
+    return count_from(0, n), nodes, takes_of_h
 
 
 def test_oracle_matches_one_take_at_a_time_in_value_and_nodes():
@@ -131,8 +138,59 @@ def test_oracle_matches_one_take_at_a_time_in_value_and_nodes():
     for coeffs, n in draws:
         budget = exact._OracleBudget()
         value = oracle_count(coeffs, n, budget).value
-        assert (value, budget.nodes) == one_take_at_a_time(coeffs, n), (coeffs, n)
+        assert (value, budget.nodes) == one_take_at_a_time(coeffs, n)[:2], (coeffs, n)
         assert value == denumerant(coeffs, n).value, (coeffs, n)
+
+
+def test_the_oracle_tabulates_h_only_past_n_plus_1_takes(monkeypatch):
+    # The oracle reads the takes of h from a table once it has tested more
+    # than n + 1 of them, and only then: draws at k 3-6 on both sides of that
+    # point match the reference in value and nodes, and, under a cap drawn
+    # below their nodes, raise with the nodes the reference raises with.
+    built = []
+    monkeypatch.setattr(
+        exact, "accumulate", lambda cells: built.append(len(cells)) or accumulate(cells)
+    )
+    rng = random.Random(55)
+    drawn = {(k, tabulated): 0 for k in range(3, 7) for tabulated in (False, True)}
+    while min(drawn.values()) < 8:
+        k = rng.randint(3, 6)
+        n = rng.randint(0, 480)
+        top = rng.choice((12, 60, 2 * n + 2))
+        coeffs = tuple(rng.randint(1, top) for _ in range(k))
+        if math.prod(n // c + 1 for c in sorted(coeffs)[1:]) > 50_000:
+            continue
+        value, nodes, takes_of_h = one_take_at_a_time(coeffs, n)
+        tabulated = takes_of_h > n + 1
+        if drawn[k, tabulated] == 8:
+            continue
+        drawn[k, tabulated] += 1
+        built.clear()
+        budget = exact._OracleBudget()
+        assert oracle_count(coeffs, n, budget).value == value, (coeffs, n)
+        assert budget.nodes == nodes, (coeffs, n)
+        assert bool(built) == tabulated, (coeffs, n, built)
+        if nodes > 1:
+            cap = rng.randint(1, nodes - 1)
+            with pytest.raises(BudgetExceededError) as expected:
+                one_take_at_a_time(coeffs, n, cap)
+            budget = exact._OracleBudget()
+            budget.cap = cap
+            with pytest.raises(BudgetExceededError, match=f"at n={n}$"):
+                oracle_count(coeffs, n, budget)
+            assert budget.nodes == expected.value.args[0], (coeffs, n, cap)
+
+
+def test_the_oracle_builds_no_table_for_a_small_tree():
+    # (10^6, 10^6 + 1, 10^6 + 3) at n = 5e6 tests 15 takes of h, far below
+    # n + 1, so the call allocates no table of 5e6 cells (40 MB of pointers).
+    tracemalloc.start()
+    try:
+        assert oracle_count((1000000, 1000001, 1000003), 5_000_000).value == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_denumerant_spots():
