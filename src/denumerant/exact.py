@@ -3,10 +3,10 @@
 Three independent routes to the same number:
 
 * ``oracle_count``: brute-force enumeration with a node budget.  Slow and
-  obviously correct; everything else is checked against it.  Once its last
-  loop has tested more than n + 1 takes, it memoizes them in a table of
-  n + 1 cells, fewer than the nodes the budget has already allowed, and the
-  loop above reads that table in one pass.
+  obviously correct; everything else is checked against it.  Its table,
+  n + 1 cells of 8 bytes, is built and read only at the loop of the
+  third-smallest coefficient, once the takes of the loop below would pass
+  n + 1 within the budget.
 * ``denumerant``: gcd reduction followed by the prefix recurrence
 
       D_{k+1}(n) = sum_{l=0}^{[n/a_{k+1}]} D_k(n - a_{k+1} * l),
@@ -64,7 +64,7 @@ from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from operator import add, sub
+from operator import add, countOf, sub
 from typing import Any, Callable, Hashable, Iterator, Sequence
 
 from .core import (
@@ -136,20 +136,25 @@ def oracle_count(
     """Count solutions by nested enumeration within a node budget.
 
     Coefficients are enumerated largest first so the outer loops branch the
-    least; the final variable is resolved by a divisibility test instead of
-    a loop, over all the takes of the one before it, h, in one pass.  Once
-    those passes have tested more than n + 1 takes, the call memoizes them
-    in a table of n + 1 cells, hits[s] counting the takes s, s - h, ..., 0
-    or more, that the smallest coefficient divides; from then on each range
-    of takes of the variable before h reads the table in one pass, so
-    Python loops only over the variables above it.  Only a tuple of three
-    or more coefficients can reach that point, and a call that does not
-    allocates no table.  A node is one take of a variable before the final
-    one, tested or read from the table alike.  The nodes come out of
-    ``budget``, by default a fresh one of ORACLE_MAX_NODES nodes, so the
-    table's n + 1 cells never pass it.  Past it the call raises
-    BudgetExceededError (use the recursion route for anything desk-scale
-    enumeration cannot reach), at the same node as without the table.
+    least; the final variable, of the smallest coefficient ``last``, is
+    resolved by a divisibility test over all the takes of the one before it,
+    h, in one pass.  A node is one take of a variable before the final one;
+    a range of takes is counted when it is entered, and the nodes come out
+    of ``budget``, by default a fresh one of ORACLE_MAX_NODES nodes.  The
+    call raises BudgetExceededError (use the recursion route for anything
+    desk-scale enumeration cannot reach) at the first range that passes it.
+
+    The table is built and read only at the level of g, the variable before
+    h, so only a tuple of three or more coefficients has one.  hits[s]
+    counts the takes s, s - h, ..., 0 or more that ``last`` divides: an
+    ``array('q')`` of n + 1 cells of 8 bytes, each at most n // h + 1.  A
+    range of takes of g adds the s // h + 1 nodes under each of its takes s.
+    The first range that fits in the budget and whose takes of h, with those
+    sent down before it, pass n + 1 builds the table, so its cells are fewer
+    than the nodes the budget admits; from then on every range that fits is
+    read with one strided slice sum.  Any other range goes down one take at
+    a time, so a call raises at the node it would raise at without the
+    table, and one whose takes of h never pass n + 1 allocates none.
     """
     coeffs = as_coeffs(a)
     _require_natural(n)
@@ -161,15 +166,16 @@ def oracle_count(
     heads, last = order[:-1], order[-1]
     if not heads:
         return CountResult(int(n % last == 0), "oracle")
-    # h, the variable before the final one, is the deepest level.
+    # h, the variable before the final one, is the deepest level, and g, the
+    # one before h, the only level that builds or reads the table.
     deepest, h = len(heads) - 1, heads[-1]
     # Depth first, with one iterator over the takes left at each level above
     # the final one, not one call per level, so no tuple is too long.  A
     # level's takes are counted as nodes when its range is made.  ``tested``
-    # counts the takes of h tested one at a time; ``hits`` is the table.
+    # counts the takes of h sent down to be tested; ``hits`` is the table.
     levels: list[Iterator[int]] = []
     total, residual, tested = 0, n, 0
-    hits: list[int] | None = None
+    hits: array | None = None
     try:
         while True:
             depth = len(levels)
@@ -181,39 +187,31 @@ def oracle_count(
                     f"coefficients {coeffs} at n={n}"
                 )
             takes = range(residual, -1, -coeff)
-            # The takes of the level above h to read from the table at once.
-            rest: Sequence[int] | None = None
-            if depth < deepest:
-                if hits is None or depth < deepest - 1:
+            if depth == deepest:
+                if hits is None:
+                    # The last variable takes what is left when ``last`` divides it.
+                    total += countOf(map(last.__rmod__, takes), 0)
+                else:
+                    # Only over the budget, one take of g at a time.
+                    total += hits[residual]
+            elif depth < deepest - 1:
+                levels.append(iter(takes))
+            else:
+                # Each take s of g adds the s // h + 1 nodes of its takes of h.
+                below = sum(map(h.__rfloordiv__, takes)) + len(takes)
+                if nodes + below > cap or (hits is None and tested + below <= n + 1):
+                    tested += below
                     levels.append(iter(takes))
                 else:
-                    rest = takes
-            elif hits is not None:
-                # Only over the budget, one take of the level above at a time.
-                total += hits[residual]
-            else:
-                # The last variable takes what is left when ``last`` divides it.
-                total += list(map(last.__rmod__, takes)).count(0)
-                tested += len(takes)
-                if tested > n + 1:
-                    # hits[s] = [last | s] + hits[s - h], a running sum along
-                    # each class mod h; a class of one cell is its own sum.
-                    hits = [0] * (n + 1)
-                    hits[::last] = [1] * (n // last + 1)
-                    for start in range(min(h, n + 1 - h)):
-                        hits[start::h] = accumulate(hits[start::h])
-                    rest = list(levels.pop())
-            if rest is not None:
-                # Each take s adds the s // h + 1 nodes of its takes of h,
-                # and hits[s] solutions.  Over the budget the takes go one
-                # at a time, so the call raises at the take of h it would
-                # raise at without the table.
-                below = sum(map(h.__rfloordiv__, rest)) + len(rest)
-                if nodes + below > cap:
-                    levels.append(iter(rest))
-                else:
+                    if hits is None:
+                        # hits[s] = [last | s] + hits[s - h], a running sum along
+                        # each class mod h; a class of one cell is its own sum.
+                        hits = array("q", [0]) * (n + 1)
+                        hits[::last] = array("q", [1]) * (n // last + 1)
+                        for start in range(min(h, n + 1 - h)):
+                            hits[start::h] = array("q", accumulate(hits[start::h]))
                     nodes += below
-                    total += sum(map(hits.__getitem__, rest))
+                    total += sum(hits[residual % coeff : residual + 1 : coeff])
             # Go on from the next take of the deepest level that has one left.
             while levels:
                 residual = next(levels[-1], None)

@@ -193,6 +193,45 @@ def test_the_oracle_builds_no_table_for_a_small_tree():
     assert peak < 1 << 20
 
 
+def test_a_call_the_budget_refuses_allocates_no_table():
+    # (3 * 10^6, 1, 1) at n = 2e7 would pass n + 1 takes of h in its first
+    # range of g, whose 7.7e7 takes of h the budget refuses: the call raises
+    # at its first take of h and builds no table of 2e7 cells.
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError, match="at n=20000000$"):
+            oracle_count((3000000, 1, 1), 20_000_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_the_oracle_table_takes_8_bytes_a_cell():
+    # 60001 cells of 8 bytes are 0.46 MiB; while it builds, the table sits
+    # next to two copies of a class, here the whole table, as h = 1.
+    tracemalloc.start()
+    try:
+        assert oracle_count((30000, 1, 1), 60000).value == 90003
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
+
+
+def test_known_denumerants():
+    # p(n), the partitions of n, is D((1, ..., n); n): OEIS A000041.
+    assert denumerant(range(1, 101), 100).value == 190_569_292
+    assert denumerant(range(1, 201), 200).value == 3_972_999_029_388
+    assert denumerant(range(1, 1001), 1000).value == 24_061_467_864_032_622_473_692_149_727_991
+    # Change for a dollar: Polya, "On picture-writing", Amer. Math. Monthly
+    # 63 (1956), 689-697; one more way with a dollar coin.
+    assert denumerant((1, 5, 10, 25, 50), 100).value == 292
+    assert denumerant((1, 5, 10, 25, 50, 100), 100).value == 293
+    # Two pounds in British coins: Project Euler, problem 31.
+    assert denumerant((1, 2, 5, 10, 20, 50, 100, 200), 200).value == 73_682
+
+
 def test_denumerant_spots():
     assert denumerant((1, 2, 3), 10).value == 14
     assert denumerant((2, 3, 5), 10).value == 4

@@ -12,7 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from denumerant import (
@@ -81,6 +81,18 @@ def test_pair_closed_form():
     near_1e5 = ((99991, 100003), (100000, 100001), (100003, 99989), (99999, 100000))
     for a1, a2 in pairs + near_1e5:
         assert frobenius_exact((a1, a2)) == a1 * a2 - a1 - a2
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 3000), st.integers(1, 60), st.integers(2, 10))
+def test_an_arithmetic_progression_matches_roberts_formula(a, d, k):
+    # Roberts, "Note on linear forms", Proc. AMS 7 (1956), 465-469: for
+    # gcd(a, d) = 1, g(a, a + d, ..., a + s d) = ([(a - 2) / s] + 1) a
+    # + (d - 1)(a - 1) - 1.
+    assume(math.gcd(a, d) == 1)
+    s = k - 1
+    expected = ((a - 2) // s + 1) * a + (d - 1) * (a - 1) - 1
+    assert frobenius_exact([a + j * d for j in range(k)]) == expected, (a, d, k)
 
 
 def _round_robin_cases():
