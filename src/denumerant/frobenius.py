@@ -21,7 +21,9 @@ checked coprime:
   changing problem", Algorithmica 2007).  The table is laid out in the last
   coefficient's lap order, so that the last lap reads each of its classes
   as one slice and keeps only the running maximum: k - 4 laps that write
-  and one that reads, O((k - 2) a_1) steps on the reduced a_1.
+  and one that reads, O((k - 2) a_1) steps on the reduced a_1.  A box row
+  steps its position by one addition, as a lap does, and a lap starts the
+  class of 0 at N[0] = 0 with no search; a middle lap copies none of it.
 
 For a coprime tuple, every n > s-_k has at least one representation, so
 g <= s-_k.  The verify sweep builds the plain round-robin table, which
@@ -89,13 +91,16 @@ def _fill(
     residue r sits at r x mod a_1: x = 1 is the plain layout, and a_i
     steps the position by a_i x mod a_1.  A box is written as rows along its
     longest side, one row start + i step for i < count per value of its
-    other sides: at most sqrt(m n) rows for an m by n box."""
+    other sides: at most sqrt(m n) rows for an m by n box, each stepping
+    its position by step x mod a_1, as a lap steps by a_i x."""
     base = len(table)
     for start, sides in boxes:
         (step, count), *others = sorted(sides, key=lambda side: side[1], reverse=True)
         starts = [start]
         for gap, rows in others:
             starts = [s + i * gap for s in starts for i in range(rows)]
+        stride = step * x % base
+        cut, back = base - stride, stride - base
         # Each row is made by addition, as the laps make their entries.  Past
         # 2^30 CPython keeps a sum in a block one digit longer than `range`
         # keeps the same value, and entries of one size let a lap that
@@ -103,8 +108,10 @@ def _fill(
         # a_1 = 2,000,003 with k = 5.  The last lap writes nothing, so with
         # k = 4 the rows alone make the peak, 123 MB there.
         for row in starts:
+            p = row * x % base
             for n in accumulate(repeat(step, count - 1), initial=row):
-                table[n * x % base] = n
+                table[p] = n
+                p = p + back if p >= cut else p + stride
     for coeff in coeffs:
         d = math.gcd(base, coeff)
         # The position of n + a_i is that of n plus a_i x, wrapped below a_1.
@@ -112,8 +119,9 @@ def _fill(
         cut, back = base - step, step - base
         for start in range(d):
             # Adding a_i cannot lower the class minimum, so a lap started
-            # there settles every entry of the class.
-            n = min(table[start::d])
+            # there settles every entry of the class.  No entry is negative,
+            # so a first cell of 0 is the minimum.
+            n = 0 if table[start] == 0 else min(table[start::d])
             if n == math.inf:
                 continue
             p = n * x % base
@@ -142,17 +150,18 @@ def _lap_order(base: int, coeff: int) -> int:
 def _last_lap_top(table: list[int | float], coeff: int) -> int | float:
     """max(N) once ``coeff`` takes its round-robin lap on ``table``, laid
     out by `_lap_order` for it, writing nothing.  Each class table[j::d] is
-    read once from its minimum, and a running entry n becomes
-    min(n + coeff, c) at each cell c.  n only grows between the cells that
-    undercut it, so the largest n is one met just before such a cell or at
-    the end.  A class whose minimum is infinite makes the maximum infinite."""
+    read once from its minimum, found with no search when its first cell is
+    N[0] = 0, and a running entry n becomes min(n + coeff, c) at each cell
+    c.  n only grows between the cells that undercut it, so the largest n is
+    one met just before such a cell or at the end.  A class whose minimum is
+    infinite makes the maximum infinite."""
     base = len(table)
     d = math.gcd(base, coeff)
     peak = -math.inf  # the largest n + coeff that a cell undercut
     for start in range(d):
         # A class of d > 1 is sliced out: islice would walk the whole table.
         cells = table[start::d] if d > 1 else table
-        n = min(cells)
+        n = 0 if cells[0] == 0 else min(cells)
         if n == math.inf:
             return n
         i = cells.index(n)

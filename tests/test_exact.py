@@ -232,6 +232,34 @@ def test_known_denumerants():
     assert denumerant((1, 2, 5, 10, 20, 50, 100, 200), 200).value == 73_682
 
 
+def _pentagonal_partitions(top):
+    """p(0..top) by Euler's pentagonal recurrence, p(n) = sum over j >= 1 of
+    (-1)^(j+1) (p(n - j(3j - 1)/2) + p(n - j(3j + 1)/2)), which shares
+    nothing with the DP."""
+    p = [1] + [0] * top
+    for n in range(1, top + 1):
+        j, total = 1, 0
+        while (pent := j * (3 * j - 1) // 2) <= n:
+            sign = 1 if j % 2 else -1
+            total += sign * p[n - pent]
+            if pent + j <= n:
+                total += sign * p[n - pent - j]
+            j += 1
+        p[n] = total
+    return p
+
+
+def test_partitions_past_2_64_match_eulers_pentagonal_recurrence():
+    # D((1, ..., m); n) = p(n) for m >= n.  p(417) is the first p(n) past
+    # 2^64, so these rows hold their counts in two planes and, at 1500, in
+    # three.
+    p = _pentagonal_partitions(1500)
+    assert p[416] < 1 << 64 <= p[417]
+    assert p[1500] >= 1 << 128
+    for n, m in ((417, 417), (600, 650), (1029, 1029), (1500, 1500)):
+        assert denumerant(range(1, m + 1), n).value == p[n], n
+
+
 def test_denumerant_spots():
     assert denumerant((1, 2, 3), 10).value == 14
     assert denumerant((2, 3, 5), 10).value == 4

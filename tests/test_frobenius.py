@@ -6,6 +6,7 @@ import math
 import random
 import sys
 import time
+import tracemalloc
 from collections import Counter
 from contextlib import redirect_stdout
 from fractions import Fraction
@@ -221,6 +222,22 @@ def test_a_last_lap_class_left_at_infinity_makes_the_maximum_infinite():
             left = list(table)
             left[j::d] = [math.inf] * (a1 // d)
             assert _last_lap_top(left, last) == math.inf, (coeffs, j)
+
+
+def test_a_middle_lap_copies_no_class_of_0():
+    # Here d = gcd(a_1, a_i) = 1, so the class of 0 is the whole table.  A
+    # middle lap starts it at N[0] = 0 without a copy, so k = 5 peaks no
+    # higher than its k = 4 prefix, give or take 2 bytes a cell of a_1.
+    def peak(coeffs):
+        tracemalloc.start()
+        try:
+            frobenius_exact(coeffs)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    prefix = (50021, 50023, 50033, 50047)
+    assert peak((*prefix, 50051)) <= peak(prefix) + 2 * 50021
 
 
 def _planted(rng, k):
