@@ -56,7 +56,7 @@ from itertools import chain, repeat
 from operator import add, mul
 from typing import Iterable, Iterator, Sequence
 
-from .bfnum import bf_explicit
+from .bfnum import _elementary
 from .core import (
     NotApplicableError,
     TooShortTupleError,
@@ -280,12 +280,12 @@ def _series_numerators(a: tuple[int, ...], m: int) -> tuple[int, ...]:
         sum_{i=0}^{m} [[m, i]]_2 x^(m+1-i) / (m+1-i)!
             = x (c_0 x^m + c_1 x^(m-1) + ... + c_m) / (2^m (m+1)!),
 
-    that is c_i = 2^m [[m, i]]_2 (m+1)! / (m+1-i)!; [[m, i]]_2 2^i is an
-    integer, so each c_i is one."""
-    numerators, scale = [], 1 << m  # scale = 2^m (m+1)! / (m+1-i)!
-    for i, weight in enumerate(bf_explicit(a, 2, m)):
-        num, den = weight.as_integer_ratio()
-        numerators.append(num * scale // den)
+    that is c_i = 2^m [[m, i]]_2 (m+1)! / (m+1-i)!, read from the closed
+    form's integers e_i = 2^i [[m, i]]_2 of the validated tuple a as
+    c_i = e_i 2^(m-i) (m+1)! / (m+1-i)!."""
+    numerators, scale = [], 1  # scale = (m+1)! / (m+1-i)!
+    for i, e in enumerate(_elementary(a, 2, m)):
+        numerators.append((e * scale) << (m - i))
         scale *= m + 1 - i
     return tuple(numerators)
 

@@ -204,12 +204,7 @@ def oracle_count(
                     levels.append(iter(takes))
                 else:
                     if hits is None:
-                        # hits[s] = [last | s] + hits[s - h], a running sum along
-                        # each class mod h; a class of one cell is its own sum.
-                        hits = array("q", [0]) * (n + 1)
-                        hits[::last] = array("q", [1]) * (n // last + 1)
-                        for start in range(min(h, n + 1 - h)):
-                            hits[start::h] = array("q", accumulate(hits[start::h]))
+                        hits = _oracle_table(n, h, last)
                     nodes += below
                     total += sum(hits[residual % coeff : residual + 1 : coeff])
             # Go on from the next take of the deepest level that has one left.
@@ -222,6 +217,29 @@ def oracle_count(
                 return CountResult(total, "oracle")
     finally:
         budget.nodes = nodes
+
+
+def _oracle_table(n: int, h: int, last: int) -> array:
+    """The oracle's table hits[s] = [last | s] + hits[s - h], s = 0..n: a
+    running sum along each class mod h, of which a class of one cell is its
+    own sum.
+
+    The indicator and the sums are written in place through a view of the
+    table, at most ``_CHUNK`` cells of a class at a time, so that the table
+    is the only allocation that grows with n.  A class's chunk starts on
+    the last cell of the one before it, which is final, so the sum carries
+    on from there.
+    """
+    hits = array("q", [0]) * (n + 1)
+    with memoryview(hits) as cells:
+        for first in range(0, n + 1, last * _CHUNK):
+            chunk = cells[first : first + last * _CHUNK : last]
+            chunk[:] = array("q", [1]) * len(chunk)
+        for start in range(min(h, n + 1 - h)):
+            for first in range(start, n + 1 - h, h * (_CHUNK - 1)):
+                chunk = cells[first : first + h * _CHUNK : h]
+                chunk[:] = array("q", accumulate(chunk))
+    return hits
 
 
 class _Row:

@@ -20,7 +20,6 @@ out as long as it merges failures back in instance-index order.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import operator
@@ -28,10 +27,10 @@ import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from itertools import compress, pairwise
+from itertools import accumulate, compress, pairwise
 from typing import Callable, Iterator
 
-from .bfnum import _elementary, bf_recursive
+from .bfnum import _doubled, _elementary, bf_explicit, bf_recursive
 from .bounds import (
     BoundReport,
     _coprime_sandwich,
@@ -62,8 +61,8 @@ _MASK64 = (1 << 64) - 1
 # The most trials one sweep may run, checked before the first draw.  It caps
 # the time of one run at the default k range: on a 2-core x86-64 host, at
 # this cap and the other defaults, the slowest suite (asymptotic, two DP rows
-# per tuple) took 4 to 4.5 s at 92 MB and the next (bf-identities) 1.0 to
-# 1.25 s.  No budget bounds the tuple length: asymptotic at --k-range
+# per tuple) took 4 to 4.5 s at 92 MB and the next (bf-identities) 0.6 to
+# 0.95 s.  No budget bounds the tuple length: asymptotic at --k-range
 # 2000:2000 took 8.4 s for 2 trials there, about 11 hours at this cap.
 VERIFY_MAX_TRIALS = 10_000
 
@@ -386,63 +385,88 @@ def _check_frobenius(instance: dict) -> Failure | None:
 def _check_bf_identities(instance: dict) -> Failure | None:
     coeffs = instance["coeffs"]
     k = len(coeffs)
-    # Each (tuple, r, m) row of the closed form is read once, as the integers
-    # e_l = 2^l [[m, l]], in which the two identities below are linear
-    # relations.  Weights are formed for a failure only.
-    explicit = functools.cache(_elementary)
-
-    # One run of the recursion per offset r yields its rows m = 0..min(6,
-    # k - r), and each is compared with the closed form's row, entries
-    # 0 <= l <= m, as p 2^l == e_l q for the weight p / q; off the triangle
-    # both routes are 0 by definition and compute nothing.
+    # Both routes are read as integer rows, in which the identities below
+    # are linear relations: the recursion's N_m[l] = 2^m [[m, l]] from one
+    # run of its kernel per offset r, rows m = 0..min(6, k - r), and the
+    # closed form's e_l = 2^l [[m, l]] once per (tuple, r, m).  Each
+    # relation is compared a whole row at a time, and only a row that fails
+    # is walked for its first failing entry.  Weights are formed for a
+    # failure only.
+    elementary = []  # elementary[r][m] is the closed form's row m at offset r.
     for r in range(min(2, k) + 1):
-        by_recursion_rows = bf_recursive(coeffs, r, min(6, k - r))
-        for m, by_recursion_row in enumerate(by_recursion_rows):
-            rows = zip(by_recursion_row, explicit(coeffs, r, m), strict=True)
-            for ell, (by_recursion, e) in enumerate(rows):
-                if by_recursion.numerator << ell != e * by_recursion.denominator:
+        top = min(6, k - r)
+        doubled = _doubled(coeffs, r, top)
+        rows = []
+        for m in range(top + 1):
+            # N_m[l] 2^l == e_l 2^m for 0 <= l <= m, as N_m[l] == e_l 2^(m - l);
+            # off the triangle both routes are 0 by definition.
+            by_recursion, e = doubled[m], _elementary(coeffs, r, m)
+            shifted = list(map(operator.lshift, e, range(m, -1, -1)))
+            if by_recursion != shifted or not min(e) > 0:
+                for ell, (n, x) in enumerate(zip(by_recursion, e, strict=True)):
                     inst = dict(instance, r=r, m=m, ell=ell)
-                    return _fail(
-                        inst, "bf_recursive == bf_explicit",
-                        by_recursion, Fraction(e, 1 << ell),
-                    )
-                if not e > 0:
-                    inst = dict(instance, r=r, m=m, ell=ell)
-                    return _fail(
-                        inst, "[[m, l]] > 0 for 0 <= l <= m", Fraction(e, 1 << ell), 0
-                    )
+                    if n << ell != x << m:
+                        return _fail(
+                            inst, "bf_recursive == bf_explicit",
+                            Fraction(n, 1 << m), Fraction(x, 1 << ell),
+                        )
+                    if not x > 0:
+                        return _fail(
+                            inst, "[[m, l]] > 0 for 0 <= l <= m", Fraction(x, 1 << ell), 0
+                        )
+            rows.append(e)
+        elementary.append(rows)
     # Offset shift: [[m, l]]_{r-1} - [m == 0] equals
     # [[m-1, l]]_r + (a_r / 2) [[m-1, l-1]]_r.  Times 2^l (the [m == 0]
     # term lives at l = 0 only): e_l(r-1, m) - [m == 0] equals
-    # e_l(r, m-1) + a_r e_{l-1}(r, m-1).  A failure reports both sides
-    # divided back by 2^l.
+    # e_l(r, m-1) + a_r e_{l-1}(r, m-1), with row -1 empty.  A failure
+    # reports both sides divided back by 2^l.
     for r in range(1, min(2, k) + 1):
+        coeff = coeffs[r - 1]
         for m in range(0, min(6, k - r + 1) + 1):
-            left = explicit(coeffs, r - 1, m)
+            left = elementary[r - 1][m]
+            if m == 0:
+                left = [left[0] - 1, *left[1:]]
+            below = elementary[r][m - 1] if m else []
             # Row m - 1 padded with its zero neighbours l = -1 and l = m.
-            right = (0, *explicit(coeffs, r, m - 1), 0)
-            for ell in range(m + 1):
-                lhs = left[ell] - (1 if m == 0 else 0)
-                rhs = right[ell + 1] + coeffs[r - 1] * right[ell]
-                if lhs != rhs:
-                    inst = dict(instance, r=r, m=m, ell=ell)
-                    return _fail(
-                        inst, "offset shift identity",
-                        Fraction(lhs, 1 << ell), Fraction(rhs, 1 << ell),
-                    )
+            right = [x + coeff * y for x, y in zip([*below, 0], [0, *below])]
+            if left != right:
+                for ell, (lhs, rhs) in enumerate(zip(left, right, strict=True)):
+                    if lhs != rhs:
+                        inst = dict(instance, r=r, m=m, ell=ell)
+                        return _fail(
+                            inst, "offset shift identity",
+                            Fraction(lhs, 1 << ell), Fraction(rhs, 1 << ell),
+                        )
     # Dividing the first m+1 coefficients by their gcd can only shrink the
     # numbers, by at most a factor d^l; compared as e_l <= d^l e_l(reduced).
+    # At d = 1 the reduced tuple is the tuple itself.
+    gcds = list(accumulate(coeffs, math.gcd))
     for r in range(min(2, k) + 1):
         for m in range(0, min(6, k - r, k - 1) + 1):
-            d = math.gcd(*coeffs[: m + 1])
-            scaled = tuple(c // d for c in coeffs[: m + 1]) + coeffs[m + 1 :]
-            reduced = explicit(scaled, r, m)
-            for ell, original in enumerate(explicit(coeffs, r, m)):
-                bound = d**ell * reduced[ell]
-                if not original <= bound:
-                    inst = dict(instance, r=r, m=m, ell=ell)
-                    chain = ("[[m, l]]", original), ("d^l [[m, l]] of reduced", bound)
-                    return _unordered(inst, 1 << ell, *chain)
+            d, original = gcds[m], elementary[r][m]
+            if d == 1:
+                bound = original
+            else:
+                scaled = tuple(c // d for c in coeffs[: m + 1]) + coeffs[m + 1 :]
+                bound = [d**ell * x for ell, x in enumerate(_elementary(scaled, r, m))]
+            if not all(map(operator.le, original, bound)):
+                for ell, (lhs, rhs) in enumerate(zip(original, bound, strict=True)):
+                    if not lhs <= rhs:
+                        inst = dict(instance, r=r, m=m, ell=ell)
+                        chain = ("[[m, l]]", lhs), ("d^l [[m, l]] of reduced", rhs)
+                        return _unordered(inst, 1 << ell, *chain)
+    # The public routes, once per instance, at row 1 of offset 0: each
+    # weight p / q against the kernels' e_l as p 2^l == e_l q.
+    by_recursion = bf_recursive(coeffs, 0, 1)[1]
+    by_formula = bf_explicit(coeffs, 0, 1)
+    for ell, e in enumerate(elementary[0][1]):
+        for weight in by_recursion[ell], by_formula[ell]:
+            if weight.numerator << ell != e * weight.denominator:
+                inst = dict(instance, r=0, m=1, ell=ell)
+                return _fail(
+                    inst, "bf_recursive == bf_explicit", by_recursion[ell], by_formula[ell]
+                )
     return None
 
 

@@ -19,6 +19,7 @@ from denumerant import (
     NotCoprimeError,
     TooShortTupleError,
     bf_recursive,
+    bfnum,
     bound_sequences,
     bounds,
     cli,
@@ -569,7 +570,7 @@ def test_a_bounds_range_prepares_once(monkeypatch, capsys):
     # From an empty memo, so that once means exactly one preparation.
     bounds._sandwiches.cache_clear()
     sequences = _count_calls(monkeypatch, bounds, "_shift_numerators")
-    weights = _count_calls(monkeypatch, bounds, "bf_explicit")
+    weights = _count_calls(monkeypatch, bounds, "_elementary")
     argv = ["bounds", "--coeffs", "3,5,7", "--n-range", "100:149", "--format", "json"]
     assert cli.main(argv) == 0
     rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
@@ -581,7 +582,7 @@ def test_a_bounds_range_prepares_once(monkeypatch, capsys):
 def test_a_dhat_range_prepares_once(monkeypatch, capsys):
     bounds._sandwiches.cache_clear()
     sequences = _count_calls(monkeypatch, bounds, "_shift_numerators")
-    weights = _count_calls(monkeypatch, bounds, "bf_explicit")
+    weights = _count_calls(monkeypatch, bounds, "_elementary")
     argv = ["dhat", "--coeffs", "3,5,7", "--n-range", "100:149", "--format", "json"]
     assert cli.main(argv) == 0
     assert len(capsys.readouterr().out.splitlines()) == 50
@@ -816,7 +817,7 @@ def _fraction_series_numerators(a, m):
     top = math.factorial(m + 1)
     return tuple(
         int(weight * (top // math.factorial(m + 1 - i) << m))
-        for i, weight in enumerate(bounds.bf_explicit(a, 2, m))
+        for i, weight in enumerate(bfnum.bf_explicit(a, 2, m))
     )
 
 

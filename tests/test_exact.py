@@ -208,15 +208,26 @@ def test_a_call_the_budget_refuses_allocates_no_table():
 
 
 def test_the_oracle_table_takes_8_bytes_a_cell():
-    # 60001 cells of 8 bytes are 0.46 MiB; while it builds, the table sits
-    # next to two copies of a class, here the whole table, as h = 1.
+    # 60001 cells of 8 bytes are 0.46 MiB.  Here h = 1, so one class is the
+    # whole table; it is built in place, one chunk of at most _CHUNK cells
+    # at a time, so the call peaks below 1.5 times the table.
     tracemalloc.start()
     try:
         assert oracle_count((30000, 1, 1), 60000).value == 90003
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 << 20
+    assert peak < 1.5 * 8 * 60001
+
+
+def test_the_oracle_table_carries_each_class_across_its_chunks():
+    # At n = 2e5 the six takes of g = 40000 test more than n + 1 takes of
+    # h = 3, so the call builds and reads the table.  With last = 2 its
+    # indicator has 100001 cells and each class about 66667, so both are
+    # written in several chunks of _CHUNK.
+    assert 200_000 // 2 + 1 > exact._CHUNK and 200_000 // 3 > exact._CHUNK
+    assert oracle_count((40000, 3, 2), 200_000).value == 100_004
+    assert denumerant((40000, 3, 2), 200_000).value == 100_004
 
 
 def test_known_denumerants():

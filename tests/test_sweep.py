@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import sys
@@ -743,30 +744,37 @@ def _top_one_unit_less_on_other_tuples(a, r, m, row):
 
 
 def _patch_bf_route(monkeypatch, name, change):
-    # The suite reads the recursion as one run of rows 0..m per offset and
-    # the closed form's kernel a row at a time; change(a, r, m, row) edits
-    # the weights of row m.  The kernel's row is e_l = 2^l [[m, l]], so its
-    # weights are divided out and the changed ones scaled back, which each
-    # change keeps exact.
+    # The suite reads both routes through their integer kernels: the
+    # recursion's as one run of rows N_0..N_m per offset, N_j[l] =
+    # 2^j [[j, l]], and the closed form's a row at a time, e_l = 2^l [[m, l]].
+    # change(a, r, m, row) edits the weights of row m, so a kernel's
+    # integers are divided out into weights and the changed ones scaled
+    # back, which each change keeps exact.
     route = getattr(sweep, name)
-    if name == "bf_recursive":
+
+    def changed(a, r, m, row, scales):
+        weights = tuple(Fraction(n, s) for n, s in zip(row, scales))
+        scaled = [w * s for w, s in zip(change(a, r, m, weights), scales)]
+        assert all(n.denominator == 1 for n in scaled)
+        return list(map(int, scaled))
+
+    if name == "_doubled":
         def patched(a, r, m):
-            return tuple(change(a, r, j, row) for j, row in enumerate(route(a, r, m)))
+            rows = route(a, r, m)
+            return [changed(a, r, j, row, [2**j] * len(row)) for j, row in enumerate(rows)]
     else:
         def patched(a, r, m):
-            row = tuple(Fraction(e, 2**ell) for ell, e in enumerate(route(a, r, m)))
-            scaled = [w * 2**ell for ell, w in enumerate(change(a, r, m, row))]
-            assert all(e.denominator == 1 for e in scaled)
-            return tuple(map(int, scaled))
+            row = route(a, r, m)
+            return changed(a, r, m, row, [2**ell for ell in range(len(row))])
     monkeypatch.setattr(sweep, name, patched)
 
 
 @pytest.mark.parametrize(
     "routes, change, relation, where",
     [
-        (("bf_recursive",), _bump_one_entry, "bf_recursive == bf_explicit", (1, 2, 1, "8", "7")),
-        (("bf_recursive", "_elementary"), _negate_last_entry, "[[m, l]] > 0 for 0 <= l <= m", (0, 1, 1, "-3", "0")),
-        (("bf_recursive", "_elementary"), _add_one, "offset shift identity", (1, 0, 0, "1", "0")),
+        (("_doubled",), _bump_one_entry, "bf_recursive == bf_explicit", (1, 2, 1, "8", "7")),
+        (("_doubled", "_elementary"), _negate_last_entry, "[[m, l]] > 0 for 0 <= l <= m", (0, 1, 1, "-3", "0")),
+        (("_doubled", "_elementary"), _add_one, "offset shift identity", (1, 0, 0, "1", "0")),
         (("_elementary",), _zero_other_tuples, "[[m, l]] <= d^l [[m, l]] of reduced", (0, 0, 0, "1", "0")),
         # At r = 0 the bound is tight, so a reduced row one unit below it
         # fails: the comparison is exact and not strict.
@@ -788,11 +796,11 @@ def test_bf_identities_name_each_broken_relation(monkeypatch, routes, change, re
 
 
 def test_bf_identities_evaluate_each_row_once_per_route(monkeypatch):
-    # Within one instance the recursion runs once per offset r, to row
-    # min(6, k - r), and the closed form's kernel sees each (tuple, r, m) at
-    # most once.
+    # Within one instance the recursion's kernel runs once per offset r, to
+    # row min(6, k - r), and the closed form's kernel sees each (tuple, r, m)
+    # at most once.
     calls = Counter()
-    for name in ("_elementary", "bf_recursive"):
+    for name in ("_elementary", "_doubled"):
         route = getattr(sweep, name)
 
         def counted(*args, name=name, route=route):
@@ -807,18 +815,18 @@ def test_bf_identities_evaluate_each_row_once_per_route(monkeypatch):
         coeffs = _draw_tuple(rng, cfg)
         assert sweep._check_bf_identities({"coeffs": coeffs}) is None
         k = len(coeffs)
-        recursion = {key: n for key, n in calls.items() if key[0] == "bf_recursive"}
+        recursion = {key: n for key, n in calls.items() if key[0] == "_doubled"}
         assert recursion == {
-            ("bf_recursive", coeffs, r, min(6, k - r)): 1 for r in range(min(2, k) + 1)
+            ("_doubled", coeffs, r, min(6, k - r)): 1 for r in range(min(2, k) + 1)
         }
         explicit = [n for key, n in calls.items() if key[0] == "_elementary"]
         assert explicit and max(explicit) == 1
 
 
 def test_a_bf_identities_run_validates_once_per_public_call(monkeypatch):
-    # The sweep reads the closed form's kernel on tuples it drew itself, and
-    # the kernel trusts them: at the acceptance config the only validations
-    # are bf_recursive's, one per run, three offsets for each of 200 tuples.
+    # The sweep reads both kernels on tuples it drew itself, and the kernels
+    # trust them: at the acceptance config the only validations are those of
+    # the two public routes, each called once for each of 200 tuples.
     callers = Counter()
     validate = bfnum.as_coeffs
 
@@ -831,7 +839,46 @@ def test_a_bf_identities_run_validates_once_per_public_call(monkeypatch):
         suite="bf-identities", seed=3, trials=200, k_range=(2, 8), max_coeff=15
     )
     assert run_verify(cfg).passed
-    assert callers == {"bf_recursive": 600}
+    assert callers == {"bf_recursive": 200, "bf_explicit": 200}
+
+
+# The bfnum mutants of ROADMAP item 6, as (function, old text, new text):
+# each old text occurs once in its function's source, so the table cannot
+# go stale without this test failing.
+_BF_MUTANTS = [
+    pytest.param(
+        "_doubled", "2 * n + coeff * p", "n + coeff * p", id="recursion-without-doubling"
+    ),
+    pytest.param(
+        "_elementary", "range(m, 0, -1)", "range(1, m + 1)", id="newton-update-forward"
+    ),
+    pytest.param(
+        "_elementary", "for x in window:", "for x in window[:-1]:", id="window-one-short"
+    ),
+    pytest.param(
+        "bf_recursive", "Fraction(n, 1 << j)", "Fraction(n << 1, 1 << j)",
+        id="wrapper-over-2-to-j-minus-1",
+    ),
+]
+
+
+@pytest.mark.parametrize("name, old, new", _BF_MUTANTS)
+def test_the_bf_identities_acceptance_config_fails_each_bfnum_mutant(monkeypatch, name, old, new):
+    # The mutant is compiled from the function's own source with one text
+    # changed, and bound wherever the function's name is.
+    source = inspect.getsource(getattr(bfnum, name))
+    assert source.count(old) == 1
+    namespace = dict(vars(bfnum))
+    exec(compile(source.replace(old, new), bfnum.__file__, "exec"), namespace)
+    for module in (bfnum, bounds, sweep):
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, namespace[name])
+    cfg = SweepConfig(
+        suite="bf-identities", seed=3, trials=200, k_range=(2, 8), max_coeff=15
+    )
+    report = run_verify(cfg)
+    assert report.instances == len(report.failures) == 200
+    assert {failure.relation for failure in report.failures} == {"bf_recursive == bf_explicit"}
 
 
 def test_passing_bf_and_series_checks_make_no_fraction(monkeypatch):
